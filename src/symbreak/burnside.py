@@ -20,6 +20,7 @@ of such tuples.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 import zlib
 from dataclasses import dataclass, field
 from .errors import CapacityError, ConsistencyError, DomainError
@@ -66,9 +67,7 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 
 def perm_order(p: Perm) -> int:
-    from math import lcm
-
-    return lcm(*cycle_type(p))
+    return math.lcm(*cycle_type(p))
 
 
 def perm_to_cycles(p: Perm) -> str:
@@ -123,7 +122,11 @@ def cycles_to_perm(text: str, k: int) -> Perm:
 
 
 def closure(generators: list[Perm], k: int, limit: int | None = None) -> frozenset[Perm]:
-    """Subgroup generated by the given permutations (orbit algorithm)."""
+    """Subgroup generated by the given permutations (orbit algorithm).
+
+    Stays apart from _GroupTables.close_indices: it needs no group tables,
+    which keeps the oracle enumerate_all_subgroups off the production path
+    and spares load_lattice the k!^2 tables on a warm read."""
     ident = identity_perm(k)
     elems = {ident}
     frontier = [ident]
@@ -177,8 +180,6 @@ class SubgroupLattice:
 
     @property
     def group_order(self) -> int:
-        import math
-
         return math.factorial(self.k)
 
     @property
@@ -245,6 +246,7 @@ class _GroupTables:
         return frozenset(cg[h] for h in sub)
 
     def close_indices(self, gens: list[int]) -> frozenset[int]:
+        """closure in index space, for build_lattice, which has the tables."""
         ident = self.index[identity_perm(self.k)]
         elems = {ident}
         frontier = [ident]
@@ -296,8 +298,6 @@ def _isomorphism_label(tables: _GroupTables, sub: frozenset[int]) -> str:
         return "V4" if all_even else "D2"
     moved = [i for i in range(k) if any(p[i] != i for p in perms)]
     m = len(moved)
-    import math
-
     if order == math.factorial(m):
         # symmetric group on its moved points?
         if _acts_fully(perms, moved, symmetric=True):
@@ -321,8 +321,6 @@ def _is_even(p: Perm) -> bool:
 def _acts_fully(perms: list[Perm], moved: list[int], symmetric: bool) -> bool:
     """Does the restriction to the moved points give the full S_m (or A_m)?"""
     images = {tuple(p[i] for i in moved) for p in perms}
-    import math
-
     want = math.factorial(len(moved)) // (1 if symmetric else 2)
     return len(images) == len(perms) == want
 
@@ -432,7 +430,6 @@ def build_lattice(k: int) -> SubgroupLattice:
         for i in range(len(reps))
     ]
     perm_order_ids = sorted(range(len(reps)), key=lambda i: order_key[i])
-    old_to_new = {old: new for new, old in enumerate(perm_order_ids)}
 
     # labels with disambiguation primes
     raw_labels = [_isomorphism_label(tables, reps[i]) for i in perm_order_ids]
@@ -500,15 +497,6 @@ def _minimal_gens(tables: _GroupTables, sub: frozenset[int], seed: list[int]) ->
         if span == sub:
             return gens
     return gens if span == sub else list(seed)
-
-
-# ---------------------------------------------------------------------------
-# n(L,H) lookup (the table is precomputed at build time)
-# ---------------------------------------------------------------------------
-
-def n_count(L: SubgroupClass, H: SubgroupClass, lattice: SubgroupLattice) -> int:
-    """n(L,H) = |{g : g L g^-1 <= H}| / |N(H)|; zero when (L) is not below (H)."""
-    return lattice.n(L.index, H.index)
 
 
 # ---------------------------------------------------------------------------
@@ -689,12 +677,12 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
     if not header.startswith(_CACHE_HEADER):
         raise ConsistencyError(f"unsupported lattice cache version: {header!r}")
     k = int(header.split("k=")[1])
+    g_order = math.factorial(k)
 
     classes: list[SubgroupClass] = []
     mode = "classes"
     leq: dict[tuple[int, int], bool] = {}
     n_table: dict[tuple[int, int], int] = {}
-    counts_by_class: dict[int, int] = {}
     for line in lines[1:-1]:
         if line == "leq:":
             mode = "leq"
@@ -723,6 +711,7 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
                     label=label,
                     generators=gens,
                     representative=rep,
+                    n_conjugates=g_order // nrm,
                 )
             )
         elif mode == "leq":
@@ -731,26 +720,6 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
         else:
             li, hi, val = map(int, line.split())
             n_table[(li, hi)] = val
-            if li == 0:
-                counts_by_class[hi] = val
-
-    import math
-
-    g_order = math.factorial(k)
-    classes = [
-        SubgroupClass(
-            index=c.index,
-            order=c.order,
-            normalizer_order=c.normalizer_order,
-            weyl_order=c.weyl_order,
-            canonical_key=c.canonical_key,
-            label=c.label,
-            generators=c.generators,
-            representative=c.representative,
-            n_conjugates=g_order // c.normalizer_order,
-        )
-        for c in classes
-    ]
     return SubgroupLattice(k=k, classes=classes, leq=leq, n_table=n_table)
 
 

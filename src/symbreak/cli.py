@@ -15,15 +15,15 @@ text format.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import burnside as bb
 from . import spectrum as sp
-from .degrees import MAX_EXACT_K, all_invariants, leading_coefficient_check, bifurcation_report
+from .degrees import MAX_EXACT_K, bifurcation_report, invariants_payload
 from .errors import CapacityError, ConsistencyError, DomainError
-from .golden import compare_character_table, compare_k5
 from .report import dumps, format_float, resolve_tolerances, validate_report
 from .verify import VerifyConfig, run_verify
 
@@ -140,8 +140,6 @@ def _finish(report: dict, checks: list[dict], capacity: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args, tol: dict[str, float]) -> tuple[dict, int]:
-    if args.k < 4:
-        raise DomainError("spectrum requires k >= 4")
     alphas = _alpha_list(args)
     per_alpha = []
     all_ok = True
@@ -185,8 +183,6 @@ def cmd_spectrum(args, tol: dict[str, float]) -> tuple[dict, int]:
 
 
 def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
-    if args.k < 4:
-        raise DomainError("critical requires k >= 4")
     crit = sp.critical_set(args.k)
     ordering = sp.critical_ordering(args.k)
     # closed-form roots are exact to machine precision relative to the
@@ -224,8 +220,6 @@ def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
 
 
 def cmd_invariants(args, tol: dict[str, float], cache_dir: Path) -> tuple[dict, int]:
-    if args.k < 4:
-        raise DomainError("invariants requires k >= 4")
     if args.k > MAX_EXACT_K:
         report = {
             "command": "invariants",
@@ -240,67 +234,7 @@ def cmd_invariants(args, tol: dict[str, float], cache_dir: Path) -> tuple[dict, 
         }
         return report, _finish(report, [], capacity=True)
 
-    lattice = get_lattice(args.k, cache_dir)
-    degrees, invariants = all_invariants(args.k, lattice)
-    one = bb.BurnsideElement.one(lattice)
-
-    degree_block = {}
-    involution_ok = True
-    leading_ok = True
-    for eta, bd in degrees.items():
-        square_ok = (bd.element * bd.element) == one
-        involution_ok &= square_ok
-        lead = leading_coefficient_check(bd, lattice)
-        leading_ok &= lead.ok
-        degree_block["/".join(map(str, eta))] = {
-            "expansion": bd.labels(),
-            "maximal_types": [lattice.classes[i].label for i in bd.maximal_types],
-            "squares_to_identity": square_ok,
-            "leading_coefficients_ok": lead.ok,
-            "leading_entries": lead.entries,
-        }
-    invariant_block = []
-    for inv in invariants:
-        invariant_block.append({
-            "critical_value": inv.critical_value,
-            "degenerating": ["/".join(map(str, eta)) for eta in inv.labels],
-            "expansion": {lattice.classes[i].label: c
-                          for i, c in sorted(inv.element.coeffs.items())},
-            "maximal_types": [lattice.classes[i].label for i in inv.maximal_types],
-            "nonzero": inv.nonzero(),
-        })
-
-    results = {
-        "lattice": {
-            "classes": len(lattice.classes),
-            "total_subgroups": lattice.total_subgroups(),
-            "class_table": [
-                {"label": c.label, "order": c.order,
-                 "normalizer_order": c.normalizer_order, "weyl_order": c.weyl_order,
-                 "conjugates": c.n_conjugates}
-                for c in lattice.classes
-            ],
-        },
-        "basic_degrees": degree_block,
-        "invariants": invariant_block,
-    }
-    checks = [
-        {"name": "involution", "passed": involution_ok, "hard": True, "detail": None},
-        {"name": "leading_coefficients", "passed": leading_ok, "hard": True, "detail": None},
-        {"name": "invariants_nonzero",
-         "passed": all(inv.nonzero() for inv in invariants), "hard": True, "detail": None},
-    ]
-    if args.k == 5:
-        comparison = compare_k5(lattice, degrees, invariants)
-        table_cmp = compare_character_table()
-        results["reference_comparison"] = comparison
-        results["character_table_comparison"] = {
-            k2: v for k2, v in table_cmp.items() if k2 != "mismatches"
-        }
-        checks.append({"name": "reference_expansions", "passed": comparison["ok"],
-                       "hard": True, "detail": {"name_map": comparison["name_map"]}})
-        checks.append({"name": "reference_character_table", "passed": table_cmp["ok"],
-                       "hard": True, "detail": None})
+    results, checks = invariants_payload(args.k, get_lattice(args.k, cache_dir))
     report = {
         "command": "invariants",
         "config": {"k": args.k, "cache_dir": str(cache_dir)},
@@ -339,16 +273,32 @@ def cmd_verify(args, tol_overrides: dict[str, float], cache_dir: Path) -> tuple[
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _alpha_list(args) -> list[float]:
-    if args.alpha_grid is not None:
-        start, stop, points = args.alpha_grid
-        n = int(points)
-        if n < 2:
+def validate_args(args) -> None:
+    """Reject out-of-domain arguments before any command starts work."""
+    for k in (args.k or []) if args.command == "verify" else [args.k]:
+        if k < 4:
+            raise DomainError(f"{args.command} requires k >= 4, got --k {k}")
+    if args.command == "spectrum":
+        flag, values = (("--alpha", [args.alpha]) if args.alpha_grid is None
+                        else ("--alpha-grid", args.alpha_grid))
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(f"{flag} values must be finite, got {values}")
+        if args.alpha_grid is not None and int(args.alpha_grid[2]) < 2:
             raise DomainError("alpha grid needs at least 2 points")
-        return [start + (stop - start) * i / (n - 1) for i in range(n)]
-    if args.alpha is None:
-        raise DomainError("provide --alpha or --alpha-grid")
-    return [args.alpha]
+    if args.command == "verify":
+        for flag, value, least in (("--mc-trials", args.mc_trials, 1),
+                                   ("--mc-samples", args.mc_samples, 2),
+                                   ("--fd-points", args.fd_points, 1)):
+            if value < least:
+                raise DomainError(f"{flag} must be >= {least}, got {value}")
+
+
+def _alpha_list(args) -> list[float]:
+    if args.alpha_grid is None:
+        return [args.alpha]
+    start, stop, points = args.alpha_grid
+    n = int(points)
+    return [start + (stop - start) * i / (n - 1) for i in range(n)]
 
 
 def _parse_tol(pairs: list[str] | None) -> dict[str, float]:
@@ -389,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", parents=[shared],
                             help="analytic vs numerical Hessian spectrum")
     p_spec.add_argument("--k", type=int, required=True)
-    group = p_spec.add_mutually_exclusive_group()
+    group = p_spec.add_mutually_exclusive_group(required=True)
     group.add_argument("--alpha", type=float, default=None)
     group.add_argument("--alpha-grid", nargs=3, type=float, default=None,
                        metavar=("START", "STOP", "POINTS"))
@@ -425,6 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     args.tol = getattr(args, "tol", None)
     cache_dir = getattr(args, "cache_dir", None) or default_cache_dir()
     try:
+        validate_args(args)
         tol = resolve_tolerances(_parse_tol(args.tol))
         if args.command == "spectrum":
             report, code = cmd_spectrum(args, tol)

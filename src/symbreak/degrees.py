@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .burnside import BurnsideElement, SubgroupLattice, solve_from_marks
 from .errors import CapacityError, ConsistencyError, DomainError
-from .spectrum import SpectrumEntry, critical_set
+from .spectrum import SpectrumEntry, critical_ordering, critical_set
 from .symrep import (
     Partition,
     closed_form_partition,
@@ -143,6 +143,8 @@ def linear_map_degree(
     per copy.  Zero eigenvalues mean no isomorphism; that is a degeneracy
     error naming the offending family.  When the isotypic multiplicities of
     the ambient space are supplied they bound the per-label copy counts.
+    No command calls it; it stays as the degree-stability check of the
+    subcritical window.
     """
     if degrees is None:
         degrees = {}
@@ -266,23 +268,90 @@ def all_invariants(
 
 
 # ---------------------------------------------------------------------------
-# bifurcation summary report
+# report payloads
 # ---------------------------------------------------------------------------
 
-def bifurcation_report(k: int, lattice: SubgroupLattice | None = None) -> dict:
-    """Bifurcation summary for width k.
+def invariants_payload(k: int, lattice: SubgroupLattice) -> tuple[dict, list[dict]]:
+    """(results, checks) of the exact invariants report at width k: class
+    table, basic degrees, invariants, their involution, leading-coefficient
+    and nonzero checks, and at k = 5 the golden comparison."""
+    from .golden import compare_character_table, compare_k5  # golden imports degrees
 
-    Spectral clauses (critical set, ordering, subcritical engineering
-    regime) are evaluated for any k <= 64; the exact ring computation is
-    attached for k <= 6 and replaced by a capacity notice above that.
+    degrees, invariants = all_invariants(k, lattice)
+    one = BurnsideElement.one(lattice)
+
+    degree_block = {}
+    involution_ok = True
+    leading_ok = True
+    for eta, bd in degrees.items():
+        square_ok = (bd.element * bd.element) == one
+        involution_ok &= square_ok
+        lead = leading_coefficient_check(bd, lattice)
+        leading_ok &= lead.ok
+        degree_block["/".join(map(str, eta))] = {
+            "expansion": bd.labels(),
+            "maximal_types": [lattice.classes[i].label for i in bd.maximal_types],
+            "squares_to_identity": square_ok,
+            "leading_coefficients_ok": lead.ok,
+            "leading_entries": lead.entries,
+        }
+    invariant_block = []
+    for inv in invariants:
+        invariant_block.append({
+            "critical_value": inv.critical_value,
+            "degenerating": ["/".join(map(str, eta)) for eta in inv.labels],
+            "expansion": {lattice.classes[i].label: c
+                          for i, c in sorted(inv.element.coeffs.items())},
+            "maximal_types": [lattice.classes[i].label for i in inv.maximal_types],
+            "nonzero": inv.nonzero(),
+        })
+
+    results = {
+        "lattice": {
+            "classes": len(lattice.classes),
+            "total_subgroups": lattice.total_subgroups(),
+            "class_table": [
+                {"label": c.label, "order": c.order,
+                 "normalizer_order": c.normalizer_order, "weyl_order": c.weyl_order,
+                 "conjugates": c.n_conjugates}
+                for c in lattice.classes
+            ],
+        },
+        "basic_degrees": degree_block,
+        "invariants": invariant_block,
+    }
+    checks = [
+        {"name": "involution", "passed": involution_ok, "hard": True, "detail": None},
+        {"name": "leading_coefficients", "passed": leading_ok, "hard": True, "detail": None},
+        {"name": "invariants_nonzero",
+         "passed": all(inv.nonzero() for inv in invariants), "hard": True, "detail": None},
+    ]
+    if k == 5:
+        comparison = compare_k5(lattice, degrees, invariants)
+        table_cmp = compare_character_table()
+        results["reference_comparison"] = comparison
+        results["character_table_comparison"] = {
+            k2: v for k2, v in table_cmp.items() if k2 != "mismatches"
+        }
+        checks.append({"name": "reference_expansions", "passed": comparison["ok"],
+                       "hard": True, "detail": {"name_map": comparison["name_map"]}})
+        checks.append({"name": "reference_character_table", "passed": table_cmp["ok"],
+                       "hard": True, "detail": None})
+    return results, checks
+
+
+def bifurcation_report(k: int) -> dict:
+    """Spectral bifurcation summary for a width above MAX_EXACT_K.
+
+    The critical set, its ordering and the subcritical engineering regime
+    are exact at every width; the Burnside-ring part is replaced by a
+    capacity notice (invariants_payload covers the exact widths).
     """
-    from .spectrum import critical_ordering
-
-    if k < 4:
-        raise DomainError("k >= 4 required")
+    if k <= MAX_EXACT_K:
+        raise DomainError(f"k > {MAX_EXACT_K} required; exact widths use invariants_payload")
     crit = critical_set(k)
     ordering = critical_ordering(k)
-    report: dict = {
+    return {
         "k": k,
         "critical_values": list(crit.values),
         "ordering_ok": ordering.ok,
@@ -291,39 +360,9 @@ def bifurcation_report(k: int, lattice: SubgroupLattice | None = None) -> dict:
         "nonnegative_critical_set": all(v >= 0 for v in crit.values),
         "min_positive_critical_value": min(v for v in crit.values if v > 0),
         "engineering_regime_subcritical": min(v for v in crit.values if v > 0) > 1.0,
-    }
-    if k > MAX_EXACT_K:
-        report["ring_computation"] = "capacity"
-        report["capacity_notice"] = (
+        "ring_computation": "capacity",
+        "capacity_notice": (
             f"exact Burnside-ring arithmetic is available for k <= {MAX_EXACT_K}; "
             "spectral conclusions above are still exact"
-        )
-        return report
-    if lattice is None:
-        from .burnside import build_lattice
-
-        lattice = build_lattice(k)
-    degrees, invariants = all_invariants(k, lattice)
-    report["ring_computation"] = "exact"
-    report["basic_degrees"] = {
-        "/".join(map(str, eta)): bd.labels() for eta, bd in degrees.items()
+        ),
     }
-    report["invariants"] = [
-        {
-            "critical_value": inv.critical_value,
-            "labels": [list(eta) for eta in inv.labels],
-            "expansion": {
-                lattice.classes[i].label: c for i, c in sorted(inv.element.coeffs.items())
-            },
-            "maximal_types": [lattice.classes[i].label for i in inv.maximal_types],
-            "nonzero": inv.nonzero(),
-        }
-        for inv in invariants
-    ]
-    report["all_invariants_nonzero"] = all(inv.nonzero() for inv in invariants)
-    involution_ok = all(
-        (bd.element * bd.element) == BurnsideElement.one(lattice)
-        for bd in degrees.values()
-    )
-    report["involution_ok"] = involution_ok
-    return report

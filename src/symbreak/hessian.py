@@ -15,9 +15,10 @@ U is the block operator
 
     L(U) = U (aJ + bI) + c (U^T + tr(U) I - 2 Diag(U)),
 
-a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi.  vec convention: a matrix maps
-to the concatenation of its columns, so assemble_dense(...) @ vec(U) equals
-vec(block_operator_apply(U)).
+a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi; abc(alpha) is the one source
+of these coefficients (spectrum re-exports it), and TWO_PI comes from
+landscape.  vec convention: a matrix maps to the concatenation of its
+columns, so assemble_dense(...) @ vec(U) equals vec(block_operator_apply(U)).
 """
 
 from __future__ import annotations
@@ -28,11 +29,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .landscape import _check_pair, _vector, loss
-
-TWO_PI = 2.0 * math.pi
+from .landscape import TWO_PI, _check_pair, _vector, angle, loss
 
 ASSEMBLY_SYMMETRY_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# coefficients
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ABCCoefficients:
+    a: float
+    b: float
+    c: float
+
+
+def abc(alpha: float) -> ABCCoefficients:
+    """a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi (so a + b = 1/2)."""
+    return ABCCoefficients(a=0.5 - alpha / 4.0, b=alpha / 4.0, c=alpha / TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +69,7 @@ def h1(x, y) -> np.ndarray:
     x = _vector(x, "x")
     y = _vector(y, "y")
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    cos = min(1.0, max(-1.0, float(np.dot(x, y) / (nx * ny))))
-    t = math.acos(cos)
-    sin_t = math.sin(t)
+    sin_t = math.sin(angle(x, y))
     if sin_t == 0.0 or np.linalg.norm(unit_normal(y, x)) == 0.0:
         # parallel inputs: the prefactor vanishes with the zero-normal rule
         return np.zeros((x.size, x.size))
@@ -71,8 +84,7 @@ def h2(x, y) -> np.ndarray:
     x = _vector(x, "x")
     y = _vector(y, "y")
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    cos = min(1.0, max(-1.0, float(np.dot(x, y) / (nx * ny))))
-    t = math.acos(cos)
+    t = angle(x, y)
     k = x.size
     nxy = unit_normal(x, y)
     nyx = unit_normal(y, x)
@@ -81,11 +93,10 @@ def h2(x, y) -> np.ndarray:
 
 def phi_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Phi(x, y) = |y| sin(t) xhat - t y; h1 and h2 are (1/2pi) times its
-    partial derivative maps, which is what the finite-difference oracle
-    checks."""
+    partial derivative maps.  No command calls it; it stays as the map whose
+    finite-difference Jacobians are the oracle for h1 and h2."""
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    cos = min(1.0, max(-1.0, float(np.dot(x, y) / (nx * ny))))
-    t = math.acos(cos)
+    t = angle(x, y)
     return ny * math.sin(t) * x / nx - t * y
 
 
@@ -99,15 +110,6 @@ class HessianBlocks:
 
     k: int
     blocks: np.ndarray  # shape (k, k, k, k)
-
-    def check_block_symmetry(self, tol: float = 1e-10) -> float:
-        worst = 0.0
-        for i in range(self.k):
-            for j in range(self.k):
-                worst = max(worst, float(np.abs(self.blocks[i, j] - self.blocks[j, i].T).max()))
-        if worst > tol:
-            raise ConsistencyError(f"block symmetry violated: {worst:.3e}")
-        return worst
 
 
 def hessian_published(student, teacher, alpha: float) -> HessianBlocks:
@@ -141,15 +143,15 @@ def hessian_at_minimum(k: int, alpha: float) -> HessianBlocks:
     if k < 2:
         raise DomainError("k >= 2 required")
     blocks = np.zeros((k, k, k, k))
-    off = (0.5 - alpha / 4.0) * np.eye(k)
-    c = alpha / TWO_PI
+    co = abc(alpha)
+    off = co.a * np.eye(k)
     for i in range(k):
         blocks[i, i] = 0.5 * np.eye(k)
         for j in range(k):
             if j != i:
                 b = off.copy()
-                b[i, j] += c
-                b[j, i] += c
+                b[i, j] += co.c
+                b[j, i] += co.c
                 blocks[i, j] = b
     return HessianBlocks(k=k, blocks=blocks)
 
@@ -164,11 +166,9 @@ def block_operator_apply(U, alpha: float) -> np.ndarray:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise DomainError(f"square matrix required, got shape {U.shape}")
     k = U.shape[0]
-    a = 0.5 - alpha / 4.0
-    b = alpha / 4.0
-    c = alpha / TWO_PI
+    co = abc(alpha)
     J = np.ones((k, k))
-    return U @ (a * J + b * np.eye(k)) + c * (
+    return U @ (co.a * J + co.b * np.eye(k)) + co.c * (
         U.T + np.trace(U) * np.eye(k) - 2.0 * np.diag(np.diag(U))
     )
 
@@ -196,16 +196,6 @@ def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
     if asym > ASSEMBLY_SYMMETRY_TOL:
         raise ConsistencyError(f"assembled Hessian asymmetry {asym:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL}")
     return 0.5 * (dense + dense.T)
-
-
-def disassemble(dense: np.ndarray, k: int) -> HessianBlocks:
-    if dense.shape != (k * k, k * k):
-        raise DomainError(f"expected {(k * k, k * k)}, got {dense.shape}")
-    blocks = np.zeros((k, k, k, k))
-    for i in range(k):
-        for j in range(k):
-            blocks[i, j] = dense[i * k:(i + 1) * k, j * k:(j + 1) * k]
-    return HessianBlocks(k=k, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

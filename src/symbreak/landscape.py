@@ -102,20 +102,12 @@ def kernel_f(w, v, alpha: float) -> float:
     return float(np.linalg.norm(w) * np.linalg.norm(v) * val / TWO_PI)
 
 
-def kernel_mc(w, v, alpha: float, n_samples: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate of E[sigma(w.x) sigma(v.x)], x ~ N(0, I_k).
-
-    Returns (mean, standard error).  Deterministic for a fixed seed: the
-    stream is numpy's PCG64 via default_rng, drawn in fixed-size chunks, so
-    the result does not depend on available parallelism.
-    """
-    w = _vector(w, "w")
-    v = _vector(v, "v")
+def _mc_mean_se(draw, k: int, n_samples: int, seed: int) -> tuple[float, float]:
+    """Mean and standard error of draw(x) over n_samples N(0, I_k) rows x.
+    The stream is numpy's PCG64 via default_rng, drawn in fixed-size chunks,
+    so the result does not depend on available parallelism."""
     if n_samples < 2:
         raise DomainError("n_samples >= 2 required for a standard error")
-    k = w.size
-    if v.size != k:
-        raise DomainError("w and v must have equal dimension")
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
@@ -123,33 +115,43 @@ def kernel_mc(w, v, alpha: float, n_samples: int, seed: int) -> tuple[float, flo
     chunk = 1 << 16
     while remaining > 0:
         m = min(chunk, remaining)
-        x = rng.standard_normal((m, k))
-        prod = activation(x @ w, alpha) * activation(x @ v, alpha)
-        total += float(prod.sum())
-        total_sq += float(np.dot(prod, prod))
+        vals = draw(rng.standard_normal((m, k)))
+        total += float(vals.sum())
+        total_sq += float(np.dot(vals, vals))
         remaining -= m
     mean = total / n_samples
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     return mean, math.sqrt(var / n_samples)
 
 
+def kernel_mc(w, v, alpha: float, n_samples: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo (mean, standard error) of E[sigma(w.x) sigma(v.x)],
+    x ~ N(0, I_k); deterministic for a fixed seed."""
+    w = _vector(w, "w")
+    v = _vector(v, "v")
+    if v.size != w.size:
+        raise DomainError("w and v must have equal dimension")
+    return _mc_mean_se(
+        lambda x: activation(x @ w, alpha) * activation(x @ v, alpha),
+        w.size, n_samples, seed,
+    )
+
+
+def _angles(rows_a: np.ndarray, rows_b: np.ndarray):
+    """(theta, sin theta, clipped cos theta, |rows_a|, |rows_b|) over all row pairs."""
+    na = np.linalg.norm(rows_a, axis=1)
+    nb = np.linalg.norm(rows_b, axis=1)
+    cos = np.clip(rows_a @ rows_b.T / np.outer(na, nb), -1.0, 1.0)
+    theta = np.arccos(cos)
+    return theta, np.sin(theta), cos, na, nb
+
+
 def _kernel_matrix(rows_a: np.ndarray, rows_b: np.ndarray, alpha: float) -> np.ndarray:
     """f_alpha over all row pairs of two weight matrices."""
-    na = np.linalg.norm(rows_a, axis=1)
-    nb = np.linalg.norm(rows_b, axis=1)
-    cos = np.clip(rows_a @ rows_b.T / np.outer(na, nb), -1.0, 1.0)
-    theta = np.arccos(cos)
+    theta, sin, cos, na, nb = _angles(rows_a, rows_b)
     beta = 2.0 + alpha * alpha - 2.0 * alpha
-    vals = alpha * alpha * (np.sin(theta) - theta * cos) + beta * math.pi * cos
+    vals = alpha * alpha * (sin - theta * cos) + beta * math.pi * cos
     return np.outer(na, nb) * vals / TWO_PI
-
-
-def _angles(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    na = np.linalg.norm(rows_a, axis=1)
-    nb = np.linalg.norm(rows_b, axis=1)
-    cos = np.clip(rows_a @ rows_b.T / np.outer(na, nb), -1.0, 1.0)
-    theta = np.arccos(cos)
-    return theta, np.sin(theta), na, nb
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +173,12 @@ def loss_mc(student, teacher, alpha: float, n_samples: int, seed: int) -> tuple[
     """Monte-Carlo of the defining population risk
     (1/2) E (sum_i sigma(u_i.x) - sum_i sigma(v_i.x))^2; oracle for loss()."""
     s, t = _check_pair(student, teacher)
-    if n_samples < 2:
-        raise DomainError("n_samples >= 2 required")
-    k = s.shape[0]
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    remaining = n_samples
-    chunk = 1 << 16
-    while remaining > 0:
-        m = min(chunk, remaining)
-        x = rng.standard_normal((m, k))
+
+    def draw(x):
         diff = activation(x @ s.T, alpha).sum(axis=1) - activation(x @ t.T, alpha).sum(axis=1)
-        vals = 0.5 * diff * diff
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
-        remaining -= m
-    mean = total / n_samples
-    var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
-    return mean, math.sqrt(var / n_samples)
+        return 0.5 * diff * diff
+
+    return _mc_mean_se(draw, s.shape[0], n_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +197,8 @@ def gradient_published(student, teacher, alpha: float) -> np.ndarray:
     the zero locus); see the verify report for the quantified gap.
     """
     s, t = _check_pair(student, teacher)
-    k = s.shape[0]
-    theta_uu, sin_uu, nu, _ = _angles(s, s)
-    theta_ut, sin_ut, _, _ = _angles(s, t)
+    theta_uu, sin_uu, _, nu, _ = _angles(s, s)
+    theta_ut, sin_ut, _, _, _ = _angles(s, t)
     coef = alpha / TWO_PI
 
     self_uu = (sin_uu * nu[None, :]).sum(axis=1) / nu          # per i
@@ -231,8 +219,8 @@ def gradient_exact(student, teacher, alpha: float) -> np.ndarray:
     1e-6 relative at every admissible point tested.
     """
     s, t = _check_pair(student, teacher)
-    theta_uu, sin_uu, nu, _ = _angles(s, s)
-    theta_ut, sin_ut, _, nv = _angles(s, t)
+    theta_uu, sin_uu, _, nu, _ = _angles(s, s)
+    theta_ut, sin_ut, _, _, nv = _angles(s, t)
     a2 = alpha * alpha
     beta = 2.0 + a2 - 2.0 * alpha
 

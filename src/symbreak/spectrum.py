@@ -2,8 +2,8 @@
 isotypic eigenbasis, the critical set of leaky parameters, and the matcher
 against dense numerical eigensolves.
 
-With a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi the block operator has
-exactly seven eigenvalue families:
+With a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi (hessian.abc, re-exported
+here) the block operator has exactly seven eigenvalue families:
 
     wedge          b - c                            mult (k-1)(k-2)/2
     sym0           b + c                            mult k(k-3)/2
@@ -28,29 +28,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .hessian import assemble_dense, hessian_at_minimum, vec
+from .hessian import ABCCoefficients, abc, assemble_dense, hessian_at_minimum, vec  # noqa: F401
 from .symrep import Partition
-
-TWO_PI = 2.0 * math.pi
 
 FORMULA_IDS = ("wedge", "sym0", "W_bminus_c", "W_plus", "W_minus",
                "span_IJ_plus", "span_IJ_minus")
-
-
-# ---------------------------------------------------------------------------
-# coefficients
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ABCCoefficients:
-    a: float
-    b: float
-    c: float
-
-
-def abc(alpha: float) -> ABCCoefficients:
-    """a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi (so a + b = 1/2)."""
-    return ABCCoefficients(a=0.5 - alpha / 4.0, b=alpha / 4.0, c=alpha / TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +49,14 @@ class SpectrumEntry:
 
 def _radicals(k: int, alpha: float) -> tuple[float, float]:
     co = abc(alpha)
-    r1 = co.a * co.a * k * k + 4.0 * co.c * (co.c - 2.0 * co.a)
-    r2 = k * k * (co.a - co.c) ** 2 + 4.0 * co.c * (2.0 * co.a - co.c) * (k - 1)
+    try:
+        r1 = co.a * co.a * k * k + 4.0 * co.c * (co.c - 2.0 * co.a)
+        r2 = k * k * (co.a - co.c) ** 2 + 4.0 * co.c * (2.0 * co.a - co.c) * (k - 1)
+    except OverflowError:
+        r1 = r2 = math.inf
     for name, r in (("W", r1), ("span_IJ", r2)):
+        if not math.isfinite(r):
+            raise DomainError(f"alpha={alpha!r} at k={k} overflows the {name} radicand")
         if r < 0.0:
             raise ConsistencyError(f"negative discriminant {r!r} in the {name} family")
     return r1, r2

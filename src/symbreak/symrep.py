@@ -278,7 +278,8 @@ def sym_wedge_characters(k: int) -> tuple[ClassFunction, ClassFunction]:
     """Characters of Sym^2 and wedge^2 of the standard representation.
 
     Uses chi(g)^2 +- chi(g^2) with the fixed-point identity
-    i1(g^2) = i1(g) + 2 i2(g); all values stay integral.
+    i1(g^2) = i1(g) + 2 i2(g); all values stay integral.  No command calls
+    it; it stays as an independent route to decompose_diag_square's result.
     """
     if k < 4:
         raise DomainError("k >= 4 required")
@@ -395,7 +396,8 @@ def fixed_space_dim(chi: ClassFunction, subgroup_elements) -> int:
 
 
 def permutation_matrix(p) -> np.ndarray:
-    """Matrix P with P e_i = e_{p(i)} for a permutation tuple p."""
+    """Matrix P with P e_i = e_{p(i)} for a permutation tuple p.  No command
+    calls it; it stays as the explicit action that checks the characters."""
     k = len(p)
     mat = np.zeros((k, k))
     for i, x in enumerate(p):

@@ -53,6 +53,27 @@ def test_spectrum_domain_error_exit2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["verify", "--k", "3"], "--k 3"),
+    (["critical", "--k", "3"], "--k 3"),
+    (["verify", "--mc-trials", "0"], "--mc-trials"),
+    (["verify", "--fd-points", "0"], "--fd-points"),
+    (["verify", "--mc-samples", "1"], "--mc-samples"),
+    (["spectrum", "--k", "5", "--alpha", "nan"], "--alpha"),
+    (["spectrum", "--k", "5", "--alpha", "inf"], "--alpha"),
+    (["spectrum", "--k", "5", "--alpha=-inf"], "--alpha"),
+    (["spectrum", "--k", "5", "--alpha-grid", "0", "nan", "3"], "--alpha-grid"),
+    (["spectrum", "--k", "5", "--alpha-grid", "0", "1", "inf"], "--alpha-grid"),
+    (["spectrum", "--k", "5", "--alpha", "1e308"], "overflows"),
+])
+def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
+    # rejected before any command runs: no Monte-Carlo stage, no traceback
+    assert main(["--cache-dir", str(tmp_path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and names in captured.err
+
+
 def test_spectrum_schema_valid(capsys, tmp_path):
     _, rep = run_json(capsys, "--cache-dir", str(tmp_path), "spectrum",
                       "--k", "5", "--alpha", "0.5")

@@ -11,10 +11,11 @@ from symbreak.degrees import (
     linear_map_degree,
     maximal_orbit_types,
     bifurcation_report,
+    invariants_payload,
 )
 from symbreak.errors import CapacityError, DomainError
 from symbreak.golden import compare_k5, load_golden
-from symbreak.spectrum import analytic_spectrum, critical_set
+from symbreak.spectrum import analytic_spectrum, critical_ordering, critical_set
 
 
 def _degrees(lattice):
@@ -233,35 +234,41 @@ def test_maximal_types_of_invariants_k5(lattice5):
 
 
 # ---------------------------------------------------------------------------
-# bifurcation summary report
+# report payloads
 # ---------------------------------------------------------------------------
 
-def test_bifurcation_report_k5(lattice5):
-    rep = bifurcation_report(5, lattice5)
-    assert rep["ring_computation"] == "exact"
-    assert rep["ordering_ok"]
-    assert rep["engineering_regime_subcritical"]
-    assert rep["all_invariants_nonzero"]
-    assert rep["involution_ok"]
-    assert rep["trivial_family_also_degenerate_at_zero"]
-    assert sorted(map(tuple, rep["multi_mode_degeneracy_at_zero"])) == [
-        (3, 1, 1), (3, 2), (4, 1)]
+def _passed(checks):
+    return {c["name"]: c["passed"] for c in checks}
 
 
-def test_bifurcation_report_k4(lattice4):
-    rep = bifurcation_report(4, lattice4)
-    assert rep["ring_computation"] == "exact"
-    assert rep["all_invariants_nonzero"]
-    assert len(rep["critical_values"]) == 3
+def test_invariants_payload_k5(lattice5):
+    results, checks = invariants_payload(5, lattice5)
+    passed = _passed(checks)
+    assert results["basic_degrees"] and results["invariants"]   # exact ring part
+    assert critical_ordering(5).ok
+    values = [inv["critical_value"] for inv in results["invariants"]]
+    assert min(v for v in values if v > 0) > 1.0                # engineering regime
+    assert passed["invariants_nonzero"]
+    assert passed["involution"]
+    assert critical_set(5).trivial_zero_at_origin
+    assert sorted(results["invariants"][0]["degenerating"]) == ["3/1/1", "3/2", "4/1"]
+
+
+def test_invariants_payload_k4(lattice4):
+    results, checks = invariants_payload(4, lattice4)
+    assert results["basic_degrees"] and results["invariants"]
+    assert _passed(checks)["invariants_nonzero"]
+    assert len(results["invariants"]) == 3
 
 
 @pytest.mark.slow
-def test_bifurcation_report_k6(lattice6):
-    rep = bifurcation_report(6, lattice6)
-    assert rep["ring_computation"] == "exact"
-    assert rep["involution_ok"]
-    assert rep["all_invariants_nonzero"]
-    for inv in rep["invariants"]:
+def test_invariants_payload_k6(lattice6):
+    results, checks = invariants_payload(6, lattice6)
+    passed = _passed(checks)
+    assert results["basic_degrees"] and results["invariants"]
+    assert passed["involution"]
+    assert passed["invariants_nonzero"]
+    for inv in results["invariants"]:
         assert inv["maximal_types"]
 
 
@@ -270,6 +277,8 @@ def test_bifurcation_report_capacity():
     assert rep["ring_computation"] == "capacity"
     assert "capacity_notice" in rep
     assert rep["engineering_regime_subcritical"]
+    with pytest.raises(DomainError):
+        bifurcation_report(6)   # exact widths go through invariants_payload
 
 
 def test_bifurcation_capacity_error(lattice5):
