@@ -33,7 +33,6 @@ from .landscape import (
 )
 from .spectrum import (
     analytic_spectrum,
-    critical_ordering,
     critical_set,
     isotypic_basis,
     numerical_spectrum_match,
@@ -60,7 +59,6 @@ __all__ = [
     "block_operator_apply",
     "build_lattice",
     "character_table",
-    "critical_ordering",
     "critical_set",
     "decompose_diag_square",
     "fixed_space_dim",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .burnside import BurnsideElement, SubgroupLattice, solve_from_marks
 from .errors import CapacityError, ConsistencyError, DomainError
-from .spectrum import SpectrumEntry, critical_ordering, critical_set
+from .spectrum import SpectrumEntry, critical_set
 from .symrep import (
     Partition,
     closed_form_partition,
@@ -193,17 +193,6 @@ class BifurcationInvariant:
         return not self.element.is_zero()
 
 
-def _degenerating_labels(k: int) -> list[list[Partition]]:
-    """Isotypic factors at each member of the critical set, in increasing
-    order of the critical value: the three-fold degeneracy at 0, then the
-    standard factor, then the trivial factor."""
-    return [
-        [(k - 2, 1, 1), (k - 2, 2), (k - 1, 1)],
-        [(k - 1, 1)],
-        [(k,)],
-    ]
-
-
 def bifurcation_invariant(
     k: int,
     which: int,
@@ -223,7 +212,8 @@ def bifurcation_invariant(
         raise CapacityError(f"exact ring arithmetic capped at k={MAX_EXACT_K}")
     if lattice.k != k:
         raise DomainError("lattice was built for a different k")
-    lab_seq = _degenerating_labels(k)
+    crit = critical_set(k)
+    lab_seq = [sorted(group) for group in crit.labels]
     if not 0 <= which < len(lab_seq):
         raise DomainError(f"critical index {which} out of range 0..{len(lab_seq) - 1}")
     if degrees is None:
@@ -243,8 +233,6 @@ def bifurcation_invariant(
         here = here * deg_of(eta)
     above = below * here
     omega = below - above
-
-    crit = critical_set(k)
     return BifurcationInvariant(
         critical_value=crit.values[which],
         critical_index=which,
@@ -349,17 +337,16 @@ def bifurcation_report(k: int) -> dict:
     """
     if k <= MAX_EXACT_K:
         raise DomainError(f"k > {MAX_EXACT_K} required; exact widths use invariants_payload")
-    crit = critical_set(k)
-    ordering = critical_ordering(k)
+    crit = critical_set(k)       # raises ConsistencyError on a violated ordering
     return {
         "k": k,
         "critical_values": list(crit.values),
-        "ordering_ok": ordering.ok,
-        "multi_mode_degeneracy_at_zero": [list(eta) for eta in _degenerating_labels(k)[0]],
+        "ordering_ok": True,
+        "multi_mode_degeneracy_at_zero": [list(eta) for eta in sorted(crit.labels[0])],
         "trivial_family_also_degenerate_at_zero": True,
         "nonnegative_critical_set": all(v >= 0 for v in crit.values),
-        "min_positive_critical_value": min(v for v in crit.values if v > 0),
-        "engineering_regime_subcritical": min(v for v in crit.values if v > 0) > 1.0,
+        "min_positive_critical_value": crit.values[1],
+        "engineering_regime_subcritical": crit.subcritical_regime,
         "ring_computation": "capacity",
         "capacity_notice": (
             f"exact Burnside-ring arithmetic is available for k <= {MAX_EXACT_K}; "

@@ -119,7 +119,7 @@ def resolve_tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
     for name, value in (overrides or {}).items():
         if name not in tol:
             raise KeyError(f"unknown tolerance {name!r}; known: {sorted(tol)}")
-        if value <= 0:
-            raise ValueError(f"tolerance {name} must be positive")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"tolerance {name} must be positive and finite, got {value}")
         tol[name] = value
     return tol

@@ -17,6 +17,11 @@ sym0 by the two-row partition (k-2,2), the three W families by the standard
 partition (k-1,1), the span{I, J} pair by the trivial partition (k).  The
 wedge family and W_bminus_c share the value b - c, which is why displays
 often merge them into one line of multiplicity k(k-1)/2.
+
+family_values is the one evaluator of these seven formulas, on an array of
+leak values; analytic_spectrum, root_scan and critical_set all read it.
+critical_set is the one owner of the critical set {0, alpha_std, alpha_triv}:
+its labels, its residuals and its ordering 0 < alpha_std < alpha_triv.
 """
 
 from __future__ import annotations
@@ -47,41 +52,46 @@ class SpectrumEntry:
     formula_id: str
 
 
-def _radicals(k: int, alpha: float) -> tuple[float, float]:
-    co = abc(alpha)
-    try:
-        r1 = co.a * co.a * k * k + 4.0 * co.c * (co.c - 2.0 * co.a)
-        r2 = k * k * (co.a - co.c) ** 2 + 4.0 * co.c * (2.0 * co.a - co.c) * (k - 1)
-    except OverflowError:
-        r1 = r2 = math.inf
-    for name, r in (("W", r1), ("span_IJ", r2)):
-        if not math.isfinite(r):
-            raise DomainError(f"alpha={alpha!r} at k={k} overflows the {name} radicand")
-        if r < 0.0:
-            raise ConsistencyError(f"negative discriminant {r!r} in the {name} family")
-    return r1, r2
+def family_values(k: int, alphas) -> np.ndarray:
+    """The seven eigenvalue families at every leak value, shape (7, n), rows
+    in FORMULA_IDS order.  Each expression keeps the operation order of the
+    scalar formulas, so every entry is bit-identical to Python float
+    arithmetic."""
+    if k < 4:
+        raise DomainError("k >= 4 required (the uniform decomposition starts there)")
+    alphas = np.asarray(alphas, dtype=float)
+    kf = float(k)
+    co = abc(alphas)
+    a, b, c = co.a, co.b, co.c
+    with np.errstate(all="ignore"):
+        r1 = a * a * kf * kf + 4.0 * c * (c - 2.0 * a)
+        r2 = kf * kf * (a - c) ** 2 + 4.0 * c * (2.0 * a - c) * (kf - 1)
+        for name, r in (("W", r1), ("span_IJ", r2)):
+            finite = np.isfinite(r)
+            if not finite.all():
+                alpha = float(alphas[np.argmin(finite)])
+                raise DomainError(f"alpha={alpha!r} at k={k} overflows the {name} radicand")
+            if (r < 0.0).any():
+                raise ConsistencyError(
+                    f"negative discriminant {float(r[r < 0.0][0])!r} in the {name} family")
+        s1, s2 = np.sqrt(r1), np.sqrt(r2)
+        w_lin = a * kf + 2 * b
+        ij_lin = 2 * b + kf * (a + c)
+        return np.stack([
+            b - c, b + c, b - c,
+            0.5 * (w_lin + s1), 0.5 * (w_lin - s1),
+            0.5 * (ij_lin + s2), 0.5 * (ij_lin - s2),
+        ])
 
 
 def analytic_spectrum(k: int, alpha: float) -> list[SpectrumEntry]:
     """All seven eigenvalue families; multiplicities sum to k^2."""
-    if k < 4:
-        raise DomainError("k >= 4 required (the uniform decomposition starts there)")
-    co = abc(alpha)
-    r1, r2 = _radicals(k, alpha)
-    s1, s2 = math.sqrt(r1), math.sqrt(r2)
-    hook = (k - 2, 1, 1)
-    two_row = (k - 2, 2)
-    std = (k - 1, 1)
-    triv = (k,)
-    entries = [
-        SpectrumEntry(co.b - co.c, (k - 1) * (k - 2) // 2, hook, "wedge"),
-        SpectrumEntry(co.b + co.c, k * (k - 3) // 2, two_row, "sym0"),
-        SpectrumEntry(co.b - co.c, k - 1, std, "W_bminus_c"),
-        SpectrumEntry(0.5 * (co.a * k + 2 * co.b + s1), k - 1, std, "W_plus"),
-        SpectrumEntry(0.5 * (co.a * k + 2 * co.b - s1), k - 1, std, "W_minus"),
-        SpectrumEntry(0.5 * (2 * co.b + k * (co.a + co.c) + s2), 1, triv, "span_IJ_plus"),
-        SpectrumEntry(0.5 * (2 * co.b + k * (co.a + co.c) - s2), 1, triv, "span_IJ_minus"),
-    ]
+    values = family_values(k, [alpha])[:, 0].tolist()
+    hook, two_row, std, triv = (k - 2, 1, 1), (k - 2, 2), (k - 1, 1), (k,)
+    shapes = [((k - 1) * (k - 2) // 2, hook), (k * (k - 3) // 2, two_row),
+              (k - 1, std), (k - 1, std), (k - 1, std), (1, triv), (1, triv)]
+    entries = [SpectrumEntry(v, m, lab, fid)
+               for v, (m, lab), fid in zip(values, shapes, FORMULA_IDS)]
     if sum(e.multiplicity for e in entries) != k * k:
         raise ConsistencyError("multiplicity accounting broken")
     return entries
@@ -99,18 +109,6 @@ def merged_view(entries: list[SpectrumEntry], tol: float = 0.0) -> list[tuple[fl
         else:
             groups.append((e.value, e.multiplicity))
     return groups
-
-
-def eigenvalue_family(k: int, formula_id: str):
-    """The map alpha -> eigenvalue for one family, for root scanning."""
-    if formula_id not in FORMULA_IDS:
-        raise DomainError(f"unknown formula id {formula_id!r}")
-
-    def value(alpha: float) -> float:
-        entries = analytic_spectrum(k, alpha)
-        return next(e.value for e in entries if e.formula_id == formula_id)
-
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +245,11 @@ class CriticalSet:
     # an explicit note because displays list only the three linear families
     trivial_zero_at_origin: bool = True
 
+    @property
+    def subcritical_regime(self) -> bool:
+        """Every positive critical value exceeds 1, the engineering regime's edge."""
+        return self.values[1] > 1.0
+
 
 def critical_alpha_standard(k: int) -> float:
     """Root of the W_minus family: (8 pi + 2 k pi^2) / (4 + (k-1) pi^2 + 4 pi)."""
@@ -263,18 +266,15 @@ def critical_alpha_trivial(k: int) -> float:
 
 
 def critical_set(k: int) -> CriticalSet:
+    """0 = alpha_(k-2,2) = alpha_(k-2,1,1) = alpha^1_(k-1,1)
+    < alpha^2_(k-1,1) < alpha^1_(k); a violated chain is an invariant
+    failure (ConsistencyError)."""
     if k < 4:
         raise DomainError("k >= 4 required")
     mid = critical_alpha_standard(k)
     last = critical_alpha_trivial(k)
-    res0 = max(
-        abs(eigenvalue_family(k, "wedge")(0.0)),
-        abs(eigenvalue_family(k, "sym0")(0.0)),
-        abs(eigenvalue_family(k, "W_bminus_c")(0.0)),
-    )
-    res_mid = abs(eigenvalue_family(k, "W_minus")(mid))
-    res_last = abs(eigenvalue_family(k, "span_IJ_minus")(last))
-    return CriticalSet(
+    fam = np.abs(family_values(k, [0.0, mid, last]))
+    crit = CriticalSet(
         k=k,
         values=(0.0, mid, last),
         labels=(
@@ -282,35 +282,11 @@ def critical_set(k: int) -> CriticalSet:
             ((k - 1, 1),),
             ((k,),),
         ),
-        residuals=(res0, res_mid, res_last),
+        residuals=(float(fam[:3, 0].max()), float(fam[4, 1]), float(fam[6, 2])),
     )
-
-
-@dataclass
-class OrderingReport:
-    k: int
-    chain: tuple[float, float, float]
-    ok: bool
-    degenerate_components_at_zero: tuple[Partition, ...]
-    min_positive: float
-    subcritical_regime: bool        # every positive critical value exceeds 1
-
-
-def critical_ordering(k: int) -> OrderingReport:
-    """0 = alpha_(k-2,2) = alpha_(k-2,1,1) = alpha^1_(k-1,1)
-    < alpha^2_(k-1,1) < alpha^1_(k); violations are invariant failures."""
-    crit = critical_set(k)
-    zero, mid, last = crit.values
-    if not (zero == 0.0 and 0.0 < mid < last):
+    if not 0.0 < mid < last:
         raise ConsistencyError(f"critical ordering violated at k={k}: {crit.values}")
-    return OrderingReport(
-        k=k,
-        chain=crit.values,
-        ok=True,
-        degenerate_components_at_zero=crit.labels[0],
-        min_positive=mid,
-        subcritical_regime=mid > 1.0,
-    )
+    return crit
 
 
 def root_scan(k: int, lo: float = -10.0, hi: float = 10.0,
@@ -323,9 +299,8 @@ def root_scan(k: int, lo: float = -10.0, hi: float = 10.0,
     """
     out: dict[str, list[float]] = {}
     xs = np.linspace(lo, hi, grid + 1)
-    for fid in FORMULA_IDS:
-        fam = eigenvalue_family(k, fid)
-        vals = [fam(float(x)) for x in xs]
+    for row, (fid, row_vals) in enumerate(zip(FORMULA_IDS, family_values(k, xs))):
+        vals = row_vals.tolist()
         roots: list[float] = []
         for i in range(grid):
             va, vb = vals[i], vals[i + 1]
@@ -337,7 +312,7 @@ def root_scan(k: int, lo: float = -10.0, hi: float = 10.0,
                 fa = va
                 for _ in range(200):
                     m = 0.5 * (a_ + b_)
-                    fm = fam(m)
+                    fm = float(family_values(k, [m])[row, 0])
                     if fm == 0.0 or (b_ - a_) < tol:
                         break
                     if fa * fm < 0.0:

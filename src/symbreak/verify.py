@@ -178,15 +178,13 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     ))
 
     # -- critical set residuals, ordering, nonnegativity --------------------
+    # critical_set raises ConsistencyError on a violated ordering
     worst_res = 0.0
-    ordering_ok = True
     subcritical_ok = True
     for k in range(4, 17):
         crit = sp.critical_set(k)
         worst_res = max(worst_res, max(crit.residuals))
-        rep = sp.critical_ordering(k)
-        ordering_ok &= rep.ok
-        subcritical_ok &= rep.subcritical_regime
+        subcritical_ok &= crit.subcritical_regime
     scan = {k: sp.root_scan(k) for k in config.ks if k <= 16}
     no_negative_roots = all(
         all(r >= 0.0 for r in roots)
@@ -197,9 +195,9 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
         for fam in scan.values() for roots in fam.values()
     )
     checks.append(_check(
-        "critical_set", worst_res <= tol["critical_residual"] and ordering_ok
+        "critical_set", worst_res <= tol["critical_residual"]
         and subcritical_ok and no_negative_roots and nonzero_root_counts_ok,
-        detail={"max_residual": worst_res, "ordering_ok": ordering_ok,
+        detail={"max_residual": worst_res, "ordering_ok": True,
                 "subcritical_ok": subcritical_ok,
                 "no_negative_roots": no_negative_roots},
     ))

@@ -65,6 +65,10 @@ def test_spectrum_domain_error_exit2(capsys, tmp_path):
     (["spectrum", "--k", "5", "--alpha-grid", "0", "nan", "3"], "--alpha-grid"),
     (["spectrum", "--k", "5", "--alpha-grid", "0", "1", "inf"], "--alpha-grid"),
     (["spectrum", "--k", "5", "--alpha", "1e308"], "overflows"),
+    (["--tol", "critical_residual=nan", "critical", "--k", "5"], "critical_residual"),
+    (["--tol", "critical_residual=inf", "critical", "--k", "5"], "critical_residual"),
+    (["critical", "--k", "1" + "0" * 310], "--k"),
+    (["spectrum", "--k", "5", "--alpha-grid", "0", "1", "2.7"], "--alpha-grid"),
 ])
 def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
     # rejected before any command runs: no Monte-Carlo stage, no traceback
@@ -72,6 +76,15 @@ def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and names in captured.err
+
+
+def test_alpha_grid_points_capacity_exit3(capsys, tmp_path):
+    # refused before the grid is built
+    assert main(["--cache-dir", str(tmp_path), "spectrum", "--k", "5",
+                 "--alpha-grid", "0", "1", "1e9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--alpha-grid" in captured.err
 
 
 def test_spectrum_schema_valid(capsys, tmp_path):

@@ -15,7 +15,7 @@ from symbreak.degrees import (
 )
 from symbreak.errors import CapacityError, DomainError
 from symbreak.golden import compare_k5, load_golden
-from symbreak.spectrum import analytic_spectrum, critical_ordering, critical_set
+from symbreak.spectrum import analytic_spectrum, critical_set
 
 
 def _degrees(lattice):
@@ -245,7 +245,8 @@ def test_invariants_payload_k5(lattice5):
     results, checks = invariants_payload(5, lattice5)
     passed = _passed(checks)
     assert results["basic_degrees"] and results["invariants"]   # exact ring part
-    assert critical_ordering(5).ok
+    zero, mid, last = critical_set(5).values     # raises on a violated chain
+    assert zero == 0.0 < mid < last
     values = [inv["critical_value"] for inv in results["invariants"]]
     assert min(v for v in values if v > 0) > 1.0                # engineering regime
     assert passed["invariants_nonzero"]

@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from symbreak.errors import DomainError
+from symbreak import spectrum
+from symbreak.errors import ConsistencyError, DomainError
 from symbreak.golden import load_golden
 from symbreak.hessian import block_operator_apply
 from symbreak.spectrum import (
+    FORMULA_IDS,
     abc,
     analytic_spectrum,
     critical_alpha_standard,
     critical_alpha_trivial,
-    critical_ordering,
     critical_set,
-    eigenvalue_family,
+    family_values,
     isotypic_basis,
     merged_view,
     numerical_spectrum_match,
@@ -213,9 +214,7 @@ def test_critical_asymptote_large_k():
 def test_ordering_chain_sweep():
     minpos = math.inf
     for k in range(4, 65):
-        rep = critical_ordering(k)
-        assert rep.ok
-        zero, mid, last = rep.chain
+        zero, mid, last = critical_set(k).values     # raises on a violated chain
         assert zero == 0.0 < mid < last
         assert mid > 2.0  # both nonzero members stay above the asymptote
         minpos = min(minpos, mid)
@@ -227,14 +226,21 @@ def test_nonzero_members_zero_exactly_their_family(k):
     crit = critical_set(k)
     _, mid, last = crit.values
     margin = 1e-6
+    fam = dict(zip(FORMULA_IDS, family_values(k, [mid, last])))
     for fid in ("wedge", "sym0", "W_bminus_c", "W_plus", "span_IJ_plus"):
-        fam = eigenvalue_family(k, fid)
-        assert abs(fam(mid)) > margin
-        assert abs(fam(last)) > margin
-    assert abs(eigenvalue_family(k, "W_minus")(mid)) <= 1e-12
-    assert abs(eigenvalue_family(k, "W_minus")(last)) > margin
-    assert abs(eigenvalue_family(k, "span_IJ_minus")(last)) <= 1e-12
-    assert abs(eigenvalue_family(k, "span_IJ_minus")(mid)) > margin
+        assert abs(fam[fid][0]) > margin
+        assert abs(fam[fid][1]) > margin
+    assert abs(fam["W_minus"][0]) <= 1e-12
+    assert abs(fam["W_minus"][1]) > margin
+    assert abs(fam["span_IJ_minus"][1]) <= 1e-12
+    assert abs(fam["span_IJ_minus"][0]) > margin
+
+
+def test_critical_set_rejects_violated_chain(monkeypatch):
+    mid = critical_alpha_standard(5)
+    monkeypatch.setattr(spectrum, "critical_alpha_trivial", lambda k: mid - 0.5)
+    with pytest.raises(ConsistencyError, match="critical ordering violated at k=5"):
+        critical_set(5)
 
 
 @pytest.mark.parametrize("k", [4, 5, 8, 16, 64])
