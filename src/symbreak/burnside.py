@@ -23,6 +23,9 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
+
+import numpy as np
+
 from .errors import CapacityError, ConsistencyError, DomainError
 
 Perm = tuple[int, ...]
@@ -220,52 +223,78 @@ def _all_perms(k: int) -> list[Perm]:
 
 
 class _GroupTables:
-    """Index-space multiplication/conjugation tables for S_k (k <= 6)."""
+    """Index-space group tables for S_k (k <= 6), as numpy int16 arrays.
+
+    Permutations are numbered in lexicographic order, so the identity is
+    index 0.  mul[i, j] indexes perms[i]*perms[j], inv[i] indexes perms[i]^-1
+    and conj[g, h] indexes g h g^-1.  The tables are filled one row at a time,
+    so no k! x k! x k temporary is ever allocated.
+    """
+
+    ident = 0
 
     def __init__(self, k: int):
         self.k = k
         self.perms = _all_perms(k)
-        self.index = {p: i for i, p in enumerate(self.perms)}
+        self.cycle_types = [cycle_type(p) for p in self.perms]
         n = len(self.perms)
-        self.mul = [[0] * n for _ in range(n)]
-        for i, p in enumerate(self.perms):
-            row = self.mul[i]
-            for j, q in enumerate(self.perms):
-                row[j] = self.index[compose(p, q)]
-        self.inv = [self.index[invert(p)] for p in self.perms]
-        # conj[g][h] = g h g^-1
-        self.conj = [[0] * n for _ in range(n)]
+        images = np.array(self.perms, dtype=np.intp).reshape(n, k)
+        # a permutation read as k base-k digits; the codes sort like the perms
+        weights = k ** np.arange(k - 1, -1, -1)
+        rank = np.zeros(k ** k, dtype=np.int16)
+        rank[images @ weights] = np.arange(n)
+        self.mul = np.empty((n, n), dtype=np.int16)
+        for i in range(n):
+            self.mul[i] = rank[images[i, images] @ weights]
+        self.inv = rank[np.argsort(images, axis=1) @ weights]
+        self.conj = np.empty((n, n), dtype=np.int16)
         for g in range(n):
-            gi = self.inv[g]
-            mg = self.mul[g]
-            for h in range(n):
-                self.conj[g][h] = self.mul[mg[h]][gi]
+            self.conj[g] = self.mul[self.mul[g], self.inv[g]]
 
-    def conjugate_set(self, g: int, sub: frozenset[int]) -> frozenset[int]:
-        cg = self.conj[g]
-        return frozenset(cg[h] for h in sub)
+    def conjugate_set(self, sub: frozenset[int]) -> np.ndarray:
+        """Row g holds the indices of g sub g^-1, for every g in S_k."""
+        return self.conj[:, sorted(sub)]
 
-    def close_indices(self, gens: list[int]) -> frozenset[int]:
-        """closure in index space, for build_lattice, which has the tables."""
-        ident = self.index[identity_perm(self.k)]
-        elems = {ident}
-        frontier = [ident]
-        gens = [g for g in gens if g != ident]
+    def close_indices(self, gens: list[int],
+                      base: frozenset[int] | None = None) -> frozenset[int]:
+        """<gens> in index space, grown coset by coset (Dimino's algorithm).
+
+        `base`, if given, must be a closed subgroup of <gens>, such as the
+        closure of a prefix of gens.  Without it the group is grown one
+        generator at a time from the identity.
+        """
+        if base is not None:
+            return frozenset(self._extend(np.array(sorted(base)), gens).tolist())
+        group = np.array([self.ident])
+        for i in range(len(gens)):
+            group = self._extend(group, gens[:i + 1])
+        return frozenset(group.tolist())
+
+    def _extend(self, base: np.ndarray, gens: list[int]) -> np.ndarray:
+        """Union of the right cosets base*x reachable from base by gens.
+
+        Works one layer at a time: every r*s outside the set, with r in the
+        last layer and s in gens, joins the next layer, and its coset
+        base*(r*s) is added in one table gather.
+        """
         mul = self.mul
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    x = mul[g][h]
-                    if x not in elems:
-                        elems.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        return frozenset(elems)
+        n = len(mul)
+        member = np.zeros(n, dtype=bool)
+        member[base] = True
+        column = base[:, None]
+        gens = np.asarray(gens, dtype=np.intp)
+        layer = np.array([self.ident])
+        while len(layer):
+            products = mul[layer[:, None], gens].ravel()
+            fresh = np.zeros(n, dtype=bool)
+            fresh[products[~member[products]]] = True
+            layer = np.flatnonzero(fresh)
+            member[mul[column, layer]] = True
+        return np.flatnonzero(member)
 
 
 def _fingerprint(tables: _GroupTables, sub: frozenset[int]) -> tuple:
-    types = sorted(cycle_type(tables.perms[h]) for h in sub)
+    types = sorted(tables.cycle_types[h] for h in sub)
     return (len(sub), tuple(types))
 
 
@@ -290,9 +319,8 @@ def _isomorphism_label(tables: _GroupTables, sub: frozenset[int]) -> str:
         return "D1" if n2 == 1 else "Z2"
     if cyclic:
         return f"Z{order}"
-    abelian = all(
-        tables.mul[a][b] == tables.mul[b][a] for a in sub for b in sub
-    )
+    products = tables.mul[np.ix_(sorted(sub), sorted(sub))]
+    abelian = bool((products == products.T).all())
     if order == 4 and abelian:
         all_even = all(_is_even(p) for p in perms)
         return "V4" if all_even else "D2"
@@ -348,26 +376,38 @@ def build_lattice(k: int) -> SubgroupLattice:
     Classes are found by closing class representatives against every cyclic
     subgroup (joining a representative with all conjugates of a cyclic group
     reaches every class; subgroups are generated by their cyclic subgroups).
-    Deduplication goes through an order/cycle-type fingerprint first and an
-    explicit conjugator search only within fingerprint buckets.
+    The joins <H, c> and <H, n c n^-1> are conjugate for n in N(H), so only
+    the first cyclic subgroup of each N(H)-orbit is closed, by extending H
+    coset by coset.  Deduplication goes through an order/cycle-type
+    fingerprint first and a conjugator search over all of S_k, one table
+    gather per subgroup, only within fingerprint buckets.
     """
     if not 2 <= k <= MAX_LATTICE_K:
         raise DomainError(f"lattice construction supports 2 <= k <= {MAX_LATTICE_K}, got {k}")
 
     tables = _GroupTables(k)
     n_g = len(tables.perms)
-    ident = tables.index[identity_perm(k)]
+    ident = tables.ident
 
-    # every cyclic subgroup, as index sets
+    # <g> for every g, read off the powers g, g^2, ..., g^e = identity
+    powers = [np.arange(n_g)]
+    while (powers[-1] != ident).any():
+        powers.append(tables.mul[powers[-1], powers[0]])
+    generated = [frozenset(col) for col in np.array(powers).T.tolist()]
+    # every cyclic subgroup, as index sets, with its first generator
     cyclic: dict[frozenset[int], int] = {}
-    for g in range(n_g):
-        c = tables.close_indices([g])
+    for g, c in enumerate(generated):
         cyclic.setdefault(c, g)
     cyclic_list = sorted(cyclic.items(), key=lambda it: (len(it[0]), sorted(it[0])))
+    cyclic_gens = [cgen for _, cgen in cyclic_list]
+    position = {csub: pos for pos, (csub, _) in enumerate(cyclic_list)}
+    # cyclic_pos[g] = position of <g> in cyclic_list
+    cyclic_pos = np.array([position[c] for c in generated])
 
     # class discovery: map subgroup set -> class id, reps list
     reps: list[frozenset[int]] = []
     rep_gens: list[list[int]] = []
+    rep_masks: list[np.ndarray] = []
     set_to_class: dict[frozenset[int], int] = {}
     buckets: dict[tuple, list[int]] = {}
 
@@ -376,18 +416,27 @@ def build_lattice(k: int) -> SubgroupLattice:
         if known is not None:
             return known
         fp = _fingerprint(tables, sub)
-        for ci in buckets.get(fp, []):
-            target = reps[ci]
-            for g in range(n_g):
-                if tables.conjugate_set(g, sub) == target:
+        bucket = buckets.setdefault(fp, [])
+        if bucket:
+            # same order, so g sub g^-1 == rep iff g sub g^-1 lies inside rep
+            conjugated = tables.conjugate_set(sub)
+            for ci in bucket:
+                if rep_masks[ci][conjugated].all(axis=1).any():
                     set_to_class[sub] = ci
                     return ci
         ci = len(reps)
         reps.append(sub)
         rep_gens.append(list(gens))
-        buckets.setdefault(fp, []).append(ci)
+        mask = np.zeros(n_g, dtype=bool)
+        mask[list(sub)] = True
+        rep_masks.append(mask)
+        bucket.append(ci)
         set_to_class[sub] = ci
         return ci
+
+    # per class: normalizer order and its distinct conjugates, as sorted rows
+    norm_orders: dict[int, int] = {}
+    conjugates: dict[int, np.ndarray] = {}
 
     trivial = frozenset({ident})
     classify(trivial, [])
@@ -400,29 +449,28 @@ def build_lattice(k: int) -> SubgroupLattice:
         done.add(ci)
         base = reps[ci]
         gens = rep_gens[ci]
-        for csub, cgen in cyclic_list:
-            if csub <= base:
+        inside = rep_masks[ci]
+        rows = tables.conjugate_set(base)
+        normalizer = np.flatnonzero(inside[rows].all(axis=1))
+        # the distinct conjugates g H g^-1, one sorted row each
+        ordered = np.sort(rows, axis=1)
+        distinct = np.array(list({row.tobytes(): row for row in ordered}.values()))
+        if len(normalizer) * len(distinct) != n_g:
+            raise ConsistencyError("orbit-stabilizer mismatch in normalizer computation")
+        norm_orders[ci] = len(normalizer)
+        conjugates[ci] = distinct
+        # first cyclic_list position in each N(H)-orbit of cyclic subgroups
+        leader = cyclic_pos[tables.conj[np.ix_(normalizer, cyclic_gens)]].min(axis=0).tolist()
+        orbit_class: dict[int, int] = {}
+        for pos, cgen in enumerate(cyclic_gens):
+            if inside[cgen]:  # <c> lies in H iff its generator does
                 continue
-            joined = tables.close_indices(gens + [cgen])
-            cj = classify(joined, gens + [cgen])
+            if leader[pos] == pos:
+                joined = tables.close_indices(gens + [cgen], base)
+                orbit_class[pos] = classify(joined, gens + [cgen])
+            cj = orbit_class[leader[pos]]
             if cj not in done:
                 frontier.append(cj)
-
-    # normalizers and distinct conjugates per class
-    norm_orders: list[int] = []
-    conjugates: list[list[frozenset[int]]] = []
-    for sub in reps:
-        seen: set[frozenset[int]] = set()
-        stab = 0
-        for g in range(n_g):
-            cs = tables.conjugate_set(g, sub)
-            if cs == sub:
-                stab += 1
-            seen.add(cs)
-        norm_orders.append(stab)
-        conjugates.append(sorted(seen, key=sorted))
-        if stab * len(seen) != n_g:
-            raise ConsistencyError("orbit-stabilizer mismatch in normalizer computation")
 
     # deterministic class ordering: (order, fingerprint, normalizer order)
     order_key = [
@@ -454,7 +502,7 @@ def build_lattice(k: int) -> SubgroupLattice:
                 order=order,
                 normalizer_order=nrm,
                 weyl_order=nrm // order,
-                canonical_key=_fingerprint(tables, sub),
+                canonical_key=order_key[old_i][1],
                 label=labels[new_i],
                 generators=tuple(tables.perms[g] for g in _minimal_gens(tables, sub, gens_idx)),
                 representative=frozenset(tables.perms[h] for h in sub),
@@ -469,10 +517,9 @@ def build_lattice(k: int) -> SubgroupLattice:
         lsize = len(reps[old_l])
         n_l = norm_orders[old_l]
         for hi, old_h in enumerate(perm_order_ids):
-            hsub = reps[old_h]
-            if len(hsub) % lsize:
+            if len(reps[old_h]) % lsize:
                 continue
-            count = sum(1 for cs in conjugates[old_l] if cs <= hsub)
+            count = int(rep_masks[old_h][conjugates[old_l]].all(axis=1).sum())
             if count == 0:
                 continue
             num = count * n_l
@@ -488,12 +535,12 @@ def build_lattice(k: int) -> SubgroupLattice:
 def _minimal_gens(tables: _GroupTables, sub: frozenset[int], seed: list[int]) -> list[int]:
     """Trim a generating list greedily; keeps serialization short."""
     gens: list[int] = []
-    span: frozenset[int] = frozenset({tables.index[identity_perm(tables.k)]})
+    span: frozenset[int] = frozenset({tables.ident})
     for g in sorted(sub):
         if g in span:
             continue
         gens.append(g)
-        span = tables.close_indices(gens)
+        span = tables.close_indices(gens, span)
         if span == sub:
             return gens
     return gens if span == sub else list(seed)
@@ -665,11 +712,15 @@ def serialize_lattice(lattice: SubgroupLattice) -> bytes:
 
 def load_lattice(blob: bytes) -> SubgroupLattice:
     """Rebuild a lattice from serialize_lattice output, verifying the checksum."""
-    text = blob.decode("ascii")
+    try:
+        text = blob.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ConsistencyError("lattice cache is not ASCII") from exc
     lines = text.splitlines()
-    if not lines or not lines[-1].startswith("checksum "):
+    last = lines[-1].split() if lines else []
+    if len(last) != 2 or last[0] != "checksum" or not last[1].isdigit():
         raise ConsistencyError("lattice cache missing checksum")
-    stated = int(lines[-1].split()[1])
+    stated = int(last[1])
     body = "\n".join(lines[:-1]) + "\n"
     if zlib.crc32(body.encode("ascii")) != stated:
         raise ConsistencyError("lattice cache checksum mismatch")

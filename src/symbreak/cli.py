@@ -15,6 +15,7 @@ text format.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -49,12 +50,30 @@ def default_cache_dir() -> Path:
 
 
 def get_lattice(k: int, cache_dir: Path) -> bb.SubgroupLattice:
+    """Load lattice_k<k>.txt, or build it and write it atomically.
+
+    A cache file that fails load_lattice's checks (checksum, truncation,
+    version) is rebuilt and rewritten, with one line on stderr."""
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"lattice_k{k}.txt"
+    reason = None
     if path.exists():
-        return bb.load_lattice(path.read_bytes())
+        try:
+            return bb.load_lattice(path.read_bytes())
+        except ConsistencyError as exc:
+            reason = str(exc)
     lattice = bb.build_lattice(k)
-    path.write_bytes(bb.serialize_lattice(lattice))
+    # a per-process temp file plus os.replace: a concurrent reader sees the
+    # old file or the whole new one, never a partial write
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(bb.serialize_lattice(lattice))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    if reason is not None:
+        print(f"cache: rebuilt {path.name} ({reason})", file=sys.stderr)
     return lattice
 
 
@@ -112,6 +131,7 @@ def _render_text(report: dict, stream) -> None:
 
 
 def emit(report: dict, output: str, stream=None) -> None:
+    """Write the report whole, or nothing if it fails its own checks."""
     stream = stream or sys.stdout
     problems = validate_report(report)
     if problems:
@@ -119,7 +139,9 @@ def emit(report: dict, output: str, stream=None) -> None:
     if output == "json":
         stream.write(dumps(report))
     else:
-        _render_text(report, stream)
+        text = io.StringIO()
+        _render_text(report, text)
+        stream.write(text.getvalue())
 
 
 def _finish(report: dict, checks: list[dict], capacity: bool = False) -> int:
@@ -394,17 +416,17 @@ def main(argv: list[str] | None = None) -> int:
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
             return EXIT_USAGE
+        emit(report, args.output)
     except (DomainError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:
-        # corrupted cache or inconsistent input data
+        # inconsistent input data, or a report that fails its own checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    emit(report, args.output)
     return code
 
 

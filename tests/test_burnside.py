@@ -1,10 +1,16 @@
+import functools
+import hashlib
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbreak.burnside import (
     BurnsideElement,
+    _GroupTables,
     build_lattice,
     closure,
     compose,
@@ -221,6 +227,25 @@ def test_serialize_round_trip(lattice5):
     assert serialize_lattice(again) == blob
 
 
+# SHA-256 of serialize_lattice(build_lattice(k)): the class order, the
+# generators, the labels and their primes are the cache format and the
+# report keys, so no rewrite of build_lattice may move them
+PINNED_LATTICE_SHA256 = {
+    2: "bf54d840f1c130a9e23dd7326ead2be6382c622764172b3a3b2aafc951423aa8",
+    3: "4848cdf5167a56bf4a6313c44b8f4892edaa7a515991052fe712b4edaddf24f0",
+    4: "e70202459551ae7095727ed09c09485304bd00c808b44893b767cf2a107596a3",
+    5: "2c8b53510af41b6e0bb78e57608e82b226dae9e23443c586d5b33cccd3cfba6e",
+    6: "5c5e5f901ece79a98d7eccfce8916b9861a3fb62295ea57467ca5c54867c5186",
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_LATTICE_SHA256))
+def test_serialized_lattice_pinned(k, request):
+    lattice = request.getfixturevalue(f"lattice{k}") if k >= 4 else build_lattice(k)
+    digest = hashlib.sha256(serialize_lattice(lattice)).hexdigest()
+    assert digest == PINNED_LATTICE_SHA256[k]
+
+
 def test_load_is_fast(lattice5):
     import time
 
@@ -268,6 +293,39 @@ def test_k6_lattice(lattice6):
         assert (x * y).mark_vector() == [
             a * b for a, b in zip(x.mark_vector(), y.mark_vector())
         ]
+
+
+@functools.cache
+def _tables(k):
+    return _GroupTables(k)
+
+
+def test_group_tables_match_compose():
+    tables = _tables(4)
+    perms = tables.perms
+    assert perms == sorted(itertools.permutations(range(4)))
+    for i, p in enumerate(perms):
+        assert perms[tables.inv[i]] == invert(p)
+        for j, q in enumerate(perms):
+            assert perms[tables.mul[i, j]] == compose(p, q)
+            assert perms[tables.conj[i, j]] == compose(p, compose(q, invert(p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_close_indices_matches_closure(data):
+    # the coset-by-coset closure against the independent tuple-space orbit
+    # algorithm, grown from the identity and from a closed prefix
+    k = data.draw(st.integers(4, 6), label="k")
+    tables = _tables(k)
+    gens = data.draw(st.lists(st.integers(0, len(tables.perms) - 1),
+                              min_size=1, max_size=4), label="gens")
+    cut = data.draw(st.integers(0, len(gens)), label="cut")
+    want = frozenset(tables.perms.index(p)
+                     for p in closure([tables.perms[g] for g in gens], k))
+    assert tables.close_indices(gens) == want
+    prefix = tables.close_indices(gens[:cut])
+    assert tables.close_indices(gens, base=prefix) == want
 
 
 def test_closure_helper():

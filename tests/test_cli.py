@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from symbreak import cli
 from symbreak.cli import main
 from symbreak.report import dumps, load_schema, validate_report
 
@@ -155,6 +156,40 @@ def test_invariants_k5_and_cache_determinism(capsys, tmp_path):
     assert names["involution"] and names["reference_expansions"]
 
 
+def _truncated(blob: bytes) -> bytes:
+    return blob[:len(blob) // 2]
+
+
+def _flipped_byte(blob: bytes) -> bytes:
+    out = bytearray(blob)
+    out[len(out) // 2] ^= 0x01
+    return bytes(out)
+
+
+def _non_ascii(blob: bytes) -> bytes:
+    out = bytearray(blob)
+    out[len(out) // 2] ^= 0x80
+    return bytes(out)
+
+
+@pytest.mark.parametrize("corrupt", [_truncated, _flipped_byte, _non_ascii])
+def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
+    cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
+                              "invariants", "--k", "5", "--output", "json")
+    assert cold_code == 0
+    path = tmp_path / "lattice_k5.txt"
+    good = path.read_bytes()
+    path.write_bytes(corrupt(good))
+    assert main(["--cache-dir", str(tmp_path), "invariants", "--k", "5",
+                 "--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cache: rebuilt lattice_k5.txt (")
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["lattice_k5.txt"]
+
+
 def test_invariants_k4(capsys, tmp_path):
     code, rep = run_json(capsys, "--cache-dir", str(tmp_path), "invariants", "--k", "4")
     assert code == 0
@@ -232,6 +267,23 @@ def test_text_and_json_carry_identical_numbers(capsys, tmp_path):
         assert format_float(value) in text
     for value in rep["results"]["asymptote_distance"]:
         assert format_float(value) in text
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_unformattable_report_exits2_with_one_line(output, capsys, tmp_path, monkeypatch):
+    real = cli.cmd_critical
+
+    def nan_critical(args, tol):
+        report, code = real(args, tol)
+        report["results"]["values"][1] = float("nan")
+        return report, code
+
+    monkeypatch.setattr(cli, "cmd_critical", nan_critical)
+    code = main(["--cache-dir", str(tmp_path), "critical", "--k", "5", "--output", output])
+    assert code not in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "non-finite" in captured.err
 
 
 def test_json_floats_have_17_significant_digits():

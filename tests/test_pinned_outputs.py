@@ -27,7 +27,7 @@ def test_critical_matches_reference(k, capsys, tmp_path, monkeypatch):
     assert _stdout(capsys, "critical", "--k", str(k)) == want
 
 
-@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("k", [4, 5, 6])
 def test_invariants_cold_and_warm_match_reference(k, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     want = (REFERENCE_DIR / f"invariants_k_{k}.json").read_bytes()
