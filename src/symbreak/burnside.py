@@ -3,15 +3,16 @@
 A lattice holds one representative per conjugacy class of subgroups of S_k
 (k <= 6), its normalizer and Weyl order, the containment partial order, and
 the table n(L, H) = |N(L, H)| / |N(H)| counting conjugates of L inside H.
-On top of that, BurnsideElement implements exact ring arithmetic where the
-product of two generators is resolved by the descending recursion
 
-    n_L = (n(L,K)|W(K)| n(L,H)|W(H)| - sum_{(Lt)>(L)} n(L,Lt) n_Lt |W(Lt)|)
-          / |W(L)|
+The mark homomorphism mark_L(H) = n(L,H)|W(H)| (the table of marks) is an
+injective ring map into integer vectors with the pointwise product, so a
+BurnsideElement product is the pointwise product of the two mark vectors,
+mapped back by the descending recursion
 
-with every division asserted exact.  The mark homomorphism
-mark_L(H) = n(L,H)|W(H)| is exposed separately: it is injective, so mark
-vectors are the independent oracle for every product.
+    n_L = (m_L - sum_{(Lt)>(L)} n(L,Lt) n_Lt |W(Lt)|) / |W(L)|
+
+with every division asserted exact.  Direct orbit counting on G/H x G/K
+(orbit_count_product) is the independent oracle for products.
 
 Permutations are tuples of images on {0, ..., k-1}; subgroups are frozensets
 of such tuples.  Everything here is exact integer arithmetic.
@@ -180,10 +181,6 @@ class SubgroupLattice:
     leq: dict[tuple[int, int], bool]
     # n_table[(i, j)] = n(L_i, H_j); zero entries omitted
     n_table: dict[tuple[int, int], int]
-
-    @property
-    def group_order(self) -> int:
-        return math.factorial(self.k)
 
     @property
     def trivial_index(self) -> int:
@@ -628,7 +625,7 @@ class BurnsideElement:
         return " ".join([head] + parts[1:])
 
 
-def solve_from_marks(lattice: SubgroupLattice, marks: dict[int, int] | list[int]) -> BurnsideElement:
+def solve_from_marks(lattice: SubgroupLattice, marks: list[int]) -> BurnsideElement:
     """Invert the (triangular) mark system by descending recursion.
 
     Classes are processed from large subgroup order to small; strict
@@ -636,8 +633,6 @@ def solve_from_marks(lattice: SubgroupLattice, marks: dict[int, int] | list[int]
     depends on already-solved ones.  Non-integral division means the marks
     do not come from an actual element and raises ConsistencyError.
     """
-    if isinstance(marks, dict):
-        marks = [marks.get(i, 0) for i in range(len(lattice.classes))]
     order_desc = sorted(range(len(lattice.classes)),
                         key=lambda i: -lattice.classes[i].order)
     coeffs: dict[int, int] = {}
@@ -658,31 +653,10 @@ def solve_from_marks(lattice: SubgroupLattice, marks: dict[int, int] | list[int]
 
 
 def multiply(x: BurnsideElement, y: BurnsideElement, lattice: SubgroupLattice) -> BurnsideElement:
-    """Exact product via the descending recursion on generator pairs."""
+    """Exact product: the pointwise product of the mark vectors, solved back."""
     if x.lattice is not lattice or y.lattice is not lattice:
         raise DomainError("elements belong to a different lattice")
-    out = BurnsideElement.zero(lattice)
-    for hi, ch in x.coeffs.items():
-        for ki, ck in y.coeffs.items():
-            prod = _generator_product(lattice, hi, ki)
-            out = out + (ch * ck) * prod
-    return out
-
-
-def _generator_product(lattice: SubgroupLattice, hi: int, ki: int) -> BurnsideElement:
-    cache = getattr(lattice, "_product_cache", None)
-    if cache is None:
-        cache = {}
-        lattice._product_cache = cache  # type: ignore[attr-defined]
-    key = (min(hi, ki), max(hi, ki))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    marks = [lattice.mark(li, hi) * lattice.mark(li, ki)
-             for li in range(len(lattice.classes))]
-    result = solve_from_marks(lattice, marks)
-    cache[key] = result
-    return result
+    return solve_from_marks(lattice, [a * b for a, b in zip(x.mark_vector(), y.mark_vector())])
 
 
 # ---------------------------------------------------------------------------
@@ -801,68 +775,58 @@ def orbit_count_product(lattice: SubgroupLattice, hi: int, ki: int) -> dict[int,
 
     For each pair of cosets the exact stabilizer aHa^-1 n bKb^-1 is computed;
     pairs whose stabilizer equals the class representative L are counted up
-    to the N(L)-action.  Independent of the recursion; exponential-ish, keep
-    to k <= 5.
+    to the N(L)-action.  Independent of the mark vectors and of the group
+    tables; exponential-ish, keep to k <= 5.
     """
     k = lattice.k
     perms = _all_perms(k)
-    H = lattice.classes[hi].representative
-    K = lattice.classes[ki].representative
+    inverses = {g: invert(g) for g in perms}
 
-    def cosets(sub: frozenset[Perm]) -> list[frozenset[Perm]]:
-        seen: set[frozenset[Perm]] = set()
-        out = []
+    def cosets(sub: frozenset[Perm]) -> tuple[list[Perm], dict[Perm, int]]:
+        """One element a per left coset aS, and the coset index of every g."""
+        reps: list[Perm] = []
+        index: dict[Perm, int] = {}
         for g in perms:
-            cs = frozenset(compose(g, h) for h in sub)
-            if cs not in seen:
-                seen.add(cs)
-                out.append(cs)
-        return out
+            if g not in index:
+                for h in sub:
+                    index[compose(g, h)] = len(reps)
+                reps.append(g)
+        return reps, index
 
-    cos_h = cosets(H)
-    cos_k = cosets(K)
-
-    # stabilizer of the coset aS under left translation is aSa^-1
-    def stab(cs: frozenset[Perm], sub: frozenset[Perm]) -> frozenset[Perm]:
-        a = next(iter(cs))
-        ai = invert(a)
+    def conjugate(sub: frozenset[Perm], a: Perm) -> frozenset[Perm]:
+        ai = inverses[a]
         return frozenset(compose(a, compose(s, ai)) for s in sub)
 
-    stab_h = [stab(cs, H) for cs in cos_h]
-    stab_k = [stab(cs, K) for cs in cos_k]
+    reps_h, index_h = cosets(lattice.classes[hi].representative)
+    reps_k, index_k = cosets(lattice.classes[ki].representative)
+    # the stabilizer of the coset aS under left translation is aSa^-1
+    stab_h = [conjugate(lattice.classes[hi].representative, a) for a in reps_h]
+    stab_k = [conjugate(lattice.classes[ki].representative, b) for b in reps_k]
 
+    # group pairs by exact stabilizer set, keeping those whose stabilizer IS
+    # a chosen class representative
+    class_of = {c.representative: c.index for c in lattice.classes}
+    matched: dict[int, list[tuple[int, int]]] = {}
+    for ia, sa in enumerate(stab_h):
+        for ib, sb in enumerate(stab_k):
+            ci = class_of.get(sa & sb)
+            if ci is not None:
+                matched.setdefault(ci, []).append((ia, ib))
+
+    # count the orbits of N(L) acting by left translation on both coordinates
     out: dict[int, int] = {}
-    rep_sets = {ci: lattice.classes[ci].representative for ci in range(len(lattice.classes))}
-    normalizers: dict[int, list[Perm]] = {}
-    for ci, rep in rep_sets.items():
-        normalizers[ci] = [g for g in perms
-                           if frozenset(compose(g, compose(h, invert(g))) for h in rep) == rep]
-
-    # group pairs by exact stabilizer set, count N(L)-orbits of pairs whose
-    # stabilizer IS the chosen representative
-    for ci, rep in rep_sets.items():
-        matched: set[tuple[int, int]] = set()
-        for ia, sa in enumerate(stab_h):
-            for ib, sb in enumerate(stab_k):
-                if sa & sb == rep:
-                    matched.add((ia, ib))
-        if not matched:
-            continue
-        # orbits of N(L) acting by left translation on both coordinates
-        norm = normalizers[ci]
-        coset_index_h = {cs: i for i, cs in enumerate(cos_h)}
-        coset_index_k = {cs: i for i, cs in enumerate(cos_k)}
+    for ci in sorted(matched):
+        rep = lattice.classes[ci].representative
+        norm = [g for g in perms if conjugate(rep, g) == rep]
         seen_pairs: set[tuple[int, int]] = set()
         orbits = 0
-        for pair in matched:
-            if pair in seen_pairs:
+        for ia, ib in matched[ci]:
+            if (ia, ib) in seen_pairs:
                 continue
             orbits += 1
-            ia, ib = pair
             for g in norm:
-                na = coset_index_h[frozenset(compose(g, x) for x in cos_h[ia])]
-                nb = coset_index_k[frozenset(compose(g, x) for x in cos_k[ib])]
-                seen_pairs.add((na, nb))
+                seen_pairs.add((index_h[compose(g, reps_h[ia])],
+                                index_k[compose(g, reps_k[ib])]))
         out[ci] = orbits
     return out
 
@@ -870,21 +834,23 @@ def orbit_count_product(lattice: SubgroupLattice, hi: int, ki: int) -> dict[int,
 def enumerate_all_subgroups(k: int) -> list[frozenset[Perm]]:
     """Exhaustive subgroup enumeration by closing joins with cyclic groups.
 
-    Test oracle for build_lattice; practical for k <= 5.
+    Each subgroup keeps the generators it was closed from, so the join
+    <base, c> is closed from those plus the generator of c.  Test oracle for
+    build_lattice; practical for k <= 5.
     """
-    perms = _all_perms(k)
-    cyclics: set[frozenset[Perm]] = set()
-    for p in perms:
-        cyclics.add(closure([p], k))
-    subs: set[frozenset[Perm]] = set(cyclics)
+    cyclics: dict[frozenset[Perm], Perm] = {}
+    for p in _all_perms(k):
+        cyclics.setdefault(closure([p], k), p)
+    subs: dict[frozenset[Perm], list[Perm]] = {c: [p] for c, p in cyclics.items()}
     frontier = list(cyclics)
     while frontier:
         base = frontier.pop()
-        for c in cyclics:
+        for c, p in cyclics.items():
             if c <= base:
                 continue
-            joined = closure(list(base | c), k)
+            gens = subs[base] + [p]
+            joined = closure(gens, k)
             if joined not in subs:
-                subs.add(joined)
+                subs[joined] = gens
                 frontier.append(joined)
     return sorted(subs, key=lambda s: (len(s), sorted(s)))

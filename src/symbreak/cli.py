@@ -3,7 +3,8 @@
 Subcommands: spectrum, critical, invariants, verify.  Every command renders
 the same payload as text or JSON (--output json), validated against the
 shipped schema; numeric payloads are identical in both formats.  Exit codes:
-0 pass, 1 check failure, 2 usage or domain error, 3 declared capacity limit.
+0 pass, 1 check failure, 2 usage or domain error, 3 declared capacity limit,
+4 internal error (any other exception, reported in one line).
 
 Monte-Carlo streams use numpy's PCG64 (default_rng) with the configured
 seed; the algorithm name is part of the report so numbers are reproducible
@@ -32,6 +33,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 RNG_DESCRIPTION = "numpy PCG64 via numpy.random.default_rng(seed)"
 
@@ -49,12 +51,25 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "symbreak"
 
 
+def _unusable_cache(cache_dir: Path, exc: OSError) -> DomainError:
+    return DomainError(f"cannot use --cache-dir {str(cache_dir)!r}: {exc.strerror or exc}")
+
+
+def make_cache_dir(cache_dir: Path) -> None:
+    """Create the cache directory; one that cannot be created is a usage error."""
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unusable_cache(cache_dir, exc) from exc
+
+
 def get_lattice(k: int, cache_dir: Path) -> bb.SubgroupLattice:
     """Load lattice_k<k>.txt, or build it and write it atomically.
 
     A cache file that fails load_lattice's checks (checksum, truncation,
-    version) is rebuilt and rewritten, with one line on stderr."""
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    version) is rebuilt and rewritten, with one line on stderr.  A directory
+    or file that cannot be created, read or written raises DomainError."""
+    make_cache_dir(cache_dir)
     path = cache_dir / f"lattice_k{k}.txt"
     reason = None
     if path.exists():
@@ -62,6 +77,8 @@ def get_lattice(k: int, cache_dir: Path) -> bb.SubgroupLattice:
             return bb.load_lattice(path.read_bytes())
         except ConsistencyError as exc:
             reason = str(exc)
+        except OSError as exc:
+            raise _unusable_cache(cache_dir, exc) from exc
     lattice = bb.build_lattice(k)
     # a per-process temp file plus os.replace: a concurrent reader sees the
     # old file or the whole new one, never a partial write
@@ -69,9 +86,10 @@ def get_lattice(k: int, cache_dir: Path) -> bb.SubgroupLattice:
     try:
         tmp.write_bytes(bb.serialize_lattice(lattice))
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise _unusable_cache(cache_dir, exc) from exc
+    finally:
         tmp.unlink(missing_ok=True)
-        raise
     if reason is not None:
         print(f"cache: rebuilt {path.name} ({reason})", file=sys.stderr)
     return lattice
@@ -266,6 +284,7 @@ def cmd_invariants(args, tol: dict[str, float], cache_dir: Path) -> tuple[dict, 
 
 
 def cmd_verify(args, tol_overrides: dict[str, float], cache_dir: Path) -> tuple[dict, int]:
+    make_cache_dir(cache_dir)   # an unusable one fails now, not after the Monte-Carlo
     config = VerifyConfig(
         ks=tuple(args.k) if args.k else (4, 5),
         seed=args.seed,
@@ -335,7 +354,10 @@ def _parse_tol(pairs: list[str] | None) -> dict[str, float]:
         if "=" not in pair:
             raise DomainError(f"--tol expects NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
-        out[name.strip()] = float(value)
+        try:
+            out[name.strip()] = float(value)
+        except ValueError:
+            raise DomainError(f"--tol {name.strip()!r} needs a number, got {value!r}") from None
     return out
 
 
@@ -417,16 +439,18 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unknown command {args.command}")
             return EXIT_USAGE
         emit(report, args.output)
-    except (DomainError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConsistencyError as exc:
-        # inconsistent input data, or a report that fails its own checks
+    except (DomainError, ConsistencyError) as exc:
+        # bad arguments or input data, or a report that fails its own checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except Exception as exc:
+        # a defect, not a failed check: never exit 1, and keep it to one line
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

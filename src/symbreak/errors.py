@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: DomainError -> 2, CapacityError -> 3,
-check failures (no exception) -> 1.
+The CLI maps these onto exit codes: DomainError and ConsistencyError -> 2,
+CapacityError -> 3, check failures (no exception) -> 1, any other exception
+-> 4.
 """
 
 

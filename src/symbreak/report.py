@@ -12,7 +12,7 @@ import json
 import math
 from importlib import resources
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 
 
 def format_float(x: float) -> str:
@@ -118,8 +118,8 @@ def resolve_tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
     tol = dict(DEFAULT_TOLERANCES)
     for name, value in (overrides or {}).items():
         if name not in tol:
-            raise KeyError(f"unknown tolerance {name!r}; known: {sorted(tol)}")
+            raise DomainError(f"unknown tolerance {name!r}; known: {sorted(tol)}")
         if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"tolerance {name} must be positive and finite, got {value}")
+            raise DomainError(f"tolerance {name} must be positive and finite, got {value}")
         tol[name] = value
     return tol

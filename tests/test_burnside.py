@@ -23,6 +23,7 @@ from symbreak.burnside import (
     perm_to_cycles,
     serialize_lattice,
 )
+from symbreak.degrees import basic_degree
 from symbreak.errors import ConsistencyError, DomainError
 
 
@@ -200,6 +201,25 @@ def test_recursion_equals_orbit_counting_sample(lattice5):
         ).coeffs
         brute = {c: v for c, v in orbit_count_product(lattice5, hi, ki).items() if v}
         assert rec == brute, (lattice5.classes[hi].label, lattice5.classes[ki].label)
+
+
+def test_products_of_sums_equal_orbit_counting(lattice5):
+    # the product of whole elements, not just generators, against the
+    # independent oracle extended bilinearly over their terms
+    count = functools.cache(lambda hi, ki: orbit_count_product(lattice5, hi, ki))
+    std = basic_degree((4, 1), lattice5).element
+    hook = basic_degree((3, 1, 1), lattice5).element
+    rng = random.Random(7)
+    mixed = BurnsideElement(lattice5, {rng.randrange(19): rng.choice([-3, -2, -1, 2, 5])
+                                       for _ in range(6)})
+    assert any(c < 0 for c in mixed.coeffs.values())
+    for x, y in ((std, hook), (mixed, hook), (mixed, mixed)):
+        want: dict[int, int] = {}
+        for hi, ch in x.coeffs.items():
+            for ki, ck in y.coeffs.items():
+                for li, n in count(hi, ki).items():
+                    want[li] = want.get(li, 0) + ch * ck * n
+        assert (x * y).coeffs == {li: c for li, c in want.items() if c}
 
 
 def test_finite_group_collapse(lattice5):

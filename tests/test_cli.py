@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbreak import cli
 from symbreak.cli import main
-from symbreak.report import dumps, load_schema, validate_report
+from symbreak.report import DEFAULT_TOLERANCES, dumps, load_schema, validate_report
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +74,9 @@ def test_spectrum_domain_error_exit2(capsys, tmp_path):
     (["--tol", "critical_residual=inf", "critical", "--k", "5"], "critical_residual"),
     (["critical", "--k", "1" + "0" * 310], "--k"),
     (["spectrum", "--k", "5", "--alpha-grid", "0", "1", "2.7"], "--alpha-grid"),
+    (["invariants", "--k", "4", "--cache-dir", "/dev/null/x"], "--cache-dir"),
+    (["verify", "--cache-dir", "/dev/null/x"], "--cache-dir"),
+    (["--tol", "critical_residual=abc", "critical", "--k", "5"], "critical_residual"),
 ])
 def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
     # rejected before any command runs: no Monte-Carlo stage, no traceback
@@ -133,6 +140,7 @@ def test_critical_tolerance_override_can_fail(capsys, tmp_path):
 def test_unknown_tolerance_rejected(capsys, tmp_path):
     code = main(["--cache-dir", str(tmp_path), "--tol", "nope=1", "critical", "--k", "5"])
     assert code == 2
+    assert capsys.readouterr().err.startswith("error: unknown tolerance 'nope';")
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +196,27 @@ def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     assert captured.err.startswith("cache: rebuilt lattice_k5.txt (")
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["lattice_k5.txt"]
+
+
+def _lattice_path_is_a_directory(tmp_path, monkeypatch):
+    (tmp_path / "lattice_k4.txt").mkdir()
+
+
+def _replace_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+
+
+@pytest.mark.parametrize("break_cache", [_lattice_path_is_a_directory, _replace_fails])
+def test_unusable_cache_file_exits2_with_one_line(break_cache, capsys, tmp_path, monkeypatch):
+    break_cache(tmp_path, monkeypatch)
+    assert main(["--cache-dir", str(tmp_path), "invariants", "--k", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--cache-dir" in captured.err
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_invariants_k4(capsys, tmp_path):
@@ -284,6 +313,78 @@ def test_unformattable_report_exits2_with_one_line(output, capsys, tmp_path, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("exc, line", [
+    (KeyError("values"), "internal error: KeyError: 'values'\n"),
+    (ValueError("two\nlines"), "internal error: ValueError: two lines\n"),
+], ids=["KeyError", "ValueError"])
+def test_internal_error_exits4_with_one_line(exc, line, capsys, tmp_path, monkeypatch):
+    # a defect is neither a usage error (2) nor a failed check (1)
+    def broken(args, tol):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_critical", broken)
+    assert main(["--cache-dir", str(tmp_path), "critical", "--k", "5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the whole command line
+# ---------------------------------------------------------------------------
+
+_HUGE_K = 10 ** 399 + 7    # 400 digits, above the largest float
+_LEAKS = st.one_of(
+    st.floats(-5, 5).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308"]),
+    st.floats().map(repr),
+)
+_BAD_WIDTHS = st.one_of(st.integers(-3, 3), st.just(_HUGE_K))
+_TOL = st.builds(
+    "{}={}".format,
+    st.one_of(st.sampled_from(sorted(DEFAULT_TOLERANCES)), st.text(max_size=8)),
+    st.one_of(st.floats(1e-14, 1e3).map(repr), _LEAKS, st.text(max_size=8)),
+)
+
+
+@st.composite
+def _argv(draw, cache_dir):
+    command = draw(st.sampled_from(["critical", "spectrum", "invariants", "verify"]))
+    if command == "critical":
+        width = draw(st.one_of(st.integers(4, 70), st.integers(71, 10 ** 30), _BAD_WIDTHS))
+        args = [f"--k={width}"]
+    elif command == "spectrum":
+        width = draw(st.one_of(st.integers(4, 8), _BAD_WIDTHS))
+        args = [f"--k={width}", f"--alpha={draw(_LEAKS)}"]
+    elif command == "invariants":
+        width = draw(st.one_of(st.sampled_from([4, 5]), st.integers(7, 10 ** 30), _BAD_WIDTHS))
+        args = [f"--k={width}"]
+    else:  # only arguments that validation rejects: verify itself is ~15 s
+        args = [draw(st.sampled_from(["--k=3", f"--k={_HUGE_K}", "--mc-trials=0",
+                                      "--mc-samples=1", "--fd-points=0"]))]
+    tol = [f"--tol={pair}" for pair in draw(st.lists(_TOL, max_size=1))]
+    return ["--cache-dir", str(cache_dir), *tol, command, *args, "--output=json"]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes_and_reports(data, tmp_path_factory):
+    argv = data.draw(_argv(tmp_path_factory.getbasetemp() / "fuzz-cache"), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if out.getvalue():
+        # a report, which a capacity limit (exit 3) also emits
+        report = json.loads(out.getvalue())
+        assert validate_report(report) == []
+        assert report["exit_code"] == code and code != 2
+    else:
+        # refused: exit 2 or 3, with the reason in one line
+        assert code in (2, 3)
+        assert err.getvalue().count("\n") == 1
 
 
 def test_json_floats_have_17_significant_digits():

@@ -285,3 +285,16 @@ def test_bifurcation_report_capacity():
 def test_bifurcation_capacity_error(lattice5):
     with pytest.raises(CapacityError):
         bifurcation_invariant(7, 0, lattice5)
+
+
+def test_readme_quick_start():
+    # the exact outputs printed in the library quick start of README.md
+    import symbreak as sb
+
+    assert sb.critical_set(5).values == (0.0, 2.2094612037138237, 3.158727282587906)
+    lat = sb.build_lattice(5)
+    deg = sb.basic_degree((4, 1), lat)
+    assert deg.element.pretty() == "(Z1) - 4(D1) + 3(D2) + 3(S3) - 2(D6) - 2(S4) + (S5)"
+    assert (deg.element * deg.element) == sb.BurnsideElement.one(lat)
+    omega = sb.bifurcation_invariant(5, 0, lat)
+    assert [lat.classes[i].label for i in omega.maximal_types] == ["Z6", "D5", "S4"]
