@@ -685,7 +685,10 @@ def serialize_lattice(lattice: SubgroupLattice) -> bytes:
 
 
 def load_lattice(blob: bytes) -> SubgroupLattice:
-    """Rebuild a lattice from serialize_lattice output, verifying the checksum."""
+    """Rebuild a lattice from serialize_lattice output, verifying the checksum.
+
+    Any file it cannot read back, checksum valid or not, raises
+    ConsistencyError."""
     try:
         text = blob.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -701,14 +704,23 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
     header = lines[0]
     if not header.startswith(_CACHE_HEADER):
         raise ConsistencyError(f"unsupported lattice cache version: {header!r}")
+    try:
+        return _parse_lattice_body(header, lines[1:-1])
+    except (ValueError, IndexError, ZeroDivisionError) as exc:   # ValueError covers DomainError
+        raise ConsistencyError(f"malformed lattice cache: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
     k = int(header.split("k=")[1])
+    if not 1 <= k <= MAX_LATTICE_K:
+        raise ConsistencyError(f"lattice cache width k={k} is out of range")
     g_order = math.factorial(k)
 
     classes: list[SubgroupClass] = []
     mode = "classes"
     leq: dict[tuple[int, int], bool] = {}
     n_table: dict[tuple[int, int], int] = {}
-    for line in lines[1:-1]:
+    for line in lines:
         if line == "leq:":
             mode = "leq"
             continue

@@ -67,18 +67,23 @@ def get_lattice(k: int, cache_dir: Path) -> bb.SubgroupLattice:
     """Load lattice_k<k>.txt, or build it and write it atomically.
 
     A cache file that fails load_lattice's checks (checksum, truncation,
-    version) is rebuilt and rewritten, with one line on stderr.  A directory
-    or file that cannot be created, read or written raises DomainError."""
+    version, malformed body) or holds another width is rebuilt and
+    rewritten, with one line on stderr.  A directory or file that cannot be
+    created, read or written raises DomainError."""
     make_cache_dir(cache_dir)
     path = cache_dir / f"lattice_k{k}.txt"
     reason = None
     if path.exists():
         try:
-            return bb.load_lattice(path.read_bytes())
+            cached = bb.load_lattice(path.read_bytes())
         except ConsistencyError as exc:
             reason = str(exc)
         except OSError as exc:
             raise _unusable_cache(cache_dir, exc) from exc
+        else:
+            if cached.k == k:
+                return cached
+            reason = f"cache holds k={cached.k}"
     lattice = bb.build_lattice(k)
     # a per-process temp file plus os.replace: a concurrent reader sees the
     # old file or the whole new one, never a partial write
@@ -260,27 +265,14 @@ def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
 
 
 def cmd_invariants(args, tol: dict[str, float], cache_dir: Path) -> tuple[dict, int]:
-    if args.k > MAX_EXACT_K:
-        report = {
-            "command": "invariants",
-            "config": {"k": args.k},
-            "results": {
-                "capacity_notice": (
-                    f"exact Burnside-ring computation is declared up to k={MAX_EXACT_K}; "
-                    "use 'critical' for the width-independent spectral conclusions"
-                ),
-                "spectral_summary": bifurcation_report(args.k),
-            },
-        }
-        return report, _finish(report, [], capacity=True)
-
-    results, checks = invariants_payload(args.k, get_lattice(args.k, cache_dir))
-    report = {
-        "command": "invariants",
-        "config": {"k": args.k, "cache_dir": str(cache_dir)},
-        "results": results,
-    }
-    return report, _finish(report, checks)
+    capacity = args.k > MAX_EXACT_K
+    if capacity:
+        config, results, checks = {"k": args.k}, bifurcation_report(args.k), []
+    else:
+        config = {"k": args.k, "cache_dir": str(cache_dir)}
+        results, checks = invariants_payload(args.k, get_lattice(args.k, cache_dir))
+    report = {"command": "invariants", "config": config, "results": results}
+    return report, _finish(report, checks, capacity=capacity)
 
 
 def cmd_verify(args, tol_overrides: dict[str, float], cache_dir: Path) -> tuple[dict, int]:

@@ -6,12 +6,11 @@ to the K-fixed subspace, minus-identity on the unit ball has Brouwer degree
 
     n_K = ((-1)^{dim V^K} - sum_{K<L} n_L n(K,L) |W(L)|) / |W(K)|
 
-with exact divisions.  Basic degrees are involutions and their own inverses;
-products of them assemble the jump invariants across each critical leaky
-parameter: at a critical value the invariant is (prior degree) * ((S_k) -
-degree of the newly degenerate isotypic factors), the prior degree being the
-product of basic degrees of all factors that degenerated at smaller critical
-values.
+with exact divisions.  Basic degrees are involutions and their own inverses.
+Marks multiply pointwise, so the jump invariant at a critical leaky parameter
+has the mark vector m_below * (1 - m_here): m_here is the pointwise product
+of the parity vectors of the factors degenerating there, m_below that of
+every factor that degenerated at a smaller value (all ones below the first).
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ class BasicDegree:
     irrep: Partition
     element: BurnsideElement
     fixed_dims: dict[int, int]          # class index -> dim V^K
+    marks: list[int]                    # class index -> (-1)^{dim V^K}
     maximal_types: list[int] = field(default_factory=list)
 
     def labels(self) -> dict[str, int]:
@@ -75,6 +75,7 @@ def basic_degree(eta, lattice: SubgroupLattice) -> BasicDegree:
         irrep=eta,
         element=element,
         fixed_dims=dims,
+        marks=marks,
         maximal_types=maximal,
     )
 
@@ -140,8 +141,9 @@ def linear_map_degree(
     Each entry carries whole irreducible copies (eigenspace dimension is a
     multiple of the irreducible dimension), so the degree is the product
     over negative eigenvalues of the basic degree of the entry's label, once
-    per copy.  Zero eigenvalues mean no isomorphism; that is a degeneracy
-    error naming the offending family.  When the isotypic multiplicities of
+    per copy: an involution, so an odd copy count multiplies in the label's
+    parity vector once.  Zero eigenvalues mean no isomorphism; that is a
+    degeneracy error naming the offending family.  When the isotypic multiplicities of
     the ambient space are supplied they bound the per-label copy counts.
     No command calls it; it stays as the degree-stability check of the
     subcritical window.
@@ -149,7 +151,7 @@ def linear_map_degree(
     if degrees is None:
         degrees = {}
     seen: dict[Partition, int] = {}
-    out = BurnsideElement.one(lattice)
+    marks = [1] * len(lattice.classes)
     for entry in spectrum:
         if entry.value == 0.0:
             raise DomainError(
@@ -165,14 +167,11 @@ def linear_map_degree(
             raise ConsistencyError(
                 f"{seen[entry.label]} copies of {entry.label} exceed the isotypic multiplicity"
             )
-        if entry.value < 0:
-            bd = degrees.get(entry.label)
-            if bd is None:
-                bd = basic_degree(entry.label, lattice)
-                degrees[entry.label] = bd
-            for _ in range(copies):
-                out = out * bd.element
-    return out
+        if entry.value < 0 and copies % 2:
+            if entry.label not in degrees:
+                degrees[entry.label] = basic_degree(entry.label, lattice)
+            marks = [a * b for a, b in zip(marks, degrees[entry.label].marks)]
+    return solve_from_marks(lattice, marks)
 
 
 # ---------------------------------------------------------------------------
@@ -193,66 +192,51 @@ class BifurcationInvariant:
         return not self.element.is_zero()
 
 
-def bifurcation_invariant(
-    k: int,
-    which: int,
-    lattice: SubgroupLattice,
-    degrees: dict[Partition, BasicDegree] | None = None,
-) -> BifurcationInvariant:
-    """Invariant omega at the which-th critical value (0-based, increasing).
-
-    omega = deg_below - deg_above = deg_below * ((S_k) - prod of basic
-    degrees of the factors degenerating at this value); deg_below telescopes:
-    it is the product of the basic degrees of every factor that degenerated
-    at a smaller critical value, starting from (S_k) below the first one.
-    """
+def all_invariants(
+    k: int, lattice: SubgroupLattice
+) -> tuple[dict[Partition, BasicDegree], list[BifurcationInvariant]]:
+    """Basic degrees (hook, two-row, standard, top) and the invariant at each
+    critical value: one pass over the critical chain multiplies mark vectors,
+    deg_below telescopes, and each reported element is one solve_from_marks."""
     if k < 4:
         raise DomainError("k >= 4 required")
     if k > MAX_EXACT_K:
         raise CapacityError(f"exact ring arithmetic capped at k={MAX_EXACT_K}")
     if lattice.k != k:
         raise DomainError("lattice was built for a different k")
-    crit = critical_set(k)
-    lab_seq = [sorted(group) for group in crit.labels]
-    if not 0 <= which < len(lab_seq):
-        raise DomainError(f"critical index {which} out of range 0..{len(lab_seq) - 1}")
-    if degrees is None:
-        degrees = {}
-
-    def deg_of(eta: Partition) -> BurnsideElement:
-        if eta not in degrees:
-            degrees[eta] = basic_degree(eta, lattice)
-        return degrees[eta].element
-
-    below = BurnsideElement.one(lattice)
-    for prior in lab_seq[:which]:
-        for eta in prior:
-            below = below * deg_of(eta)
-    here = BurnsideElement.one(lattice)
-    for eta in lab_seq[which]:
-        here = here * deg_of(eta)
-    above = below * here
-    omega = below - above
-    return BifurcationInvariant(
-        critical_value=crit.values[which],
-        critical_index=which,
-        labels=lab_seq[which],
-        element=omega,
-        maximal_types=maximal_orbit_types(omega, lattice),
-        degree_below=below,
-        degree_above=above,
-    )
-
-
-def all_invariants(
-    k: int, lattice: SubgroupLattice
-) -> tuple[dict[Partition, BasicDegree], list[BifurcationInvariant]]:
     degrees: dict[Partition, BasicDegree] = {}
     for shape in ("hook", "two-row", "standard", "top"):
         eta = closed_form_partition(shape, k)
         degrees[eta] = basic_degree(eta, lattice)
-    invariants = [bifurcation_invariant(k, i, lattice, degrees) for i in range(3)]
+    crit = critical_set(k)
+    below, degree_below = [1] * len(lattice.classes), BurnsideElement.one(lattice)
+    invariants = []
+    for which, group in enumerate(crit.labels):
+        labels = sorted(group)
+        above = below
+        for eta in labels:
+            above = [a * b for a, b in zip(above, degrees[eta].marks)]
+        omega = solve_from_marks(lattice, [b - a for b, a in zip(below, above)])
+        degree_above = solve_from_marks(lattice, above)
+        invariants.append(BifurcationInvariant(
+            critical_value=crit.values[which],
+            critical_index=which,
+            labels=labels,
+            element=omega,
+            maximal_types=maximal_orbit_types(omega, lattice),
+            degree_below=degree_below,
+            degree_above=degree_above,
+        ))
+        below, degree_below = above, degree_above
     return degrees, invariants
+
+
+def bifurcation_invariant(k: int, which: int, lattice: SubgroupLattice) -> BifurcationInvariant:
+    """Invariant omega at the which-th critical value (0-based, increasing)."""
+    invariants = all_invariants(k, lattice)[1]
+    if not 0 <= which < len(invariants):
+        raise DomainError(f"critical index {which} out of range 0..{len(invariants) - 1}")
+    return invariants[which]
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +313,7 @@ def invariants_payload(k: int, lattice: SubgroupLattice) -> tuple[dict, list[dic
 
 
 def bifurcation_report(k: int) -> dict:
-    """Spectral bifurcation summary for a width above MAX_EXACT_K.
+    """Results of the invariants report for a width above MAX_EXACT_K.
 
     The critical set, its ordering and the subcritical engineering regime
     are exact at every width; the Burnside-ring part is replaced by a
@@ -338,7 +322,7 @@ def bifurcation_report(k: int) -> dict:
     if k <= MAX_EXACT_K:
         raise DomainError(f"k > {MAX_EXACT_K} required; exact widths use invariants_payload")
     crit = critical_set(k)       # raises ConsistencyError on a violated ordering
-    return {
+    summary = {
         "k": k,
         "critical_values": list(crit.values),
         "ordering_ok": True,
@@ -352,4 +336,11 @@ def bifurcation_report(k: int) -> dict:
             f"exact Burnside-ring arithmetic is available for k <= {MAX_EXACT_K}; "
             "spectral conclusions above are still exact"
         ),
+    }
+    return {
+        "capacity_notice": (
+            f"exact Burnside-ring computation is declared up to k={MAX_EXACT_K}; "
+            "use 'critical' for the width-independent spectral conclusions"
+        ),
+        "spectral_summary": summary,
     }

@@ -10,6 +10,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from conftest import random_admissible
 from symbreak.burnside import (
@@ -210,6 +211,7 @@ def test_criterion_7_bifurcation_invariants(lattice5, tmp_path, capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_oracle_suite():
     rng = np.random.default_rng(20240901)
     teacher = identity_teacher(4)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -180,7 +181,29 @@ def _non_ascii(blob: bytes) -> bytes:
     return bytes(out)
 
 
-@pytest.mark.parametrize("corrupt", [_truncated, _flipped_byte, _non_ascii])
+def _edit_body(blob: bytes, old: str, new: str) -> bytes:
+    """Replace the first `old` of the body and restore a valid checksum."""
+    body = blob.decode("ascii").rsplit("checksum ", 1)[0]
+    assert old in body
+    body = body.replace(old, new, 1)
+    return (body + f"checksum {zlib.crc32(body.encode('ascii'))}\n").encode("ascii")
+
+
+def _header_without_equals(blob: bytes) -> bytes:
+    return _edit_body(blob, " k=5\n", " k5\n")
+
+
+def _non_numeric_order(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n0|1|", "\n0|x|")
+
+
+def _header_names_other_width(blob: bytes) -> bytes:
+    return _edit_body(blob, " k=5\n", " k=6\n")
+
+
+@pytest.mark.parametrize("corrupt", [_truncated, _flipped_byte, _non_ascii,
+                                     _header_without_equals, _non_numeric_order,
+                                     _header_names_other_width])
 def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
                               "invariants", "--k", "5", "--output", "json")

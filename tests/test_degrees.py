@@ -16,6 +16,7 @@ from symbreak.degrees import (
 from symbreak.errors import CapacityError, DomainError
 from symbreak.golden import compare_k5, load_golden
 from symbreak.spectrum import analytic_spectrum, critical_set
+from symbreak.symrep import closed_form_partition
 
 
 def _degrees(lattice):
@@ -184,6 +185,32 @@ def test_invariant_structure_k5(lattice5):
     assert invariants[2].element == d_hook * d_two * (one - d_triv)
 
 
+@pytest.mark.parametrize(
+    "fixture", ["lattice4", "lattice5", pytest.param("lattice6", marks=pytest.mark.slow)]
+)
+def test_invariant_structure(fixture, request):
+    # the ring-product chain, omega = deg_below * ((S_k) - prod deg_here),
+    # is the reference for the mark-vector pass of all_invariants
+    lattice = request.getfixturevalue(fixture)
+    k = lattice.k
+    hook, two, std, top = (closed_form_partition(s, k)
+                           for s in ("hook", "two-row", "standard", "top"))
+    degrees, invariants = all_invariants(k, lattice)
+    assert list(degrees) == [hook, two, std, top]
+    assert len(invariants) == 3
+    one = BurnsideElement.one(lattice)
+    below = one
+    for inv, group in zip(invariants, [[hook, two, std], [std], [top]]):
+        here = one
+        for eta in group:
+            here = here * degrees[eta].element
+        assert inv.labels == sorted(group)
+        assert inv.degree_below == below
+        assert inv.element == below * (one - here)
+        assert inv.degree_above == below * here
+        below = below * here
+
+
 def test_invariant_telescoping(lattice5):
     _, invariants = all_invariants(5, lattice5)
     for prev, nxt in zip(invariants, invariants[1:]):
@@ -274,7 +301,7 @@ def test_invariants_payload_k6(lattice6):
 
 
 def test_bifurcation_report_capacity():
-    rep = bifurcation_report(8)
+    rep = bifurcation_report(8)["spectral_summary"]
     assert rep["ring_computation"] == "capacity"
     assert "capacity_notice" in rep
     assert rep["engineering_regime_subcritical"]
