@@ -142,17 +142,14 @@ def hessian_at_minimum(k: int, alpha: float) -> HessianBlocks:
     A_ij = (1/2 - a/4) I + (a/2pi)(E_ij + E_ji)."""
     if k < 2:
         raise DomainError("k >= 2 required")
-    blocks = np.zeros((k, k, k, k))
     co = abc(alpha)
-    off = co.a * np.eye(k)
-    for i in range(k):
-        blocks[i, i] = 0.5 * np.eye(k)
-        for j in range(k):
-            if j != i:
-                b = off.copy()
-                b[i, j] += co.c
-                b[j, i] += co.c
-                blocks[i, j] = b
+    blocks = np.empty((k, k, k, k))
+    blocks[...] = co.a * np.eye(k)
+    diag = np.arange(k)
+    blocks[diag, diag] = 0.5 * np.eye(k)
+    i, j = np.nonzero(~np.eye(k, dtype=bool))
+    blocks[i, j, i, j] += co.c
+    blocks[i, j, j, i] += co.c
     return HessianBlocks(k=k, blocks=blocks)
 
 
@@ -188,14 +185,14 @@ def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
     The assembly is symmetrized after a guard: raw asymmetry beyond 1e-9 is
     an internal-consistency error (well-formed blocks stay under 1e-12)."""
     k = blocks.k
-    dense = np.zeros((k * k, k * k))
-    for i in range(k):
-        for j in range(k):
-            dense[i * k:(i + 1) * k, j * k:(j + 1) * k] = blocks.blocks[i, j]
-    asym = float(np.abs(dense - dense.T).max())
+    dense = blocks.blocks.transpose(0, 2, 1, 3).reshape(k * k, k * k)
+    work = dense - dense.T
+    asym = float(np.abs(work, out=work).max())
     if asym > ASSEMBLY_SYMMETRY_TOL:
         raise ConsistencyError(f"assembled Hessian asymmetry {asym:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL}")
-    return 0.5 * (dense + dense.T)
+    np.add(dense, dense.T, out=work)
+    work *= 0.5
+    return work
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,19 @@ def test_spectrum_alpha_grid(capsys, tmp_path):
     assert [p["alpha"] for p in rep["results"]["per_alpha"]] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
+@pytest.mark.parametrize("alpha", ["1e6", "1e10"])
+def test_spectrum_large_alpha_passes_within_eigensolver_floor(alpha, capsys, tmp_path):
+    # eigenvalues near 8.5e5 (8.5e9) agree to a few ulps, which exceeds the
+    # absolute 1e-10 tolerance but not the k^2 eps scale floor
+    code, rep = run_json(capsys, "--cache-dir", str(tmp_path), "spectrum",
+                         "--k", "4", "--alpha", alpha)
+    assert code == 0
+    assert rep["status"] == "pass"
+    assert rep["config"]["tolerance"] == 1e-10
+    if alpha == "1e10":
+        assert rep["results"]["per_alpha"][0]["match"]["max_deviation"] > 1e-10
+
+
 def test_spectrum_domain_error_exit2(capsys, tmp_path):
     code = main(["--cache-dir", str(tmp_path), "spectrum", "--k", "3", "--alpha", "1"])
     assert code == 2

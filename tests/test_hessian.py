@@ -187,6 +187,40 @@ def test_assemble_round_trip(rng):
     assert np.abs(again - hb.blocks).max() == 0.0
 
 
+def _loop_minimum_blocks(k, alpha):
+    co = abc(alpha)
+    blocks = np.zeros((k, k, k, k))
+    for i in range(k):
+        blocks[i, i] = 0.5 * np.eye(k)
+        for j in range(k):
+            if j != i:
+                b = co.a * np.eye(k)
+                b[i, j] += co.c
+                b[j, i] += co.c
+                blocks[i, j] = b
+    return blocks
+
+
+def _loop_assemble(blocks):
+    k = blocks.shape[0]
+    dense = np.zeros((k * k, k * k))
+    for i in range(k):
+        for j in range(k):
+            dense[i * k:(i + 1) * k, j * k:(j + 1) * k] = blocks[i, j]
+    return 0.5 * (dense + dense.T)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_assembly_equals_loop_reference(k, rng):
+    for alpha in (0.0, 0.7, 1.0, 2.5, 3.5, -3.0):
+        hb = hessian_at_minimum(k, alpha)
+        want = _loop_minimum_blocks(k, alpha)
+        assert np.array_equal(hb.blocks, want)
+        assert np.array_equal(assemble_dense(hb), _loop_assemble(want))
+    published = hessian_published(random_admissible(rng, k), identity_teacher(k), 0.8)
+    assert np.array_equal(assemble_dense(published), _loop_assemble(published.blocks))
+
+
 def test_assemble_rejects_asymmetry():
     blocks = np.zeros((2, 2, 2, 2))
     blocks[0, 1] = np.eye(2)

@@ -7,9 +7,12 @@ import pytest
 from symbreak import spectrum
 from symbreak.errors import ConsistencyError, DomainError
 from symbreak.golden import load_golden
-from symbreak.hessian import block_operator_apply
+from symbreak.hessian import assemble_dense, block_operator_apply, hessian_at_minimum, vec
 from symbreak.spectrum import (
+    CLUSTER_GAP_FACTOR,
     FORMULA_IDS,
+    _cluster,
+    _isotypic_scores,
     abc,
     analytic_spectrum,
     critical_alpha_standard,
@@ -338,6 +341,65 @@ def test_eigenvector_projections_recover_isotypic_multiplicities():
             f"({k})": dims[f"({k})"] // hook_dimension((k,)),
         }
         assert mults == {hook_lab: 1, f"({k - 2},2)": 1, std_lab: 3, f"({k})": 2}
+
+
+def _basis_scores(vecs, k):
+    """Squared projection norms onto the QR-orthonormalized families of
+    isotypic_basis: the labelling oracle, on its own code path."""
+    labels = {"span_IJ": f"({k})", "K": f"({k - 1},1)", "S": f"({k - 1},1)",
+              "D": f"({k - 1},1)", "S0": f"({k - 2},2)", "wedge": f"({k - 2},1,1)"}
+    grouped: dict[str, list[np.ndarray]] = {}
+    for fam, mats in isotypic_basis(k).families().items():
+        grouped.setdefault(labels[fam], []).extend(vec(m) for m in mats)
+    out = {}
+    for lab, cols in grouped.items():
+        q, _ = np.linalg.qr(np.stack(cols, axis=1))
+        out[lab] = float(np.linalg.norm(q.T @ vecs) ** 2)
+    return out
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_isotypic_scores_match_basis_projections(k, rng):
+    blocks = [rng.standard_normal((k * k, m)) for m in (1, 3, k + 1)]
+    for alpha in (0.0, 1.0, 2.5):
+        evals, evecs = np.linalg.eigh(assemble_dense(hessian_at_minimum(k, alpha)))
+        gap = CLUSTER_GAP_FACTOR * max(1.0, float(np.abs(evals).max()))
+        col = 0
+        for _, m in _cluster(evals, gap):
+            blocks.append(evecs[:, col:col + m])
+            col += m
+    for block in blocks:
+        got = _isotypic_scores(block, k)
+        want = _basis_scores(block, k)
+        assert list(got) == [f"({k - 2},1,1)", f"({k - 2},2)", f"({k - 1},1)", f"({k})"]
+        assert set(got) == set(want)
+        for lab in got:
+            assert abs(got[lab] - want[lab]) <= 1e-12 * block.shape[1], lab
+
+
+def test_dominant_label_ties_are_deterministic():
+    # the k = 4 b - c cluster holds 3 hook + 3 standard dimensions, and the
+    # k = 6, alpha = 0 zero cluster 10 hook + 10 standard: ties go to the hook
+    six = []
+    for alpha in np.linspace(0.0, 3.5, 11):
+        rep = numerical_spectrum_match(4, float(alpha))
+        six += [c.dominant_label for c in rep.clusters if c.numeric_multiplicity == 6]
+    assert six == ["(2,1,1)"] * 10      # every grid point but alpha = 0 has one
+    rep = numerical_spectrum_match(6, 0.0)
+    assert [(c.numeric_multiplicity, c.dominant_label) for c in rep.clusters] == [
+        (30, "(4,1,1)"), (6, "(5,1)")]
+
+
+def test_match_labels_without_basis_qr_or_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the labelling must not build a basis")
+
+    monkeypatch.setattr(spectrum, "isotypic_basis", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    rep = numerical_spectrum_match(5, 1.0)
+    assert rep.ok
+    assert {c.dominant_label for c in rep.clusters} == {"(3,1,1)", "(3,2)", "(4,1)", "(5)"}
 
 
 def test_match_capacity_guard():
