@@ -102,22 +102,40 @@ def kernel_f(w, v, alpha: float) -> float:
     return float(np.linalg.norm(w) * np.linalg.norm(v) * val / TWO_PI)
 
 
+MC_CHUNK = 1 << 16   # rows per summed chunk
+MC_BLOCK = 1 << 12   # rows per draw into the reused buffers
+
+
 def _mc_mean_se(draw, k: int, n_samples: int, seed: int) -> tuple[float, float]:
-    """Mean and standard error of draw(x) over n_samples N(0, I_k) rows x.
-    The stream is numpy's PCG64 via default_rng, drawn in fixed-size chunks,
-    so the result does not depend on available parallelism."""
+    """Mean and standard error of draw(x, out) over n_samples N(0, I_k) rows x.
+
+    The stream is numpy's PCG64 via default_rng.  Rows are summed in chunks
+    of MC_CHUNK and drawn in blocks of MC_BLOCK into one reused (block, k)
+    buffer; draw writes each row's value into the block's slice of one
+    reused chunk-length vals buffer.  This changes no draw and no sum:
+    standard_normal fills its output in C order one normal at a time, so
+    consecutive blocks hold exactly the rows of one (chunk, k) draw; each
+    value depends on its own row only; and each chunk's sum and dot product
+    see the same contiguous array of values as a per-chunk allocation would.
+    The result therefore does not depend on the block size or on available
+    parallelism."""
     if n_samples < 2:
         raise DomainError("n_samples >= 2 required for a standard error")
     rng = np.random.default_rng(seed)
+    x = np.empty((min(MC_BLOCK, n_samples), k))
+    vals = np.empty(min(MC_CHUNK, n_samples))
     total = 0.0
     total_sq = 0.0
     remaining = n_samples
-    chunk = 1 << 16
     while remaining > 0:
-        m = min(chunk, remaining)
-        vals = draw(rng.standard_normal((m, k)))
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+        m = min(MC_CHUNK, remaining)
+        for lo in range(0, m, MC_BLOCK):
+            rows = x[:min(MC_BLOCK, m - lo)]
+            rng.standard_normal(out=rows)
+            draw(rows, vals[lo:lo + len(rows)])
+        chunk = vals[:m]
+        total += float(chunk.sum())
+        total_sq += float(np.dot(chunk, chunk))
         remaining -= m
     mean = total / n_samples
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
@@ -131,10 +149,17 @@ def kernel_mc(w, v, alpha: float, n_samples: int, seed: int) -> tuple[float, flo
     v = _vector(v, "v")
     if v.size != w.size:
         raise DomainError("w and v must have equal dimension")
-    return _mc_mean_se(
-        lambda x: activation(x @ w, alpha) * activation(x @ v, alpha),
-        w.size, n_samples, seed,
-    )
+    slope = 1.0 - alpha
+
+    def draw(x, out):
+        # two products, as one x @ [w v] product changes the last bits
+        pw = x @ w
+        pv = x @ v
+        np.maximum(slope * pw, pw, out=pw)
+        np.maximum(slope * pv, pv, out=pv)
+        np.multiply(pw, pv, out=out)
+
+    return _mc_mean_se(draw, w.size, n_samples, seed)
 
 
 def _angles(rows_a: np.ndarray, rows_b: np.ndarray):
@@ -174,9 +199,9 @@ def loss_mc(student, teacher, alpha: float, n_samples: int, seed: int) -> tuple[
     (1/2) E (sum_i sigma(u_i.x) - sum_i sigma(v_i.x))^2; oracle for loss()."""
     s, t = _check_pair(student, teacher)
 
-    def draw(x):
+    def draw(x, out):
         diff = activation(x @ s.T, alpha).sum(axis=1) - activation(x @ t.T, alpha).sum(axis=1)
-        return 0.5 * diff * diff
+        np.multiply(0.5 * diff, diff, out=out)
 
     return _mc_mean_se(draw, s.shape[0], n_samples, seed)
 

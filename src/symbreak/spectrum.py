@@ -282,10 +282,24 @@ def critical_alpha_trivial(k: int) -> float:
             / ((k - 1) * (2.0 * k * p + p * p - 4.0 * p - 4.0)))
 
 
+def _asymptote_distances(k: int) -> tuple[float, float]:
+    """alpha_std - 2 and alpha_triv - 2 in closed form,
+    (2 pi^2 - 8) / (4 + (k-1) pi^2 + 4 pi) and
+    (4 pi k + 8k + 2 pi^2 - 8) / ((k-1)(2k pi + pi^2 - 4 pi - 4)),
+    each divided through by k so that no k^2 is formed."""
+    p = math.pi
+    d_std = (2.0 * p * p - 8.0) / k / (4.0 / k + (1.0 - 1.0 / k) * p * p + 4.0 * p / k)
+    d_triv = ((4.0 * p + 8.0 + (2.0 * p * p - 8.0) / k)
+              / ((k - 1) * (2.0 * p + (p * p - 4.0 * p - 4.0) / k)))
+    return d_std, d_triv
+
+
 def critical_set(k: int) -> CriticalSet:
     """0 = alpha_(k-2,2) = alpha_(k-2,1,1) = alpha^1_(k-1,1)
     < alpha^2_(k-1,1) < alpha^1_(k); a violated chain is an invariant
-    failure (ConsistencyError)."""
+    failure (ConsistencyError).  Where alpha_std and alpha_triv round to the
+    same float (both are 2.0 from k ~ 1e17 on), the upper link is judged on
+    their closed-form distances from the asymptote 2, which stay apart."""
     if k < 4:
         raise DomainError("k >= 4 required")
     mid = critical_alpha_standard(k)
@@ -301,7 +315,9 @@ def critical_set(k: int) -> CriticalSet:
         ),
         residuals=(float(fam[:3, 0].max()), float(fam[4, 1]), float(fam[6, 2])),
     )
-    if not 0.0 < mid < last:
+    # the values decide the order; equal values fall through to the distances
+    d_std, d_triv = _asymptote_distances(k)
+    if not (0.0 < mid and (mid, d_std) < (last, d_triv)):
         raise ConsistencyError(f"critical ordering violated at k={k}: {crit.values}")
     return crit
 

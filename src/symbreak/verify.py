@@ -8,7 +8,9 @@ only there) and is reported as a table, never as a failure.
 
 from __future__ import annotations
 
+import collections
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,50 @@ def _random_admissible(rng: np.random.Generator, k: int, spread: float = 0.4) ->
             return point
 
 
+def mc_workers() -> int:
+    """CPUs available to this process: its affinity mask where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _kernel_trials(rng: np.random.Generator, n: int):
+    """The n kernel trials (w, v, alpha, seed), drawn from rng in order.  A
+    trial with a near-zero vector draws nothing more and yields None, a pass."""
+    for _ in range(n):
+        w = rng.standard_normal(4)
+        v = rng.standard_normal(4)
+        if np.linalg.norm(w) < 1e-3 or np.linalg.norm(v) < 1e-3:
+            yield None
+            continue
+        yield w, v, float(rng.uniform(-0.5, 2.5)), int(rng.integers(2**31))
+
+
+def _count_hits(hit, trials, workers: int) -> int:
+    """Number of trials for which hit(trial) holds.
+
+    With more than one worker the trials run on a thread pool (numpy's
+    normal fills and products release the GIL).  Trials are drawn as they
+    are submitted, at most 2 * workers ahead of the oldest unfinished one,
+    so the draw order is the serial one and no trial count queues at once.
+    Each result depends only on its own trial, so the count does not depend
+    on the number of workers."""
+    if workers <= 1:
+        return sum(map(hit, trials))
+    from concurrent.futures import ThreadPoolExecutor  # lazy: the CLI imports this module
+
+    hits = 0
+    pending = collections.deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for trial in trials:
+            if len(pending) == 2 * workers:
+                hits += pending.popleft().result()
+            pending.append(pool.submit(hit, trial))
+        hits += sum(future.result() for future in pending)
+    return hits
+
+
 def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     tol = resolve_tolerances(config.tolerances)
     rng = np.random.default_rng(config.seed)
@@ -57,17 +103,14 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     get_lattice = config.lattice_provider or bb.build_lattice
 
     # -- Monte Carlo vs closed-form kernel ---------------------------------
-    hits = 0
-    for trial in range(config.mc_trials):
-        w = rng.standard_normal(4)
-        v = rng.standard_normal(4)
-        if np.linalg.norm(w) < 1e-3 or np.linalg.norm(v) < 1e-3:
-            hits += 1
-            continue
-        alpha = float(rng.uniform(-0.5, 2.5))
-        est, se = ls.kernel_mc(w, v, alpha, config.mc_samples, int(rng.integers(2**31)))
-        if abs(est - ls.kernel_f(w, v, alpha)) <= tol["mc_sigma"] * se:
-            hits += 1
+    def kernel_hit(trial) -> bool:
+        if trial is None:
+            return True
+        w, v, alpha, seed = trial
+        est, se = ls.kernel_mc(w, v, alpha, config.mc_samples, seed)
+        return abs(est - ls.kernel_f(w, v, alpha)) <= tol["mc_sigma"] * se
+
+    hits = _count_hits(kernel_hit, _kernel_trials(rng, config.mc_trials), mc_workers())
     frac = hits / config.mc_trials
     checks.append(_check(
         "mc_kernel_3sigma", frac >= tol["mc_pass_fraction"],

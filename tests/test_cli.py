@@ -3,14 +3,24 @@ import io
 import json
 import subprocess
 import sys
+import threading
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbreak import cli
+from conftest import random_admissible
+from symbreak import cli, landscape, verify
 from symbreak.cli import main
+from symbreak.landscape import (
+    finite_diff_gradient,
+    gradient_exact,
+    identity_teacher,
+    kernel_f,
+    kernel_mc,
+)
 from symbreak.report import DEFAULT_TOLERANCES, dumps, load_schema, validate_report
 
 
@@ -141,6 +151,24 @@ def test_critical_huge_k_asymptote(capsys, tmp_path):
                          "--k", "1000000")
     assert code == 0
     assert max(rep["results"]["asymptote_distance"]) <= 1e-4
+
+
+@pytest.mark.parametrize("exponent", [17, 18, 30, 100])
+def test_critical_ordering_holds_where_values_round_to_two(exponent, capsys, tmp_path):
+    # both nonzero critical values print as 2.0; the chain is judged on
+    # their distances from 2, which stay apart
+    code, rep = run_json(capsys, "--cache-dir", str(tmp_path), "critical",
+                         "--k", str(10**exponent))
+    assert code == 0
+    assert rep["results"]["values"] == [0.0, 2.0, 2.0]
+    assert max(rep["results"]["scaled_residuals"]) <= 1e-15
+
+
+def test_critical_radicand_overflow_exit2(capsys, tmp_path):
+    assert main(["--cache-dir", str(tmp_path), "critical", "--k", str(10**300)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows the W radicand" in captured.err
 
 
 def test_critical_tolerance_override_can_fail(capsys, tmp_path):
@@ -309,6 +337,64 @@ def test_verify_deterministic(capsys, tmp_path):
     _, out2 = run_cli(capsys, "--cache-dir", str(tmp_path), *VERIFY_FAST,
                       "--output", "json")
     assert out1 == out2
+
+
+def test_verify_stdout_independent_of_worker_count(capsys, tmp_path, monkeypatch):
+    _, default = run_cli(capsys, "--cache-dir", str(tmp_path), *VERIFY_FAST,
+                         "--output", "json")
+    threads = set()
+    real = landscape.kernel_mc
+
+    def recording_kernel_mc(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(landscape, "kernel_mc", recording_kernel_mc)
+    for workers in (1, 3):
+        threads.clear()
+        monkeypatch.setattr(verify, "mc_workers", lambda: workers)
+        _, out = run_cli(capsys, "--cache-dir", str(tmp_path), *VERIFY_FAST,
+                         "--output", "json")
+        assert out == default, workers
+        # serial in the calling thread; pooled on worker threads only
+        if workers == 1:
+            assert threads == {threading.current_thread().name}
+        else:
+            assert threads and threading.current_thread().name not in threads
+
+
+def test_run_verify_matches_serial_trial_loop(lattice4, lattice5):
+    config = verify.VerifyConfig(ks=(4,), mc_trials=60, mc_samples=5000, fd_points=5,
+                                 lattice_provider={4: lattice4, 5: lattice5}.get)
+    checks, _ = verify.run_verify(config)
+    detail = {c["name"]: c["detail"] for c in checks}
+
+    # the serial trial loop the pool replaces, then the gradient check's
+    # draws, which see the generator state the trials leave behind
+    rng = np.random.default_rng(config.seed)
+    hits = 0
+    for _ in range(config.mc_trials):
+        w = rng.standard_normal(4)
+        v = rng.standard_normal(4)
+        if np.linalg.norm(w) < 1e-3 or np.linalg.norm(v) < 1e-3:
+            hits += 1
+            continue
+        alpha = float(rng.uniform(-0.5, 2.5))
+        est, se = kernel_mc(w, v, alpha, config.mc_samples, int(rng.integers(2**31)))
+        if abs(est - kernel_f(w, v, alpha)) <= 3.0 * se:
+            hits += 1
+    teacher = identity_teacher(4)
+    worst_rel = 0.0
+    for _ in range(config.fd_points):
+        point = random_admissible(rng, 4)
+        alpha = float(rng.uniform(-1.0, 3.0))
+        g = gradient_exact(point, teacher, alpha)
+        fd = finite_diff_gradient(point, teacher, alpha, 1e-5)
+        scale = max(1.0, float(np.abs(fd).max()))
+        worst_rel = max(worst_rel, float(np.abs(g - fd).max()) / scale)
+
+    assert detail["mc_kernel_3sigma"]["pass_fraction"] == hits / config.mc_trials
+    assert detail["gradient_exact_vs_fd"]["worst_relative_error"] == worst_rel
 
 
 def test_verify_perturbation_fails(capsys, tmp_path):

@@ -150,6 +150,51 @@ def test_kernel_mc_sigma_coverage_smoke(rng):
     assert hits >= 97
 
 
+def _unblocked_mean_se(draw, k, n_samples, seed):
+    """The accumulator before blocking: one (chunk, k) draw and one values
+    array per 65,536-row chunk."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    remaining = n_samples
+    while remaining > 0:
+        m = min(1 << 16, remaining)
+        vals = draw(rng.standard_normal((m, k)))
+        total += float(vals.sum())
+        total_sq += float(np.dot(vals, vals))
+        remaining -= m
+    mean = total / n_samples
+    var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
+    return mean, math.sqrt(var / n_samples)
+
+
+def test_mc_accumulator_matches_unblocked_reference(rng):
+    # block boundaries (4096), chunk boundaries (65536) and several chunks
+    sizes = (2, 4095, 4096, 4097, 65535, 65536, 65537, 100_000, 1_000_000)
+    for k in (2, 4):
+        for n in sizes:
+            w = rng.standard_normal(k)
+            v = rng.standard_normal(k)
+            alpha = float(rng.uniform(-0.5, 2.5))
+            seed = int(rng.integers(2**31))
+
+            def act(t):
+                return np.maximum((1.0 - alpha) * t, t)
+
+            want = _unblocked_mean_se(lambda x: act(x @ w) * act(x @ v), k, n, seed)
+            assert kernel_mc(w, v, alpha, n, seed) == want, (k, n)
+
+            student = random_admissible(rng, k)
+            teacher = identity_teacher(k)
+
+            def risk(x):
+                diff = act(x @ student.T).sum(axis=1) - act(x @ teacher.T).sum(axis=1)
+                return 0.5 * diff * diff
+
+            want = _unblocked_mean_se(risk, k, n, seed)
+            assert loss_mc(student, teacher, alpha, n, seed) == want, (k, n)
+
+
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------

@@ -246,6 +246,21 @@ def test_critical_set_rejects_violated_chain(monkeypatch):
         critical_set(5)
 
 
+@pytest.mark.parametrize("k", [4, 5, 64, 10**6, 10**12, 10**17, 10**18, 10**100, 10**300])
+def test_asymptote_distances_match_exact_rationals(k):
+    from fractions import Fraction
+    p = Fraction(math.pi)
+    want_std = (2 * p * p - 8) / (4 + (k - 1) * p * p + 4 * p)
+    want_triv = (4 * p * k + 8 * k + 2 * p * p - 8) / ((k - 1) * (2 * k * p + p * p - 4 * p - 4))
+    d_std, d_triv = spectrum._asymptote_distances(k)
+    assert abs(Fraction(d_std) / want_std - 1) <= 1e-15
+    assert abs(Fraction(d_triv) / want_triv - 1) <= 1e-15
+    assert 0.0 < d_std < d_triv
+    if k <= 64:
+        assert d_std == pytest.approx(critical_alpha_standard(k) - 2.0, rel=1e-13)
+        assert d_triv == pytest.approx(critical_alpha_trivial(k) - 2.0, rel=1e-13)
+
+
 @pytest.mark.parametrize("k", [4, 5, 8, 16, 64])
 def test_root_scan_nonnegativity(k):
     scan = root_scan(k, grid=2000)
