@@ -1,8 +1,12 @@
 """Subgroup-class lattice of S_k and exact Burnside-ring arithmetic.
 
 A lattice holds one representative per conjugacy class of subgroups of S_k
-(k <= 6), its normalizer and Weyl order, the containment partial order, and
-the table n(L, H) = |N(L, H)| / |N(H)| counting conjugates of L inside H.
+(k <= 6) and the table n(L, H) = |N(L, H)| / |N(H)| counting conjugates of L
+inside H.  It holds what its cache file holds and nothing more: per class the
+index, order, normalizer order, label and generators (the representative is
+their closure), and the nonzero n(L, H).  The rest is derived: the Weyl order
+|N(H)|/|H|, the number of conjugates k!/|N(H)|, and the containment order,
+which is the key set of the n table ((L) <= (H) iff n(L, H) > 0).
 
 The mark homomorphism mark_L(H) = n(L,H)|W(H)| (the table of marks) is an
 injective ring map into integer vectors with the pointwise product, so a
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import zlib
 from dataclasses import dataclass, field
 
@@ -91,37 +96,27 @@ def perm_to_cycles(p: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
+_CYCLES = re.compile(r"(\([1-9][0-9]*(?: [1-9][0-9]*)+\))+")
+
+
 def cycles_to_perm(text: str, k: int) -> Perm:
-    """Inverse of perm_to_cycles."""
+    """Inverse of perm_to_cycles.
+
+    Accepts exactly what it writes: '()', or disjoint cycles '(a b ...)' of
+    distinct 1-based points <= k separated by single spaces.  Anything else
+    raises DomainError."""
     images = list(range(k))
-    text = text.strip()
     if text == "()":
         return tuple(images)
-    depth = 0
-    cyc: list[int] = []
-    tok = ""
-
-    def flush_tok():
-        if tok:
-            cyc.append(int(tok) - 1)
-
-    for ch in text:
-        if ch == "(":
-            depth += 1
-            cyc = []
-        elif ch == ")":
-            flush_tok()
-            tok = ""
-            depth -= 1
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                images[a] = b
-        elif ch in " ,":
-            flush_tok()
-            tok = ""
-        else:
-            tok += ch
-    if depth != 0:
-        raise DomainError(f"unbalanced cycle notation: {text!r}")
+    if not _CYCLES.fullmatch(text):
+        raise DomainError(f"not cycle notation: {text!r}")
+    cycles = [[int(t) - 1 for t in c.split()] for c in text[1:-1].split(")(")]
+    points = [a for cyc in cycles for a in cyc]
+    if len(set(points)) != len(points) or max(points) >= k:
+        raise DomainError(f"not a permutation of {k} points: {text!r}")
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            images[a] = b
     return tuple(images)
 
 
@@ -160,26 +155,29 @@ class SubgroupClass:
     index: int
     order: int
     normalizer_order: int
-    weyl_order: int
-    canonical_key: tuple
     label: str
     generators: tuple[Perm, ...]
-    representative: frozenset[Perm] = field(repr=False, hash=False, compare=False)
-    n_conjugates: int = 0
+    representative: frozenset[Perm] = field(repr=False, compare=False)
 
-    def __hash__(self):  # identity within one lattice
-        return hash((self.index, self.order, self.canonical_key))
+    @property
+    def weyl_order(self) -> int:
+        return self.normalizer_order // self.order
+
+    @property
+    def n_conjugates(self) -> int:
+        # k comes from the representative: the trivial class has no generators
+        k = len(next(iter(self.representative)))
+        return math.factorial(k) // self.normalizer_order
 
 
 @dataclass
 class SubgroupLattice:
-    """All subgroup classes of S_k with order relation and n(L,H) table."""
+    """All subgroup classes of S_k with the n(L,H) table."""
 
     k: int
     classes: list[SubgroupClass]
-    # leq[(i, j)] True iff some conjugate of class i is contained in class j
-    leq: dict[tuple[int, int], bool]
-    # n_table[(i, j)] = n(L_i, H_j); zero entries omitted
+    # n_table[(i, j)] = n(L_i, H_j), zero entries omitted, so (i, j) is a key
+    # iff some conjugate of class i is contained in class j
     n_table: dict[tuple[int, int], int]
 
     @property
@@ -205,7 +203,7 @@ class SubgroupLattice:
 
     def strictly_above(self, li: int) -> list[int]:
         return [j for j in range(len(self.classes))
-                if j != li and self.leq.get((li, j), False)]
+                if j != li and (li, j) in self.n_table]
 
     def total_subgroups(self) -> int:
         return sum(c.n_conjugates for c in self.classes)
@@ -252,20 +250,13 @@ class _GroupTables:
         """Row g holds the indices of g sub g^-1, for every g in S_k."""
         return self.conj[:, sorted(sub)]
 
-    def close_indices(self, gens: list[int],
-                      base: frozenset[int] | None = None) -> frozenset[int]:
+    def close_indices(self, gens: list[int], base: frozenset[int]) -> frozenset[int]:
         """<gens> in index space, grown coset by coset (Dimino's algorithm).
 
-        `base`, if given, must be a closed subgroup of <gens>, such as the
-        closure of a prefix of gens.  Without it the group is grown one
-        generator at a time from the identity.
+        `base` must be a closed subgroup of <gens>, such as the trivial group
+        or the closure of a prefix of gens.
         """
-        if base is not None:
-            return frozenset(self._extend(np.array(sorted(base)), gens).tolist())
-        group = np.array([self.ident])
-        for i in range(len(gens)):
-            group = self._extend(group, gens[:i + 1])
-        return frozenset(group.tolist())
+        return frozenset(self._extend(np.array(sorted(base)), gens).tolist())
 
     def _extend(self, base: np.ndarray, gens: list[int]) -> np.ndarray:
         """Union of the right cosets base*x reachable from base by gens.
@@ -359,7 +350,7 @@ def _is_dihedral(tables: _GroupTables, sub: frozenset[int]) -> bool:
     if not rotations:
         return False
     r = rotations[0]
-    cyc = tables.close_indices([r])
+    cyc = tables.close_indices([r], frozenset({tables.ident}))
     if len(cyc) != n:
         return False
     return all(
@@ -488,28 +479,19 @@ def build_lattice(k: int) -> SubgroupLattice:
     classes: list[SubgroupClass] = []
     for new_i, old_i in enumerate(perm_order_ids):
         sub = reps[old_i]
-        gens_idx = rep_gens[old_i]
-        if not gens_idx:
-            gens_idx = [ident]
-        order = len(sub)
-        nrm = norm_orders[old_i]
         classes.append(
             SubgroupClass(
                 index=new_i,
-                order=order,
-                normalizer_order=nrm,
-                weyl_order=nrm // order,
-                canonical_key=order_key[old_i][1],
+                order=len(sub),
+                normalizer_order=norm_orders[old_i],
                 label=labels[new_i],
-                generators=tuple(tables.perms[g] for g in _minimal_gens(tables, sub, gens_idx)),
+                generators=tuple(tables.perms[g] for g in _minimal_gens(tables, sub)),
                 representative=frozenset(tables.perms[h] for h in sub),
-                n_conjugates=len(conjugates[old_i]),
             )
         )
 
-    # containment order / n(L,H) via distinct conjugates of L inside H
+    # n(L,H) via distinct conjugates of L inside H; its keys are the containment order
     n_table: dict[tuple[int, int], int] = {}
-    leq: dict[tuple[int, int], bool] = {}
     for li, old_l in enumerate(perm_order_ids):
         lsize = len(reps[old_l])
         n_l = norm_orders[old_l]
@@ -524,12 +506,11 @@ def build_lattice(k: int) -> SubgroupLattice:
             if num % n_h:
                 raise ConsistencyError("n(L,H) not integral")
             n_table[(li, hi)] = num // n_h
-            leq[(li, hi)] = True
 
-    return SubgroupLattice(k=k, classes=classes, leq=leq, n_table=n_table)
+    return SubgroupLattice(k=k, classes=classes, n_table=n_table)
 
 
-def _minimal_gens(tables: _GroupTables, sub: frozenset[int], seed: list[int]) -> list[int]:
+def _minimal_gens(tables: _GroupTables, sub: frozenset[int]) -> list[int]:
     """Trim a generating list greedily; keeps serialization short."""
     gens: list[int] = []
     span: frozenset[int] = frozenset({tables.ident})
@@ -539,8 +520,8 @@ def _minimal_gens(tables: _GroupTables, sub: frozenset[int], seed: list[int]) ->
         gens.append(g)
         span = tables.close_indices(gens, span)
         if span == sub:
-            return gens
-    return gens if span == sub else list(seed)
+            break
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +654,8 @@ def serialize_lattice(lattice: SubgroupLattice) -> bytes:
         gens = ",".join(perm_to_cycles(g) for g in c.generators)
         lines.append(f"{c.index}|{c.order}|{c.normalizer_order}|generators={gens}|{c.label}")
     lines.append("leq:")
-    for (li, hi) in sorted(lattice.leq):
-        if lattice.leq[(li, hi)]:
-            lines.append(f"{li} {hi}")
+    for (li, hi) in sorted(lattice.n_table):
+        lines.append(f"{li} {hi}")
     lines.append("n:")
     for (li, hi) in sorted(lattice.n_table):
         lines.append(f"{li} {hi} {lattice.n_table[(li, hi)]}")
@@ -706,7 +686,7 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
         raise ConsistencyError(f"unsupported lattice cache version: {header!r}")
     try:
         return _parse_lattice_body(header, lines[1:-1])
-    except (ValueError, IndexError, ZeroDivisionError) as exc:   # ValueError covers DomainError
+    except (ValueError, IndexError) as exc:   # ValueError covers DomainError
         raise ConsistencyError(f"malformed lattice cache: {type(exc).__name__}: {exc}") from exc
 
 
@@ -714,11 +694,10 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
     k = int(header.split("k=")[1])
     if not 1 <= k <= MAX_LATTICE_K:
         raise ConsistencyError(f"lattice cache width k={k} is out of range")
-    g_order = math.factorial(k)
 
     classes: list[SubgroupClass] = []
     mode = "classes"
-    leq: dict[tuple[int, int], bool] = {}
+    leq: set[tuple[int, int]] = set()
     n_table: dict[tuple[int, int], int] = {}
     for line in lines:
         if line == "leq:":
@@ -729,53 +708,29 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
             continue
         if mode == "classes":
             idx_s, order_s, nrm_s, gens_s, label = line.split("|")
+            if int(idx_s) != len(classes):
+                raise ConsistencyError("cached class indices are not 0, 1, 2, ... in order")
             gens_text = gens_s.removeprefix("generators=")
-            gens = tuple(
-                cycles_to_perm(t, k) for t in _split_cycles(gens_text)
-            )
+            gens = tuple(cycles_to_perm(t, k) for t in gens_text.split(",")) if gens_text else ()
             rep = closure(list(gens), k)
-            order = int(order_s)
+            order, nrm = int(order_s), int(nrm_s)
             if len(rep) != order:
                 raise ConsistencyError("cached generators do not regenerate the class order")
-            nrm = int(nrm_s)
-            classes.append(
-                SubgroupClass(
-                    index=int(idx_s),
-                    order=order,
-                    normalizer_order=nrm,
-                    weyl_order=nrm // order,
-                    canonical_key=(order, tuple(sorted(cycle_type(p) for p in rep))),
-                    label=label,
-                    generators=gens,
-                    representative=rep,
-                    n_conjugates=g_order // nrm,
-                )
-            )
+            if nrm <= 0 or nrm % order or math.factorial(k) % nrm:
+                raise ConsistencyError("cached |N(H)| is not a multiple of |H| dividing k!")
+            classes.append(SubgroupClass(index=len(classes), order=order, normalizer_order=nrm,
+                                         label=label, generators=gens, representative=rep))
         elif mode == "leq":
             li, hi = map(int, line.split())
-            leq[(li, hi)] = True
+            leq.add((li, hi))
         else:
             li, hi, val = map(int, line.split())
+            if val < 1:
+                raise ConsistencyError("cached n(L,H) is not positive")
             n_table[(li, hi)] = val
-    return SubgroupLattice(k=k, classes=classes, leq=leq, n_table=n_table)
-
-
-def _split_cycles(text: str) -> list[str]:
-    """Split 'g1,g2,...' where each g is cycle notation without commas inside."""
-    out, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "," and depth == 0:
-            out.append(cur)
-            cur = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur += ch
-    if cur:
-        out.append(cur)
-    return out
+    if leq != n_table.keys():
+        raise ConsistencyError("cached leq rows differ from the n(L,H) pairs")
+    return SubgroupLattice(k=k, classes=classes, n_table=n_table)
 
 
 # ---------------------------------------------------------------------------

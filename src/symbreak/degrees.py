@@ -85,7 +85,7 @@ def maximal_orbit_types(x: BurnsideElement, lattice: SubgroupLattice) -> list[in
     support = sorted(x.coeffs)
     out = []
     for i in support:
-        if not any(j != i and lattice.leq.get((i, j), False) for j in support):
+        if not any(j != i and (i, j) in lattice.n_table for j in support):
             out.append(i)
     return out
 

@@ -16,9 +16,10 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .burnside import BurnsideElement, SubgroupClass, SubgroupLattice, perm_order
+from .burnside import (BurnsideElement, SubgroupClass, SubgroupLattice, compose, cycle_type,
+                       perm_order)
 from .degrees import BasicDegree, BifurcationInvariant
-from .symrep import character_table, diag_square_character
+from .symrep import character_table, decompose_diag_square, diag_square_character
 
 
 def load_golden() -> dict:
@@ -35,8 +36,6 @@ def _is_cyclic(cls: SubgroupClass) -> bool:
 
 
 def _is_abelian(cls: SubgroupClass) -> bool:
-    from .burnside import compose
-
     elems = list(cls.representative)
     return all(compose(a, b) == compose(b, a) for a in elems for b in elems)
 
@@ -59,17 +58,11 @@ def _candidates(label: str, order: int, lattice: SubgroupLattice) -> list[int]:
                 continue
         elif label.startswith("A"):
             if cls.order not in (12, 60) or not all(
-                sum(c - 1 for c in _ct(p)) % 2 == 0 for p in cls.representative
+                sum(c - 1 for c in cycle_type(p)) % 2 == 0 for p in cls.representative
             ):
                 continue
         out.append(cls.index)
     return out
-
-
-def _ct(p):
-    from .burnside import cycle_type
-
-    return cycle_type(p)
 
 
 @dataclass
@@ -250,8 +243,6 @@ def compare_character_table(golden: dict | None = None) -> dict:
     ] == ref["class_sizes"]
     chi_v = diag_square_character(5)
     chi_v_ok = [chi_v[tuple(sorted(ct, reverse=True))] for ct in ref["column_cycle_types"]] == ref["chi_V"]
-    from .symrep import decompose_diag_square
-
     mults = decompose_diag_square(5)
     label_of = dict(zip(map(tuple, ref["row_partitions"]), ref["row_labels"]))
     decomposition = {label_of[eta]: m for eta, m in mults.items()}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import collections
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,18 +26,21 @@ from .degrees import all_invariants
 from .report import resolve_tolerances
 
 
+# points at which the published Hessian is checked by finite differences
+HESSIAN_FD_POINTS = 5
+
+
 @dataclass
 class VerifyConfig:
+    # callable k -> SubgroupLattice, injected by the CLI to reuse its cache
+    lattice_provider: Callable[[int], bb.SubgroupLattice]
     ks: tuple[int, ...] = (4, 5)
     seed: int = 20240901
     mc_trials: int = 1000
     mc_samples: int = 100_000
     fd_points: int = 100
-    hessian_fd_points: int = 5
     tolerances: dict[str, float] = field(default_factory=dict)
     perturb_hessian: float | None = None
-    # callable k -> SubgroupLattice, injected by the CLI to reuse its cache
-    lattice_provider: object = None
 
 
 def _check(name: str, passed: bool, hard: bool = True, detail=None) -> dict:
@@ -100,8 +104,6 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     checks: list[dict] = []
     results: dict = {}
 
-    get_lattice = config.lattice_provider or bb.build_lattice
-
     # -- Monte Carlo vs closed-form kernel ---------------------------------
     def kernel_hit(trial) -> bool:
         if trial is None:
@@ -157,14 +159,14 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
 
     # -- published Hessian vs finite differences at alpha = 1 ---------------
     worst = 0.0
-    for _ in range(config.hessian_fd_points):
+    for _ in range(HESSIAN_FD_POINTS):
         point = _random_admissible(rng, 4)
         dense = hs.assemble_dense(hs.hessian_published(point, teacher, 1.0))
         fd = hs.finite_diff_hessian(point, teacher, 1.0, 1e-4)
         worst = max(worst, float(np.abs(dense - fd).max()))
     checks.append(_check(
         "alpha1_hessian_fd", worst <= tol["alpha1_hessian_fd"],
-        detail={"max_abs_difference": worst, "points": config.hessian_fd_points},
+        detail={"max_abs_difference": worst, "points": HESSIAN_FD_POINTS},
     ))
 
     # -- teacher is a critical point for every alpha ------------------------
@@ -275,7 +277,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     mark_ok = True
     worst_pair = None
     for k in (4, 5):
-        lattice = get_lattice(k)
+        lattice = config.lattice_provider(k)
         n = len(lattice.classes)
         for hi in range(n):
             for ki in range(hi, n):
@@ -324,7 +326,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     checks.append(_check("isotypic_decomposition_law", decomp_ok))
 
     # -- width-5 reference objects -------------------------------------------
-    lattice5 = get_lattice(5)
+    lattice5 = config.lattice_provider(5)
     degrees, invariants = all_invariants(5, lattice5)
     comparison = gg.compare_k5(lattice5, degrees, invariants)
     table_cmp = gg.compare_character_table()

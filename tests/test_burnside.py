@@ -39,6 +39,12 @@ def test_cycle_notation_round_trip():
             assert cycles_to_perm(perm_to_cycles(p), k) == p
 
 
+@pytest.mark.parametrize("text", ["(1 2 1)", "(0 1)", "(1 6)", "(1 2)x", "(1,2)", "(1 2", ""])
+def test_cycles_to_perm_rejects_what_the_writer_never_writes(text):
+    with pytest.raises(DomainError):
+        cycles_to_perm(text, 5)
+
+
 def test_compose_and_invert():
     p = (1, 2, 0, 3)
     q = (0, 1, 3, 2)
@@ -119,13 +125,13 @@ def test_n_table_basics(lattice5):
 
 
 def test_partial_order_consistency(lattice5):
-    for (li, hi), flag in lattice5.leq.items():
-        assert flag == (lattice5.n(li, hi) >= 1)
+    for (li, hi) in lattice5.n_table:
+        assert lattice5.n(li, hi) >= 1
     # antisymmetry on classes
     n = len(lattice5.classes)
     for i in range(n):
         for j in range(n):
-            if i != j and lattice5.leq.get((i, j)) and lattice5.leq.get((j, i)):
+            if i != j and (i, j) in lattice5.n_table and (j, i) in lattice5.n_table:
                 raise AssertionError("order not antisymmetric")
 
 
@@ -233,17 +239,18 @@ def test_finite_group_collapse(lattice5):
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_serialize_round_trip(lattice5):
-    blob = serialize_lattice(lattice5)
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_serialize_round_trip(k, request):
+    # build and load are the two constructors of a lattice: they must agree
+    lattice = request.getfixturevalue(f"lattice{k}") if k >= 4 else build_lattice(k)
+    blob = serialize_lattice(lattice)
     again = load_lattice(blob)
-    assert again.k == 5
-    assert [c.label for c in again.classes] == [c.label for c in lattice5.classes]
-    assert [c.order for c in again.classes] == [c.order for c in lattice5.classes]
-    assert [c.normalizer_order for c in again.classes] == [
-        c.normalizer_order for c in lattice5.classes
+    assert again.k == k
+    assert again.classes == lattice.classes
+    assert [c.representative for c in again.classes] == [
+        c.representative for c in lattice.classes
     ]
-    assert again.leq == lattice5.leq
-    assert again.n_table == lattice5.n_table
+    assert again.n_table == lattice.n_table
     assert serialize_lattice(again) == blob
 
 
@@ -343,8 +350,8 @@ def test_close_indices_matches_closure(data):
     cut = data.draw(st.integers(0, len(gens)), label="cut")
     want = frozenset(tables.perms.index(p)
                      for p in closure([tables.perms[g] for g in gens], k))
-    assert tables.close_indices(gens) == want
-    prefix = tables.close_indices(gens[:cut])
+    assert tables.close_indices(gens, frozenset({0})) == want
+    prefix = tables.close_indices(gens[:cut], frozenset({0}))
     assert tables.close_indices(gens, base=prefix) == want
 
 

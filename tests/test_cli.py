@@ -242,9 +242,38 @@ def _header_names_other_width(blob: bytes) -> bytes:
     return _edit_body(blob, " k=5\n", " k=6\n")
 
 
+def _leq_row_dropped(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n4 13\n", "\n")
+
+
+def _generator_repeats_a_point(blob: bytes) -> bytes:
+    return _edit_body(blob, "generators=(4 5)|D1", "generators=(4 5 4)|D1")
+
+
+# the Weyl orders, the conjugate counts and the containment order are derived
+# from these fields, so values that cannot be right are refused on reading
+def _normalizer_order_zero(blob: bytes) -> bytes:
+    return _edit_body(blob, "|2|12|generators=", "|2|0|generators=")
+
+
+def _normalizer_order_not_a_multiple(blob: bytes) -> bytes:
+    return _edit_body(blob, "|2|12|generators=", "|2|7|generators=")
+
+
+def _n_value_zero(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n0 0 1\n", "\n0 0 0\n")
+
+
+def _class_index_out_of_place(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n1|2|12|", "\n7|2|12|")
+
+
 @pytest.mark.parametrize("corrupt", [_truncated, _flipped_byte, _non_ascii,
                                      _header_without_equals, _non_numeric_order,
-                                     _header_names_other_width])
+                                     _header_names_other_width, _leq_row_dropped,
+                                     _generator_repeats_a_point, _normalizer_order_zero,
+                                     _normalizer_order_not_a_multiple, _n_value_zero,
+                                     _class_index_out_of_place])
 def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
                               "invariants", "--k", "5", "--output", "json")
