@@ -330,6 +330,29 @@ def _isomorphism_label(tables: _GroupTables, sub: frozenset[int]) -> str:
     return f"G{order}"
 
 
+_LABEL = re.compile(r"(V4|F20|([ZDASG])([1-9][0-9]*))'*")
+
+
+def _label_order(label: str, k: int) -> int | None:
+    """The order of the group a label of _isomorphism_label names: Z_n n,
+    D_n 2n, A_n n!/2, S_n n!, G<m> m, V4 4, F20 20, each followed by any
+    number of primes.  None for a label it never writes in S_k."""
+    match = _LABEL.fullmatch(label)
+    if match is None:
+        return None
+    name, kind, digits = match.groups()
+    if kind is None:
+        return int(name[1:])
+    n = int(digits)
+    if kind in "ZG":
+        return n
+    if kind == "D":
+        return 2 * n
+    if n > k:
+        return None
+    return math.factorial(n) // (2 if kind == "A" else 1)
+
+
 def _is_even(p: Perm) -> bool:
     return sum(c - 1 for c in cycle_type(p)) % 2 == 0
 
@@ -718,6 +741,10 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
                 raise ConsistencyError("cached generators do not regenerate the class order")
             if nrm <= 0 or nrm % order or math.factorial(k) % nrm:
                 raise ConsistencyError("cached |N(H)| is not a multiple of |H| dividing k!")
+            if any(c.label == label for c in classes):
+                raise ConsistencyError(f"cached class label {label!r} repeats")
+            if _label_order(label, k) != order:
+                raise ConsistencyError(f"cached class label {label!r} does not name order {order}")
             classes.append(SubgroupClass(index=len(classes), order=order, normalizer_order=nrm,
                                          label=label, generators=gens, representative=rep))
         elif mode == "leq":

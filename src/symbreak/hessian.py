@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .landscape import TWO_PI, _check_pair, _vector, angle, loss
+from .landscape import TWO_PI, _check_pair, _losses, _vector, angle, loss
 
 ASSEMBLY_SYMMETRY_TOL = 1e-9
 
@@ -204,36 +204,44 @@ def finite_diff_hessian(student, teacher, alpha: float, step: float = 1e-4) -> n
 
     Entry order follows the vec convention of assemble_dense: coordinate
     m = i*k + a is entry (i, a) of the student (row i of the weight matrix),
-    which equals column-stacking of the transposed weight array; see
-    coord_of.  Independent of every analytic derivative here.
+    which equals column-stacking of the transposed weight array.
+    Independent of every analytic derivative here.
+
+    Row m is evaluated as one stack of perturbed students: +-e_m and the
+    four corners +-e_m +- e_mm for every mm > m, at most 4k^2 - 2 points of
+    k^2 entries, so memory stays O(k^4), the size of the dense result.  Each
+    point is a copy of the student with step added to or subtracted from
+    two entries, and every loss and difference quotient takes the same
+    operations in the same order as a point-by-point loop, so the result is
+    bit for bit the same.
     """
     s, t = _check_pair(student, teacher)
     if step <= 0.0:
         raise DomainError("step must be positive")
     k = s.shape[0]
     n = k * k
-
-    def coord_of(m: int) -> tuple[int, int]:
-        return divmod(m, k)
-
-    def perturbed(base: np.ndarray, m: int, eps: float) -> np.ndarray:
-        out = base.copy()
-        i, a = coord_of(m)
-        out[i, a] += eps
-        return out
+    flat = s.reshape(n)
 
     hess = np.zeros((n, n))
     f0 = loss(s, t, alpha)
     for m in range(n):
-        fp = loss(perturbed(s, m, step), t, alpha)
-        fm = loss(perturbed(s, m, -step), t, alpha)
-        hess[m, m] = (fp - 2.0 * f0 + fm) / (step * step)
-        for mm in range(m + 1, n):
-            fpp = loss(perturbed(perturbed(s, m, step), mm, step), t, alpha)
-            fpm = loss(perturbed(perturbed(s, m, step), mm, -step), t, alpha)
-            fmp = loss(perturbed(perturbed(s, m, -step), mm, step), t, alpha)
-            fmm = loss(perturbed(perturbed(s, m, -step), mm, -step), t, alpha)
-            val = (fpp - fpm - fmp + fmm) / (4.0 * step * step)
-            hess[m, mm] = val
-            hess[mm, m] = val
+        rest = np.arange(m + 1, n)
+        r = np.arange(len(rest))
+        # points: +e_m, -e_m, then the corners (++, +-, -+, --) of each mm
+        points = np.repeat(flat[None], 2 + 4 * len(rest), axis=0)
+        points[0, m] += step
+        points[1, m] -= step
+        corners = points[2:].reshape(len(rest), 4, n)
+        corners[:, :2, m] += step
+        corners[:, 2:, m] -= step
+        corners[r, 0, rest] += step
+        corners[r, 1, rest] -= step
+        corners[r, 2, rest] += step
+        corners[r, 3, rest] -= step
+        values = _losses(points.reshape(-1, k, k), t, alpha)
+        hess[m, m] = (values[0] - 2.0 * f0 + values[1]) / (step * step)
+        fpp, fpm, fmp, fmm = values[2:].reshape(len(rest), 4).T
+        row = (fpp - fpm - fmp + fmm) / (4.0 * step * step)
+        hess[m, m + 1:] = row
+        hess[m + 1:, m] = row
     return hess

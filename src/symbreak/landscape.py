@@ -41,11 +41,18 @@ def validate_weights(u, name: str = "weights") -> np.ndarray:
         raise DomainError(f"{name} must be square (k x k), got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise DomainError(f"{name} needs k >= 2, got k={arr.shape[0]}")
-    norms = np.linalg.norm(arr, axis=1)
-    if np.any(norms == 0.0) or not np.all(np.isfinite(arr)):
-        bad = int(np.argmin(norms))
-        raise DomainError(f"{name} row {bad} has zero norm (outside the admissible set)")
+    _check_rows(arr, name)
     return arr
+
+
+def _check_rows(arr: np.ndarray, name: str) -> None:
+    """DomainError unless every entry is finite and no row (last axis) is
+    zero; leading axes index a stack of weight matrices."""
+    norms = np.linalg.norm(arr, axis=-1)
+    if np.any(norms == 0.0) or not np.all(np.isfinite(arr)):
+        *stack, row = np.unravel_index(int(np.argmin(norms)), norms.shape)
+        where = "".join(f"[{int(i)}]" for i in stack)
+        raise DomainError(f"{name}{where} row {row} has zero norm (outside the admissible set)")
 
 
 def identity_teacher(k: int) -> np.ndarray:
@@ -163,20 +170,22 @@ def kernel_mc(w, v, alpha: float, n_samples: int, seed: int) -> tuple[float, flo
 
 
 def _angles(rows_a: np.ndarray, rows_b: np.ndarray):
-    """(theta, sin theta, clipped cos theta, |rows_a|, |rows_b|) over all row pairs."""
-    na = np.linalg.norm(rows_a, axis=1)
-    nb = np.linalg.norm(rows_b, axis=1)
-    cos = np.clip(rows_a @ rows_b.T / np.outer(na, nb), -1.0, 1.0)
+    """(theta, sin theta, clipped cos theta, |rows_a|, |rows_b|) over all row
+    pairs; leading axes broadcast, so a stack of matrices gives a stack."""
+    na = np.linalg.norm(rows_a, axis=-1)
+    nb = np.linalg.norm(rows_b, axis=-1)
+    cos = np.clip(rows_a @ rows_b.swapaxes(-1, -2) / (na[..., :, None] * nb[..., None, :]),
+                  -1.0, 1.0)
     theta = np.arccos(cos)
     return theta, np.sin(theta), cos, na, nb
 
 
 def _kernel_matrix(rows_a: np.ndarray, rows_b: np.ndarray, alpha: float) -> np.ndarray:
-    """f_alpha over all row pairs of two weight matrices."""
+    """f_alpha over all row pairs of two weight matrices (or stacks of them)."""
     theta, sin, cos, na, nb = _angles(rows_a, rows_b)
     beta = 2.0 + alpha * alpha - 2.0 * alpha
     vals = alpha * alpha * (sin - theta * cos) + beta * math.pi * cos
-    return np.outer(na, nb) * vals / TWO_PI
+    return (na[..., :, None] * nb[..., None, :]) * vals / TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +196,21 @@ def loss(student, teacher, alpha: float) -> float:
     """sum_ij ( f(u_i,u_j)/2 - f(u_i,v_j) + f(v_i,v_j)/2 ); zero at the
     teacher and on its whole symmetry orbit."""
     s, t = _check_pair(student, teacher)
-    return float(
-        0.5 * _kernel_matrix(s, s, alpha).sum()
-        - _kernel_matrix(s, t, alpha).sum()
-        + 0.5 * _kernel_matrix(t, t, alpha).sum()
+    return float(_losses(s[None], t, alpha)[0])
+
+
+def _losses(stack: np.ndarray, teacher: np.ndarray, alpha: float) -> np.ndarray:
+    """loss of each student in an (n, k, k) stack against one k x k teacher.
+
+    Each student's kernel matrix is summed as one contiguous row of k^2
+    values, the same reduction as summing a single k x k matrix, so entry i
+    is bit for bit loss(stack[i], teacher, alpha)."""
+    _check_rows(stack, "student")
+    n = len(stack)
+    return (
+        0.5 * _kernel_matrix(stack, stack, alpha).reshape(n, -1).sum(axis=1)
+        - _kernel_matrix(stack, teacher, alpha).reshape(n, -1).sum(axis=1)
+        + 0.5 * _kernel_matrix(teacher, teacher, alpha).sum()
     )
 
 
@@ -260,19 +280,25 @@ def gradient_exact(student, teacher, alpha: float) -> np.ndarray:
 def finite_diff_gradient(student, teacher, alpha: float, step: float) -> np.ndarray:
     """Entrywise central differences of loss; independent of both analytic
     gradients.  Requires every student row norm to exceed 2*step so the
-    perturbed points stay admissible."""
+    perturbed points stay admissible.
+
+    The 2k^2 perturbed students are evaluated as one stack, so memory is
+    O(k^4): 2k^4 floats for the stack and as many for each kernel-matrix
+    temporary.  Each student is a copy of the student with step added to or
+    subtracted from one entry, and every loss and quotient takes the same
+    operations in the same order as a point-by-point loop, so the result is
+    bit for bit the same."""
     s, t = _check_pair(student, teacher)
     if step <= 0.0:
         raise DomainError("step must be positive")
     if float(np.linalg.norm(s, axis=1).min()) <= 2.0 * step:
         raise DomainError("step too large: a perturbed row could leave the admissible set")
     k = s.shape[0]
-    out = np.zeros_like(s)
-    for i in range(k):
-        for j in range(k):
-            plus = s.copy()
-            minus = s.copy()
-            plus[i, j] += step
-            minus[i, j] -= step
-            out[i, j] = (loss(plus, t, alpha) - loss(minus, t, alpha)) / (2.0 * step)
-    return out
+    m = np.arange(k * k)
+    i, j = divmod(m, k)
+    plus = np.repeat(s[None], k * k, axis=0)
+    minus = plus.copy()
+    plus[m, i, j] += step
+    minus[m, i, j] -= step
+    values = _losses(np.concatenate([plus, minus]), t, alpha)
+    return ((values[:k * k] - values[k * k:]) / (2.0 * step)).reshape(k, k)

@@ -131,41 +131,54 @@ class _TruncPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return _TruncPoly(caps, {e: c for e, c in out.items() if c})
 
+    def times_power_sum(self, j: int) -> "_TruncPoly":
+        """self * (x_1^j + ... + x_r^j): each monomial shifted in one
+        variable at a time, skipping shifts past that variable's cap."""
+        out: dict[tuple[int, ...], int] = {}
+        for e, c in self.terms.items():
+            for t, cap in enumerate(self.caps):
+                if e[t] + j <= cap:
+                    shifted = e[:t] + (e[t] + j,) + e[t + 1:]
+                    out[shifted] = out.get(shifted, 0) + c
+        return _TruncPoly(self.caps, {e: c for e, c in out.items() if c})
+
     def coefficient(self, target: tuple[int, ...]) -> int:
         return self.terms.get(target, 0)
 
 
-def _vandermonde_factors(r: int) -> list[dict[tuple[int, ...], int]]:
-    factors = []
+def _caps(eta: Partition) -> tuple[int, ...]:
+    """Target exponents l_j = eta_j + r - j (1-based j), also the caps."""
+    r = len(eta)
+    return tuple(eta[j] + r - 1 - j for j in range(r))
+
+
+@lru_cache(maxsize=None)
+def _vandermonde(eta: Partition) -> _TruncPoly:
+    """prod_{i<j} (x_i - x_j), truncated at the caps of eta.  It depends on
+    eta only, so every class of a partition reuses one product."""
+    r = len(eta)
+    poly = _TruncPoly.one(_caps(eta))
     for i in range(r):
         for j in range(i + 1, r):
             ei = tuple(1 if t == i else 0 for t in range(r))
             ej = tuple(1 if t == j else 0 for t in range(r))
-            factors.append({ei: 1, ej: -1})
-    return factors
-
-
-def _power_sum(r: int, j: int) -> dict[tuple[int, ...], int]:
-    return {tuple(j if t == s else 0 for t in range(r)): 1 for s in range(r)}
+            poly = poly.mul({ei: 1, ej: -1})
+    return poly
 
 
 def _frobenius_direct(eta: Partition, ctype: Partition) -> int:
-    r = len(eta)
-    caps = tuple(eta[j] + r - 1 - j for j in range(r))
-    poly = _TruncPoly.one(caps)
-    for factor in _vandermonde_factors(r):
-        poly = poly.mul(factor)
+    poly = _vandermonde(eta)
     for j, ij in sorted(cycle_counts(ctype).items()):
-        pj = _power_sum(r, j)
         for _ in range(ij):
-            poly = poly.mul(pj)
-    return poly.coefficient(caps)
+            poly = poly.times_power_sum(j)
+    return poly.coefficient(_caps(eta))
 
 
 @lru_cache(maxsize=None)
 def _frobenius_cached(eta: Partition, ctype: Partition) -> int:
-    # extraction cost grows with the number of variables (the Vandermonde
-    # has len(eta)! monomials before truncation), so long partitions are
+    # the truncated Vandermonde (up to len(eta)! monomials) is built once
+    # per partition, and each power sum costs len(eta) shifts per monomial;
+    # both grow with the number of variables, so long partitions are
     # evaluated through the strictly shorter conjugate and the sign twist
     conj = conjugate_partition(eta)
     if len(conj) < len(eta):

@@ -268,12 +268,23 @@ def _class_index_out_of_place(blob: bytes) -> bytes:
     return _edit_body(blob, "\n1|2|12|", "\n7|2|12|")
 
 
+# the reports key expansions by label, so labels must be distinct and name
+# the class order
+def _label_duplicated(blob: bytes) -> bytes:
+    return _edit_body(blob, "generators=(4 5)|D1\n", "generators=(4 5)|Z2\n")
+
+
+def _label_names_wrong_order(blob: bytes) -> bytes:
+    return _edit_body(blob, "generators=(1 2 3 4 5)|Z5\n", "generators=(1 2 3 4 5)|D5'\n")
+
+
 @pytest.mark.parametrize("corrupt", [_truncated, _flipped_byte, _non_ascii,
                                      _header_without_equals, _non_numeric_order,
                                      _header_names_other_width, _leq_row_dropped,
                                      _generator_repeats_a_point, _normalizer_order_zero,
                                      _normalizer_order_not_a_multiple, _n_value_zero,
-                                     _class_index_out_of_place])
+                                     _class_index_out_of_place, _label_duplicated,
+                                     _label_names_wrong_order])
 def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
                               "invariants", "--k", "5", "--output", "json")

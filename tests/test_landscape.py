@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_admissible
 from symbreak.errors import DomainError
+from symbreak.hessian import finite_diff_hessian
 from symbreak.landscape import (
+    _losses,
     finite_diff_gradient,
     gradient_exact,
     gradient_published,
@@ -323,3 +325,73 @@ def test_fd_gradient_step_guard():
         finite_diff_gradient(teacher, teacher, 1.0, 0.6)
     with pytest.raises(DomainError):
         finite_diff_gradient(teacher, teacher, 1.0, -1e-5)
+
+
+# ---------------------------------------------------------------------------
+# stacked finite differences against the point-by-point loops
+# ---------------------------------------------------------------------------
+
+def _loop_gradient(s, t, alpha, step):
+    k = s.shape[0]
+    out = np.zeros_like(s)
+    for i in range(k):
+        for j in range(k):
+            plus = s.copy()
+            minus = s.copy()
+            plus[i, j] += step
+            minus[i, j] -= step
+            out[i, j] = (loss(plus, t, alpha) - loss(minus, t, alpha)) / (2.0 * step)
+    return out
+
+
+def _loop_hessian(s, t, alpha, step):
+    k = s.shape[0]
+    n = k * k
+
+    def perturbed(base, m, eps):
+        out = base.copy()
+        i, a = divmod(m, k)
+        out[i, a] += eps
+        return out
+
+    hess = np.zeros((n, n))
+    f0 = loss(s, t, alpha)
+    for m in range(n):
+        fp = loss(perturbed(s, m, step), t, alpha)
+        fm = loss(perturbed(s, m, -step), t, alpha)
+        hess[m, m] = (fp - 2.0 * f0 + fm) / (step * step)
+        for mm in range(m + 1, n):
+            fpp = loss(perturbed(perturbed(s, m, step), mm, step), t, alpha)
+            fpm = loss(perturbed(perturbed(s, m, step), mm, -step), t, alpha)
+            fmp = loss(perturbed(perturbed(s, m, -step), mm, step), t, alpha)
+            fmm = loss(perturbed(perturbed(s, m, -step), mm, -step), t, alpha)
+            val = (fpp - fpm - fmp + fmm) / (4.0 * step * step)
+            hess[m, mm] = val
+            hess[mm, m] = val
+    return hess
+
+
+def test_stacked_finite_differences_match_loop_reference(rng):
+    # the stacks change no operation and no order, so the bits are equal
+    for k in (2, 3, 4, 5):
+        teacher = identity_teacher(k)
+        for alpha in (-1.0, 0.0, 0.5, 1.0, 2.5):
+            for step in (1e-5, 1e-4):
+                point = random_admissible(rng, k)
+                got = finite_diff_gradient(point, teacher, alpha, step)
+                want = _loop_gradient(point, teacher, alpha, step)
+                assert got.tobytes() == want.tobytes(), (k, alpha, step)
+                got = finite_diff_hessian(point, teacher, alpha, step)
+                want = _loop_hessian(point, teacher, alpha, step)
+                assert got.tobytes() == want.tobytes(), (k, alpha, step)
+                stack = point + step * rng.standard_normal((7, k, k))
+                each = [loss(p, teacher, alpha) for p in stack]
+                assert _losses(stack, teacher, alpha).tobytes() == np.array(each).tobytes()
+
+
+def test_finite_diff_hessian_rejects_zero_perturbed_row():
+    teacher = identity_teacher(4)
+    point = teacher.copy()
+    point[0] = (1e-4, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        finite_diff_hessian(point, teacher, 1.0, 1e-4)

@@ -9,11 +9,14 @@ from symbreak.burnside import cycle_type
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import compare_character_table
 from symbreak.symrep import (
+    _frobenius_direct,
+    _TruncPoly,
     character_table,
     class_size,
     closed_form_character,
     closed_form_partition,
     conjugate_partition,
+    cycle_counts,
     cycle_type_sign,
     decompose_class_function,
     decompose_diag_square,
@@ -133,6 +136,41 @@ def test_conjugate_twist_path_on_long_partitions():
         assert frobenius_character(tuple([1] * n), ct) == sgn
         i1 = sum(1 for c in ct if c == 1)
         assert frobenius_character((2,) + tuple([1] * (n - 2)), ct) == sgn * (i1 - 1)
+
+
+def _generic_product(eta, ctype):
+    """Every Vandermonde factor x_i - x_j and every power sum multiplied in
+    through the generic truncated product, one factor at a time."""
+    r = len(eta)
+    caps = tuple(eta[j] + r - 1 - j for j in range(r))
+
+    def unit(t):
+        return tuple(1 if s == t else 0 for s in range(r))
+
+    poly = _TruncPoly.one(caps)
+    for i in range(r):
+        for j in range(i + 1, r):
+            poly = poly.mul({unit(i): 1, unit(j): -1})
+    for j, ij in sorted(cycle_counts(ctype).items()):
+        power_sum = {tuple(j * x for x in unit(s)): 1 for s in range(r)}
+        for _ in range(ij):
+            poly = poly.mul(power_sum)
+    return poly.coefficient(caps)
+
+
+def test_frobenius_matches_generic_product_reference():
+    # the cached Vandermonde and the shifted power sums are exact integer
+    # arithmetic, so every coefficient is equal; extraction runs on the
+    # shorter of eta and its conjugate, as frobenius_character does
+    for n in range(1, 10):
+        for eta in partitions_of(n):
+            conj = conjugate_partition(eta)
+            short, twist = (conj, True) if len(conj) < len(eta) else (eta, False)
+            for ct in partitions_of(n):
+                want = _generic_product(short, ct)
+                assert _frobenius_direct(short, ct) == want, (short, ct)
+                sign = cycle_type_sign(ct) if twist else 1
+                assert frobenius_character(eta, ct) == sign * want, (eta, ct)
 
 
 # ---------------------------------------------------------------------------
