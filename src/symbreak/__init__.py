@@ -7,75 +7,53 @@ invariants, and a CLI that cross-checks each analytic object against an
 independent numerical or combinatorial oracle.
 """
 
-from .burnside import BurnsideElement, SubgroupLattice, build_lattice
-from .degrees import (
-    all_invariants,
-    basic_degree,
-    bifurcation_invariant,
-    linear_map_degree,
-    maximal_orbit_types,
-    bifurcation_report,
-)
-from .errors import CapacityError, ConsistencyError, DomainError
-from .hessian import (
-    assemble_dense,
-    block_operator_apply,
-    hessian_at_minimum,
-    hessian_published,
-)
-from .landscape import (
-    gradient_exact,
-    gradient_published,
-    identity_teacher,
-    kernel_f,
-    kernel_mc,
-    loss,
-)
-from .spectrum import (
-    analytic_spectrum,
-    critical_set,
-    isotypic_basis,
-    numerical_spectrum_match,
-)
-from .symrep import (
-    character_table,
-    decompose_diag_square,
-    fixed_space_dim,
-    frobenius_character,
-    hook_dimension,
-)
+import importlib
 
-__all__ = [
-    "BurnsideElement",
-    "CapacityError",
-    "ConsistencyError",
-    "DomainError",
-    "SubgroupLattice",
-    "all_invariants",
-    "analytic_spectrum",
-    "assemble_dense",
-    "basic_degree",
-    "bifurcation_invariant",
-    "block_operator_apply",
-    "build_lattice",
-    "character_table",
-    "critical_set",
-    "decompose_diag_square",
-    "fixed_space_dim",
-    "frobenius_character",
-    "gradient_exact",
-    "gradient_published",
-    "hessian_at_minimum",
-    "hessian_published",
-    "hook_dimension",
-    "identity_teacher",
-    "isotypic_basis",
-    "kernel_f",
-    "kernel_mc",
-    "linear_map_degree",
-    "loss",
-    "maximal_orbit_types",
-    "numerical_spectrum_match",
-    "bifurcation_report",
-]
+# public name -> defining submodule; each loads on first access (PEP 562), so
+# `import symbreak` and the exact commands never import numpy
+_EXPORTS = {
+    "BurnsideElement": "burnside",
+    "SubgroupLattice": "burnside",
+    "build_lattice": "burnside",
+    "critical_set": "closed_forms",
+    "all_invariants": "degrees",
+    "basic_degree": "degrees",
+    "bifurcation_invariant": "degrees",
+    "bifurcation_report": "degrees",
+    "linear_map_degree": "degrees",
+    "maximal_orbit_types": "degrees",
+    "CapacityError": "errors",
+    "ConsistencyError": "errors",
+    "DomainError": "errors",
+    "assemble_dense": "hessian",
+    "block_operator_apply": "hessian",
+    "hessian_at_minimum": "hessian",
+    "hessian_published": "hessian",
+    "gradient_exact": "landscape",
+    "gradient_published": "landscape",
+    "identity_teacher": "landscape",
+    "kernel_f": "landscape",
+    "kernel_mc": "landscape",
+    "loss": "landscape",
+    "analytic_spectrum": "spectrum",
+    "isotypic_basis": "spectrum",
+    "numerical_spectrum_match": "spectrum",
+    "character_table": "symrep",
+    "decompose_diag_square": "symrep",
+    "fixed_space_dim": "symrep",
+    "frobenius_character": "symrep",
+    "hook_dimension": "symrep",
+}
+_SUBMODULES = {"burnside", "cli", "closed_forms", "degrees", "errors", "golden",
+               "hessian", "landscape", "report", "spectrum", "symrep", "verify"}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

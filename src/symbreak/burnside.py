@@ -19,7 +19,10 @@ with every division asserted exact.  Direct orbit counting on G/H x G/K
 (orbit_count_product) is the independent oracle for products.
 
 Permutations are tuples of images on {0, ..., k-1}; subgroups are frozensets
-of such tuples.  Everything here is exact integer arithmetic.
+of such tuples.  Everything here is exact integer arithmetic.  Only lattice
+construction uses numpy, for its index-space group tables (_GroupTables,
+_isomorphism_label, build_lattice), and imports it there: a warm read
+(load_lattice) and the ring arithmetic run without it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ import math
 import re
 import zlib
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DomainError
 
@@ -223,12 +224,15 @@ class _GroupTables:
     Permutations are numbered in lexicographic order, so the identity is
     index 0.  mul[i, j] indexes perms[i]*perms[j], inv[i] indexes perms[i]^-1
     and conj[g, h] indexes g h g^-1.  The tables are filled one row at a time,
-    so no k! x k! x k temporary is ever allocated.
+    so no k! x k! x k temporary is ever allocated.  odd[i] is the parity of
+    perms[i].
     """
 
     ident = 0
 
     def __init__(self, k: int):
+        import numpy as np
+
         self.k = k
         self.perms = _all_perms(k)
         self.cycle_types = [cycle_type(p) for p in self.perms]
@@ -245,6 +249,10 @@ class _GroupTables:
         self.conj = np.empty((n, n), dtype=np.int16)
         for g in range(n):
             self.conj[g] = self.mul[self.mul[g], self.inv[g]]
+        self.odd = np.array([(k - len(t)) % 2 for t in self.cycle_types], dtype=bool)
+        # the sorted index sets of S_k and A_k
+        self.symmetric = np.arange(n)
+        self.alternating = np.flatnonzero(~self.odd)
 
     def conjugate_set(self, sub: frozenset[int]) -> np.ndarray:
         """Row g holds the indices of g sub g^-1, for every g in S_k."""
@@ -256,21 +264,28 @@ class _GroupTables:
         `base` must be a closed subgroup of <gens>, such as the trivial group
         or the closure of a prefix of gens.
         """
-        return frozenset(self._extend(np.array(sorted(base)), gens).tolist())
+        return frozenset(self._extend(sorted(base), gens).tolist())
 
-    def _extend(self, base: np.ndarray, gens: list[int]) -> np.ndarray:
+    def _extend(self, base: list[int], gens: list[int]) -> np.ndarray:
         """Union of the right cosets base*x reachable from base by gens.
 
         Works one layer at a time: every r*s outside the set, with r in the
         last layer and s in gens, joins the next layer, and its coset
-        base*(r*s) is added in one table gather.
+        base*(r*s) is added in one table gather.  The closure lies in A_k
+        when every generator is even, else in S_k; once the set holds more
+        than half of that group, the closure is the whole group (Lagrange),
+        which is returned at once.
         """
+        import numpy as np
+
         mul = self.mul
         n = len(mul)
+        base = np.array(base)
+        gens = np.asarray(gens, dtype=np.intp)
+        group = self.symmetric if self.odd[gens].any() else self.alternating
         member = np.zeros(n, dtype=bool)
         member[base] = True
         column = base[:, None]
-        gens = np.asarray(gens, dtype=np.intp)
         layer = np.array([self.ident])
         while len(layer):
             products = mul[layer[:, None], gens].ravel()
@@ -278,6 +293,8 @@ class _GroupTables:
             fresh[products[~member[products]]] = True
             layer = np.flatnonzero(fresh)
             member[mul[column, layer]] = True
+            if 2 * np.count_nonzero(member) > len(group):
+                return group
         return np.flatnonzero(member)
 
 
@@ -294,6 +311,8 @@ def _isomorphism_label(tables: _GroupTables, sub: frozenset[int]) -> str:
     an order-2 class generated by a single transposition is called D1 to
     distinguish it from Z2 classes generated by products of 2-cycles.
     """
+    import numpy as np
+
     order = len(sub)
     perms = [tables.perms[h] for h in sub]
     k = tables.k
@@ -393,6 +412,8 @@ def build_lattice(k: int) -> SubgroupLattice:
     fingerprint first and a conjugator search over all of S_k, one table
     gather per subgroup, only within fingerprint buckets.
     """
+    import numpy as np
+
     if not 2 <= k <= MAX_LATTICE_K:
         raise DomainError(f"lattice construction supports 2 <= k <= {MAX_LATTICE_K}, got {k}")
 

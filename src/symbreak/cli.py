@@ -23,11 +23,10 @@ import sys
 from pathlib import Path
 
 from . import burnside as bb
-from . import spectrum as sp
-from .degrees import MAX_EXACT_K, bifurcation_report, invariants_payload
+from .closed_forms import critical_set
+from .degrees import bifurcation_report, invariants_payload
 from .errors import CapacityError, ConsistencyError, DomainError
 from .report import dumps, format_float, resolve_tolerances, validate_report
-from .verify import VerifyConfig, run_verify
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -187,6 +186,8 @@ def _finish(report: dict, checks: list[dict], capacity: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args, tol: dict[str, float]) -> tuple[dict, int]:
+    from . import spectrum as sp
+
     alphas = _alpha_list(args)
     per_alpha = []
     all_ok = True
@@ -230,7 +231,7 @@ def cmd_spectrum(args, tol: dict[str, float]) -> tuple[dict, int]:
 
 
 def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
-    crit = sp.critical_set(args.k)     # raises ConsistencyError on a violated ordering
+    crit = critical_set(args.k)  # raises ConsistencyError on a violated ordering
     # closed-form roots are exact to machine precision relative to the
     # eigenvalue scale ~ k/2; the absolute residual criterion applies at
     # moderate widths while huge-k probes are judged on the scaled residual
@@ -247,7 +248,9 @@ def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
         "subcritical_regime": crit.subcritical_regime,
     }
     if args.k <= 64:
-        scan = sp.root_scan(args.k)
+        from .spectrum import root_scan
+
+        scan = root_scan(args.k)
         results["root_scan"] = {fam: roots for fam, roots in scan.items()}
     report = {
         "command": "critical",
@@ -265,7 +268,7 @@ def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
 
 
 def cmd_invariants(args, tol: dict[str, float], cache_dir: Path) -> tuple[dict, int]:
-    capacity = args.k > MAX_EXACT_K
+    capacity = args.k > bb.MAX_LATTICE_K
     if capacity:
         config, results, checks = {"k": args.k}, bifurcation_report(args.k), []
     else:
@@ -276,6 +279,8 @@ def cmd_invariants(args, tol: dict[str, float], cache_dir: Path) -> tuple[dict, 
 
 
 def cmd_verify(args, tol_overrides: dict[str, float], cache_dir: Path) -> tuple[dict, int]:
+    from .verify import VerifyConfig, run_verify
+
     make_cache_dir(cache_dir)   # an unusable one fails now, not after the Monte-Carlo
     config = VerifyConfig(
         ks=tuple(args.k) if args.k else (4, 5),

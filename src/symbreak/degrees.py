@@ -15,10 +15,11 @@ every factor that degenerated at a smaller value (all ones below the first).
 
 from __future__ import annotations
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .burnside import BurnsideElement, SubgroupLattice, solve_from_marks
+from .burnside import MAX_LATTICE_K, BurnsideElement, SubgroupLattice, solve_from_marks
+from .closed_forms import critical_set
 from .errors import CapacityError, ConsistencyError, DomainError
-from .spectrum import SpectrumEntry, critical_set
 from .symrep import (
     Partition,
     closed_form_partition,
@@ -28,7 +29,8 @@ from .symrep import (
     validate_partition,
 )
 
-MAX_EXACT_K = 6
+if TYPE_CHECKING:
+    from .spectrum import SpectrumEntry
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +202,8 @@ def all_invariants(
     deg_below telescopes, and each reported element is one solve_from_marks."""
     if k < 4:
         raise DomainError("k >= 4 required")
-    if k > MAX_EXACT_K:
-        raise CapacityError(f"exact ring arithmetic capped at k={MAX_EXACT_K}")
+    if k > MAX_LATTICE_K:
+        raise CapacityError(f"exact ring arithmetic capped at k={MAX_LATTICE_K}")
     if lattice.k != k:
         raise DomainError("lattice was built for a different k")
     degrees: dict[Partition, BasicDegree] = {}
@@ -313,14 +315,14 @@ def invariants_payload(k: int, lattice: SubgroupLattice) -> tuple[dict, list[dic
 
 
 def bifurcation_report(k: int) -> dict:
-    """Results of the invariants report for a width above MAX_EXACT_K.
+    """Results of the invariants report for a width above MAX_LATTICE_K.
 
     The critical set, its ordering and the subcritical engineering regime
     are exact at every width; the Burnside-ring part is replaced by a
     capacity notice (invariants_payload covers the exact widths).
     """
-    if k <= MAX_EXACT_K:
-        raise DomainError(f"k > {MAX_EXACT_K} required; exact widths use invariants_payload")
+    if k <= MAX_LATTICE_K:
+        raise DomainError(f"k > {MAX_LATTICE_K} required; exact widths use invariants_payload")
     crit = critical_set(k)       # raises ConsistencyError on a violated ordering
     summary = {
         "k": k,
@@ -333,13 +335,13 @@ def bifurcation_report(k: int) -> dict:
         "engineering_regime_subcritical": crit.subcritical_regime,
         "ring_computation": "capacity",
         "capacity_notice": (
-            f"exact Burnside-ring arithmetic is available for k <= {MAX_EXACT_K}; "
+            f"exact Burnside-ring arithmetic is available for k <= {MAX_LATTICE_K}; "
             "spectral conclusions above are still exact"
         ),
     }
     return {
         "capacity_notice": (
-            f"exact Burnside-ring computation is declared up to k={MAX_EXACT_K}; "
+            f"exact Burnside-ring computation is declared up to k={MAX_LATTICE_K}; "
             "use 'critical' for the width-independent spectral conclusions"
         ),
         "spectral_summary": summary,

@@ -15,9 +15,8 @@ U is the block operator
 
     L(U) = U (aJ + bI) + c (U^T + tr(U) I - 2 Diag(U)),
 
-a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi; abc(alpha) is the one source
-of these coefficients (spectrum re-exports it), and TWO_PI comes from
-landscape.  vec convention: a matrix maps to the concatenation of its
+a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi; closed_forms.abc(alpha) is
+the one source of these coefficients, and of TWO_PI.  vec convention: a matrix maps to the concatenation of its
 columns, so assemble_dense(...) @ vec(U) equals vec(block_operator_apply(U)).
 """
 
@@ -28,26 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import TWO_PI, abc
 from .errors import ConsistencyError, DomainError
-from .landscape import TWO_PI, _check_pair, _losses, _vector, angle, loss
+from .landscape import _check_pair, _losses, _vector, angle, loss
 
 ASSEMBLY_SYMMETRY_TOL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# coefficients
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ABCCoefficients:
-    a: float
-    b: float
-    c: float
-
-
-def abc(alpha: float) -> ABCCoefficients:
-    """a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi (so a + b = 1/2)."""
-    return ABCCoefficients(a=0.5 - alpha / 4.0, b=alpha / 4.0, c=alpha / TWO_PI)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,8 @@ import math
 
 import numpy as np
 
+from .closed_forms import TWO_PI
 from .errors import DomainError
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 isotypic eigenbasis, the critical set of leaky parameters, and the matcher
 against dense numerical eigensolves.
 
-With a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi (hessian.abc, re-exported
-here) the block operator has exactly seven eigenvalue families:
+With a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi (closed_forms.abc,
+re-exported here) the block operator has exactly seven eigenvalue families:
 
     wedge          b - c                            mult (k-1)(k-2)/2
     sym0           b + c                            mult k(k-3)/2
@@ -18,10 +18,10 @@ partition (k-1,1), the span{I, J} pair by the trivial partition (k).  The
 wedge family and W_bminus_c share the value b - c, which is why displays
 often merge them into one line of multiplicity k(k-1)/2.
 
-family_values is the one evaluator of these seven formulas, on an array of
-leak values; analytic_spectrum, root_scan and critical_set all read it.
-critical_set is the one owner of the critical set {0, alpha_std, alpha_triv}:
-its labels, its residuals and its ordering 0 < alpha_std < alpha_triv.
+The seven formulas, the (a, b, c) coefficients and the critical set live in
+closed_forms, which needs no numpy; this module re-exports them.
+family_values evaluates the formulas on an array of leak values, for
+root_scan's grid.
 
 numerical_spectrum_match checks the table against a dense eigh of the
 assembled Hessian and labels each eigenvalue cluster by closed-form isotypic
@@ -43,18 +43,24 @@ trivial.  isotypic_basis stays the explicit basis for verify and the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
-from .hessian import ABCCoefficients, abc, assemble_dense, hessian_at_minimum  # noqa: F401
+from .closed_forms import (  # noqa: F401
+    FORMULA_IDS,
+    _asymptote_distances,
+    abc,
+    critical_alpha_standard,
+    critical_alpha_trivial,
+    critical_set,
+    family_terms,
+    family_values_at,
+)
+from .errors import CapacityError, ConsistencyError, DomainError
+from .hessian import assemble_dense, hessian_at_minimum
 from .symrep import Partition
-
-FORMULA_IDS = ("wedge", "sym0", "W_bminus_c", "W_plus", "W_minus",
-               "span_IJ_plus", "span_IJ_minus")
 
 
 # ---------------------------------------------------------------------------
@@ -71,39 +77,28 @@ class SpectrumEntry:
 
 def family_values(k: int, alphas) -> np.ndarray:
     """The seven eigenvalue families at every leak value, shape (7, n), rows
-    in FORMULA_IDS order.  Each expression keeps the operation order of the
-    scalar formulas, so every entry is bit-identical to Python float
-    arithmetic."""
-    if k < 4:
-        raise DomainError("k >= 4 required (the uniform decomposition starts there)")
+    in FORMULA_IDS order: closed_forms.family_terms on an array.  Every
+    entry is bit-identical to family_values_at on the same float, because
+    the formulas write each square as a product."""
     alphas = np.asarray(alphas, dtype=float)
-    kf = float(k)
-    co = abc(alphas)
-    a, b, c = co.a, co.b, co.c
+
+    def root(r: np.ndarray, name: str) -> np.ndarray:
+        finite = np.isfinite(r)
+        if not finite.all():
+            alpha = float(alphas[np.argmin(finite)])
+            raise DomainError(f"alpha={alpha!r} at k={k} overflows the {name} radicand")
+        if (r < 0.0).any():
+            raise ConsistencyError(
+                f"negative discriminant {float(r[r < 0.0][0])!r} in the {name} family")
+        return np.sqrt(r)
+
     with np.errstate(all="ignore"):
-        r1 = a * a * kf * kf + 4.0 * c * (c - 2.0 * a)
-        r2 = kf * kf * (a - c) ** 2 + 4.0 * c * (2.0 * a - c) * (kf - 1)
-        for name, r in (("W", r1), ("span_IJ", r2)):
-            finite = np.isfinite(r)
-            if not finite.all():
-                alpha = float(alphas[np.argmin(finite)])
-                raise DomainError(f"alpha={alpha!r} at k={k} overflows the {name} radicand")
-            if (r < 0.0).any():
-                raise ConsistencyError(
-                    f"negative discriminant {float(r[r < 0.0][0])!r} in the {name} family")
-        s1, s2 = np.sqrt(r1), np.sqrt(r2)
-        w_lin = a * kf + 2 * b
-        ij_lin = 2 * b + kf * (a + c)
-        return np.stack([
-            b - c, b + c, b - c,
-            0.5 * (w_lin + s1), 0.5 * (w_lin - s1),
-            0.5 * (ij_lin + s2), 0.5 * (ij_lin - s2),
-        ])
+        return np.stack(family_terms(k, alphas, root))
 
 
 def analytic_spectrum(k: int, alpha: float) -> list[SpectrumEntry]:
     """All seven eigenvalue families; multiplicities sum to k^2."""
-    values = family_values(k, [alpha])[:, 0].tolist()
+    values = family_values_at(k, alpha)
     hook, two_row, std, triv = (k - 2, 1, 1), (k - 2, 2), (k - 1, 1), (k,)
     shapes = [((k - 1) * (k - 2) // 2, hook), (k * (k - 3) // 2, two_row),
               (k - 1, std), (k - 1, std), (k - 1, std), (1, triv), (1, triv)]
@@ -247,81 +242,6 @@ def w_block_matrix(k: int, alpha: float) -> np.ndarray:
     ])
 
 
-# ---------------------------------------------------------------------------
-# critical set
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CriticalSet:
-    k: int
-    values: tuple[float, float, float]          # (0, standard, trivial), increasing
-    labels: tuple[tuple[Partition, ...], ...]   # vanishing components per value
-    residuals: tuple[float, ...]                # eigenvalue at its critical value
-    # the minus branches of both quadratic families also pass through zero at
-    # alpha = 0, so the trivial component degenerates there as well; kept as
-    # an explicit note because displays list only the three linear families
-    trivial_zero_at_origin: bool = True
-
-    @property
-    def subcritical_regime(self) -> bool:
-        """Every positive critical value exceeds 1, the engineering regime's edge."""
-        return self.values[1] > 1.0
-
-
-def critical_alpha_standard(k: int) -> float:
-    """Root of the W_minus family: (8 pi + 2 k pi^2) / (4 + (k-1) pi^2 + 4 pi)."""
-    p = math.pi
-    return (8.0 * p + 2.0 * k * p * p) / (4.0 + (k - 1) * p * p + 4.0 * p)
-
-
-def critical_alpha_trivial(k: int) -> float:
-    """Root of the span_IJ_minus family:
-    2 pi (4 - 4k + 2k^2 + k pi) / ((k-1)(2k pi + pi^2 - 4 pi - 4))."""
-    p = math.pi
-    return (2.0 * p * (4.0 - 4.0 * k + 2.0 * k * k + k * p)
-            / ((k - 1) * (2.0 * k * p + p * p - 4.0 * p - 4.0)))
-
-
-def _asymptote_distances(k: int) -> tuple[float, float]:
-    """alpha_std - 2 and alpha_triv - 2 in closed form,
-    (2 pi^2 - 8) / (4 + (k-1) pi^2 + 4 pi) and
-    (4 pi k + 8k + 2 pi^2 - 8) / ((k-1)(2k pi + pi^2 - 4 pi - 4)),
-    each divided through by k so that no k^2 is formed."""
-    p = math.pi
-    d_std = (2.0 * p * p - 8.0) / k / (4.0 / k + (1.0 - 1.0 / k) * p * p + 4.0 * p / k)
-    d_triv = ((4.0 * p + 8.0 + (2.0 * p * p - 8.0) / k)
-              / ((k - 1) * (2.0 * p + (p * p - 4.0 * p - 4.0) / k)))
-    return d_std, d_triv
-
-
-def critical_set(k: int) -> CriticalSet:
-    """0 = alpha_(k-2,2) = alpha_(k-2,1,1) = alpha^1_(k-1,1)
-    < alpha^2_(k-1,1) < alpha^1_(k); a violated chain is an invariant
-    failure (ConsistencyError).  Where alpha_std and alpha_triv round to the
-    same float (both are 2.0 from k ~ 1e17 on), the upper link is judged on
-    their closed-form distances from the asymptote 2, which stay apart."""
-    if k < 4:
-        raise DomainError("k >= 4 required")
-    mid = critical_alpha_standard(k)
-    last = critical_alpha_trivial(k)
-    fam = np.abs(family_values(k, [0.0, mid, last]))
-    crit = CriticalSet(
-        k=k,
-        values=(0.0, mid, last),
-        labels=(
-            ((k - 2, 2), (k - 2, 1, 1), (k - 1, 1)),
-            ((k - 1, 1),),
-            ((k,),),
-        ),
-        residuals=(float(fam[:3, 0].max()), float(fam[4, 1]), float(fam[6, 2])),
-    )
-    # the values decide the order; equal values fall through to the distances
-    d_std, d_triv = _asymptote_distances(k)
-    if not (0.0 < mid and (mid, d_std) < (last, d_triv)):
-        raise ConsistencyError(f"critical ordering violated at k={k}: {crit.values}")
-    return crit
-
-
 def root_scan(k: int, lo: float = -10.0, hi: float = 10.0,
               grid: int = 4000, tol: float = 1e-12) -> dict[str, list[float]]:
     """Safeguarded bisection roots of every eigenvalue family on [lo, hi].
@@ -345,7 +265,7 @@ def root_scan(k: int, lo: float = -10.0, hi: float = 10.0,
                 fa = va
                 for _ in range(200):
                     m = 0.5 * (a_ + b_)
-                    fm = float(family_values(k, [m])[row, 0])
+                    fm = family_values_at(k, m)[row]
                     if fm == 0.0 or (b_ - a_) < tol:
                         break
                     if fa * fm < 0.0:
@@ -461,7 +381,7 @@ def numerical_spectrum_match(
     k = 6, alpha = 0 zero cluster (10 hook + 10 standard) is (4,1,1).
     """
     if k > 64:
-        raise DomainError("dense eigenanalysis capped at k = 64")
+        raise CapacityError("dense eigenanalysis capped at k = 64")
     dense = assemble_dense(hessian_at_minimum(k, alpha))
     if perturbation is not None:
         dense[0, 1] += perturbation

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import CapacityError, ConsistencyError, DomainError
 
 Partition = tuple[int, ...]
@@ -411,6 +409,8 @@ def fixed_space_dim(chi: ClassFunction, subgroup_elements) -> int:
 def permutation_matrix(p) -> np.ndarray:
     """Matrix P with P e_i = e_{p(i)} for a permutation tuple p.  No command
     calls it; it stays as the explicit action that checks the characters."""
+    import numpy as np
+
     k = len(p)
     mat = np.zeros((k, k))
     for i, x in enumerate(p):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import random_admissible
 from symbreak import cli, landscape, verify
+from symbreak.burnside import serialize_lattice
 from symbreak.cli import main
 from symbreak.landscape import (
     finite_diff_gradient,
@@ -82,6 +83,15 @@ def test_spectrum_domain_error_exit2(capsys, tmp_path):
     assert code == 2
 
 
+def test_spectrum_dense_cap_exit3(capsys, tmp_path):
+    # the dense eigensolve stops at k = 64: a capacity limit, not a usage error
+    code = main(["--cache-dir", str(tmp_path), "spectrum", "--k", "65", "--alpha", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "capacity: dense eigenanalysis capped at k = 64\n"
+
+
 @pytest.mark.parametrize("argv, names", [
     (["verify", "--k", "3"], "--k 3"),
     (["critical", "--k", "3"], "--k 3"),
@@ -101,6 +111,11 @@ def test_spectrum_domain_error_exit2(capsys, tmp_path):
     (["invariants", "--k", "4", "--cache-dir", "/dev/null/x"], "--cache-dir"),
     (["verify", "--cache-dir", "/dev/null/x"], "--cache-dir"),
     (["--tol", "critical_residual=abc", "critical", "--k", "5"], "critical_residual"),
+    # 2k^2 in alpha_triv is inf from k ~ 9.5e153 on: the message names the
+    # width, not a nan leak value
+    *(pytest.param(["critical", "--k", str(10**e)],
+                   f"error: k={10**e} overflows the W radicand", id=f"critical-k1e{e}")
+      for e in (154, 155)),
 ])
 def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
     # rejected before any command runs: no Monte-Carlo stage, no traceback
@@ -153,7 +168,7 @@ def test_critical_huge_k_asymptote(capsys, tmp_path):
     assert max(rep["results"]["asymptote_distance"]) <= 1e-4
 
 
-@pytest.mark.parametrize("exponent", [17, 18, 30, 100])
+@pytest.mark.parametrize("exponent", [17, 18, 30, 100, 153])
 def test_critical_ordering_holds_where_values_round_to_two(exponent, capsys, tmp_path):
     # both nonzero critical values print as 2.0; the chain is judged on
     # their distances from 2, which stay apart
@@ -553,6 +568,36 @@ def test_json_floats_have_17_significant_digits():
     blob = dumps({"x": 2.2094612037138237, "n": 3})
     assert "2.2094612037138237" in blob
     assert '"n": 3' in blob
+
+
+_NUMPY_FREE_INVARIANTS = """
+import contextlib, io, sys
+import symbreak.cli
+assert "numpy" not in sys.modules, "import symbreak.cli"
+for k in (4, 5, 6, 7):
+    for output in ("json", "text"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = symbreak.cli.main(["invariants", "--k", str(k), "--cache-dir", sys.argv[1],
+                                      "--output", output])
+        assert code == (0 if k <= 6 else 3), (k, output, code)
+        assert "numpy" not in sys.modules, (k, output)
+from symbreak import BurnsideElement, build_lattice, critical_set
+assert critical_set(5).values[1] > 2.0 and "numpy" not in sys.modules
+import symbreak
+assert symbreak.hessian.hessian_at_minimum is symbreak.hessian_at_minimum
+"""
+
+
+def test_warm_invariants_never_import_numpy(tmp_path, request):
+    # a fresh interpreter: the exact layer (cache read, ring products,
+    # degrees, critical set, golden, report) runs without numpy
+    for k in (4, 5, 6):
+        lattice = request.getfixturevalue(f"lattice{k}")
+        (tmp_path / f"lattice_k{k}.txt").write_bytes(serialize_lattice(lattice))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_INVARIANTS, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""    # every width read its warm cache
 
 
 def test_console_entry_point(tmp_path):

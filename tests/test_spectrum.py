@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from symbreak import spectrum
-from symbreak.errors import ConsistencyError, DomainError
+from symbreak import closed_forms, spectrum
+from symbreak.closed_forms import family_values_at
+from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import load_golden
 from symbreak.hessian import assemble_dense, block_operator_apply, hessian_at_minimum, vec
 from symbreak.spectrum import (
@@ -241,7 +242,7 @@ def test_nonzero_members_zero_exactly_their_family(k):
 
 def test_critical_set_rejects_violated_chain(monkeypatch):
     mid = critical_alpha_standard(5)
-    monkeypatch.setattr(spectrum, "critical_alpha_trivial", lambda k: mid - 0.5)
+    monkeypatch.setattr(closed_forms, "critical_alpha_trivial", lambda k: mid - 0.5)
     with pytest.raises(ConsistencyError, match="critical ordering violated at k=5"):
         critical_set(5)
 
@@ -259,6 +260,16 @@ def test_asymptote_distances_match_exact_rationals(k):
     if k <= 64:
         assert d_std == pytest.approx(critical_alpha_standard(k) - 2.0, rel=1e-13)
         assert d_triv == pytest.approx(critical_alpha_trivial(k) - 2.0, rel=1e-13)
+
+
+def test_family_values_array_bit_identical_to_scalar():
+    # on root_scan's grid: both evaluators run closed_forms.family_terms, and
+    # with every square written as a product numpy and Python floats round
+    # alike (a Python float power calls libm pow and can be 1 ulp off)
+    xs = np.linspace(-10.0, 10.0, 4001)
+    for k in range(4, 80):
+        scalar = np.array([family_values_at(k, x) for x in xs.tolist()]).T
+        assert np.array_equal(family_values(k, xs).view(np.uint64), scalar.view(np.uint64)), k
 
 
 @pytest.mark.parametrize("k", [4, 5, 8, 16, 64])
@@ -418,5 +429,5 @@ def test_match_labels_without_basis_qr_or_svd(monkeypatch):
 
 
 def test_match_capacity_guard():
-    with pytest.raises(DomainError):
+    with pytest.raises(CapacityError):
         numerical_spectrum_match(65, 1.0)
