@@ -5,8 +5,10 @@ A lattice holds one representative per conjugacy class of subgroups of S_k
 inside H.  It holds what its cache file holds and nothing more: per class the
 index, order, normalizer order, label and generators (the representative is
 their closure), and the nonzero n(L, H).  The rest is derived: the Weyl order
-|N(H)|/|H|, the number of conjugates k!/|N(H)|, and the containment order,
-which is the key set of the n table ((L) <= (H) iff n(L, H) > 0).
+|N(H)|/|H|, the number of conjugates k!/|N(H)|, the containment order,
+which is the key set of the n table ((L) <= (H) iff n(L, H) > 0), and each
+class's cycle-type counts, which the fixed-space dimensions of every
+irreducible read (counted once per class, in memory).
 
 The mark homomorphism mark_L(H) = n(L,H)|W(H)| (the table of marks) is an
 injective ring map into integer vectors with the pointwise product, so a
@@ -27,6 +29,8 @@ _isomorphism_label, build_lattice), and imports it there: a warm read
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import re
@@ -170,6 +174,12 @@ class SubgroupClass:
         k = len(next(iter(self.representative)))
         return math.factorial(k) // self.normalizer_order
 
+    @functools.cached_property
+    def cycle_type_counts(self) -> dict[tuple[int, ...], int]:
+        """Number of elements of each cycle type in the representative,
+        counted on first use and kept in memory (no cache bytes)."""
+        return dict(collections.Counter(map(cycle_type, self.representative)))
+
 
 @dataclass
 class SubgroupLattice:
@@ -219,18 +229,23 @@ def _all_perms(k: int) -> list[Perm]:
 
 
 class _GroupTables:
-    """Index-space group tables for S_k (k <= 6), as numpy int16 arrays.
+    """Index-space group tables for S_k, as numpy int16 arrays.
 
     Permutations are numbered in lexicographic order, so the identity is
     index 0.  mul[i, j] indexes perms[i]*perms[j], inv[i] indexes perms[i]^-1
     and conj[g, h] indexes g h g^-1.  The tables are filled one row at a time,
     so no k! x k! x k temporary is ever allocated.  odd[i] is the parity of
-    perms[i].
+    perms[i].  An int16 index holds at most 7! permutations; a wider k is
+    refused (CapacityError) before anything is allocated.
     """
 
     ident = 0
+    MAX_K = 7   # 7! = 5040 fits an int16 index, 8! = 40320 wraps
 
     def __init__(self, k: int):
+        if k > self.MAX_K:
+            raise CapacityError(f"int16 group tables index at most {self.MAX_K}! "
+                                f"permutations, got k={k}")
         import numpy as np
 
         self.k = k

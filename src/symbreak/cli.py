@@ -21,12 +21,14 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import burnside as bb
-from .closed_forms import critical_set
-from .degrees import bifurcation_report, invariants_payload
+from .closed_forms import MAX_DENSE_K, critical_set, root_scan
 from .errors import CapacityError, ConsistencyError, DomainError
 from .report import dumps, format_float, resolve_tolerances, validate_report
+
+if TYPE_CHECKING:
+    from .burnside import SubgroupLattice
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -62,13 +64,15 @@ def make_cache_dir(cache_dir: Path) -> None:
         raise _unusable_cache(cache_dir, exc) from exc
 
 
-def get_lattice(k: int, cache_dir: Path) -> bb.SubgroupLattice:
+def get_lattice(k: int, cache_dir: Path) -> SubgroupLattice:
     """Load lattice_k<k>.txt, or build it and write it atomically.
 
     A cache file that fails load_lattice's checks (checksum, truncation,
     version, malformed body) or holds another width is rebuilt and
     rewritten, with one line on stderr.  A directory or file that cannot be
     created, read or written raises DomainError."""
+    from . import burnside as bb
+
     make_cache_dir(cache_dir)
     path = cache_dir / f"lattice_k{k}.txt"
     reason = None
@@ -248,8 +252,6 @@ def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
         "subcritical_regime": crit.subcritical_regime,
     }
     if args.k <= 64:
-        from .spectrum import root_scan
-
         scan = root_scan(args.k)
         results["root_scan"] = {fam: roots for fam, roots in scan.items()}
     report = {
@@ -268,7 +270,10 @@ def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
 
 
 def cmd_invariants(args, tol: dict[str, float], cache_dir: Path) -> tuple[dict, int]:
-    capacity = args.k > bb.MAX_LATTICE_K
+    from .burnside import MAX_LATTICE_K
+    from .degrees import bifurcation_report, invariants_payload
+
+    capacity = args.k > MAX_LATTICE_K
     if capacity:
         config, results, checks = {"k": args.k}, bifurcation_report(args.k), []
     else:
@@ -312,8 +317,11 @@ def cmd_verify(args, tol_overrides: dict[str, float], cache_dir: Path) -> tuple[
 # ---------------------------------------------------------------------------
 
 def validate_args(args) -> None:
-    """Reject out-of-domain arguments before any command starts work."""
-    for k in (args.k or []) if args.command == "verify" else [args.k]:
+    """Reject out-of-domain arguments (DomainError), then widths or grids
+    beyond a declared capacity (CapacityError), before any command starts
+    work."""
+    widths = (args.k or []) if args.command == "verify" else [args.k]
+    for k in widths:
         if not 4 <= k <= sys.float_info.max:
             raise DomainError(f"{args.command} requires 4 <= k <= {sys.float_info.max!r}, "
                               f"got --k {k}")
@@ -335,6 +343,9 @@ def validate_args(args) -> None:
                                    ("--fd-points", args.fd_points, 1)):
             if value < least:
                 raise DomainError(f"{flag} must be >= {least}, got {value}")
+    # after every usage check, so that a bad argument still exits 2
+    if args.command in ("spectrum", "verify") and max(widths, default=0) > MAX_DENSE_K:
+        raise CapacityError(f"dense eigenanalysis capped at k = {MAX_DENSE_K}")
 
 
 def _alpha_list(args) -> list[float]:

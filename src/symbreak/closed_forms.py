@@ -1,5 +1,6 @@
 """Closed forms at the global minimum that need no arrays: the (a, b, c)
-coefficients, the seven eigenvalue families and the critical set.
+coefficients, the seven eigenvalue families, the critical set and the root
+scan that checks it.
 
 With a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi the block operator has
 exactly seven eigenvalue families (spectrum's module docstring gives their
@@ -20,19 +21,32 @@ multiplication on both paths.  So both evaluators agree bit for bit.
 
 critical_set is the one owner of the critical set {0, alpha_std,
 alpha_triv}: its labels, its residuals and its ordering
-0 < alpha_std < alpha_triv.  This module imports no numpy, so the exact
-commands (`invariants`, the capacity report) never load it.
+0 < alpha_std < alpha_triv.  root_scan brackets the roots of every family
+on a grid, one family_values_at call per grid point; its grid points are
+numpy.linspace's bit for bit.  MAX_DENSE_K is the widest Hessian the dense
+eigensolve takes, named here so that argument checks can read it.
+
+This module imports neither numpy nor symrep (it names Partition only for
+type checkers), so `critical` and the exact commands (`invariants`, the
+capacity report) run without numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError, DomainError
-from .symrep import Partition
+
+if TYPE_CHECKING:
+    from .symrep import Partition
 
 TWO_PI = 2.0 * math.pi
+
+# the dense eigensolve of the k^2 x k^2 Hessian stops here: its time grows
+# as k^6 and its memory as k^4
+MAX_DENSE_K = 64
 
 FORMULA_IDS = ("wedge", "sym0", "W_bminus_c", "W_plus", "W_minus",
                "span_IJ_plus", "span_IJ_minus")
@@ -164,3 +178,60 @@ def critical_set(k: int) -> CriticalSet:
     if not (0.0 < mid and (mid, d_std) < (last, d_triv)):
         raise ConsistencyError(f"critical ordering violated at k={k}: {crit.values}")
     return crit
+
+
+# ---------------------------------------------------------------------------
+# root scan
+# ---------------------------------------------------------------------------
+
+def _grid(lo: float, hi: float, grid: int):
+    """The grid + 1 points of numpy.linspace(lo, hi, grid + 1), bit for bit:
+    float(i) * step + lo, with hi last."""
+    step = (hi - lo) / grid
+    for i in range(grid):
+        yield float(i) * step + lo
+    yield float(hi)
+
+
+def _bisect(k: int, row: int, a: float, b: float, fa: float, tol: float) -> float:
+    """Safeguarded bisection of family `row` on [a, b], where it changes sign."""
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = family_values_at(k, m)[row]
+        if fm == 0.0 or (b - a) < tol:
+            break
+        if fa * fm < 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def root_scan(k: int, lo: float = -10.0, hi: float = 10.0,
+              grid: int = 4000, tol: float = 1e-12) -> dict[str, list[float]]:
+    """Safeguarded bisection roots of every eigenvalue family on [lo, hi].
+
+    Oracle for the nonnegativity of the critical set: no family may have a
+    root below zero, and each has at most one nonzero root (the quadratic
+    minus-branches vanish both at 0 and at their positive critical value).
+    The grid is numpy.linspace's (_grid), walked one cell at a time with
+    one family_values_at call per point, so no array is formed.
+    """
+    roots: dict[str, list[float]] = {fid: [] for fid in FORMULA_IDS}
+    points = _grid(lo, hi, grid)
+    x_a = next(points)
+    at_a = family_values_at(k, x_a)
+    for x_b in points:
+        at_b = family_values_at(k, x_b)
+        for row, fid in enumerate(FORMULA_IDS):
+            va, vb = at_a[row], at_b[row]
+            if va == 0.0:
+                roots[fid].append(x_a)
+            elif va * vb < 0.0:
+                roots[fid].append(_bisect(k, row, x_a, x_b, va, tol))
+        x_a, at_a = x_b, at_b
+    for row, fid in enumerate(FORMULA_IDS):
+        if at_a[row] == 0.0:
+            roots[fid].append(x_a)
+    return {fid: [0.0 if abs(r) < 1e-9 else r for r in found]
+            for fid, found in roots.items()}

@@ -23,7 +23,7 @@ from .errors import CapacityError, ConsistencyError, DomainError
 from .symrep import (
     Partition,
     closed_form_partition,
-    fixed_space_dim,
+    fixed_dim_from_counts,
     hook_dimension,
     irreducible_character,
     validate_partition,
@@ -51,9 +51,11 @@ class BasicDegree:
 
 
 def fixed_dims_for(eta: Partition, lattice: SubgroupLattice) -> dict[int, int]:
+    """dim V^K for every class K, from the cycle types each class counted
+    once for the lattice."""
     chi = irreducible_character(validate_partition(eta))
     return {
-        c.index: fixed_space_dim(chi, c.representative) for c in lattice.classes
+        c.index: fixed_dim_from_counts(chi, c.cycle_type_counts) for c in lattice.classes
     }
 
 

@@ -167,16 +167,33 @@ def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
     """k^2 x k^2 symmetric matrix with block (i, j) at rows i*k:(i+1)*k.
 
     The assembly is symmetrized after a guard: raw asymmetry beyond 1e-9 is
-    an internal-consistency error (well-formed blocks stay under 1e-12)."""
+    an internal-consistency error (well-formed blocks stay under 1e-12).
+    Entry (p, q) of the result is (x + y) * 0.5 for the raw entries x at
+    (p, q) and y at (q, p), and the guard reads max |x - y|.  Both are
+    formed in one pass over block pairs (i, j >= i), one block row at a
+    time; the lower block triangle is the mirror image of the upper, which
+    holds exactly because x + y == y + x in floating point.
+    """
     k = blocks.k
-    dense = blocks.blocks.transpose(0, 2, 1, 3).reshape(k * k, k * k)
-    work = dense - dense.T
-    asym = float(np.abs(work, out=work).max())
+    raw = blocks.blocks
+    dense = np.empty((k * k, k * k))
+    tiles = dense.reshape(k, k, k, k)    # tiles[i, a, j, b] = dense[i*k + a, j*k + b]
+    work = np.empty((k, k, k))
+    peaks = np.empty(k)    # max |x - y| per block row; np.max, unlike max(), keeps a NaN
+    for i in range(k):
+        x = raw[i, i:]                           # [j, a, b]: block (i, j) at (a, b)
+        y = raw[i:, i].transpose(0, 2, 1)        # [j, a, b]: block (j, i) at (b, a)
+        pair = work[:k - i]
+        np.subtract(x, y, out=pair)
+        peaks[i] = np.abs(pair, out=pair).max()
+        np.add(x, y, out=pair)
+        pair *= 0.5
+        tiles[i, :, i:] = pair.transpose(1, 0, 2)
+        tiles[i:, :, i] = pair.transpose(0, 2, 1)
+    asym = float(peaks.max())
     if asym > ASSEMBLY_SYMMETRY_TOL:
         raise ConsistencyError(f"assembled Hessian asymmetry {asym:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL}")
-    np.add(dense, dense.T, out=work)
-    work *= 0.5
-    return work
+    return dense
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ partition (k-1,1), the span{I, J} pair by the trivial partition (k).  The
 wedge family and W_bminus_c share the value b - c, which is why displays
 often merge them into one line of multiplicity k(k-1)/2.
 
-The seven formulas, the (a, b, c) coefficients and the critical set live in
-closed_forms, which needs no numpy; this module re-exports them.
-family_values evaluates the formulas on an array of leak values, for
-root_scan's grid.
+The seven formulas, the (a, b, c) coefficients, the critical set, the root
+scan and the dense cap MAX_DENSE_K live in closed_forms, which needs no
+numpy; this module re-exports them (spectrum.root_scan is
+closed_forms.root_scan).  family_values evaluates the formulas on an array
+of leak values; no command calls it, and it stays as the array form that
+the tests hold bit-identical to family_values_at.
 
 numerical_spectrum_match checks the table against a dense eigh of the
 assembled Hessian and labels each eigenvalue cluster by closed-form isotypic
@@ -45,11 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .closed_forms import (  # noqa: F401
     FORMULA_IDS,
+    MAX_DENSE_K,
     _asymptote_distances,
     abc,
     critical_alpha_standard,
@@ -57,10 +61,13 @@ from .closed_forms import (  # noqa: F401
     critical_set,
     family_terms,
     family_values_at,
+    root_scan,
 )
 from .errors import CapacityError, ConsistencyError, DomainError
 from .hessian import assemble_dense, hessian_at_minimum
-from .symrep import Partition
+
+if TYPE_CHECKING:
+    from .symrep import Partition
 
 
 # ---------------------------------------------------------------------------
@@ -242,43 +249,6 @@ def w_block_matrix(k: int, alpha: float) -> np.ndarray:
     ])
 
 
-def root_scan(k: int, lo: float = -10.0, hi: float = 10.0,
-              grid: int = 4000, tol: float = 1e-12) -> dict[str, list[float]]:
-    """Safeguarded bisection roots of every eigenvalue family on [lo, hi].
-
-    Oracle for the nonnegativity of the critical set: no family may have a
-    root below zero, and each has at most one nonzero root (the quadratic
-    minus-branches vanish both at 0 and at their positive critical value).
-    """
-    out: dict[str, list[float]] = {}
-    xs = np.linspace(lo, hi, grid + 1)
-    for row, (fid, row_vals) in enumerate(zip(FORMULA_IDS, family_values(k, xs))):
-        vals = row_vals.tolist()
-        roots: list[float] = []
-        for i in range(grid):
-            va, vb = vals[i], vals[i + 1]
-            if va == 0.0:
-                roots.append(float(xs[i]))
-                continue
-            if va * vb < 0.0:
-                a_, b_ = float(xs[i]), float(xs[i + 1])
-                fa = va
-                for _ in range(200):
-                    m = 0.5 * (a_ + b_)
-                    fm = family_values_at(k, m)[row]
-                    if fm == 0.0 or (b_ - a_) < tol:
-                        break
-                    if fa * fm < 0.0:
-                        b_ = m
-                    else:
-                        a_, fa = m, fm
-                roots.append(0.5 * (a_ + b_))
-        if vals[-1] == 0.0:
-            roots.append(float(xs[-1]))
-        out[fid] = [0.0 if abs(r) < 1e-9 else r for r in roots]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # numerical match
 # ---------------------------------------------------------------------------
@@ -355,7 +325,7 @@ def numerical_spectrum_match(
     perturbation: float | None = None,
 ) -> SpectrumMatchReport:
     """Dense eigensolve of the assembled minimum Hessian against the analytic
-    table.
+    table, for k <= MAX_DENSE_K (wider raises CapacityError).
 
     Eigenvalues are clustered with gap threshold 1e-8 * scale so analytic
     coincidences (all of them at alpha = 0) do not trip multiplicity checks.
@@ -380,8 +350,8 @@ def numerical_spectrum_match(
     b - c cluster (3 hook + 3 standard dimensions) is (2,1,1), and the
     k = 6, alpha = 0 zero cluster (10 hook + 10 standard) is (4,1,1).
     """
-    if k > 64:
-        raise CapacityError("dense eigenanalysis capped at k = 64")
+    if k > MAX_DENSE_K:
+        raise CapacityError(f"dense eigenanalysis capped at k = {MAX_DENSE_K}")
     dense = assemble_dense(hessian_at_minimum(k, alpha))
     if perturbation is not None:
         dense[0, 1] += perturbation

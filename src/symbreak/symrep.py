@@ -16,6 +16,7 @@ is checked against this one primitive.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -389,18 +390,26 @@ def fixed_space_dim(chi: ClassFunction, subgroup_elements) -> int:
     """dim V^H = (1/|H|) sum_{h in H} chi(h) for a character chi of S_k.
 
     chi is a class function keyed by cycle type; subgroup_elements is any
-    iterable of permutation tuples.  A non-integer or negative average means
-    the character and group data do not belong together.
+    iterable of permutation tuples.  The average is fixed_dim_from_counts
+    on their cycle-type counts.
     """
     from .burnside import cycle_type
 
-    elems = list(subgroup_elements)
-    if not elems:
+    return fixed_dim_from_counts(chi, Counter(map(cycle_type, subgroup_elements)))
+
+
+def fixed_dim_from_counts(chi: ClassFunction, counts: dict[Partition, int]) -> int:
+    """dim V^H from the number of elements of H of each cycle type
+    (SubgroupClass.cycle_type_counts).  A non-integer or negative average
+    means the character and group data do not belong together.
+    """
+    order = sum(counts.values())
+    if not order:
         raise DomainError("empty subgroup")
-    total = sum(chi[cycle_type(h)] for h in elems)
-    if total % len(elems):
-        raise ConsistencyError(f"character average {total}/{len(elems)} is not an integer")
-    dim = total // len(elems)
+    total = sum(chi[c] * n for c, n in counts.items())
+    if total % order:
+        raise ConsistencyError(f"character average {total}/{order} is not an integer")
+    dim = total // order
     if dim < 0:
         raise ConsistencyError(f"negative fixed-space dimension {dim}")
     return dim

@@ -23,8 +23,9 @@ from symbreak.burnside import (
     perm_to_cycles,
     serialize_lattice,
 )
+from symbreak import burnside
 from symbreak.degrees import basic_degree
-from symbreak.errors import ConsistencyError, DomainError
+from symbreak.errors import CapacityError, ConsistencyError, DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +326,25 @@ def test_k6_lattice(lattice6):
 @functools.cache
 def _tables(k):
     return _GroupTables(k)
+
+
+def test_group_tables_refuse_int16_overflow(monkeypatch):
+    # 8! = 40320 permutations do not fit an int16 index: refused before the
+    # permutations are listed or any table is allocated
+    import tracemalloc
+
+    def listed(k):
+        raise AssertionError("permutations listed")
+
+    monkeypatch.setattr(burnside, "_all_perms", listed)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="k=8"):
+            _GroupTables(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_group_tables_match_compose():

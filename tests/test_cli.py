@@ -600,6 +600,49 @@ def test_warm_invariants_never_import_numpy(tmp_path, request):
     assert proc.stderr == ""    # every width read its warm cache
 
 
+_NUMPY_FREE_CRITICAL = """
+import contextlib, io, sys
+import symbreak.cli
+for k in ("5", "64"):
+    for output in ("json", "text"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = symbreak.cli.main(["critical", "--k", k, "--output", output])
+        assert code == 0, (k, output, code)
+        assert "root_scan" in out.getvalue(), (k, output)
+assert "numpy" not in sys.modules
+"""
+
+
+def test_critical_never_imports_numpy():
+    # a fresh interpreter: the root scan at k <= 64 is pure Python
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_CRITICAL],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+_DENSE_CAP_BEFORE_WORK = """
+import contextlib, io, sys
+import symbreak.cli
+for argv in (["spectrum", "--k", "65", "--alpha", "1"],
+             ["verify", "--k", "65", "--cache-dir", sys.argv[1]],
+             ["verify", "--k", "4", "--k", "1000"]):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = symbreak.cli.main(argv)
+    assert code == 3, (argv, code)
+    assert err.getvalue() == "capacity: dense eigenanalysis capped at k = 64\\n", argv
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_dense_cap_refused_before_any_work(tmp_path):
+    # a fresh interpreter: widths above the dense cap exit 3 from argument
+    # checking, before verify's Monte-Carlo or any numpy import
+    proc = subprocess.run([sys.executable, "-c", _DENSE_CAP_BEFORE_WORK, str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "symbreak.cli", "critical", "--k", "5",

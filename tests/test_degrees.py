@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
-from symbreak.burnside import BurnsideElement
+from symbreak import burnside
+from symbreak.burnside import BurnsideElement, load_lattice, serialize_lattice
 from symbreak.degrees import (
     all_invariants,
     basic_degree,
     bifurcation_invariant,
+    fixed_dims_for,
     leading_coefficient_check,
     linear_map_degree,
     maximal_orbit_types,
@@ -16,7 +18,12 @@ from symbreak.degrees import (
 from symbreak.errors import CapacityError, DomainError
 from symbreak.golden import compare_k5, load_golden
 from symbreak.spectrum import analytic_spectrum, critical_set
-from symbreak.symrep import closed_form_partition
+from symbreak.symrep import (
+    closed_form_partition,
+    fixed_space_dim,
+    irreducible_character,
+    partitions_of,
+)
 
 
 def _degrees(lattice):
@@ -325,3 +332,22 @@ def test_readme_quick_start():
     assert (deg.element * deg.element) == sb.BurnsideElement.one(lat)
     omega = sb.bifurcation_invariant(5, 0, lat)
     assert [lat.classes[i].label for i in omega.maximal_types] == ["Z6", "D5", "S4"]
+
+
+@pytest.mark.parametrize("fixture", ["lattice4", "lattice5", "lattice6"])
+def test_cycle_types_counted_once_per_class(fixture, request, monkeypatch):
+    # a fresh copy, as a warm cache read gives it: no counts yet
+    lattice = load_lattice(serialize_lattice(request.getfixturevalue(fixture)))
+    calls = []
+    original = burnside.cycle_type
+    monkeypatch.setattr(burnside, "cycle_type", lambda p: calls.append(p) or original(p))
+    all_invariants(lattice.k, lattice)
+    assert len(calls) == sum(c.order for c in lattice.classes)
+    all_invariants(lattice.k, lattice)
+    assert len(calls) == sum(c.order for c in lattice.classes)
+    monkeypatch.undo()
+    # the counts give the per-element averages for every irreducible
+    for eta in partitions_of(lattice.k):
+        chi = irreducible_character(eta)
+        assert fixed_dims_for(eta, lattice) == {
+            c.index: fixed_space_dim(chi, c.representative) for c in lattice.classes}

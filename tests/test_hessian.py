@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,46 @@ def test_assembly_equals_loop_reference(k, rng):
         assert np.array_equal(assemble_dense(hb), _loop_assemble(want))
     published = hessian_published(random_admissible(rng, k), identity_teacher(k), 0.8)
     assert np.array_equal(assemble_dense(published), _loop_assemble(published.blocks))
+
+
+def _three_pass_assemble(blocks):
+    # the full-matrix assembly the block-row pass replaced, kept as its
+    # reference: copy, guard on |dense - dense^T|, then (dense + dense^T) / 2
+    k = blocks.k
+    dense = blocks.blocks.transpose(0, 2, 1, 3).reshape(k * k, k * k)
+    work = dense - dense.T
+    asym = float(np.abs(work, out=work).max())
+    if asym > 1e-9:
+        raise ConsistencyError(f"assembled Hessian asymmetry {asym:.3e} exceeds 1e-09")
+    np.add(dense, dense.T, out=work)
+    work *= 0.5
+    return work
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("k", [2, 4, 5, 17, 24])
+def test_assembly_equals_three_pass_reference(k, rng):
+    for alpha in (0.0, 1.0, 2.5, -3.0):
+        hb = hessian_at_minimum(k, alpha)
+        assert np.array_equal(_bits(assemble_dense(hb)), _bits(_three_pass_assemble(hb)))
+    if k <= 5:
+        # the published blocks are symmetric only to rounding
+        published = hessian_published(random_admissible(rng, k), identity_teacher(k), 0.8)
+        raw = published.blocks
+        assert np.abs(raw - raw.transpose(1, 0, 3, 2)).max() > 0.0
+        assert np.array_equal(_bits(assemble_dense(published)),
+                              _bits(_three_pass_assemble(published)))
+    # one entry off by 1e-6 in the last block row: both refuse, in the same words
+    raw = hessian_at_minimum(k, 1.0).blocks.copy()
+    raw[k - 1, 0, 1, 0] += 1e-6
+    bad = HessianBlocks(k=k, blocks=raw)
+    with pytest.raises(ConsistencyError) as want:
+        _three_pass_assemble(bad)
+    with pytest.raises(ConsistencyError, match=re.escape(str(want.value))):
+        assemble_dense(bad)
 
 
 def test_assemble_rejects_asymmetry():

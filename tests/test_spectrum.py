@@ -272,6 +272,56 @@ def test_family_values_array_bit_identical_to_scalar():
         assert np.array_equal(family_values(k, xs).view(np.uint64), scalar.view(np.uint64)), k
 
 
+def _numpy_root_scan(k, lo=-10.0, hi=10.0, grid=4000, tol=1e-12):
+    # the array scan root_scan replaced, kept as its reference
+    out = {}
+    xs = np.linspace(lo, hi, grid + 1)
+    for row, (fid, row_vals) in enumerate(zip(FORMULA_IDS, family_values(k, xs))):
+        vals = row_vals.tolist()
+        roots = []
+        for i in range(grid):
+            va, vb = vals[i], vals[i + 1]
+            if va == 0.0:
+                roots.append(float(xs[i]))
+                continue
+            if va * vb < 0.0:
+                a_, b_ = float(xs[i]), float(xs[i + 1])
+                fa = va
+                for _ in range(200):
+                    m = 0.5 * (a_ + b_)
+                    fm = family_values_at(k, m)[row]
+                    if fm == 0.0 or (b_ - a_) < tol:
+                        break
+                    if fa * fm < 0.0:
+                        b_ = m
+                    else:
+                        a_, fa = m, fm
+                roots.append(0.5 * (a_ + b_))
+        if vals[-1] == 0.0:
+            roots.append(float(xs[-1]))
+        out[fid] = [0.0 if abs(r) < 1e-9 else r for r in roots]
+    return out
+
+
+@pytest.mark.parametrize("grid", [4000, 2000])
+def test_root_scan_grid_is_linspace_bit_for_bit(grid):
+    got = np.array(list(closed_forms._grid(-10.0, 10.0, grid)))
+    want = np.linspace(-10.0, 10.0, grid + 1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [4, 5, 8, 16, 64])
+def test_root_scan_equals_numpy_scan(k):
+    # spectrum re-exports the one scan, so the benchmark tracer's rebinding
+    # of spectrum.root_scan reaches every caller
+    assert spectrum.root_scan is closed_forms.root_scan
+    want = _numpy_root_scan(k)
+    got = root_scan(k)
+    assert list(got) == list(want)
+    for fid in FORMULA_IDS:
+        assert [r.hex() for r in got[fid]] == [r.hex() for r in want[fid]], fid
+
+
 @pytest.mark.parametrize("k", [4, 5, 8, 16, 64])
 def test_root_scan_nonnegativity(k):
     scan = root_scan(k, grid=2000)
