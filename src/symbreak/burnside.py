@@ -23,8 +23,11 @@ with every division asserted exact.  Direct orbit counting on G/H x G/K
 Permutations are tuples of images on {0, ..., k-1}; subgroups are frozensets
 of such tuples.  Everything here is exact integer arithmetic.  Only lattice
 construction uses numpy, for its index-space group tables (_GroupTables,
-_isomorphism_label, build_lattice), and imports it there: a warm read
-(load_lattice) and the ring arithmetic run without it.
+build_lattice), and imports it there: a warm read (load_lattice) and the
+ring arithmetic run without it.  build_lattice closes all joins of one class
+with the cyclic subgroups at once, as one breadth-first search over the
+right cosets of the class representative (_GroupTables.close_indices), and
+keys the subgroups it meets by packed bit masks over the k! indices.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import itertools
 import math
 import re
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, ConsistencyError, DomainError
@@ -233,14 +237,22 @@ class _GroupTables:
 
     Permutations are numbered in lexicographic order, so the identity is
     index 0.  mul[i, j] indexes perms[i]*perms[j], inv[i] indexes perms[i]^-1
-    and conj[g, h] indexes g h g^-1.  The tables are filled one row at a time,
-    so no k! x k! x k temporary is ever allocated.  odd[i] is the parity of
-    perms[i].  An int16 index holds at most 7! permutations; a wider k is
-    refused (CapacityError) before anything is allocated.
+    and conj[g, h] indexes g h g^-1; conj is column-major, so the conjugates
+    of a set by all of S_k (conjugate_set) are contiguous reads.  The tables
+    are filled a block of rows at a time, so no k! x k! x k temporary is ever
+    allocated.  odd[i] is the parity of perms[i].  An int16 index holds at
+    most 7! permutations; a wider k is refused (CapacityError) before
+    anything is allocated.
+
+    close_indices is the one subgroup closure: it joins a closed subgroup H
+    with each of many extra generators in one breadth-first search over the
+    right cosets of H, and returns each join as a packed bit mask over the
+    k! indices, a bytes key that members() reads back.
     """
 
     ident = 0
     MAX_K = 7   # 7! = 5040 fits an int16 index, 8! = 40320 wraps
+    _BLOCK = 128   # table rows filled or read per step, bounding temporaries
 
     def __init__(self, k: int):
         if k > self.MAX_K:
@@ -257,60 +269,96 @@ class _GroupTables:
         weights = k ** np.arange(k - 1, -1, -1)
         rank = np.zeros(k ** k, dtype=np.int16)
         rank[images @ weights] = np.arange(n)
+        inverse_images = np.argsort(images, axis=1)
+        self.inv = rank[inverse_images @ weights]
+        # code(p*q) = sum_t w_t p[q[t]] = sum_v p[v] w[q^-1[v]], one float
+        # product per block of rows, exact below 2^53
+        digits = images.astype(float)
+        spread = weights[inverse_images].T.astype(float)
         self.mul = np.empty((n, n), dtype=np.int16)
-        for i in range(n):
-            self.mul[i] = rank[images[i, images] @ weights]
-        self.inv = rank[np.argsort(images, axis=1) @ weights]
-        self.conj = np.empty((n, n), dtype=np.int16)
-        for g in range(n):
-            self.conj[g] = self.mul[self.mul[g], self.inv[g]]
+        # column-major, so conj[:, sub] reads contiguous columns
+        self.conj = np.empty((n, n), dtype=np.int16, order="F")
+        block = np.empty((self._BLOCK, n), dtype=np.int16)
+        for lo in range(0, n, self._BLOCK):
+            hi = min(lo + self._BLOCK, n)
+            self.mul[lo:hi] = rank[(digits[lo:hi] @ spread).astype(np.intp)]
+            for g in range(lo, hi):
+                # g h g^-1 = (g h) g^-1, and right multiplication by g^-1 is
+                # x -> (g x^-1)^-1
+                row = self.mul[g]
+                block[g - lo] = self.inv[row[self.inv]][row]
+            self.conj[lo:hi] = block[:hi - lo]
         self.odd = np.array([(k - len(t)) % 2 for t in self.cycle_types], dtype=bool)
-        # the sorted index sets of S_k and A_k
-        self.symmetric = np.arange(n)
-        self.alternating = np.flatnonzero(~self.odd)
 
-    def conjugate_set(self, sub: frozenset[int]) -> np.ndarray:
+    def conjugate_set(self, sub: Iterable[int]) -> np.ndarray:
         """Row g holds the indices of g sub g^-1, for every g in S_k."""
         return self.conj[:, sorted(sub)]
 
-    def close_indices(self, gens: list[int], base: frozenset[int]) -> frozenset[int]:
-        """<gens> in index space, grown coset by coset (Dimino's algorithm).
+    def right_cosets(self, sub: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The right cosets sub*x of a subgroup, each named by its least
+        element: those least elements, ascending, and coset[x], the number
+        of the coset that holds x.  The identity leads sub itself, coset 0."""
+        import numpy as np
+
+        sub = np.fromiter(sub, dtype=np.intp)
+        least = self.mul[sub[0]].copy()
+        for lo in range(0, len(sub), self._BLOCK):
+            np.minimum(least, self.mul[sub[lo:lo + self._BLOCK]].min(axis=0), out=least)
+        return np.unique(least, return_inverse=True)
+
+    def close_indices(self, gens: list[int], base: Iterable[int],
+                      extras: list[int]) -> tuple[bytes, ...]:
+        """<gens, e> for every e in extras, as packed membership masks.
 
         `base` must be a closed subgroup of <gens>, such as the trivial group
-        or the closure of a prefix of gens.
-        """
-        return frozenset(self._extend(sorted(base), gens).tolist())
-
-    def _extend(self, base: list[int], gens: list[int]) -> np.ndarray:
-        """Union of the right cosets base*x reachable from base by gens.
-
-        Works one layer at a time: every r*s outside the set, with r in the
-        last layer and s in gens, joins the next layer, and its coset
-        base*(r*s) is added in one table gather.  The closure lies in A_k
-        when every generator is even, else in S_k; once the set holds more
-        than half of that group, the closure is the whole group (Lagrange),
-        which is returned at once.
+        or <gens> itself.  All rows grow at once in the space of right cosets
+        base*x, each labelled by its least element: right multiplication by
+        a generator permutes the cosets, and a row takes in every coset one
+        step, by a gen or by its own extra, from its last layer until no row
+        changes.
+        A row lies in A_k when its generators are all even, else in S_k; once
+        it holds more than half of that group it is the whole group
+        (Lagrange) and stops growing.  Row r of the result is
+        np.packbits(mask).tobytes() for the element mask of <gens, extras[r]>:
+        hashable, a dict key, and read back with members().
         """
         import numpy as np
 
         mul = self.mul
         n = len(mul)
-        base = np.array(base)
         gens = np.asarray(gens, dtype=np.intp)
-        group = self.symmetric if self.odd[gens].any() else self.alternating
-        member = np.zeros(n, dtype=bool)
-        member[base] = True
-        column = base[:, None]
-        layer = np.array([self.ident])
-        while len(layer):
-            products = mul[layer[:, None], gens].ravel()
-            fresh = np.zeros(n, dtype=bool)
-            fresh[products[~member[products]]] = True
-            layer = np.flatnonzero(fresh)
-            member[mul[column, layer]] = True
-            if 2 * np.count_nonzero(member) > len(group):
-                return group
-        return np.flatnonzero(member)
+        extras = np.asarray(extras, dtype=np.intp)
+        leaders, coset = self.right_cosets(base)
+        steps = coset[mul[leaders[:, None], gens]].T
+        # row r's own step, as flat indices into the (rows, cosets) array
+        m = len(leaders)
+        extra_steps = coset[mul[leaders[:, None], extras]].T + m * np.arange(len(extras))[:, None]
+        even = ~self.odd[extras] & ~self.odd[gens].any()
+        # a row with more cosets than this is its whole group, A_k (of order
+        # k!/2) or S_k
+        half = np.where(even, n // 2, n) // (2 * len(base))
+        member = np.zeros((len(extras), m), dtype=bool)
+        member[:, 0] = True
+        layer = member.copy()
+        while layer.any():
+            fresh = layer.ravel()[extra_steps]
+            for step in steps:
+                fresh |= layer[:, step]
+            fresh &= ~member
+            member |= fresh
+            layer = fresh
+            whole = np.count_nonzero(member, axis=1) > half
+            if whole.any():
+                member[whole] = ~self.odd[leaders] | ~even[whole, None]
+                layer[whole] = False
+        return tuple(row.tobytes() for row in np.packbits(member[:, coset], axis=1))
+
+    def members(self, key: bytes) -> np.ndarray:
+        """The sorted indices of a subgroup packed by close_indices."""
+        import numpy as np
+
+        bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=len(self.perms))
+        return np.flatnonzero(bits)
 
 
 def _fingerprint(tables: _GroupTables, sub: frozenset[int]) -> tuple:
@@ -326,25 +374,20 @@ def _isomorphism_label(tables: _GroupTables, sub: frozenset[int]) -> str:
     an order-2 class generated by a single transposition is called D1 to
     distinguish it from Z2 classes generated by products of 2-cycles.
     """
-    import numpy as np
-
     order = len(sub)
     perms = [tables.perms[h] for h in sub]
     k = tables.k
     if order == 1:
         return "Z1"
-    elem_orders = sorted(perm_order(p) for p in perms)
-    cyclic = elem_orders[-1] == order
+    cyclic = max(math.lcm(*tables.cycle_types[h]) for h in sub) == order
+    all_even = not any(tables.odd[h] for h in sub)
     if order == 2:
         nontriv = next(p for p in perms if p != identity_perm(k))
         n2 = sum(1 for c in cycle_type(nontriv) if c == 2)
         return "D1" if n2 == 1 else "Z2"
     if cyclic:
         return f"Z{order}"
-    products = tables.mul[np.ix_(sorted(sub), sorted(sub))]
-    abelian = bool((products == products.T).all())
-    if order == 4 and abelian:
-        all_even = all(_is_even(p) for p in perms)
+    if order == 4:   # not cyclic, so the Klein four-group
         return "V4" if all_even else "D2"
     moved = [i for i in range(k) if any(p[i] != i for p in perms)]
     m = len(moved)
@@ -352,14 +395,14 @@ def _isomorphism_label(tables: _GroupTables, sub: frozenset[int]) -> str:
         # symmetric group on its moved points?
         if _acts_fully(perms, moved, symmetric=True):
             return f"S{m}"
-    if order == math.factorial(m) // 2 and all(_is_even(p) for p in perms):
+    if order == math.factorial(m) // 2 and all_even:
         if _acts_fully(perms, moved, symmetric=False):
             return f"A{m}"
     if order == 20:
         return "F20"
     if _is_dihedral(tables, sub):
         return f"D{order // 2}"
-    if order == 12 and all(_is_even(p) for p in perms):
+    if order == 12 and all_even:
         return "A4"
     return f"G{order}"
 
@@ -387,10 +430,6 @@ def _label_order(label: str, k: int) -> int | None:
     return math.factorial(n) // (2 if kind == "A" else 1)
 
 
-def _is_even(p: Perm) -> bool:
-    return sum(c - 1 for c in cycle_type(p)) % 2 == 0
-
-
 def _acts_fully(perms: list[Perm], moved: list[int], symmetric: bool) -> bool:
     """Does the restriction to the moved points give the full S_m (or A_m)?"""
     images = {tuple(p[i] for i in moved) for p in perms}
@@ -406,8 +445,8 @@ def _is_dihedral(tables: _GroupTables, sub: frozenset[int]) -> bool:
     rotations = [h for h in sub if perm_order(tables.perms[h]) == n]
     if not rotations:
         return False
-    r = rotations[0]
-    cyc = tables.close_indices([r], frozenset({tables.ident}))
+    (key,) = tables.close_indices([], [tables.ident], rotations[:1])
+    cyc = frozenset(tables.members(key).tolist())
     if len(cyc) != n:
         return False
     return all(
@@ -422,10 +461,12 @@ def build_lattice(k: int) -> SubgroupLattice:
     subgroup (joining a representative with all conjugates of a cyclic group
     reaches every class; subgroups are generated by their cyclic subgroups).
     The joins <H, c> and <H, n c n^-1> are conjugate for n in N(H), so only
-    the first cyclic subgroup of each N(H)-orbit is closed, by extending H
-    coset by coset.  Deduplication goes through an order/cycle-type
-    fingerprint first and a conjugator search over all of S_k, one table
-    gather per subgroup, only within fingerprint buckets.
+    the first cyclic subgroup of each N(H)-orbit is closed; all of H's joins
+    are closed in one close_indices call, over the right cosets of H, and
+    classified in cyclic-subgroup order.  A join is looked up by its packed
+    mask first; a subgroup not seen before goes to the bucket of its
+    cycle-type counts, where a conjugator search over all of S_k, one table
+    gather per subgroup, finds its class or makes it a new one.
     """
     import numpy as np
 
@@ -436,11 +477,12 @@ def build_lattice(k: int) -> SubgroupLattice:
     n_g = len(tables.perms)
     ident = tables.ident
 
-    # <g> for every g, read off the powers g, g^2, ..., g^e = identity
+    # <g> for every g, read off its powers g, g^2, ..., g^order = identity
+    orders = [math.lcm(*t) for t in tables.cycle_types]
     powers = [np.arange(n_g)]
-    while (powers[-1] != ident).any():
+    for _ in range(max(orders) - 1):
         powers.append(tables.mul[powers[-1], powers[0]])
-    generated = [frozenset(col) for col in np.array(powers).T.tolist()]
+    generated = [frozenset(col[:e]) for col, e in zip(np.array(powers).T.tolist(), orders)]
     # every cyclic subgroup, as index sets, with its first generator
     cyclic: dict[frozenset[int], int] = {}
     for g, c in enumerate(generated):
@@ -449,43 +491,49 @@ def build_lattice(k: int) -> SubgroupLattice:
     cyclic_gens = [cgen for _, cgen in cyclic_list]
     position = {csub: pos for pos, (csub, _) in enumerate(cyclic_list)}
     # cyclic_pos[g] = position of <g> in cyclic_list
-    cyclic_pos = np.array([position[c] for c in generated])
+    cyclic_pos = np.array([position[c] for c in generated], dtype=np.int16)
 
-    # class discovery: map subgroup set -> class id, reps list
+    # cycle_type_id[g] numbers the cycle type of g
+    type_ids: dict[tuple[int, ...], int] = {}
+    cycle_type_id = np.array([type_ids.setdefault(t, len(type_ids)) for t in tables.cycle_types])
+
+    # class discovery: subgroup key (a close_indices mask) -> class id
     reps: list[frozenset[int]] = []
     rep_gens: list[list[int]] = []
     rep_masks: list[np.ndarray] = []
-    set_to_class: dict[frozenset[int], int] = {}
-    buckets: dict[tuple, list[int]] = {}
+    set_to_class: dict[bytes, int] = {}
+    # conjugacy-invariant buckets, keyed by the count of each cycle type
+    buckets: dict[bytes, list[int]] = {}
 
-    def classify(sub: frozenset[int], gens: list[int]) -> int:
-        known = set_to_class.get(sub)
+    def classify(key: bytes, gens: list[int]) -> int:
+        known = set_to_class.get(key)
         if known is not None:
             return known
-        fp = _fingerprint(tables, sub)
-        bucket = buckets.setdefault(fp, [])
+        sub = tables.members(key)
+        counts = np.bincount(cycle_type_id[sub], minlength=len(type_ids))
+        bucket = buckets.setdefault(counts.tobytes(), [])
         if bucket:
             # same order, so g sub g^-1 == rep iff g sub g^-1 lies inside rep
             conjugated = tables.conjugate_set(sub)
             for ci in bucket:
                 if rep_masks[ci][conjugated].all(axis=1).any():
-                    set_to_class[sub] = ci
+                    set_to_class[key] = ci
                     return ci
         ci = len(reps)
-        reps.append(sub)
+        reps.append(frozenset(sub.tolist()))
         rep_gens.append(list(gens))
         mask = np.zeros(n_g, dtype=bool)
-        mask[list(sub)] = True
+        mask[sub] = True
         rep_masks.append(mask)
         bucket.append(ci)
-        set_to_class[sub] = ci
+        set_to_class[key] = ci
         return ci
 
-    # per class: normalizer order and its distinct conjugates, as sorted rows
+    # per class: normalizer order and its distinct conjugates, one row each
     norm_orders: dict[int, int] = {}
     conjugates: dict[int, np.ndarray] = {}
 
-    trivial = frozenset({ident})
+    (trivial,) = tables.close_indices([], [ident], [ident])
     classify(trivial, [])
     frontier = [0]
     done: set[int] = set()
@@ -497,24 +545,29 @@ def build_lattice(k: int) -> SubgroupLattice:
         base = reps[ci]
         gens = rep_gens[ci]
         inside = rep_masks[ci]
-        rows = tables.conjugate_set(base)
-        normalizer = np.flatnonzero(inside[rows].all(axis=1))
-        # the distinct conjugates g H g^-1, one sorted row each
-        ordered = np.sort(rows, axis=1)
-        distinct = np.array(list({row.tobytes(): row for row in ordered}.values()))
+        # g normalizes H = <gens> iff g gens g^-1 lies in H
+        normalizer = np.flatnonzero(inside[tables.conjugate_set(gens)].all(axis=1))
+        # the distinct conjugates g^-1 H g, one per right coset N(H) g
+        leaders, _ = tables.right_cosets(normalizer)
+        distinct = tables.conj[np.ix_(tables.inv[leaders], sorted(base))]
         if len(normalizer) * len(distinct) != n_g:
             raise ConsistencyError("orbit-stabilizer mismatch in normalizer computation")
         norm_orders[ci] = len(normalizer)
         conjugates[ci] = distinct
-        # first cyclic_list position in each N(H)-orbit of cyclic subgroups
-        leader = cyclic_pos[tables.conj[np.ix_(normalizer, cyclic_gens)]].min(axis=0).tolist()
+        # <c> lies in H iff its generator does
+        outside = [pos for pos, cgen in enumerate(cyclic_gens) if not inside[cgen]]
+        # first cyclic_list position in each N(H)-orbit of cyclic subgroups;
+        # conj is column-major, so the conjugates of c, conj.T[c], are a row
+        orbits = tables.conj.T[np.ix_([cyclic_gens[pos] for pos in outside], normalizer)]
+        leader = dict(zip(outside, cyclic_pos[orbits].min(axis=1).tolist()))
+        # the leaders' joins are closed at once
+        led = [pos for pos in outside if leader[pos] == pos]
+        joined = tables.close_indices(gens, base, [cyclic_gens[pos] for pos in led]) if led else ()
+        keys = dict(zip(led, joined))
         orbit_class: dict[int, int] = {}
-        for pos, cgen in enumerate(cyclic_gens):
-            if inside[cgen]:  # <c> lies in H iff its generator does
-                continue
-            if leader[pos] == pos:
-                joined = tables.close_indices(gens + [cgen], base)
-                orbit_class[pos] = classify(joined, gens + [cgen])
+        for pos in outside:
+            if pos in keys:
+                orbit_class[pos] = classify(keys[pos], gens + [cyclic_gens[pos]])
             cj = orbit_class[leader[pos]]
             if cj not in done:
                 frontier.append(cj)
@@ -576,8 +629,9 @@ def _minimal_gens(tables: _GroupTables, sub: frozenset[int]) -> list[int]:
     for g in sorted(sub):
         if g in span:
             continue
+        (key,) = tables.close_indices(gens, span, [g])
         gens.append(g)
-        span = tables.close_indices(gens, span)
+        span = frozenset(tables.members(key).tolist())
         if span == sub:
             break
     return gens

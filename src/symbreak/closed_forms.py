@@ -63,9 +63,15 @@ class ABCCoefficients:
     c: float
 
 
+def abc_terms(alpha):
+    """(a, b, c) = (1/2 - alpha/4, alpha/4, alpha/2pi), so a + b = 1/2; alpha
+    is a float or a float array.  The one source of the coefficients."""
+    return 0.5 - alpha / 4.0, alpha / 4.0, alpha / TWO_PI
+
+
 def abc(alpha: float) -> ABCCoefficients:
-    """a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi (so a + b = 1/2)."""
-    return ABCCoefficients(a=0.5 - alpha / 4.0, b=alpha / 4.0, c=alpha / TWO_PI)
+    """abc_terms(alpha) as named fields."""
+    return ABCCoefficients(*abc_terms(alpha))
 
 
 def family_terms(k: int, alpha, root) -> tuple:
@@ -75,8 +81,7 @@ def family_terms(k: int, alpha, root) -> tuple:
     if k < 4:
         raise DomainError("k >= 4 required (the uniform decomposition starts there)")
     kf = float(k)
-    co = abc(alpha)
-    a, b, c = co.a, co.b, co.c
+    a, b, c = abc_terms(alpha)
     s1 = root(a * a * kf * kf + 4.0 * c * (c - 2.0 * a), "W")
     s2 = root(kf * kf * ((a - c) * (a - c)) + 4.0 * c * (2.0 * a - c) * (kf - 1), "span_IJ")
     w_lin = a * kf + 2 * b

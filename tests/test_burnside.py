@@ -358,6 +358,12 @@ def test_group_tables_match_compose():
             assert perms[tables.conj[i, j]] == compose(p, compose(q, invert(p)))
 
 
+def _close(tables, gens, base):
+    """<gens>, grown from its closed subgroup base, as an index set."""
+    (key,) = tables.close_indices(gens, base, [tables.ident])
+    return frozenset(tables.members(key).tolist())
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_close_indices_matches_closure(data):
@@ -370,9 +376,97 @@ def test_close_indices_matches_closure(data):
     cut = data.draw(st.integers(0, len(gens)), label="cut")
     want = frozenset(tables.perms.index(p)
                      for p in closure([tables.perms[g] for g in gens], k))
-    assert tables.close_indices(gens, frozenset({0})) == want
-    prefix = tables.close_indices(gens[:cut], frozenset({0}))
-    assert tables.close_indices(gens, base=prefix) == want
+    assert _close(tables, gens, frozenset({0})) == want
+    prefix = _close(tables, gens[:cut], frozenset({0}))
+    assert _close(tables, gens, base=prefix) == want
+
+
+@functools.cache
+def _index(k):
+    return {p: i for i, p in enumerate(_tables(k).perms)}
+
+
+def _oracle(k, gens):
+    """<gens> by the tuple-space orbit algorithm, as an index set."""
+    tables = _tables(k)
+    return frozenset(_index(k)[p] for p in closure([tables.perms[g] for g in gens], k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_close_indices_matches_closure(data):
+    # one batched call: a closed base <gens> (the trivial base has no gens)
+    # joined with several extras, one of them already in the base; every row
+    # against the tuple-space oracle
+    k = data.draw(st.integers(4, 6), label="k")
+    tables = _tables(k)
+    n = len(tables.perms)
+    gens = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="gens")
+    base = _oracle(k, gens)
+    extras = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5), label="extras")
+    extras.insert(data.draw(st.integers(0, len(extras)), label="at"),
+                  data.draw(st.sampled_from(sorted(base)), label="inside"))
+    keys = tables.close_indices(gens, base, extras)
+    hash(keys)   # perfbench/tracer.py keeps every result in a set
+    for extra, key in zip(extras, keys, strict=True):
+        assert frozenset(tables.members(key).tolist()) == _oracle(k, gens + [extra])
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_batched_close_indices_every_cyclic_subgroup(k):
+    # the trivial base with no generators, joined with every element at once
+    tables = _tables(k)
+    keys = tables.close_indices([], [tables.ident], range(len(tables.perms)))
+    for g, key in enumerate(keys):
+        assert frozenset(tables.members(key).tolist()) == _oracle(k, [g])
+
+
+def _extend_per_join(tables, base, gens):
+    """The per-join closure build_lattice made before its joins were
+    batched: union of the right cosets base*x reachable from base by gens,
+    one layer at a time, stopped by Lagrange at more than half of A_k or
+    S_k.  Kept here as the reference for every join."""
+    import numpy as np
+
+    mul = tables.mul
+    n = len(mul)
+    base = np.array(base)
+    gens = np.asarray(gens, dtype=np.intp)
+    group = np.arange(n) if tables.odd[gens].any() else np.flatnonzero(~tables.odd)
+    member = np.zeros(n, dtype=bool)
+    member[base] = True
+    column = base[:, None]
+    layer = np.array([tables.ident])
+    while len(layer):
+        products = mul[layer[:, None], gens].ravel()
+        fresh = np.zeros(n, dtype=bool)
+        fresh[products[~member[products]]] = True
+        layer = np.flatnonzero(fresh)
+        member[mul[column, layer]] = True
+        if 2 * np.count_nonzero(member) > len(group):
+            return group
+    return np.flatnonzero(member)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_every_join_matches_per_join_reference(k, monkeypatch):
+    # every closure build_lattice asks for -- class joins, generator
+    # trimming, dihedral checks -- equals the per-join reference
+    calls = []
+    batched = _GroupTables.close_indices
+
+    def recording(self, gens, base, extras):
+        keys = batched(self, gens, base, extras)
+        calls.append((self, list(gens), sorted(base), list(extras), keys))
+        return keys
+
+    monkeypatch.setattr(_GroupTables, "close_indices", recording)
+    build_lattice(k)
+    assert calls
+    for tables, gens, base, extras, keys in calls:
+        for extra, key in zip(extras, keys, strict=True):
+            want = _extend_per_join(tables, base, gens + [extra])
+            assert tables.members(key).tolist() == want.tolist()
 
 
 def test_closure_helper():
