@@ -27,7 +27,8 @@ build_lattice), and imports it there: a warm read (load_lattice) and the
 ring arithmetic run without it.  build_lattice closes all joins of one class
 with the cyclic subgroups at once, as one breadth-first search over the
 right cosets of the class representative (_GroupTables.close_indices), and
-keys the subgroups it meets by packed bit masks over the k! indices.
+classifies each join by one lookup of its packed bit mask over the k!
+indices in a registry that holds every conjugate of every class found.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def cycles_to_perm(text: str, k: int) -> Perm:
     return tuple(images)
 
 
-def closure(generators: list[Perm], k: int, limit: int | None = None) -> frozenset[Perm]:
+def closure(generators: list[Perm], k: int) -> frozenset[Perm]:
     """Subgroup generated by the given permutations (orbit algorithm).
 
     Stays apart from _GroupTables.close_indices: it needs no group tables,
@@ -147,8 +148,6 @@ def closure(generators: list[Perm], k: int, limit: int | None = None) -> frozens
                 if x not in elems:
                     elems.add(x)
                     nxt.append(x)
-                    if limit is not None and len(elems) > limit:
-                        raise CapacityError("closure exceeded limit")
         frontier = nxt
     return frozenset(elems)
 
@@ -463,10 +462,10 @@ def build_lattice(k: int) -> SubgroupLattice:
     The joins <H, c> and <H, n c n^-1> are conjugate for n in N(H), so only
     the first cyclic subgroup of each N(H)-orbit is closed; all of H's joins
     are closed in one close_indices call, over the right cosets of H, and
-    classified in cyclic-subgroup order.  A join is looked up by its packed
-    mask first; a subgroup not seen before goes to the bucket of its
-    cycle-type counts, where a conjugator search over all of S_k, one table
-    gather per subgroup, finds its class or makes it a new one.
+    classified in cyclic-subgroup order.  Every class registers the packed
+    masks of all its distinct conjugates when it is made, so a join is
+    classified by one lookup, and a miss is a new class, whose joins are
+    closed once.
     """
     import numpy as np
 
@@ -493,88 +492,66 @@ def build_lattice(k: int) -> SubgroupLattice:
     # cyclic_pos[g] = position of <g> in cyclic_list
     cyclic_pos = np.array([position[c] for c in generated], dtype=np.int16)
 
-    # cycle_type_id[g] numbers the cycle type of g
-    type_ids: dict[tuple[int, ...], int] = {}
-    cycle_type_id = np.array([type_ids.setdefault(t, len(type_ids)) for t in tables.cycle_types])
-
-    # class discovery: subgroup key (a close_indices mask) -> class id
+    # per class: representative, its generators and element mask, normalizer
+    # and distinct conjugates (one row each)
     reps: list[frozenset[int]] = []
     rep_gens: list[list[int]] = []
     rep_masks: list[np.ndarray] = []
+    normalizers: list[np.ndarray] = []
+    conjugates: list[np.ndarray] = []
+    # the registry: packed mask of every conjugate of every class -> class id
     set_to_class: dict[bytes, int] = {}
-    # conjugacy-invariant buckets, keyed by the count of each cycle type
-    buckets: dict[bytes, list[int]] = {}
+    # classes whose joins are not closed yet; classify pushes each one once
+    frontier: list[int] = []
 
     def classify(key: bytes, gens: list[int]) -> int:
         known = set_to_class.get(key)
         if known is not None:
             return known
-        sub = tables.members(key)
-        counts = np.bincount(cycle_type_id[sub], minlength=len(type_ids))
-        bucket = buckets.setdefault(counts.tobytes(), [])
-        if bucket:
-            # same order, so g sub g^-1 == rep iff g sub g^-1 lies inside rep
-            conjugated = tables.conjugate_set(sub)
-            for ci in bucket:
-                if rep_masks[ci][conjugated].all(axis=1).any():
-                    set_to_class[key] = ci
-                    return ci
         ci = len(reps)
-        reps.append(frozenset(sub.tolist()))
-        rep_gens.append(list(gens))
+        sub = tables.members(key)
         mask = np.zeros(n_g, dtype=bool)
         mask[sub] = True
+        # g normalizes H = <gens> iff g gens g^-1 lies in H
+        normalizer = np.flatnonzero(mask[tables.conjugate_set(gens)].all(axis=1))
+        # the distinct conjugates g^-1 H g, one per right coset N(H) g
+        leaders, _ = tables.right_cosets(normalizer)
+        distinct = tables.conj[np.ix_(tables.inv[leaders], sub)]
+        if len(normalizer) * len(distinct) != n_g:
+            raise ConsistencyError("orbit-stabilizer mismatch in normalizer computation")
+        conjugate_masks = np.zeros((len(distinct), n_g), dtype=bool)
+        conjugate_masks[np.arange(len(distinct))[:, None], distinct] = True
+        for row in np.packbits(conjugate_masks, axis=1):
+            set_to_class[row.tobytes()] = ci
+        reps.append(frozenset(sub.tolist()))
+        rep_gens.append(list(gens))
         rep_masks.append(mask)
-        bucket.append(ci)
-        set_to_class[key] = ci
+        normalizers.append(normalizer)
+        conjugates.append(distinct)
+        frontier.append(ci)
         return ci
-
-    # per class: normalizer order and its distinct conjugates, one row each
-    norm_orders: dict[int, int] = {}
-    conjugates: dict[int, np.ndarray] = {}
 
     (trivial,) = tables.close_indices([], [ident], [ident])
     classify(trivial, [])
-    frontier = [0]
-    done: set[int] = set()
     while frontier:
         ci = frontier.pop()
-        if ci in done:
-            continue
-        done.add(ci)
-        base = reps[ci]
         gens = rep_gens[ci]
-        inside = rep_masks[ci]
-        # g normalizes H = <gens> iff g gens g^-1 lies in H
-        normalizer = np.flatnonzero(inside[tables.conjugate_set(gens)].all(axis=1))
-        # the distinct conjugates g^-1 H g, one per right coset N(H) g
-        leaders, _ = tables.right_cosets(normalizer)
-        distinct = tables.conj[np.ix_(tables.inv[leaders], sorted(base))]
-        if len(normalizer) * len(distinct) != n_g:
-            raise ConsistencyError("orbit-stabilizer mismatch in normalizer computation")
-        norm_orders[ci] = len(normalizer)
-        conjugates[ci] = distinct
         # <c> lies in H iff its generator does
-        outside = [pos for pos, cgen in enumerate(cyclic_gens) if not inside[cgen]]
+        outside = [pos for pos, cgen in enumerate(cyclic_gens) if not rep_masks[ci][cgen]]
         # first cyclic_list position in each N(H)-orbit of cyclic subgroups;
         # conj is column-major, so the conjugates of c, conj.T[c], are a row
-        orbits = tables.conj.T[np.ix_([cyclic_gens[pos] for pos in outside], normalizer)]
-        leader = dict(zip(outside, cyclic_pos[orbits].min(axis=1).tolist()))
+        orbits = tables.conj.T[np.ix_([cyclic_gens[pos] for pos in outside], normalizers[ci])]
+        led = [pos for pos, first in zip(outside, cyclic_pos[orbits].min(axis=1).tolist())
+               if first == pos]
         # the leaders' joins are closed at once
-        led = [pos for pos in outside if leader[pos] == pos]
-        joined = tables.close_indices(gens, base, [cyclic_gens[pos] for pos in led]) if led else ()
-        keys = dict(zip(led, joined))
-        orbit_class: dict[int, int] = {}
-        for pos in outside:
-            if pos in keys:
-                orbit_class[pos] = classify(keys[pos], gens + [cyclic_gens[pos]])
-            cj = orbit_class[leader[pos]]
-            if cj not in done:
-                frontier.append(cj)
+        if led:
+            joined = tables.close_indices(gens, reps[ci], [cyclic_gens[pos] for pos in led])
+            for pos, key in zip(led, joined):
+                classify(key, gens + [cyclic_gens[pos]])
 
     # deterministic class ordering: (order, fingerprint, normalizer order)
     order_key = [
-        (len(reps[i]), _fingerprint(tables, reps[i]), norm_orders[i])
+        (len(reps[i]), _fingerprint(tables, reps[i]), len(normalizers[i]))
         for i in range(len(reps))
     ]
     perm_order_ids = sorted(range(len(reps)), key=lambda i: order_key[i])
@@ -595,7 +572,7 @@ def build_lattice(k: int) -> SubgroupLattice:
             SubgroupClass(
                 index=new_i,
                 order=len(sub),
-                normalizer_order=norm_orders[old_i],
+                normalizer_order=len(normalizers[old_i]),
                 label=labels[new_i],
                 generators=tuple(tables.perms[g] for g in _minimal_gens(tables, sub)),
                 representative=frozenset(tables.perms[h] for h in sub),
@@ -606,7 +583,7 @@ def build_lattice(k: int) -> SubgroupLattice:
     n_table: dict[tuple[int, int], int] = {}
     for li, old_l in enumerate(perm_order_ids):
         lsize = len(reps[old_l])
-        n_l = norm_orders[old_l]
+        n_l = len(normalizers[old_l])
         for hi, old_h in enumerate(perm_order_ids):
             if len(reps[old_h]) % lsize:
                 continue
@@ -614,7 +591,7 @@ def build_lattice(k: int) -> SubgroupLattice:
             if count == 0:
                 continue
             num = count * n_l
-            n_h = norm_orders[old_h]
+            n_h = len(normalizers[old_h])
             if num % n_h:
                 raise ConsistencyError("n(L,H) not integral")
             n_table[(li, hi)] = num // n_h

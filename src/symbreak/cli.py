@@ -340,9 +340,12 @@ def validate_args(args) -> None:
     if args.command == "verify":
         for flag, value, least in (("--mc-trials", args.mc_trials, 1),
                                    ("--mc-samples", args.mc_samples, 2),
-                                   ("--fd-points", args.fd_points, 1)):
+                                   ("--fd-points", args.fd_points, 1),
+                                   ("--seed", args.seed, 0)):
             if value < least:
                 raise DomainError(f"{flag} must be >= {least}, got {value}")
+        if args.perturb_hessian is not None and not math.isfinite(args.perturb_hessian):
+            raise DomainError(f"--perturb-hessian must be finite, got {args.perturb_hessian}")
     # after every usage check, so that a bad argument still exits 2
     if args.command in ("spectrum", "verify") and max(widths, default=0) > MAX_DENSE_K:
         raise CapacityError(f"dense eigenanalysis capped at k = {MAX_DENSE_K}")

@@ -56,22 +56,10 @@ FORMULA_IDS = ("wedge", "sym0", "W_bminus_c", "W_plus", "W_minus",
 # coefficients and the seven families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ABCCoefficients:
-    a: float
-    b: float
-    c: float
-
-
 def abc_terms(alpha):
     """(a, b, c) = (1/2 - alpha/4, alpha/4, alpha/2pi), so a + b = 1/2; alpha
     is a float or a float array.  The one source of the coefficients."""
     return 0.5 - alpha / 4.0, alpha / 4.0, alpha / TWO_PI
-
-
-def abc(alpha: float) -> ABCCoefficients:
-    """abc_terms(alpha) as named fields."""
-    return ABCCoefficients(*abc_terms(alpha))
 
 
 def family_terms(k: int, alpha, root) -> tuple:

@@ -134,12 +134,7 @@ def leading_coefficient_check(bd: BasicDegree, lattice: SubgroupLattice) -> Lead
 # degrees of linear maps from spectra
 # ---------------------------------------------------------------------------
 
-def linear_map_degree(
-    spectrum: list[SpectrumEntry],
-    lattice: SubgroupLattice,
-    degrees: dict[Partition, BasicDegree] | None = None,
-    multiplicities: dict[Partition, int] | None = None,
-) -> BurnsideElement:
+def linear_map_degree(spectrum: list[SpectrumEntry], lattice: SubgroupLattice) -> BurnsideElement:
     """Degree of a symmetric isomorphism with the given spectrum.
 
     Each entry carries whole irreducible copies (eigenspace dimension is a
@@ -147,14 +142,10 @@ def linear_map_degree(
     over negative eigenvalues of the basic degree of the entry's label, once
     per copy: an involution, so an odd copy count multiplies in the label's
     parity vector once.  Zero eigenvalues mean no isomorphism; that is a
-    degeneracy error naming the offending family.  When the isotypic multiplicities of
-    the ambient space are supplied they bound the per-label copy counts.
-    No command calls it; it stays as the degree-stability check of the
-    subcritical window.
+    degeneracy error naming the offending family.  No command calls it; it
+    stays as the degree-stability check of the subcritical window.
     """
-    if degrees is None:
-        degrees = {}
-    seen: dict[Partition, int] = {}
+    degrees: dict[Partition, BasicDegree] = {}
     marks = [1] * len(lattice.classes)
     for entry in spectrum:
         if entry.value == 0.0:
@@ -165,11 +156,6 @@ def linear_map_degree(
         if entry.multiplicity % hook_dimension(entry.label):
             raise ConsistencyError(
                 f"eigenspace of {entry.formula_id} is not a whole number of copies of {entry.label}"
-            )
-        seen[entry.label] = seen.get(entry.label, 0) + copies
-        if multiplicities is not None and seen[entry.label] > multiplicities[entry.label]:
-            raise ConsistencyError(
-                f"{seen[entry.label]} copies of {entry.label} exceed the isotypic multiplicity"
             )
         if entry.value < 0 and copies % 2:
             if entry.label not in degrees:

@@ -86,13 +86,11 @@ def _display_targets(golden: dict) -> dict[str, dict[str, int]]:
 def infer_name_map(
     lattice: SubgroupLattice,
     computed: dict[str, BurnsideElement],
-    golden: dict | None = None,
+    golden: dict,
 ) -> NameMap:
     """Search injective label->class assignments maximizing the number of
     reference expansions reproduced exactly.  computed maps display keys
     (degree_hook, ..., invariant_at_zero, ...) to Burnside elements."""
-    if golden is None:
-        golden = load_golden()
     targets = _display_targets(golden)
     labels = sorted({lab for terms in targets.values() for lab in terms})
     orders = golden["label_orders"]
@@ -155,13 +153,11 @@ def compare_k5(
     lattice: SubgroupLattice,
     degrees: dict[tuple, BasicDegree],
     invariants: list[BifurcationInvariant],
-    golden: dict | None = None,
 ) -> dict:
     """Match the four basic degrees and three invariants against the frozen
     expansions; returns the inferred name map, per-display verdicts, maximal
     orbit-type comparisons, and any repair notes from the reference data."""
-    if golden is None:
-        golden = load_golden()
+    golden = load_golden()
     computed: dict[str, BurnsideElement] = {}
     for key, eta in _GOLDEN_KEY_TO_PARTITION.items():
         computed[f"degree_{key}"] = degrees[eta].element
@@ -222,13 +218,11 @@ def compare_k5(
     }
 
 
-def compare_character_table(golden: dict | None = None) -> dict:
+def compare_character_table() -> dict:
     """Entrywise comparison of character_table(5) against the published
     7 x 7 table, its class sizes, the permutation-character row, and the
     stated decomposition of R^25."""
-    if golden is None:
-        golden = load_golden()
-    ref = golden["character_table"]
+    ref = load_golden()["character_table"]
     table = character_table(5)
     mismatches = []
     for row_label, eta, row in zip(ref["row_labels"], ref["row_partitions"], ref["values"]):

@@ -15,9 +15,10 @@ U is the block operator
 
     L(U) = U (aJ + bI) + c (U^T + tr(U) I - 2 Diag(U)),
 
-a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi; closed_forms.abc(alpha) is
-the one source of these coefficients, and of TWO_PI.  vec convention: a matrix maps to the concatenation of its
-columns, so assemble_dense(...) @ vec(U) equals vec(block_operator_apply(U)).
+a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi; closed_forms holds the one
+source of these coefficients, abc_terms(alpha), and TWO_PI.  vec
+convention: a matrix maps to the concatenation of its columns, so
+assemble_dense(...) @ vec(U) equals vec(block_operator_apply(U)).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import TWO_PI, abc
+from .closed_forms import TWO_PI, abc_terms
 from .errors import ConsistencyError, DomainError
 from .landscape import _check_pair, _losses, _vector, angle, loss
 
@@ -126,14 +127,14 @@ def hessian_at_minimum(k: int, alpha: float) -> HessianBlocks:
     A_ij = (1/2 - a/4) I + (a/2pi)(E_ij + E_ji)."""
     if k < 2:
         raise DomainError("k >= 2 required")
-    co = abc(alpha)
+    a, _, c = abc_terms(alpha)
     blocks = np.empty((k, k, k, k))
-    blocks[...] = co.a * np.eye(k)
+    blocks[...] = a * np.eye(k)
     diag = np.arange(k)
     blocks[diag, diag] = 0.5 * np.eye(k)
     i, j = np.nonzero(~np.eye(k, dtype=bool))
-    blocks[i, j, i, j] += co.c
-    blocks[i, j, j, i] += co.c
+    blocks[i, j, i, j] += c
+    blocks[i, j, j, i] += c
     return HessianBlocks(k=k, blocks=blocks)
 
 
@@ -147,9 +148,9 @@ def block_operator_apply(U, alpha: float) -> np.ndarray:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise DomainError(f"square matrix required, got shape {U.shape}")
     k = U.shape[0]
-    co = abc(alpha)
+    a, b, c = abc_terms(alpha)
     J = np.ones((k, k))
-    return U @ (co.a * J + co.b * np.eye(k)) + co.c * (
+    return U @ (a * J + b * np.eye(k)) + c * (
         U.T + np.trace(U) * np.eye(k) - 2.0 * np.diag(np.diag(U))
     )
 

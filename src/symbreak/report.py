@@ -21,13 +21,13 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """JSON with 17-significant-digit floats and sorted dict keys left in
-    insertion order (reports are built deterministically)."""
+def dumps(obj) -> str:
+    """JSON indented by two spaces, with 17-significant-digit floats and
+    dict keys left in insertion order (reports are built deterministically)."""
 
     def emit(node, depth: int) -> str:
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        pad_in = "  " * (depth + 1)
         if node is None:
             return "null"
         if isinstance(node, bool):
@@ -60,11 +60,10 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
-def validate_report(obj, schema: dict | None = None, path: str = "$") -> list[str]:
-    """Minimal JSON-schema subset validator (type/required/properties/items/
-    enum); returns a list of violations, empty when valid."""
-    if schema is None:
-        schema = load_schema()
+def validate_report(obj) -> list[str]:
+    """Check a report against the packaged schema with a minimal JSON-schema
+    subset validator (type/required/properties/items/enum); returns a list of
+    violations, empty when valid."""
     errors: list[str] = []
 
     def type_ok(value, expected: str) -> bool:
@@ -98,7 +97,7 @@ def validate_report(obj, schema: dict | None = None, path: str = "$") -> list[st
             for i, item in enumerate(value):
                 walk(item, sch["items"], f"{where}[{i}]")
 
-    walk(obj, schema, path)
+    walk(obj, load_schema(), "$")
     return errors
 
 

@@ -2,8 +2,8 @@
 isotypic eigenbasis, the critical set of leaky parameters, and the matcher
 against dense numerical eigensolves.
 
-With a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi (closed_forms.abc,
-re-exported here) the block operator has exactly seven eigenvalue families:
+With a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi (closed_forms.abc_terms)
+the block operator has exactly seven eigenvalue families:
 
     wedge          b - c                            mult (k-1)(k-2)/2
     sym0           b + c                            mult k(k-3)/2
@@ -55,7 +55,7 @@ from .closed_forms import (  # noqa: F401
     FORMULA_IDS,
     MAX_DENSE_K,
     _asymptote_distances,
-    abc,
+    abc_terms,
     critical_alpha_standard,
     critical_alpha_trivial,
     critical_set,
@@ -240,8 +240,7 @@ def isotypic_basis(k: int) -> IsotypicBasis:
 def w_block_matrix(k: int, alpha: float) -> np.ndarray:
     """Action of the block operator on one ordered triple (K_i, S_i, D_i),
     rows = images:  L(K) = (b-c+ak/2) K + (ak/2) S, etc."""
-    co = abc(alpha)
-    a, b, c = co.a, co.b, co.c
+    a, b, c = abc_terms(alpha)
     return np.array([
         [b - c + a * k / 2.0, a * k / 2.0, 0.0],
         [a * k / 2.0, b + c + a * k / 2.0 - 4.0 * c / k, -4.0 * c],

@@ -47,9 +47,9 @@ def _check(name: str, passed: bool, hard: bool = True, detail=None) -> dict:
     return {"name": name, "passed": bool(passed), "hard": hard, "detail": detail}
 
 
-def _random_admissible(rng: np.random.Generator, k: int, spread: float = 0.4) -> np.ndarray:
+def _random_admissible(rng: np.random.Generator, k: int) -> np.ndarray:
     while True:
-        point = np.eye(k) + spread * rng.standard_normal((k, k))
+        point = np.eye(k) + 0.4 * rng.standard_normal((k, k))
         if np.linalg.norm(point, axis=1).min() > 0.2:
             return point
 
@@ -254,13 +254,13 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
             continue  # basis-level residuals are a small-width structural check
         basis = sp.isotypic_basis(k)
         for a in (0.5, 1.0, 2.5):
-            co = sp.abc(a)
+            _, b, c = sp.abc_terms(a)
             for mat in basis.wedge:
                 worst = max(worst, float(np.abs(
-                    hs.block_operator_apply(mat, a) - (co.b - co.c) * mat).max()))
+                    hs.block_operator_apply(mat, a) - (b - c) * mat).max()))
             for mat in basis.s0:
                 worst = max(worst, float(np.abs(
-                    hs.block_operator_apply(mat, a) - (co.b + co.c) * mat).max()))
+                    hs.block_operator_apply(mat, a) - (b + c) * mat).max()))
             block = sp.w_block_matrix(k, a)
             for (K, S, D) in basis.ksd:
                 triple = [K, S, D]

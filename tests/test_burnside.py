@@ -323,6 +323,28 @@ def test_k6_lattice(lattice6):
         ]
 
 
+@pytest.mark.slow
+def test_k7_lattice_published_totals(monkeypatch):
+    # OEIS A000638 and A005432 at n = 7: 96 conjugacy classes of subgroups
+    # and 11,300 subgroups of S_7
+    monkeypatch.setattr(burnside, "MAX_LATTICE_K", 7)
+    lattice = build_lattice(7)
+    assert len(lattice.classes) == 96
+    assert lattice.total_subgroups() == 11300
+
+
+@pytest.mark.parametrize("k, classes", [(4, 11), (5, 19), (6, 56)])
+def test_conjugate_set_called_once_per_class(k, classes, monkeypatch):
+    # a class registers all its conjugates when it is made, so every join is
+    # classified by one lookup, with no conjugator search over S_k
+    calls = []
+    original = _GroupTables.conjugate_set
+    monkeypatch.setattr(_GroupTables, "conjugate_set",
+                        lambda self, sub: calls.append(sub) or original(self, sub))
+    assert len(build_lattice(k).classes) == classes
+    assert len(calls) == classes
+
+
 @functools.cache
 def _tables(k):
     return _GroupTables(k)

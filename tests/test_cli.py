@@ -116,6 +116,10 @@ def test_spectrum_dense_cap_exit3(capsys, tmp_path):
     *(pytest.param(["critical", "--k", str(10**e)],
                    f"error: k={10**e} overflows the W radicand", id=f"critical-k1e{e}")
       for e in (154, 155)),
+    (["verify", "--seed", "-1"], "--seed"),
+    (["verify", "--perturb-hessian", "nan"], "--perturb-hessian"),
+    (["verify", "--perturb-hessian=inf"], "--perturb-hessian"),
+    (["verify", "--perturb-hessian=-inf"], "--perturb-hessian"),
 ])
 def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
     # rejected before any command runs: no Monte-Carlo stage, no traceback
@@ -540,7 +544,8 @@ def _argv(draw, cache_dir):
         args = [f"--k={width}"]
     else:  # only arguments that validation rejects: verify itself is ~15 s
         args = [draw(st.sampled_from(["--k=3", f"--k={_HUGE_K}", "--mc-trials=0",
-                                      "--mc-samples=1", "--fd-points=0"]))]
+                                      "--mc-samples=1", "--fd-points=0", "--seed=-1",
+                                      "--perturb-hessian=nan", "--perturb-hessian=inf"]))]
     tol = [f"--tol={pair}" for pair in draw(st.lists(_TOL, max_size=1))]
     return ["--cache-dir", str(cache_dir), *tol, command, *args, "--output=json"]
 

@@ -20,7 +20,8 @@ from symbreak.hessian import (
     vec,
 )
 from symbreak.landscape import identity_teacher
-from symbreak.spectrum import abc, analytic_spectrum, merged_view
+from symbreak.closed_forms import abc_terms
+from symbreak.spectrum import analytic_spectrum, merged_view
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,14 +150,14 @@ def test_minimum_rejects_small_k():
 # ---------------------------------------------------------------------------
 
 def test_operator_on_identity_and_ones():
-    co = abc(1.0)
+    a, b, c = abc_terms(1.0)
     k = 4
     ones = np.ones((k, k))
     got_i = block_operator_apply(np.eye(k), 1.0)
-    want_i = co.a * ones + (co.b + co.c * k - co.c) * np.eye(k)
+    want_i = a * ones + (b + c * k - c) * np.eye(k)
     assert np.abs(got_i - want_i).max() <= 1e-15
     got_j = block_operator_apply(ones, 1.0)
-    want_j = co.c * (k - 2) * np.eye(k) + (k * co.a + co.b + co.c) * ones
+    want_j = c * (k - 2) * np.eye(k) + (k * a + b + c) * ones
     assert np.abs(got_j - want_j).max() <= 1e-15
 
 
@@ -189,16 +190,16 @@ def test_assemble_round_trip(rng):
 
 
 def _loop_minimum_blocks(k, alpha):
-    co = abc(alpha)
+    a, _, c = abc_terms(alpha)
     blocks = np.zeros((k, k, k, k))
     for i in range(k):
         blocks[i, i] = 0.5 * np.eye(k)
         for j in range(k):
             if j != i:
-                b = co.a * np.eye(k)
-                b[i, j] += co.c
-                b[j, i] += co.c
-                blocks[i, j] = b
+                block = a * np.eye(k)
+                block[i, j] += c
+                block[j, i] += c
+                blocks[i, j] = block
     return blocks
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symbreak import closed_forms, spectrum
-from symbreak.closed_forms import family_values_at
+from symbreak.closed_forms import abc_terms, family_values_at
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import load_golden
 from symbreak.hessian import assemble_dense, block_operator_apply, hessian_at_minimum, vec
@@ -14,7 +14,6 @@ from symbreak.spectrum import (
     FORMULA_IDS,
     _cluster,
     _isotypic_scores,
-    abc,
     analytic_spectrum,
     critical_alpha_standard,
     critical_alpha_trivial,
@@ -37,16 +36,12 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 def test_abc_values():
-    def triple(alpha):
-        co = abc(alpha)
-        return (co.a, co.b, co.c)
-
-    assert triple(0.0) == pytest.approx((0.5, 0.0, 0.0))
-    assert triple(1.0) == pytest.approx((0.25, 0.25, 1.0 / TWO_PI))
-    assert triple(2.0) == pytest.approx((0.0, 0.5, 1.0 / math.pi))
+    assert abc_terms(0.0) == pytest.approx((0.5, 0.0, 0.0))
+    assert abc_terms(1.0) == pytest.approx((0.25, 0.25, 1.0 / TWO_PI))
+    assert abc_terms(2.0) == pytest.approx((0.0, 0.5, 1.0 / math.pi))
     for alpha in (-1.0, 0.3, 2.7):
-        co = abc(alpha)
-        assert co.a + co.b == pytest.approx(0.5, abs=1e-15)
+        a, b, _ = abc_terms(alpha)
+        assert a + b == pytest.approx(0.5, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +145,11 @@ def test_basis_counts_and_algebra(k):
 @pytest.mark.parametrize("k,alpha", [(4, 1.0), (5, 0.7), (6, 2.5)])
 def test_eigen_equations_on_basis(k, alpha):
     basis = isotypic_basis(k)
-    co = abc(alpha)
+    _, b, c = abc_terms(alpha)
     for mat in basis.wedge:
-        assert np.abs(block_operator_apply(mat, alpha) - (co.b - co.c) * mat).max() <= 1e-10
+        assert np.abs(block_operator_apply(mat, alpha) - (b - c) * mat).max() <= 1e-10
     for mat in basis.s0:
-        assert np.abs(block_operator_apply(mat, alpha) - (co.b + co.c) * mat).max() <= 1e-10
+        assert np.abs(block_operator_apply(mat, alpha) - (b + c) * mat).max() <= 1e-10
     block = w_block_matrix(k, alpha)
     for (K, S, D) in basis.ksd:
         triple = [K, S, D]
