@@ -269,7 +269,7 @@ def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
     return report, _finish(report, checks)
 
 
-def cmd_invariants(args, tol: dict[str, float], cache_dir: Path) -> tuple[dict, int]:
+def cmd_invariants(args, cache_dir: Path) -> tuple[dict, int]:
     from .burnside import MAX_LATTICE_K
     from .degrees import bifurcation_report, invariants_payload
 
@@ -443,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "critical":
             report, code = cmd_critical(args, tol)
         elif args.command == "invariants":
-            report, code = cmd_invariants(args, tol, cache_dir)
+            report, code = cmd_invariants(args, cache_dir)
         elif args.command == "verify":
             report, code = cmd_verify(args, _parse_tol(args.tol), cache_dir)
         else:  # pragma: no cover

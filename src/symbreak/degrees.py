@@ -171,7 +171,6 @@ def linear_map_degree(spectrum: list[SpectrumEntry], lattice: SubgroupLattice) -
 @dataclass
 class BifurcationInvariant:
     critical_value: float
-    critical_index: int
     labels: list[Partition]              # isotypic factors degenerating here
     element: BurnsideElement
     maximal_types: list[int]
@@ -210,7 +209,6 @@ def all_invariants(
         degree_above = solve_from_marks(lattice, above)
         invariants.append(BifurcationInvariant(
             critical_value=crit.values[which],
-            critical_index=which,
             labels=labels,
             element=omega,
             maximal_types=maximal_orbit_types(omega, lattice),

@@ -8,7 +8,10 @@ admissible point the blocks are built from the two matrix kernels
     h2(x, y) = (1/2pi) (-t I + nxy y^T/|y| + nyx x^T/|x|)
 
 where t is the angle, nxy is the unit normal of x against y, and the normal
-of parallel vectors is the zero vector (so h1 vanishes there).  At the
+of parallel vectors is the zero vector (so h1 vanishes there).  h1 and h2
+take all row pairs of two row stacks at once, with the angles of
+landscape._angles; phi_map, whose finite-difference Jacobians are their
+oracle, keeps an angle of its own.  At the
 global minimum the blocks collapse to A_ii = I/2 and
 A_ij = (1/2 - a/4) I + (a/2pi)(E_ij + E_ji), whose action on a k x k matrix
 U is the block operator
@@ -30,7 +33,7 @@ import numpy as np
 
 from .closed_forms import TWO_PI, abc_terms
 from .errors import ConsistencyError, DomainError
-from .landscape import _check_pair, _losses, _vector, angle, loss
+from .landscape import _angles, _check_pair, _check_rows, _losses, loss
 
 ASSEMBLY_SYMMETRY_TOL = 1e-9
 
@@ -39,49 +42,53 @@ ASSEMBLY_SYMMETRY_TOL = 1e-9
 # matrix kernels
 # ---------------------------------------------------------------------------
 
-def unit_normal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """nxy = (xhat - cos(t) yhat) / sin(t); zero for parallel nonzero inputs."""
-    xh = x / np.linalg.norm(x)
-    yh = y / np.linalg.norm(y)
-    n = xh - float(np.dot(xh, yh)) * yh
-    norm = np.linalg.norm(n)
-    if norm < 1e-14:
-        return np.zeros_like(x)
-    return n / norm
+def _row_pairs(rows_x, rows_y):
+    """(theta, sin theta, |x_i|, |y_j|, xh, yh, nxy, nyx) for row stacks x
+    (m, k) and y (n, k): the (m, n) angles of landscape._angles, the unit
+    rows, and the unit normals nxy[i, j] = (xh_i - cos yh_j) / |...| of x_i
+    against y_j and nyx[i, j] of y_j against x_i.  A normal under 1e-14 in
+    norm (parallel rows) is the zero vector; the division is masked there,
+    so no warning is raised."""
+    x = np.asarray(rows_x, dtype=float)
+    y = np.asarray(rows_y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise DomainError(f"row stacks of one width required, got shapes {x.shape} and {y.shape}")
+    _check_rows(x, "x")
+    _check_rows(y, "y")
+    theta, sin, cos, nx, ny = _angles(x, y)
+    xh, yh = x / nx[:, None], y / ny[:, None]
+    c = cos[:, :, None]
+    diffs = np.stack([xh[:, None] - c * yh[None], yh[None] - c * xh[:, None]])
+    norms = np.linalg.norm(diffs, axis=-1, keepdims=True)
+    nxy, nyx = np.divide(diffs, norms, out=np.zeros_like(diffs), where=norms >= 1e-14)
+    return theta, sin, nx, ny, xh, yh, nxy, nyx
 
 
-def h1(x, y) -> np.ndarray:
-    x = _vector(x, "x")
-    y = _vector(y, "y")
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    sin_t = math.sin(angle(x, y))
-    if sin_t == 0.0 or np.linalg.norm(unit_normal(y, x)) == 0.0:
-        # parallel inputs: the prefactor vanishes with the zero-normal rule
-        return np.zeros((x.size, x.size))
-    nyx = unit_normal(y, x)
-    k = x.size
-    return (sin_t * ny / (TWO_PI * nx)) * (
-        np.eye(k) - np.outer(x, x) / (nx * nx) + np.outer(nyx, nyx)
-    )
+def h1(rows_x, rows_y) -> np.ndarray:
+    """h1 over all row pairs: entry [i, j] is the k x k block h1(x_i, y_j)."""
+    _, sin, nx, ny, xh, _, _, nyx = _row_pairs(rows_x, rows_y)
+    # the zero-normal rule: parallel rows give the zero block
+    scale = np.where(nyx.any(axis=-1), sin * ny / (TWO_PI * nx[:, None]), 0.0)
+    proj = (np.eye(xh.shape[1]) - np.einsum("ia,ib->iab", xh, xh)[:, None]
+            + np.einsum("ija,ijb->ijab", nyx, nyx))
+    return scale[:, :, None, None] * proj
 
 
-def h2(x, y) -> np.ndarray:
-    x = _vector(x, "x")
-    y = _vector(y, "y")
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    t = angle(x, y)
-    k = x.size
-    nxy = unit_normal(x, y)
-    nyx = unit_normal(y, x)
-    return (-t * np.eye(k) + np.outer(nxy, y) / ny + np.outer(nyx, x) / nx) / TWO_PI
+def h2(rows_x, rows_y) -> np.ndarray:
+    """h2 over all row pairs: entry [i, j] is the k x k block h2(x_i, y_j)."""
+    theta, _, _, _, xh, yh, nxy, nyx = _row_pairs(rows_x, rows_y)
+    return (-theta[:, :, None, None] * np.eye(xh.shape[1])
+            + np.einsum("ija,jb->ijab", nxy, yh) + np.einsum("ija,ib->ijab", nyx, xh)) / TWO_PI
 
 
 def phi_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Phi(x, y) = |y| sin(t) xhat - t y; h1 and h2 are (1/2pi) times its
     partial derivative maps.  No command calls it; it stays as the map whose
-    finite-difference Jacobians are the oracle for h1 and h2."""
+    finite-difference Jacobians are the oracle for h1 and h2, so it computes
+    its own angle (clamped math.acos) rather than read landscape._angles,
+    the routine h1 and h2 use."""
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    t = angle(x, y)
+    t = math.acos(min(1.0, max(-1.0, float(np.dot(x, y)) / (nx * ny))))
     return ny * math.sin(t) * x / nx - t * y
 
 
@@ -109,16 +116,10 @@ def hessian_published(student, teacher, alpha: float) -> HessianBlocks:
     """
     s, t = _check_pair(student, teacher)
     k = s.shape[0]
-    blocks = np.zeros((k, k, k, k))
     half = 0.5 * np.eye(k)
-    for i in range(k):
-        diag = half.copy()
-        for j in range(k):
-            diag += alpha * (h1(s[i], s[j]) - h1(s[i], t[j]))
-        blocks[i, i] = diag
-        for j in range(k):
-            if j != i:
-                blocks[i, j] = half + alpha * h2(s[i], s[j])
+    blocks = half + alpha * h2(s, s)
+    diag = np.arange(k)
+    blocks[diag, diag] = half + alpha * (h1(s, s) - h1(s, t)).sum(axis=1)
     return HessianBlocks(k=k, blocks=blocks)
 
 

@@ -6,7 +6,8 @@ The activation is sigma_a(t) = max{(1-a)t, t} with leaky parameter a (slope
 
     f_a(w, v) = E[sigma_a(w.x) sigma_a(v.x)],   x ~ N(0, I_k)
 
-has the closed form implemented by kernel_f, and the loss is the quadratic
+has one closed form, _kernel_matrix over all row pairs with the angles of
+_angles (kernel_f is its single entry), and the loss is the quadratic
 combination of kernels over all row pairs of the student and teacher weight
 matrices.
 
@@ -78,34 +79,24 @@ def activation(a: np.ndarray, alpha: float) -> np.ndarray:
 # kernel
 # ---------------------------------------------------------------------------
 
-def _vector(w, name: str) -> np.ndarray:
-    arr = np.asarray(w, dtype=float).reshape(-1)
-    n = np.linalg.norm(arr)
-    if n == 0.0 or not np.isfinite(n):
-        raise DomainError(f"{name} has zero norm")
-    return arr
-
-
-def angle(w: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi]; the cosine is clamped before arccos so floating
-    overshoot on (anti)parallel inputs cannot produce NaN."""
-    c = float(np.dot(w, v) / (np.linalg.norm(w) * np.linalg.norm(v)))
-    return math.acos(min(1.0, max(-1.0, c)))
+def _vectors(w, v) -> tuple[np.ndarray, np.ndarray]:
+    w = np.asarray(w, dtype=float).reshape(-1)
+    v = np.asarray(v, dtype=float).reshape(-1)
+    for arr, name in ((w, "w"), (v, "v")):
+        n = np.linalg.norm(arr)
+        if n == 0.0 or not np.isfinite(n):
+            raise DomainError(f"{name} has zero norm")
+    if v.size != w.size:
+        raise DomainError("w and v must have equal dimension")
+    return w, v
 
 
 def kernel_f(w, v, alpha: float) -> float:
-    """Closed-form Gaussian kernel of the leaky activation.
-
-    (1/2pi) |w||v| (alpha^2 (sin t - t cos t) + (2 + alpha^2 - 2 alpha) pi cos t)
-    with t the angle between w and v.  Symmetric and positively homogeneous
-    in each argument.
-    """
-    w = _vector(w, "w")
-    v = _vector(v, "v")
-    t = angle(w, v)
-    beta = 2.0 + alpha * alpha - 2.0 * alpha
-    val = alpha * alpha * (math.sin(t) - t * math.cos(t)) + beta * math.pi * math.cos(t)
-    return float(np.linalg.norm(w) * np.linalg.norm(v) * val / TWO_PI)
+    """Closed-form Gaussian kernel of the leaky activation at one vector pair,
+    the single entry of _kernel_matrix.  Symmetric and positively homogeneous
+    in each argument."""
+    w, v = _vectors(w, v)
+    return float(_kernel_matrix(w[None], v[None], alpha)[0, 0])
 
 
 MC_CHUNK = 1 << 16   # rows per summed chunk
@@ -151,10 +142,7 @@ def _mc_mean_se(draw, k: int, n_samples: int, seed: int) -> tuple[float, float]:
 def kernel_mc(w, v, alpha: float, n_samples: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo (mean, standard error) of E[sigma(w.x) sigma(v.x)],
     x ~ N(0, I_k); deterministic for a fixed seed."""
-    w = _vector(w, "w")
-    v = _vector(v, "v")
-    if v.size != w.size:
-        raise DomainError("w and v must have equal dimension")
+    w, v = _vectors(w, v)
     slope = 1.0 - alpha
 
     def draw(x, out):
@@ -170,7 +158,9 @@ def kernel_mc(w, v, alpha: float, n_samples: int, seed: int) -> tuple[float, flo
 
 def _angles(rows_a: np.ndarray, rows_b: np.ndarray):
     """(theta, sin theta, clipped cos theta, |rows_a|, |rows_b|) over all row
-    pairs; leading axes broadcast, so a stack of matrices gives a stack."""
+    pairs; leading axes broadcast, so a stack of matrices gives a stack.  The
+    cosine is clipped before arccos so floating overshoot on (anti)parallel
+    rows cannot produce NaN."""
     na = np.linalg.norm(rows_a, axis=-1)
     nb = np.linalg.norm(rows_b, axis=-1)
     cos = np.clip(rows_a @ rows_b.swapaxes(-1, -2) / (na[..., :, None] * nb[..., None, :]),
@@ -180,7 +170,11 @@ def _angles(rows_a: np.ndarray, rows_b: np.ndarray):
 
 
 def _kernel_matrix(rows_a: np.ndarray, rows_b: np.ndarray, alpha: float) -> np.ndarray:
-    """f_alpha over all row pairs of two weight matrices (or stacks of them)."""
+    """f_alpha over all row pairs of two weight matrices (or stacks of them):
+
+        (1/2pi) |w||v| (alpha^2 (sin t - t cos t) + (2 + alpha^2 - 2 alpha) pi cos t)
+
+    for rows w, v at angle t."""
     theta, sin, cos, na, nb = _angles(rows_a, rows_b)
     beta = 2.0 + alpha * alpha - 2.0 * alpha
     vals = alpha * alpha * (sin - theta * cos) + beta * math.pi * cos

@@ -23,6 +23,7 @@ from . import hessian as hs
 from . import spectrum as sp
 from . import symrep as sr
 from .degrees import all_invariants
+from .errors import ConsistencyError
 from .report import resolve_tolerances
 
 
@@ -299,7 +300,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
         table = sr.character_table(k)
         try:
             table.check_orthogonality()
-        except Exception:
+        except ConsistencyError:
             ortho_ok = False
         cent_ok = all(
             sum(row[ci] ** 2 for row in table.values)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import subprocess
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_admissible
-from symbreak import cli, landscape, verify
+import symbreak
+from symbreak import cli, landscape, symrep, verify
+from symbreak.errors import ConsistencyError
 from symbreak.burnside import serialize_lattice
 from symbreak.cli import main
 from symbreak.landscape import (
@@ -464,6 +467,27 @@ def test_verify_perturbation_fails(capsys, tmp_path):
     assert "spectrum_match_sweep" in failing
 
 
+@pytest.mark.parametrize("exc, code", [
+    (IndexError("row 9"), 4),
+    (ConsistencyError("row orthogonality fails"), 1),
+], ids=["IndexError", "ConsistencyError"])
+def test_verify_orthogonality_exit_codes(exc, code, capsys, tmp_path, monkeypatch):
+    # a defect inside the orthogonality check is an internal error (4); only
+    # a violated relation is a failed check (1)
+    def broken(self):
+        raise exc
+
+    monkeypatch.setattr(symrep.CharacterTable, "check_orthogonality", broken)
+    assert main(["--cache-dir", str(tmp_path), *VERIFY_FAST, "--output", "json"]) == code
+    captured = capsys.readouterr()
+    if code == 4:
+        assert captured.out == ""
+        assert captured.err == "internal error: IndexError: row 9\n"
+    else:
+        rep = json.loads(captured.out)
+        assert {c["name"] for c in rep["checks"] if not c["passed"]} == {"character_orthogonality"}
+
+
 # ---------------------------------------------------------------------------
 # output formats
 # ---------------------------------------------------------------------------
@@ -646,6 +670,17 @@ def test_dense_cap_refused_before_any_work(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
+
+
+def test_every_export_resolves_in_its_submodule():
+    # each public name loads lazily from the submodule _EXPORTS names, and is
+    # defined there, so deleting a definition cannot leave an export dangling
+    for name in symbreak.__all__:
+        assert name not in vars(symbreak), name
+        obj = getattr(symbreak, name)
+        module = importlib.import_module(f"symbreak.{symbreak._EXPORTS[name]}")
+        assert obj is getattr(module, name)
+        assert obj.__module__ == module.__name__, name
 
 
 def test_console_entry_point(tmp_path):

@@ -31,22 +31,29 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 def test_h1_parallel_inputs_vanish():
-    assert np.abs(h1([1.0, 1.0, 0.0], [3.0, 3.0, 0.0])).max() == 0.0
-    assert np.abs(h1([1.0, 0.0], [-2.0, 0.0])).max() == 0.0
+    assert np.abs(h1([[1.0, 1.0, 0.0]], [[3.0, 3.0, 0.0]])[0, 0]).max() == 0.0
+    assert np.abs(h1([[1.0, 0.0]], [[-2.0, 0.0]])[0, 0]).max() == 0.0
 
 
 def test_h2_orthogonal_basis_vectors():
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
     want = (-(math.pi / 2) * np.eye(3) + np.outer(e1, e2) + np.outer(e2, e1)) / TWO_PI
-    assert np.abs(h2(e1, e2) - want).max() <= 1e-15
+    assert np.abs(h2([e1], [e2])[0, 0] - want).max() <= 1e-15
 
 
 def test_h_kernels_reject_zero_vectors():
     with pytest.raises(DomainError):
-        h1([0.0, 0.0], [1.0, 0.0])
+        h1([[0.0, 0.0]], [[1.0, 0.0]])
     with pytest.raises(DomainError):
-        h2([1.0, 0.0], [0.0, 0.0])
+        h2([[1.0, 0.0]], [[0.0, 0.0]])
+
+
+def test_h_kernels_reject_stacks_of_two_widths():
+    with pytest.raises(DomainError, match="one width"):
+        h1([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match="one width"):
+        h2([1.0, 0.0], [[1.0, 0.0]])
 
 
 def _fd_jacobian(f, x, eps=1e-6):
@@ -68,16 +75,16 @@ def test_h1_h2_match_fd_derivatives_of_phi(rng):
         if min(np.linalg.norm(x), np.linalg.norm(y)) < 0.3:
             continue
         jx = _fd_jacobian(lambda z: phi_map(z, y), x)
-        assert np.abs(h1(x, y) - jx / TWO_PI).max() <= 1e-6
+        assert np.abs(h1([x], [y])[0, 0] - jx / TWO_PI).max() <= 1e-6
         jy = _fd_jacobian(lambda z: phi_map(x, z), y)
-        assert np.abs(h2(x, y) - jy / TWO_PI).max() <= 1e-6
+        assert np.abs(h2([x], [y])[0, 0] - jy / TWO_PI).max() <= 1e-6
 
 
 def test_h2_is_symmetric_matrix(rng):
     for _ in range(10):
         x = rng.standard_normal(5)
         y = rng.standard_normal(5)
-        m = h2(x, y)
+        m = h2([x], [y])[0, 0]
         assert np.abs(m - m.T).max() <= 1e-12
 
 
@@ -119,6 +126,81 @@ def test_block_symmetry_at_random_points(rng):
         # block (i, j) is the transpose of block (j, i)
         worst = max(worst, float(np.abs(blocks - blocks.transpose(1, 0, 3, 2)).max()))
     assert worst <= 1e-10
+
+
+# the scalar per-pair kernels and loop that the all-pairs h1/h2 replaced,
+# kept as the reference for hessian_published
+def _pair_angle(x, y):
+    c = float(np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y)))
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+def _pair_unit_normal(x, y):
+    xh = x / np.linalg.norm(x)
+    yh = y / np.linalg.norm(y)
+    n = xh - float(np.dot(xh, yh)) * yh
+    norm = np.linalg.norm(n)
+    return np.zeros_like(x) if norm < 1e-14 else n / norm
+
+
+def _pair_h1(x, y):
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    sin_t = math.sin(_pair_angle(x, y))
+    nyx = _pair_unit_normal(y, x)
+    if sin_t == 0.0 or np.linalg.norm(nyx) == 0.0:
+        return np.zeros((x.size, x.size))
+    return (sin_t * ny / (TWO_PI * nx)) * (
+        np.eye(x.size) - np.outer(x, x) / (nx * nx) + np.outer(nyx, nyx))
+
+
+def _pair_h2(x, y):
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    return (-_pair_angle(x, y) * np.eye(x.size) + np.outer(_pair_unit_normal(x, y), y) / ny
+            + np.outer(_pair_unit_normal(y, x), x) / nx) / TWO_PI
+
+
+def _loop_published_blocks(s, t, alpha):
+    k = s.shape[0]
+    blocks = np.zeros((k, k, k, k))
+    half = 0.5 * np.eye(k)
+    for i in range(k):
+        diag = half.copy()
+        for j in range(k):
+            diag += alpha * (_pair_h1(s[i], s[j]) - _pair_h1(s[i], t[j]))
+        blocks[i, i] = diag
+        for j in range(k):
+            if j != i:
+                blocks[i, j] = half + alpha * _pair_h2(s[i], s[j])
+    return blocks
+
+
+# summation order differs from the loop; float64 rounding stays far below this
+PUBLISHED_LOOP_TOL = 1e-13
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_hessian_published_matches_per_pair_loop(k, rng):
+    teacher = identity_teacher(k)
+    for _ in range(10):
+        point = random_admissible(rng, k)
+        for alpha in (-0.5, 0.5, 1.0, 2.5):
+            got = hessian_published(point, teacher, alpha).blocks
+            assert np.abs(got - _loop_published_blocks(point, teacher, alpha)).max() <= PUBLISHED_LOOP_TOL
+
+
+def test_hessian_published_matches_loop_on_parallel_rows():
+    # rows with exact norms, so every cosine below is exactly 0 or +-1:
+    # rows 1 and 2 are parallel and antiparallel to row 0, and row 3 is
+    # parallel to its teacher row; their normals take the zero-normal path
+    point = np.eye(4)
+    point[0] = [0.75, 1.0, 0.0, 0.0]
+    point[1] = 2.0 * point[0]
+    point[2] = -point[0]
+    point[3, 3] = 1.5
+    teacher = identity_teacher(4)
+    for alpha in (-0.5, 0.5, 1.0, 2.5):
+        got = hessian_published(point, teacher, alpha).blocks
+        assert np.abs(got - _loop_published_blocks(point, teacher, alpha)).max() <= PUBLISHED_LOOP_TOL
 
 
 def test_minimum_blocks_k4_alpha0():

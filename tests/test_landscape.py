@@ -71,6 +71,40 @@ def test_kernel_zero_norm_error_names_argument():
         kernel_f([1, 0], [0, 0], 1.0)
 
 
+def test_kernel_dimension_mismatch_is_domain_error():
+    with pytest.raises(DomainError, match="equal dimension"):
+        kernel_f([1, 0], [1, 0, 0], 0.5)
+    with pytest.raises(DomainError, match="equal dimension"):
+        kernel_mc([1, 0], [1, 0, 0], 0.5, 100, 0)
+
+
+def _scalar_kernel(w, v, alpha):
+    # the one-pair closed form with math.acos, the reference for kernel_f,
+    # which evaluates the batched _kernel_matrix
+    nw, nv = np.linalg.norm(w), np.linalg.norm(v)
+    t = math.acos(min(1.0, max(-1.0, float(np.dot(w, v) / (nw * nv)))))
+    beta = 2.0 + alpha * alpha - 2.0 * alpha
+    val = alpha * alpha * (math.sin(t) - t * math.cos(t)) + beta * math.pi * math.cos(t)
+    return float(nw * nv * val / TWO_PI)
+
+
+# relative to |w||v|; float64 rounding of either form stays far below this
+SCALAR_KERNEL_TOL = 1e-13
+
+
+def test_kernel_matches_scalar_reference(rng):
+    pairs = []
+    for k in (2, 3, 5, 8):
+        for _ in range(50):
+            w = rng.standard_normal(k)
+            pairs.append((w, rng.standard_normal(k)))
+        pairs += [(w, 2.0 * w), (w, -w), (w, -0.5 * w)]
+    for w, v in pairs:
+        scale = np.linalg.norm(w) * np.linalg.norm(v)
+        for alpha in (-1.0, 0.0, 0.5, 1.0, float(rng.uniform(-1.0, 3.0))):
+            assert abs(kernel_f(w, v, alpha) - _scalar_kernel(w, v, alpha)) <= SCALAR_KERNEL_TOL * scale
+
+
 def test_kernel_alpha1_matches_relu_form(rng):
     # at alpha = 1 the kernel is |w||v|(sin t + (pi - t) cos t)/2pi
     for _ in range(50):
