@@ -19,7 +19,6 @@ _EXPORTS = {
     "all_invariants": "degrees",
     "basic_degree": "degrees",
     "bifurcation_invariant": "degrees",
-    "bifurcation_report": "degrees",
     "linear_map_degree": "degrees",
     "maximal_orbit_types": "degrees",
     "CapacityError": "errors",

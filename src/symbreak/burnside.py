@@ -772,7 +772,7 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
     if zlib.crc32(body.encode("ascii")) != stated:
         raise ConsistencyError("lattice cache checksum mismatch")
     header = lines[0]
-    if not header.startswith(_CACHE_HEADER):
+    if header.rpartition(" ")[0] != _CACHE_HEADER:
         raise ConsistencyError(f"unsupported lattice cache version: {header!r}")
     try:
         return _parse_lattice_body(header, lines[1:-1])
@@ -824,6 +824,17 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
             n_table[(li, hi)] = val
     if leq != n_table.keys():
         raise ConsistencyError("cached leq rows differ from the n(L,H) pairs")
+    # serialize_lattice writes n(H,H) = 1 for every class, and a pair L != H
+    # only where L is a proper subgroup, so |L| properly divides |H|
+    n = len(classes)
+    if any(n_table.get((i, i)) != 1 for i in range(n)):
+        raise ConsistencyError("a cached class lacks n(H,H) = 1")
+    for li, hi in n_table:
+        if not (0 <= li < n and 0 <= hi < n):
+            raise ConsistencyError(f"cached pair ({li}, {hi}) names a class outside 0..{n - 1}")
+        lo, ho = classes[li].order, classes[hi].order
+        if li != hi and (ho % lo or lo == ho):
+            raise ConsistencyError(f"cached pair ({li}, {hi}): |L| does not properly divide |H|")
     return SubgroupLattice(k=k, classes=classes, n_table=n_table)
 
 

@@ -270,17 +270,12 @@ def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
 
 
 def cmd_invariants(args, cache_dir: Path) -> tuple[dict, int]:
-    from .burnside import MAX_LATTICE_K
-    from .degrees import bifurcation_report, invariants_payload
+    from .degrees import invariants_payload
 
-    capacity = args.k > MAX_LATTICE_K
-    if capacity:
-        config, results, checks = {"k": args.k}, bifurcation_report(args.k), []
-    else:
-        config = {"k": args.k, "cache_dir": str(cache_dir)}
-        results, checks = invariants_payload(args.k, get_lattice(args.k, cache_dir))
-    report = {"command": "invariants", "config": config, "results": results}
-    return report, _finish(report, checks, capacity=capacity)
+    results, checks = invariants_payload(args.k, lambda k: get_lattice(k, cache_dir))
+    report = {"command": "invariants",
+              "config": {"k": args.k, "cache_dir": str(cache_dir)}, "results": results}
+    return report, _finish(report, checks, capacity="capacity_notice" in results)
 
 
 def cmd_verify(args, tol_overrides: dict[str, float], cache_dir: Path) -> tuple[dict, int]:

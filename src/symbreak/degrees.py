@@ -30,6 +30,8 @@ from .symrep import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .spectrum import SpectrumEntry
 
 
@@ -231,12 +233,30 @@ def bifurcation_invariant(k: int, which: int, lattice: SubgroupLattice) -> Bifur
 # report payloads
 # ---------------------------------------------------------------------------
 
-def invariants_payload(k: int, lattice: SubgroupLattice) -> tuple[dict, list[dict]]:
-    """(results, checks) of the exact invariants report at width k: class
-    table, basic degrees, invariants, their involution, leading-coefficient
-    and nonzero checks, and at k = 5 the golden comparison."""
-    from .golden import compare_character_table, compare_k5  # golden imports degrees
+def invariants_payload(
+    k: int, lattice_for: Callable[[int], SubgroupLattice]
+) -> tuple[dict, list[dict]]:
+    """(results, checks) of the invariants report at width k, at every width.
 
+    Each critical value gets an entry naming the factors degenerating there.
+    Above MAX_LATTICE_K those entries, behind a capacity notice, are the
+    whole report, with no checks.  At the exact widths lattice_for(k)
+    supplies the lattice: each entry gains its invariant's expansion,
+    maximal types and nonzero flag, and the class table, the basic degrees,
+    the involution, leading-coefficient and nonzero checks and, at k = 5,
+    the golden comparison join them."""
+    crit = critical_set(k)       # raises ConsistencyError on a violated ordering
+    invariant_block = [
+        {"critical_value": value,
+         "degenerating": ["/".join(map(str, eta)) for eta in sorted(group)]}
+        for value, group in zip(crit.values, crit.labels)
+    ]
+    if k > MAX_LATTICE_K:
+        notice = (f"exact Burnside-ring computation is declared up to k={MAX_LATTICE_K}; "
+                  "use 'critical' for the width-independent spectral conclusions")
+        return {"capacity_notice": notice, "invariants": invariant_block}, []
+
+    lattice = lattice_for(k)
     degrees, invariants = all_invariants(k, lattice)
     one = BurnsideElement.one(lattice)
 
@@ -255,16 +275,11 @@ def invariants_payload(k: int, lattice: SubgroupLattice) -> tuple[dict, list[dic
             "leading_coefficients_ok": lead.ok,
             "leading_entries": lead.entries,
         }
-    invariant_block = []
-    for inv in invariants:
-        invariant_block.append({
-            "critical_value": inv.critical_value,
-            "degenerating": ["/".join(map(str, eta)) for eta in inv.labels],
-            "expansion": {lattice.classes[i].label: c
-                          for i, c in sorted(inv.element.coeffs.items())},
-            "maximal_types": [lattice.classes[i].label for i in inv.maximal_types],
-            "nonzero": inv.nonzero(),
-        })
+    for entry, inv in zip(invariant_block, invariants):
+        entry["expansion"] = {lattice.classes[i].label: c
+                              for i, c in sorted(inv.element.coeffs.items())}
+        entry["maximal_types"] = [lattice.classes[i].label for i in inv.maximal_types]
+        entry["nonzero"] = inv.nonzero()
 
     results = {
         "lattice": {
@@ -287,6 +302,8 @@ def invariants_payload(k: int, lattice: SubgroupLattice) -> tuple[dict, list[dic
          "passed": all(inv.nonzero() for inv in invariants), "hard": True, "detail": None},
     ]
     if k == 5:
+        from .golden import compare_character_table, compare_k5  # golden imports degrees
+
         comparison = compare_k5(lattice, degrees, invariants)
         table_cmp = compare_character_table()
         results["reference_comparison"] = comparison
@@ -298,37 +315,3 @@ def invariants_payload(k: int, lattice: SubgroupLattice) -> tuple[dict, list[dic
         checks.append({"name": "reference_character_table", "passed": table_cmp["ok"],
                        "hard": True, "detail": None})
     return results, checks
-
-
-def bifurcation_report(k: int) -> dict:
-    """Results of the invariants report for a width above MAX_LATTICE_K.
-
-    The critical set, its ordering and the subcritical engineering regime
-    are exact at every width; the Burnside-ring part is replaced by a
-    capacity notice (invariants_payload covers the exact widths).
-    """
-    if k <= MAX_LATTICE_K:
-        raise DomainError(f"k > {MAX_LATTICE_K} required; exact widths use invariants_payload")
-    crit = critical_set(k)       # raises ConsistencyError on a violated ordering
-    summary = {
-        "k": k,
-        "critical_values": list(crit.values),
-        "ordering_ok": True,
-        "multi_mode_degeneracy_at_zero": [list(eta) for eta in sorted(crit.labels[0])],
-        "trivial_family_also_degenerate_at_zero": True,
-        "nonnegative_critical_set": all(v >= 0 for v in crit.values),
-        "min_positive_critical_value": crit.values[1],
-        "engineering_regime_subcritical": crit.subcritical_regime,
-        "ring_computation": "capacity",
-        "capacity_notice": (
-            f"exact Burnside-ring arithmetic is available for k <= {MAX_LATTICE_K}; "
-            "spectral conclusions above are still exact"
-        ),
-    }
-    return {
-        "capacity_notice": (
-            f"exact Burnside-ring computation is declared up to k={MAX_LATTICE_K}; "
-            "use 'critical' for the width-independent spectral conclusions"
-        ),
-        "spectral_summary": summary,
-    }

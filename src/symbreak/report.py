@@ -120,5 +120,7 @@ def resolve_tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
             raise DomainError(f"unknown tolerance {name!r}; known: {sorted(tol)}")
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"tolerance {name} must be positive and finite, got {value}")
+        if name == "mc_pass_fraction" and value > 1:
+            raise DomainError(f"tolerance mc_pass_fraction must be at most 1, got {value}")
         tol[name] = value
     return tol

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import burnside as bb
-from . import golden as gg
 from . import landscape as ls
 from . import hessian as hs
 from . import spectrum as sp
 from . import symrep as sr
-from .degrees import all_invariants
+from .degrees import invariants_payload
 from .errors import ConsistencyError
 from .report import resolve_tolerances
 
@@ -277,8 +276,8 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     # -- Burnside: recursion products vs mark vectors ------------------------
     mark_ok = True
     worst_pair = None
-    for k in (4, 5):
-        lattice = config.lattice_provider(k)
+    lattices = {k: config.lattice_provider(k) for k in (4, 5)}
+    for k, lattice in lattices.items():
         n = len(lattice.classes)
         for hi in range(n):
             for ki in range(hi, n):
@@ -326,14 +325,10 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     )
     checks.append(_check("isotypic_decomposition_law", decomp_ok))
 
-    # -- width-5 reference objects -------------------------------------------
-    lattice5 = config.lattice_provider(5)
-    degrees, invariants = all_invariants(5, lattice5)
-    comparison = gg.compare_k5(lattice5, degrees, invariants)
-    table_cmp = gg.compare_character_table()
-    results["k5_reference"] = comparison
-    checks.append(_check("k5_reference_expansions", comparison["ok"],
-                         detail={"name_map": comparison["name_map"]}))
-    checks.append(_check("k5_reference_character_table", table_cmp["ok"]))
+    # -- width-5 reference objects: the golden block of the invariants report -
+    k5_results, k5_checks = invariants_payload(5, lambda k: lattices[k])
+    results["k5_reference"] = k5_results["reference_comparison"]
+    checks += [{**c, "name": f"k5_{c['name']}"}
+               for c in k5_checks if c["name"].startswith("reference_")]
 
     return checks, results

@@ -17,6 +17,7 @@ import symbreak
 from symbreak import cli, landscape, symrep, verify
 from symbreak.errors import ConsistencyError
 from symbreak.burnside import serialize_lattice
+from symbreak.closed_forms import critical_set
 from symbreak.cli import main
 from symbreak.landscape import (
     finite_diff_gradient,
@@ -25,7 +26,13 @@ from symbreak.landscape import (
     kernel_f,
     kernel_mc,
 )
-from symbreak.report import DEFAULT_TOLERANCES, dumps, load_schema, validate_report
+from symbreak.report import (
+    DEFAULT_TOLERANCES,
+    dumps,
+    format_float,
+    load_schema,
+    validate_report,
+)
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +130,7 @@ def test_spectrum_dense_cap_exit3(capsys, tmp_path):
     (["verify", "--perturb-hessian", "nan"], "--perturb-hessian"),
     (["verify", "--perturb-hessian=inf"], "--perturb-hessian"),
     (["verify", "--perturb-hessian=-inf"], "--perturb-hessian"),
+    (["--tol", "mc_pass_fraction=1.5", "verify"], "mc_pass_fraction"),
 ])
 def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
     # rejected before any command runs: no Monte-Carlo stage, no traceback
@@ -300,13 +308,42 @@ def _label_names_wrong_order(blob: bytes) -> bytes:
     return _edit_body(blob, "generators=(1 2 3 4 5)|Z5\n", "generators=(1 2 3 4 5)|D5'\n")
 
 
+def _header_names_other_version(blob: bytes) -> bytes:
+    return _edit_body(blob, "burnside-lattice v1 k=5\n", "burnside-lattice v10 k=5\n")
+
+
+# containment rows the writer never writes: the leq and n rows are edited
+# together, so that they still name the same pairs
+def _add_pair(blob: bytes, li: int, hi: int) -> bytes:
+    blob = _edit_body(blob, "\nn:\n", f"\n{li} {hi}\nn:\n")
+    return _edit_body(blob, "\nn:\n", f"\nn:\n{li} {hi} 1\n")
+
+
+def _pair_names_no_class(blob: bytes) -> bytes:
+    return _add_pair(blob, 99, 0)
+
+
+def _order_does_not_divide(blob: bytes) -> bytes:
+    return _add_pair(blob, 3, 2)      # |Z3| = 3 does not divide |Z2| = 2
+
+
+def _orders_equal(blob: bytes) -> bytes:
+    return _add_pair(blob, 1, 2)      # D1 and Z2, both of order 2
+
+
+def _diagonal_dropped(blob: bytes) -> bytes:
+    return _edit_body(_edit_body(blob, "\n5 5\n", "\n"), "\n5 5 1\n", "\n")
+
+
 @pytest.mark.parametrize("corrupt", [_truncated, _flipped_byte, _non_ascii,
                                      _header_without_equals, _non_numeric_order,
                                      _header_names_other_width, _leq_row_dropped,
                                      _generator_repeats_a_point, _normalizer_order_zero,
                                      _normalizer_order_not_a_multiple, _n_value_zero,
                                      _class_index_out_of_place, _label_duplicated,
-                                     _label_names_wrong_order])
+                                     _label_names_wrong_order, _header_names_other_version,
+                                     _pair_names_no_class, _order_does_not_divide,
+                                     _orders_equal, _diagonal_dropped])
 def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
                               "invariants", "--k", "5", "--output", "json")
@@ -368,6 +405,35 @@ def test_invariants_capacity_exit3(capsys, tmp_path):
     assert code == 3
     assert rep["status"] == "capacity"
     assert "capacity_notice" in rep["results"]
+
+
+@pytest.mark.parametrize("k, degenerating", [
+    (7, [["5/1/1", "5/2", "6/1"], ["6/1"], ["7"]]),
+    (8, [["6/1/1", "6/2", "7/1"], ["7/1"], ["8"]]),
+])
+def test_invariants_above_cap_pinned(k, degenerating, capsys, tmp_path):
+    # the exact report's entries, without the ring part, behind the notice
+    notice = ("exact Burnside-ring computation is declared up to k=6; "
+              "use 'critical' for the width-independent spectral conclusions")
+    values = critical_set(k).values
+    code, rep = run_json(capsys, "--cache-dir", str(tmp_path), "invariants", "--k", str(k))
+    assert code == 3
+    assert (rep["status"], rep["exit_code"], rep["checks"]) == ("capacity", 3, [])
+    assert rep["results"] == {
+        "capacity_notice": notice,
+        "invariants": [{"critical_value": v, "degenerating": d}
+                       for v, d in zip(values, degenerating)],
+    }
+    code, text = run_cli(capsys, "--cache-dir", str(tmp_path), "invariants", "--k", str(k))
+    assert code == 3
+    lines = ["command: invariants", "status:  capacity",
+             f"config:  {{k: {k}, cache_dir: {tmp_path}}}", "results:",
+             f"  capacity_notice: {notice}", "  invariants:"]
+    for v, d in zip(values, degenerating):
+        lines += ["    -", f"      critical_value: {format_float(v)}",
+                  f"      degenerating: [{', '.join(d)}]"]
+    assert text == "\n".join([*lines, "checks:"]) + "\n"
+    assert not list(tmp_path.iterdir())     # no lattice was built or read
 
 
 def test_invariants_domain_exit2(capsys, tmp_path):
@@ -603,7 +669,7 @@ _NUMPY_FREE_INVARIANTS = """
 import contextlib, io, sys
 import symbreak.cli
 assert "numpy" not in sys.modules, "import symbreak.cli"
-for k in (4, 5, 6, 7):
+for k in (4, 5, 6, 7, 8):
     for output in ("json", "text"):
         with contextlib.redirect_stdout(io.StringIO()):
             code = symbreak.cli.main(["invariants", "--k", str(k), "--cache-dir", sys.argv[1],

@@ -12,7 +12,6 @@ from symbreak.degrees import (
     leading_coefficient_check,
     linear_map_degree,
     maximal_orbit_types,
-    bifurcation_report,
     invariants_payload,
 )
 from symbreak.errors import CapacityError, DomainError
@@ -276,7 +275,7 @@ def _passed(checks):
 
 
 def test_invariants_payload_k5(lattice5):
-    results, checks = invariants_payload(5, lattice5)
+    results, checks = invariants_payload(5, lambda k: lattice5)
     passed = _passed(checks)
     assert results["basic_degrees"] and results["invariants"]   # exact ring part
     zero, mid, last = critical_set(5).values     # raises on a violated chain
@@ -290,15 +289,18 @@ def test_invariants_payload_k5(lattice5):
 
 
 def test_invariants_payload_k4(lattice4):
-    results, checks = invariants_payload(4, lattice4)
+    results, checks = invariants_payload(4, lambda k: lattice4)
     assert results["basic_degrees"] and results["invariants"]
     assert _passed(checks)["invariants_nonzero"]
     assert len(results["invariants"]) == 3
+    # the entries start as the capacity report's do
+    assert [list(inv)[:2] for inv in results["invariants"]] == [
+        ["critical_value", "degenerating"]] * 3
 
 
 @pytest.mark.slow
 def test_invariants_payload_k6(lattice6):
-    results, checks = invariants_payload(6, lattice6)
+    results, checks = invariants_payload(6, lambda k: lattice6)
     passed = _passed(checks)
     assert results["basic_degrees"] and results["invariants"]
     assert passed["involution"]
@@ -307,13 +309,19 @@ def test_invariants_payload_k6(lattice6):
         assert inv["maximal_types"]
 
 
-def test_bifurcation_report_capacity():
-    rep = bifurcation_report(8)["spectral_summary"]
-    assert rep["ring_computation"] == "capacity"
-    assert "capacity_notice" in rep
-    assert rep["engineering_regime_subcritical"]
-    with pytest.raises(DomainError):
-        bifurcation_report(6)   # exact widths go through invariants_payload
+def test_invariants_payload_capacity():
+    # above the cap the report is the critical-value entries behind a
+    # capacity notice, and no lattice is asked for
+    def no_lattice(k):
+        raise AssertionError(f"lattice_for({k}) called above the cap")
+
+    results, checks = invariants_payload(8, no_lattice)
+    assert checks == []
+    assert list(results) == ["capacity_notice", "invariants"]
+    assert "use 'critical'" in results["capacity_notice"]
+    assert [inv["critical_value"] for inv in results["invariants"]] == list(critical_set(8).values)
+    assert [inv["degenerating"] for inv in results["invariants"]] == [
+        ["6/1/1", "6/2", "7/1"], ["7/1"], ["8"]]
 
 
 def test_bifurcation_capacity_error(lattice5):

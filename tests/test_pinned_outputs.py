@@ -5,7 +5,8 @@ compares against; it is read here and never written.  The invariants
 commands run twice in one cache directory: cold (build_lattice, then the
 cache write) and warm (load_lattice).  The spectrum commands go through the
 benchmark's own checker, which masks the eigensolver-derived floats and
-compares everything else, dominant labels included.
+compares everything else, dominant labels included; so does default
+verify, whose masked fields are also the seeded Monte-Carlo and probe values.
 """
 
 import importlib.util
@@ -51,5 +52,13 @@ def test_invariants_cold_and_warm_match_reference(k, capsys, tmp_path, monkeypat
 def test_spectrum_matches_reference_outside_masked_floats(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = [*argv, "--cache-dir", "cache", "--output", "json"]
+    code = main(argv)
+    assert checker.check(argv, code, capsys.readouterr().out.encode()) == []
+
+
+@pytest.mark.slow
+def test_verify_matches_reference_outside_masked_floats(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--cache-dir", "cache", "--output", "json"]
     code = main(argv)
     assert checker.check(argv, code, capsys.readouterr().out.encode()) == []
