@@ -367,6 +367,31 @@ def _parse_tol(pairs: list[str] | None) -> dict[str, float]:
     return out
 
 
+# flags whose values may be negative floats -> how many values each takes
+_SIGNED_FLOAT_FLAGS = {"--alpha": 1, "--alpha-grid": 3, "--perturb-hessian": 1}
+
+
+def _is_negative_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _shield_negative_floats(argv: list[str]) -> list[str]:
+    """argparse reads a value such as -1e-3, -1. or -inf as an unknown
+    option.  Give each negative-float value of a _SIGNED_FLOAT_FLAGS flag a
+    leading space: float() strips it, and argparse reads a token that does
+    not start with a dash as a value."""
+    out = list(argv)
+    for i, token in enumerate(argv):
+        for j in range(i + 1, min(i + 1 + _SIGNED_FLOAT_FLAGS.get(token, 0), len(out))):
+            if _is_negative_float(out[j]):
+                out[j] = " " + out[j]
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     # shared flags are accepted both before and after the subcommand; the
     # SUPPRESS default keeps an unset subcommand-level flag from shadowing a
@@ -424,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _shield_negative_floats(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     args.output = getattr(args, "output", "text")

@@ -41,7 +41,6 @@ if TYPE_CHECKING:
 
 @dataclass
 class BasicDegree:
-    irrep: Partition
     element: BurnsideElement
     fixed_dims: dict[int, int]          # class index -> dim V^K
     marks: list[int]                    # class index -> (-1)^{dim V^K}
@@ -78,7 +77,6 @@ def basic_degree(eta, lattice: SubgroupLattice) -> BasicDegree:
     )
     maximal = maximal_orbit_types(proper if proper.coeffs else element, lattice)
     return BasicDegree(
-        irrep=eta,
         element=element,
         fixed_dims=dims,
         marks=marks,
@@ -98,7 +96,6 @@ def maximal_orbit_types(x: BurnsideElement, lattice: SubgroupLattice) -> list[in
 
 @dataclass
 class LeadingCoefficientReport:
-    irrep: Partition
     entries: list[dict]
     violations: list[dict]
 
@@ -129,7 +126,7 @@ def leading_coefficient_check(bd: BasicDegree, lattice: SubgroupLattice) -> Lead
         expected = {2: -1, 1: -2}.get(cls.weyl_order)
         if expected is None or coeff != expected or dim % 2 == 0:
             violations.append(entry)
-    return LeadingCoefficientReport(irrep=bd.irrep, entries=entries, violations=violations)
+    return LeadingCoefficientReport(entries=entries, violations=violations)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ often merge them into one line of multiplicity k(k-1)/2.
 
 The seven formulas, the (a, b, c) coefficients, the critical set, the root
 scan and the dense cap MAX_DENSE_K live in closed_forms, which needs no
-numpy; this module re-exports them (spectrum.root_scan is
-closed_forms.root_scan).  family_values evaluates the formulas on an array
-of leak values; no command calls it, and it stays as the array form that
-the tests hold bit-identical to family_values_at.
+numpy; import them from there.  family_values evaluates the formulas on an
+array of leak values; no command calls it, and it stays as the array form
+that the tests hold bit-identical to family_values_at.
 
 numerical_spectrum_match checks the table against a dense eigh of the
 assembled Hessian and labels each eigenvalue cluster by closed-form isotypic
@@ -46,23 +45,12 @@ trivial.  isotypic_basis stays the explicit basis for verify and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .closed_forms import (  # noqa: F401
-    FORMULA_IDS,
-    MAX_DENSE_K,
-    _asymptote_distances,
-    abc_terms,
-    critical_alpha_standard,
-    critical_alpha_trivial,
-    critical_set,
-    family_terms,
-    family_values_at,
-    root_scan,
-)
+from .closed_forms import FORMULA_IDS, MAX_DENSE_K, abc_terms, family_terms, family_values_at
+from .closed_forms import root_scan  # noqa: F401  perfbench/tracer.py finds the span here
 from .errors import CapacityError, ConsistencyError, DomainError
 from .hessian import assemble_dense, hessian_at_minimum
 
@@ -258,22 +246,17 @@ LABEL_TIE_FACTOR = 1e-9
 
 @dataclass
 class ClusterMatch:
-    analytic_value: float | None   # None when the cluster has no analytic partner
     numeric_value: float
-    analytic_multiplicity: int     # -1 when unmatched
     numeric_multiplicity: int
-    deviation: float | None
+    deviation: float | None        # None when the cluster has no analytic partner
     dominant_label: str
 
 
 @dataclass
 class SpectrumMatchReport:
-    k: int
-    alpha: float
     ok: bool
     max_deviation: float
     multiplicities_agree: bool
-    tolerance: float
     clusters: list[ClusterMatch] = field(default_factory=list)
     message: str = ""
 
@@ -380,8 +363,7 @@ def numerical_spectrum_match(
         dominant = next(lab for lab, s in scores.items()
                         if s >= top - LABEL_TIE_FACTOR * nm)
         clusters.append(ClusterMatch(
-            analytic_value=av, numeric_value=nv,
-            analytic_multiplicity=am, numeric_multiplicity=nm,
+            numeric_value=nv, numeric_multiplicity=nm,
             deviation=dev, dominant_label=dominant,
         ))
     floor = k * k * float(np.finfo(float).eps) * scale
@@ -392,108 +374,69 @@ def numerical_spectrum_match(
         f"(eigensolver floor {floor:.1e})"
     )
     return SpectrumMatchReport(
-        k=k, alpha=alpha, ok=ok, max_deviation=max_dev,
-        multiplicities_agree=mults_ok, tolerance=tolerance,
+        ok=ok, max_deviation=max_dev, multiplicities_agree=mults_ok,
         clusters=clusters, message=msg,
     )
 
 
 # ---------------------------------------------------------------------------
-# symbolic check of the printed k = 5 display
+# exact check of the printed k = 5 display
 # ---------------------------------------------------------------------------
 
-class _Poly2:
-    """Exact polynomials in (alpha, pi) over Fractions; enough arithmetic to
-    compare the k = 5 closed-form display against the general table after
-    clearing pi denominators."""
-
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms = {e: Fraction(c) for e, c in (terms or {}).items() if c != 0}
-
-    @staticmethod
-    def const(c) -> "_Poly2":
-        return _Poly2({(0, 0): Fraction(c)})
-
-    @staticmethod
-    def alpha() -> "_Poly2":
-        return _Poly2({(1, 0): Fraction(1)})
-
-    @staticmethod
-    def pi() -> "_Poly2":
-        return _Poly2({(0, 1): Fraction(1)})
-
-    def __add__(self, other: "_Poly2") -> "_Poly2":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return _Poly2(out)
-
-    def __sub__(self, other: "_Poly2") -> "_Poly2":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "_Poly2":
-        return _Poly2({e: Fraction(scalar) * c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "_Poly2") -> "_Poly2":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, p1), c1 in self.terms.items():
-            for (a2, p2), c2 in other.terms.items():
-                key = (a1 + a2, p1 + p2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return _Poly2(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Poly2) and self.terms == other.terms
+# Each line of the printed k = 5 display as (general side, printed side),
+# pi denominators cleared.  A general side is the general table's line at
+# width k in A = 4a = 2 - alpha, B = 4b = alpha and C = 2 pi c = alpha; a
+# printed side reads alpha and pi.  At k = 5 both are integer polynomials of
+# degree <= 2 in alpha and in pi.
+K5_DISPLAY_IDENTITIES = {
+    # 4 pi (b -+ c) against 4 pi (alpha/4 -+ alpha/2pi)
+    "bminusc": (lambda k, A, B, C, pi: pi * B - 2 * C,
+                lambda al, pi: pi * al - 2 * al),
+    "bplusc": (lambda k, A, B, C, pi: pi * B + 2 * C,
+               lambda al, pi: pi * al + 2 * al),
+    # W family: 4 (ak + 2b) against 10 - 3 alpha
+    "W_linear": (lambda k, A, B, C, pi: k * A + 2 * B,
+                 lambda al, pi: 10 - 3 * al),
+    # 16 pi^2 (a^2 k^2 + 4c^2 - 8ca) against rho1^2
+    "W_radicand": (lambda k, A, B, C, pi: k * k * (pi * A) ** 2 + 16 * C * C
+                   - 16 * C * pi * A,
+                   lambda al, pi: 25 * pi * pi * (al - 2) ** 2 + 16 * pi * al * (al - 2)
+                   + 16 * al * al),
+    # span family: 4 pi (2b + k(a + c)) against pi (10 - 3 alpha) + 10 alpha
+    "span_linear": (lambda k, A, B, C, pi: 2 * pi * B + k * (pi * A + 2 * C),
+                    lambda al, pi: pi * (10 - 3 * al) + 10 * al),
+    # 16 pi^2 (k^2 (a - c)^2 + 4c (2a - c)(k - 1)) against rho2^2
+    "span_radicand": (lambda k, A, B, C, pi: k * k * (pi * A - 2 * C) ** 2
+                      + 8 * (k - 1) * C * (2 * pi * A - 2 * C),
+                      lambda al, pi: 25 * pi * pi * (al - 2) ** 2 + 36 * pi * al * (al - 2)
+                      + 36 * al * al),
+}
 
 
 def spectrum_symbolic_check_k5() -> dict[str, bool]:
-    """Coefficient-level comparison at k = 5 of the general eigenvalue table
-    against the printed closed-form display
+    """Exact check at k = 5 of the general eigenvalue table against the
+    printed closed-form display
 
         alpha/4 -+ alpha/2pi,
         (pi(10 - 3 alpha) +- rho1) / 8pi,
         (pi(10 - 3 alpha) + 10 alpha +- rho2) / 8pi,
 
     rho1^2 = 25 pi^2 (alpha-2)^2 + 16 pi alpha (alpha-2) + 16 alpha^2 and
-    rho2^2 with 36 in place of 16.  Multiplying through by powers of pi makes
-    every comparison a polynomial identity in (alpha, pi) over Q.
+    rho2^2 with 36 in place of 16, plus the printed multiplicities.
+
+    Each entry of K5_DISPLAY_IDENTITIES is compared in Python integers at
+    every (alpha, pi) in {0, 1, 2}^2.  The difference of its two sides has
+    degree at most 2 in alpha and in pi, and such a polynomial that vanishes
+    on a grid of 3 points per variable is zero: at each grid pi it is a
+    quadratic in alpha with 3 roots, so each of its alpha-coefficients, a
+    quadratic in pi, has 3 roots too.  So the grid decides each identity.
     """
-    k = 5
-    al, pi = _Poly2.alpha(), _Poly2.pi()
-    one = _Poly2.const(1)
-    # pi-cleared coefficients: A = 4a, B = 4b, Cpi = 2 pi c = alpha
-    a4 = 2 * one - al           # 4a
-    b4 = al                     # 4b
-    cpi = al                    # 2 pi c
-
-    checks: dict[str, bool] = {}
-    # b - c and b + c against alpha/4 -+ alpha/2pi, cleared by 4pi:
-    # 4pi(b -+ c) = pi*4b/4*... -> pi*b4 -+ 2*cpi
-    checks["bminusc"] = (pi * b4 - 2 * cpi) == (pi * al - 2 * al)
-    checks["bplusc"] = (pi * b4 + 2 * cpi) == (pi * al + 2 * al)
-
-    alpha_minus_2 = al - 2 * one
-    # W family: linear part  4(ak + 2b) = k*a4 + 2*b4  vs  (10 - 3 alpha)
-    checks["W_linear"] = (k * a4 + 2 * b4) == (10 * one - 3 * al)
-    # W family: 16 pi^2 (a^2 k^2 + 4c^2 - 8ca)
-    #   = k^2 (pi a4)^2 + 16 cpi^2 - 16 cpi (pi a4)
-    w_radicand = k * k * (pi * a4) * (pi * a4) + 16 * (cpi * cpi) - 16 * (cpi * (pi * a4))
-    rho1_sq = (25 * one) * (pi * pi) * (alpha_minus_2 * alpha_minus_2) \
-        + 16 * (pi * (al * alpha_minus_2)) + 16 * (al * al)
-    checks["W_radicand"] = w_radicand == rho1_sq
-    # span family: linear part 4 pi (2b + k(a + c)) vs pi(10 - 3 alpha) + 10 alpha
-    span_linear = pi * (2 * b4) + k * (pi * a4 + 2 * cpi)
-    checks["span_linear"] = span_linear == (pi * (10 * one - 3 * al) + 10 * al)
-    # span radicand: 16 pi^2 (k^2 (a - c)^2 + 4 c (2a - c)(k - 1))
-    #   = k^2 (4 pi (a-c))^2 + 8 (k-1) cpi (4 pi (2a - c))
-    a_minus_c_pi = pi * a4 - 2 * cpi            # 4 pi (a - c)
-    two_a_minus_c_pi = 2 * (pi * a4) - 2 * cpi  # 4 pi (2a - c)
-    span_radicand = k * k * (a_minus_c_pi * a_minus_c_pi) \
-        + 8 * (k - 1) * (cpi * two_a_minus_c_pi)
-    rho2_sq = (25 * one) * (pi * pi) * (alpha_minus_2 * alpha_minus_2) \
-        + 36 * (pi * (al * alpha_minus_2)) + 36 * (al * al)
-    checks["span_radicand"] = span_radicand == rho2_sq
-    # printed multiplicities (10, 5, 4, 4, 1, 1) against the k = 5 table
-    mults = sorted(m for _, m in merged_view(analytic_spectrum(5, 1.0)))
+    k, grid = 5, range(3)
+    checks = {
+        name: all(general(k, 2 - al, al, al, pi) == printed(al, pi)
+                  for al in grid for pi in grid)
+        for name, (general, printed) in K5_DISPLAY_IDENTITIES.items()
+    }
+    mults = sorted(m for _, m in merged_view(analytic_spectrum(k, 1.0)))
     checks["multiplicities"] = mults == [1, 1, 4, 4, 5, 10]
     return checks

@@ -21,6 +21,7 @@ from . import landscape as ls
 from . import hessian as hs
 from . import spectrum as sp
 from . import symrep as sr
+from .closed_forms import abc_terms, critical_set, root_scan
 from .degrees import invariants_payload
 from .errors import ConsistencyError
 from .report import resolve_tolerances
@@ -227,10 +228,10 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     worst_res = 0.0
     subcritical_ok = True
     for k in range(4, 17):
-        crit = sp.critical_set(k)
+        crit = critical_set(k)
         worst_res = max(worst_res, max(crit.residuals))
         subcritical_ok &= crit.subcritical_regime
-    scan = {k: sp.root_scan(k) for k in config.ks if k <= 16}
+    scan = {k: root_scan(k) for k in config.ks if k <= 16}
     no_negative_roots = all(
         all(r >= 0.0 for r in roots)
         for fam in scan.values() for roots in fam.values()
@@ -254,7 +255,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
             continue  # basis-level residuals are a small-width structural check
         basis = sp.isotypic_basis(k)
         for a in (0.5, 1.0, 2.5):
-            _, b, c = sp.abc_terms(a)
+            _, b, c = abc_terms(a)
             for mat in basis.wedge:
                 worst = max(worst, float(np.abs(
                     hs.block_operator_apply(mat, a) - (b - c) * mat).max()))

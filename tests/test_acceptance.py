@@ -21,6 +21,7 @@ from symbreak.burnside import (
     orbit_count_product,
 )
 from symbreak.cli import main
+from symbreak.closed_forms import critical_set
 from symbreak.degrees import all_invariants
 from symbreak.golden import compare_character_table, compare_k5
 from symbreak.landscape import (
@@ -32,11 +33,7 @@ from symbreak.landscape import (
     kernel_mc,
 )
 from symbreak.hessian import assemble_dense, finite_diff_hessian, hessian_published
-from symbreak.spectrum import (
-    critical_set,
-    numerical_spectrum_match,
-    spectrum_symbolic_check_k5,
-)
+from symbreak.spectrum import numerical_spectrum_match, spectrum_symbolic_check_k5
 from symbreak.symrep import character_table
 
 

@@ -131,6 +131,9 @@ def test_spectrum_dense_cap_exit3(capsys, tmp_path):
     (["verify", "--perturb-hessian=inf"], "--perturb-hessian"),
     (["verify", "--perturb-hessian=-inf"], "--perturb-hessian"),
     (["--tol", "mc_pass_fraction=1.5", "verify"], "mc_pass_fraction"),
+    # negative values that argparse alone reads as unknown options
+    (["spectrum", "--k", "5", "--alpha", "-inf"], "--alpha"),
+    (["verify", "--perturb-hessian", "-nan"], "--perturb-hessian"),
 ])
 def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
     # rejected before any command runs: no Monte-Carlo stage, no traceback
@@ -138,6 +141,24 @@ def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and names in captured.err
+
+
+def test_negative_leak_values_in_any_float_form(capsys, monkeypatch, tmp_path):
+    # argparse alone reads -1e-3 and -1. as unknown options
+    spectrum = ["--cache-dir", str(tmp_path), "spectrum", "--k", "4", "--output", "json"]
+    assert main([*spectrum, "--alpha=-1e-3"]) == 0
+    want = capsys.readouterr().out
+    assert main([*spectrum, "--alpha", "-1e-3"]) == 0
+    assert capsys.readouterr().out == want
+    # main() with no argv parses sys.argv, as the console script does
+    monkeypatch.setattr(sys, "argv", ["symbreak", *spectrum, "--alpha", "-1e-3"])
+    assert main() == 0
+    assert capsys.readouterr().out == want
+    assert main([*spectrum, "--alpha", "-1."]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["alphas"] == [-1.0]
+    assert main([*spectrum, "--alpha-grid", "-1e-3", "1", "3"]) == 0
+    alphas = json.loads(capsys.readouterr().out)["config"]["alphas"]
+    assert len(alphas) == 3 and alphas[0] == -1e-3
 
 
 def test_alpha_grid_points_capacity_exit3(capsys, tmp_path):

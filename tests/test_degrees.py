@@ -4,6 +4,7 @@ import pytest
 
 from symbreak import burnside
 from symbreak.burnside import BurnsideElement, load_lattice, serialize_lattice
+from symbreak.closed_forms import critical_set
 from symbreak.degrees import (
     all_invariants,
     basic_degree,
@@ -16,7 +17,7 @@ from symbreak.degrees import (
 )
 from symbreak.errors import CapacityError, DomainError
 from symbreak.golden import compare_k5, load_golden
-from symbreak.spectrum import analytic_spectrum, critical_set
+from symbreak.spectrum import analytic_spectrum
 from symbreak.symrep import (
     closed_form_partition,
     fixed_space_dim,

@@ -5,24 +5,27 @@ import numpy as np
 import pytest
 
 from symbreak import closed_forms, spectrum
-from symbreak.closed_forms import abc_terms, family_values_at
+from symbreak.closed_forms import (
+    FORMULA_IDS,
+    abc_terms,
+    critical_alpha_standard,
+    critical_alpha_trivial,
+    critical_set,
+    family_values_at,
+    root_scan,
+)
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import load_golden
 from symbreak.hessian import assemble_dense, block_operator_apply, hessian_at_minimum, vec
 from symbreak.spectrum import (
     CLUSTER_GAP_FACTOR,
-    FORMULA_IDS,
     _cluster,
     _isotypic_scores,
     analytic_spectrum,
-    critical_alpha_standard,
-    critical_alpha_trivial,
-    critical_set,
     family_values,
     isotypic_basis,
     merged_view,
     numerical_spectrum_match,
-    root_scan,
     spectrum_symbolic_check_k5,
     w_block_matrix,
 )
@@ -101,7 +104,31 @@ def test_k5_alpha0_collapse():
 
 
 def test_symbolic_display_check():
-    assert all(spectrum_symbolic_check_k5().values())
+    checks = spectrum_symbolic_check_k5()
+    assert list(checks) == ["bminusc", "bplusc", "W_linear", "W_radicand",
+                            "span_linear", "span_radicand", "multiplicities"]
+    assert all(checks.values())
+
+
+# the printed side of each k = 5 identity with one coefficient changed
+_MISPRINTED_K5 = {
+    "bminusc": lambda al, pi: pi * al - 3 * al,
+    "bplusc": lambda al, pi: pi * al + al,
+    "W_linear": lambda al, pi: 10 - 2 * al,
+    "W_radicand": lambda al, pi: 25 * pi * pi * (al - 2) ** 2 + 17 * pi * al * (al - 2)
+    + 16 * al * al,
+    "span_linear": lambda al, pi: pi * (10 - 3 * al) + 9 * al,
+    "span_radicand": lambda al, pi: 25 * pi * pi * (al - 2) ** 2 + 32 * pi * al * (al - 2)
+    + 36 * al * al,
+}
+
+
+@pytest.mark.parametrize("name", list(_MISPRINTED_K5))
+def test_symbolic_display_check_catches_one_misprint(name, monkeypatch):
+    general, _ = spectrum.K5_DISPLAY_IDENTITIES[name]
+    monkeypatch.setitem(spectrum.K5_DISPLAY_IDENTITIES, name, (general, _MISPRINTED_K5[name]))
+    checks = spectrum_symbolic_check_k5()
+    assert [key for key, ok in checks.items() if not ok] == [name]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +275,7 @@ def test_asymptote_distances_match_exact_rationals(k):
     p = Fraction(math.pi)
     want_std = (2 * p * p - 8) / (4 + (k - 1) * p * p + 4 * p)
     want_triv = (4 * p * k + 8 * k + 2 * p * p - 8) / ((k - 1) * (2 * k * p + p * p - 4 * p - 4))
-    d_std, d_triv = spectrum._asymptote_distances(k)
+    d_std, d_triv = closed_forms._asymptote_distances(k)
     assert abs(Fraction(d_std) / want_std - 1) <= 1e-15
     assert abs(Fraction(d_triv) / want_triv - 1) <= 1e-15
     assert 0.0 < d_std < d_triv
