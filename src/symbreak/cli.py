@@ -278,7 +278,7 @@ def cmd_invariants(args, cache_dir: Path) -> tuple[dict, int]:
     return report, _finish(report, checks, capacity="capacity_notice" in results)
 
 
-def cmd_verify(args, tol_overrides: dict[str, float], cache_dir: Path) -> tuple[dict, int]:
+def cmd_verify(args, tol: dict[str, float], cache_dir: Path) -> tuple[dict, int]:
     from .verify import VerifyConfig, run_verify
 
     make_cache_dir(cache_dir)   # an unusable one fails now, not after the Monte-Carlo
@@ -288,7 +288,7 @@ def cmd_verify(args, tol_overrides: dict[str, float], cache_dir: Path) -> tuple[
         mc_trials=args.mc_trials,
         mc_samples=args.mc_samples,
         fd_points=args.fd_points,
-        tolerances=tol_overrides,
+        tolerances=tol,
         perturb_hessian=args.perturb_hessian,
         lattice_provider=lambda k: get_lattice(k, cache_dir),
     )
@@ -395,8 +395,9 @@ def _shield_negative_floats(argv: list[str]) -> list[str]:
 def build_parser() -> argparse.ArgumentParser:
     # shared flags are accepted both before and after the subcommand; the
     # SUPPRESS default keeps an unset subcommand-level flag from shadowing a
-    # value given at the top level
-    shared = argparse.ArgumentParser(add_help=False)
+    # value given at the top level.  Flags are accepted only in full: a
+    # prefix such as --perturb would bypass _shield_negative_floats
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     shared.add_argument("--output", choices=("text", "json"),
                         default=argparse.SUPPRESS)
     shared.add_argument("--cache-dir", type=Path, default=argparse.SUPPRESS,
@@ -409,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symbreak",
         parents=[shared],
+        allow_abbrev=False,
         description=(
             "Analytic Hessian spectrum, critical leaky parameters, and exact "
             "equivariant bifurcation invariants of the shallow leaky-ReLU "
@@ -417,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", parents=[shared],
+    p_spec = sub.add_parser("spectrum", parents=[shared], allow_abbrev=False,
                             help="analytic vs numerical Hessian spectrum")
     p_spec.add_argument("--k", type=int, required=True)
     group = p_spec.add_mutually_exclusive_group(required=True)
@@ -425,15 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--alpha-grid", nargs=3, type=float, default=None,
                        metavar=("START", "STOP", "POINTS"))
 
-    p_crit = sub.add_parser("critical", parents=[shared],
+    p_crit = sub.add_parser("critical", parents=[shared], allow_abbrev=False,
                             help="critical leaky-parameter set")
     p_crit.add_argument("--k", type=int, required=True)
 
-    p_inv = sub.add_parser("invariants", parents=[shared],
+    p_inv = sub.add_parser("invariants", parents=[shared], allow_abbrev=False,
                            help="basic degrees and bifurcation invariants")
     p_inv.add_argument("--k", type=int, required=True)
 
-    p_ver = sub.add_parser("verify", parents=[shared], help="full oracle suite")
+    p_ver = sub.add_parser("verify", parents=[shared], allow_abbrev=False,
+                           help="full oracle suite")
     p_ver.add_argument("--k", type=int, action="append",
                        help="widths for the spectral sweeps (repeatable; default 4 and 5)")
     p_ver.add_argument("--seed", type=int, default=20240901)
@@ -466,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "invariants":
             report, code = cmd_invariants(args, cache_dir)
         elif args.command == "verify":
-            report, code = cmd_verify(args, _parse_tol(args.tol), cache_dir)
+            report, code = cmd_verify(args, tol, cache_dir)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
             return EXIT_USAGE

@@ -1,16 +1,16 @@
 """Partition/character machinery for S_k.
 
-Characters are computed from the coefficient-extraction formula: chi_eta at
-the class with cycle counts (i_1, i_2, ...) is the coefficient of
-x_1^{l_1} ... x_r^{l_r} (l_j = eta_j + r - j) in
-
-    Delta(x) * prod_j P_j(x)^{i_j},
-
-with Delta the Vandermonde product and P_j the j-th power sum, expanded in
-exact integer arithmetic with per-variable degree truncation.  Everything
-downstream (closed two-row/hook forms, Sym^2 / wedge^2 splits, the isotypic
-decomposition of R^{k^2} under the diagonal action, fixed-space dimensions)
-is checked against this one primitive.
+Characters are computed by the Murnaghan-Nakayama rule on beta-sets (James
+& Kerber, The Representation Theory of the Symmetric Group, 1981, 2.4 and
+2.7): write eta as the beta-set {eta_j + r - 1 - j : j < r}, r = len(eta),
+and remove the cycles of the class one at a time.  Removing an m-cycle
+moves one bead b down to a free place b - m, with sign (-1)^(beads
+strictly between), and the character is the signed sum over every such move
+of the character of the smaller partition on the remaining cycles; the
+empty partition on no cycles has value 1.  All values are exact integers.
+Everything downstream (closed two-row/hook forms, Sym^2 / wedge^2 splits,
+the isotypic decomposition of R^{k^2} under the diagonal action,
+fixed-space dimensions) is checked against this one primitive.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ def class_size(ctype: Partition) -> int:
     return math.factorial(n) // denom
 
 
-def cycle_type_sign(ctype: Partition) -> int:
-    return -1 if (sum(ctype) - len(ctype)) % 2 else 1
-
-
 def moved_points(ctype: Partition) -> int:
     return sum(c for c in ctype if c > 1)
 
@@ -92,97 +88,26 @@ def sorted_cycle_types(n: int) -> list[Partition]:
 
 
 # ---------------------------------------------------------------------------
-# truncated sparse integer polynomials
+# characters
 # ---------------------------------------------------------------------------
-
-class _TruncPoly:
-    """Multivariate integer polynomial, monomials capped per variable.
-
-    Monomials whose exponent exceeds the cap in any variable can never
-    contribute to the target coefficient (all factors have nonnegative
-    exponents), so they are dropped during multiplication.
-    """
-
-    __slots__ = ("caps", "terms")
-
-    def __init__(self, caps: tuple[int, ...], terms: dict[tuple[int, ...], int]):
-        self.caps = caps
-        self.terms = terms
-
-    @staticmethod
-    def one(caps: tuple[int, ...]) -> "_TruncPoly":
-        return _TruncPoly(caps, {tuple(0 for _ in caps): 1})
-
-    def mul(self, other_terms: dict[tuple[int, ...], int]) -> "_TruncPoly":
-        caps = self.caps
-        r = len(caps)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other_terms.items():
-                e = tuple(e1[t] + e2[t] for t in range(r))
-                ok = True
-                for t in range(r):
-                    if e[t] > caps[t]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                out[e] = out.get(e, 0) + c1 * c2
-        return _TruncPoly(caps, {e: c for e, c in out.items() if c})
-
-    def times_power_sum(self, j: int) -> "_TruncPoly":
-        """self * (x_1^j + ... + x_r^j): each monomial shifted in one
-        variable at a time, skipping shifts past that variable's cap."""
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            for t, cap in enumerate(self.caps):
-                if e[t] + j <= cap:
-                    shifted = e[:t] + (e[t] + j,) + e[t + 1:]
-                    out[shifted] = out.get(shifted, 0) + c
-        return _TruncPoly(self.caps, {e: c for e, c in out.items() if c})
-
-    def coefficient(self, target: tuple[int, ...]) -> int:
-        return self.terms.get(target, 0)
-
-
-def _caps(eta: Partition) -> tuple[int, ...]:
-    """Target exponents l_j = eta_j + r - j (1-based j), also the caps."""
-    r = len(eta)
-    return tuple(eta[j] + r - 1 - j for j in range(r))
-
-
-@lru_cache(maxsize=None)
-def _vandermonde(eta: Partition) -> _TruncPoly:
-    """prod_{i<j} (x_i - x_j), truncated at the caps of eta.  It depends on
-    eta only, so every class of a partition reuses one product."""
-    r = len(eta)
-    poly = _TruncPoly.one(_caps(eta))
-    for i in range(r):
-        for j in range(i + 1, r):
-            ei = tuple(1 if t == i else 0 for t in range(r))
-            ej = tuple(1 if t == j else 0 for t in range(r))
-            poly = poly.mul({ei: 1, ej: -1})
-    return poly
-
-
-def _frobenius_direct(eta: Partition, ctype: Partition) -> int:
-    poly = _vandermonde(eta)
-    for j, ij in sorted(cycle_counts(ctype).items()):
-        for _ in range(ij):
-            poly = poly.times_power_sum(j)
-    return poly.coefficient(_caps(eta))
-
 
 @lru_cache(maxsize=None)
 def _frobenius_cached(eta: Partition, ctype: Partition) -> int:
-    # the truncated Vandermonde (up to len(eta)! monomials) is built once
-    # per partition, and each power sum costs len(eta) shifts per monomial;
-    # both grow with the number of variables, so long partitions are
-    # evaluated through the strictly shorter conjugate and the sign twist
-    conj = conjugate_partition(eta)
-    if len(conj) < len(eta):
-        return cycle_type_sign(ctype) * _frobenius_direct(conj, ctype)
-    return _frobenius_direct(eta, ctype)
+    # the Murnaghan-Nakayama step of the module docstring for m = ctype[0];
+    # the cache shares each (mu, ctype suffix) value between branches
+    if not ctype:
+        return 1
+    r = len(eta)
+    beta = {eta[j] + r - 1 - j for j in range(r)}
+    m = ctype[0]
+    total = 0
+    for b in beta:
+        if b >= m and b - m not in beta:
+            moved = sorted(beta - {b} | {b - m}, reverse=True)
+            mu = tuple(x - (r - 1 - j) for j, x in enumerate(moved))
+            sign = -1 if sum(b - m < x < b for x in beta) % 2 else 1
+            total += sign * _frobenius_cached(tuple(p for p in mu if p), ctype[1:])
+    return total
 
 
 def frobenius_character(eta, ctype) -> int:
@@ -194,7 +119,7 @@ def frobenius_character(eta, ctype) -> int:
     if n != sum(ctype):
         raise DomainError(f"partition sizes differ: {eta} vs {ctype}")
     if n > MAX_FROBENIUS_N:
-        raise CapacityError(f"exact coefficient extraction capped at n={MAX_FROBENIUS_N}")
+        raise CapacityError(f"exact characters capped at n={MAX_FROBENIUS_N}")
     return _frobenius_cached(eta, ctype)
 
 

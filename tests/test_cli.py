@@ -161,6 +161,21 @@ def test_negative_leak_values_in_any_float_form(capsys, monkeypatch, tmp_path):
     assert len(alphas) == 3 and alphas[0] == -1e-3
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["verify", "--perturb", "-1e-3"], "unrecognized arguments: --perturb -1e-3"),
+    (["verify", "--perturb=-1e-3"], "unrecognized arguments: --perturb=-1e-3"),
+    (["critical", "--k", "5", "--out", "json"], "unrecognized arguments: --out json"),
+    (["spectrum", "--k", "4", "--alph", "1"], "--alpha --alpha-grid is required"),
+])
+def test_abbreviated_flags_exit2(argv, names, capsys, tmp_path):
+    # flags are accepted only in full, so a prefix that takes a negative
+    # value is refused in both spellings instead of running one of them
+    assert main(["--cache-dir", str(tmp_path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert names in captured.err
+
+
 def test_alpha_grid_points_capacity_exit3(capsys, tmp_path):
     # refused before the grid is built
     assert main(["--cache-dir", str(tmp_path), "spectrum", "--k", "5",

@@ -9,15 +9,12 @@ from symbreak.burnside import cycle_type
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import compare_character_table
 from symbreak.symrep import (
-    _frobenius_direct,
-    _TruncPoly,
     character_table,
     class_size,
     closed_form_character,
     closed_form_partition,
     conjugate_partition,
     cycle_counts,
-    cycle_type_sign,
     decompose_class_function,
     decompose_diag_square,
     diag_square_character,
@@ -127,50 +124,71 @@ def test_capacity_guard():
 
 
 def test_conjugate_twist_path_on_long_partitions():
-    # partitions with >= 9 parts route through the conjugate; check against
     # the sign-twist identities chi_{1^n} = sgn and chi_{(2,1^{n-2})} =
-    # sgn * (i1 - 1)
+    # sgn * (i1 - 1) on partitions with n - 1 and n parts
     n = 10
     for ct in sorted_cycle_types(n):
-        sgn = cycle_type_sign(ct)
+        sgn = (-1) ** (n - len(ct))
         assert frobenius_character(tuple([1] * n), ct) == sgn
         i1 = sum(1 for c in ct if c == 1)
         assert frobenius_character((2,) + tuple([1] * (n - 2)), ct) == sgn * (i1 - 1)
 
 
 def _generic_product(eta, ctype):
-    """Every Vandermonde factor x_i - x_j and every power sum multiplied in
-    through the generic truncated product, one factor at a time."""
+    """The coefficient of x_1^{l_1} ... x_r^{l_r} (l_j = eta_j + r - j) in
+    Delta(x) * prod_j P_j(x)^{i_j}: every Vandermonde factor x_i - x_j and
+    every power sum multiplied in as a plain dict polynomial, one factor at
+    a time, dropping monomials past the target exponent in any variable."""
     r = len(eta)
     caps = tuple(eta[j] + r - 1 - j for j in range(r))
 
-    def unit(t):
-        return tuple(1 if s == t else 0 for s in range(r))
+    def unit(t, power=1):
+        return tuple(power if s == t else 0 for s in range(r))
 
-    poly = _TruncPoly.one(caps)
+    def mul(poly, factor):
+        out = {}
+        for e1, c1 in poly.items():
+            for e2, c2 in factor.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if all(x <= cap for x, cap in zip(e, caps)):
+                    out[e] = out.get(e, 0) + c1 * c2
+        return {e: c for e, c in out.items() if c}
+
+    poly = {unit(0, 0): 1}
     for i in range(r):
         for j in range(i + 1, r):
-            poly = poly.mul({unit(i): 1, unit(j): -1})
-    for j, ij in sorted(cycle_counts(ctype).items()):
-        power_sum = {tuple(j * x for x in unit(s)): 1 for s in range(r)}
-        for _ in range(ij):
-            poly = poly.mul(power_sum)
-    return poly.coefficient(caps)
+            poly = mul(poly, {unit(i): 1, unit(j): -1})
+    for length in ctype:
+        poly = mul(poly, {unit(s, length): 1 for s in range(r)})
+    return poly.get(caps, 0)
 
 
 def test_frobenius_matches_generic_product_reference():
-    # the cached Vandermonde and the shifted power sums are exact integer
-    # arithmetic, so every coefficient is equal; extraction runs on the
-    # shorter of eta and its conjugate, as frobenius_character does
+    # the coefficient-extraction formula is exact integer arithmetic, so it
+    # equals the Murnaghan-Nakayama value; it runs on the shorter of eta and
+    # its conjugate, chi_eta = sgn * chi_{eta'}, to keep the products small
     for n in range(1, 10):
         for eta in partitions_of(n):
             conj = conjugate_partition(eta)
             short, twist = (conj, True) if len(conj) < len(eta) else (eta, False)
             for ct in partitions_of(n):
-                want = _generic_product(short, ct)
-                assert _frobenius_direct(short, ct) == want, (short, ct)
-                sign = cycle_type_sign(ct) if twist else 1
-                assert frobenius_character(eta, ct) == sign * want, (eta, ct)
+                sign = (-1) ** (n - len(ct)) if twist else 1
+                want = sign * _generic_product(short, ct)
+                assert frobenius_character(eta, ct) == want, (eta, ct)
+
+
+def test_characters_at_capacity_edge():
+    # n = 12 (77 partitions): column orthogonality sum_eta chi_eta(c)^2 =
+    # 12!/|c| on every class, and the identity column gives the hook dimensions
+    n = 12
+    parts = partitions_of(n)
+    assert len(parts) == 77
+    for ct in parts:
+        column = [frobenius_character(eta, ct) for eta in parts]
+        assert sum(x * x for x in column) == math.factorial(n) // class_size(ct), ct
+    ident = tuple([1] * n)
+    for eta in parts:
+        assert frobenius_character(eta, ident) == hook_dimension(eta), eta
 
 
 # ---------------------------------------------------------------------------
