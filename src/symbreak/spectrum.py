@@ -24,12 +24,22 @@ numpy; import them from there.  family_values evaluates the formulas on an
 array of leak values; no command calls it, and it stays as the array form
 that the tests hold bit-identical to family_values_at.
 
-numerical_spectrum_match checks the table against a dense eigh of the
+numerical_spectrum_match checks the table against a dense eigensolve of the
 assembled Hessian and labels each eigenvalue cluster by closed-form isotypic
-projections, with no basis.  Write an eigenvector as a k x k matrix
-U = Diag(d) + A + S, A antisymmetric and S symmetric with zero diagonal, let
-rho = A 1 and sigma = S 1, and let a bar be the mean over the k rows.  The
-squared norms of its projections are
+projections, with no basis.  The eigensolve is two eigh calls of half size:
+the neuron pairing sigma = (0 1)(2 3)... acts on the coordinates (i, a) as
+the involution pi = sigma (x) sigma, which fixes the identity teacher, and
+its +1 and -1 eigenspaces split the assembled matrix into two blocks.  The
+coupling block C between them, gathered from the same matrix, is 0 for a
+symmetric assembly; by Weyl's inequality the split eigenvalues are those of
+the full matrix up to |C|_F, and the match fails unless the deviation plus
+|C|_F is within tolerance.  The split uses no analytic basis, so the
+oracle stays a dense eigensolve of the assembled matrix.
+
+Write an eigenvector as a k x k matrix U = Diag(d) + A + S, A antisymmetric
+and S symmetric with zero diagonal, let rho = A 1 and sigma = S 1, and let
+a bar be the mean over the k rows.  The squared norms of its projections
+are
 
     (k)        k dbar^2 + k sigmabar^2/(k-1)                  span{I, J}
     (k-1,1)    |d - dbar|^2 + 2|rho|^2/k + 2|sigma - sigmabar|^2/(k-2)
@@ -44,6 +54,7 @@ trivial.  isotypic_basis stays the explicit basis for verify and the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -242,6 +253,7 @@ def w_block_matrix(k: int, alpha: float) -> np.ndarray:
 
 CLUSTER_GAP_FACTOR = 1e-8
 LABEL_TIE_FACTOR = 1e-9
+SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass
@@ -257,6 +269,7 @@ class SpectrumMatchReport:
     ok: bool
     max_deviation: float
     multiplicities_agree: bool
+    coupling: float                # |C|_F of the pairing split, 0.0 for a symmetric assembly
     clusters: list[ClusterMatch] = field(default_factory=list)
     message: str = ""
 
@@ -300,6 +313,35 @@ def _isotypic_scores(vecs: np.ndarray, k: int) -> dict[str, float]:
     }
 
 
+def _pairing(k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Coordinates of the involution pi(i, a) = (sigma(i), sigma(a)) on
+    m = i*k + a, with sigma = (0 1)(2 3)...: lo = {m : m < pi(m)} ascending,
+    hi = pi(lo), and n = |lo|.  For odd k, sigma fixes k - 1, and the one
+    fixed coordinate m = k^2 - 1 is appended to both arrays."""
+    sigma = np.arange(k) ^ 1
+    if k % 2:
+        sigma[-1] = k - 1
+    image = (sigma[:, None] * k + sigma[None, :]).ravel()
+    m = np.arange(k * k)
+    lo, fix = m[m < image], m[m == image]
+    return np.concatenate([lo, fix]), np.concatenate([image[lo], fix]), len(lo)
+
+
+def _unfold(plus: np.ndarray, minus: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            n: int) -> np.ndarray:
+    """Columns of the two blocks' eigenvectors in the k^2 coordinates: a
+    plus column y puts y/sqrt2 at lo and at hi (and its last entry at the
+    fixed coordinate, odd k), a minus column y/sqrt2 at lo and -y/sqrt2 at
+    hi."""
+    p = plus.shape[1]
+    x = np.zeros((len(lo) + n, p + minus.shape[1]))
+    x[lo[:n], :p] = x[hi[:n], :p] = plus[:n] * SQRT_HALF
+    x[lo[n:], :p] = plus[n:]
+    x[lo[:n], p:] = minus * SQRT_HALF
+    x[hi[:n], p:] = -x[lo[:n], p:]
+    return x
+
+
 def numerical_spectrum_match(
     k: int,
     alpha: float,
@@ -307,18 +349,44 @@ def numerical_spectrum_match(
     perturbation: float | None = None,
 ) -> SpectrumMatchReport:
     """Dense eigensolve of the assembled minimum Hessian against the analytic
-    table, for k <= MAX_DENSE_K (wider raises CapacityError).
+    table, for 4 <= k <= MAX_DENSE_K (wider raises CapacityError, narrower
+    DomainError).
+
+    The eigensolve is split in two by the coordinate involution
+    pi(i, a) = (sigma(i), sigma(a)), sigma = (0 1)(2 3)... (k - 1 fixed for
+    odd k; see _pairing).  sigma (x) sigma relabels the neurons and fixes
+    the identity teacher, so it commutes with the Hessian H, and the
+    orthonormal vectors (e_m +- e_pi(m))/sqrt2 for m in lo (plus e_fix for
+    odd k) split H into the blocks
+
+        plus   1/2 (A + D + (B + B^T)),   with (H[lo, fix] + H[hi, fix])/sqrt2
+                                          and H[fix, fix] appended (odd k)
+        minus  1/2 (A + D - (B + B^T))
+
+    where A = H[lo, lo], B = H[lo, hi], D = H[hi, hi].  What the split
+    leaves out is the coupling block C = 1/2 ((A - D) - (B - B^T)), with
+    (H[lo, fix] - H[hi, fix])/sqrt2 for odd k.  All of it is gathered from
+    the one assembled matrix, which is released before the two eigh calls
+    of at most ceil(k^2/2) rows.  By Weyl's inequality every eigenvalue of
+    H lies within |C|_F of the split eigenvalues, so a matched deviation
+    passes only when deviation + |C|_F <= max(tolerance, k^2 eps scale),
+    the second term being the eigensolver's backward error at large leak
+    values (it stays below 8e-11 for k <= 64, |alpha| <= 3.5).  |C|_F is 0
+    exactly for the assembled Hessian; an assembly that breaks the symmetry
+    fails on it instead of being hidden by the split.  The oracle stays
+    independent of the analytic side: the split is an orthogonal similarity
+    checked on the assembled matrix, and it reads no isotypic basis.
 
     Eigenvalues are clustered with gap threshold 1e-8 * scale so analytic
     coincidences (all of them at alpha = 0) do not trip multiplicity checks.
-    A matched deviation passes up to max(tolerance, k^2 eps scale), the
-    second term being the eigensolver's backward error at large leak values
-    (it stays below 8e-11 for k <= 64, |alpha| <= 3.5).  An optional
-    symmetric perturbation of one off-diagonal entry supports negative-
-    control runs; mismatches produce a failing report, never an exception.
+    An optional finite symmetric perturbation of one off-diagonal entry
+    supports negative-control runs (a non-finite one raises DomainError
+    before anything is assembled); mismatches produce a failing report,
+    never an exception.
 
-    Each cluster's eigenvectors are scored by _isotypic_scores, the squared
-    projections onto the four isotypic components:
+    Each cluster's eigenvectors, mapped back to the k^2 coordinates by
+    _unfold, are scored by _isotypic_scores, the squared projections onto
+    the four isotypic components:
 
         (k)        k dbar^2 + k sigmabar^2/(k-1)
         (k-1,1)    |d - dbar|^2 + 2|rho|^2/k + 2|sigma - sigmabar|^2/(k-2)
@@ -334,11 +402,39 @@ def numerical_spectrum_match(
     """
     if k > MAX_DENSE_K:
         raise CapacityError(f"dense eigenanalysis capped at k = {MAX_DENSE_K}")
+    if k < 4:
+        raise DomainError("k >= 4 required")
+    if perturbation is not None and not math.isfinite(perturbation):
+        raise DomainError(f"perturbation must be finite, got {perturbation!r}")
     dense = assemble_dense(hessian_at_minimum(k, alpha))
     if perturbation is not None:
         dense[0, 1] += perturbation
         dense[1, 0] += perturbation
-    evals, evecs = np.linalg.eigh(dense)
+    lo, hi, n = _pairing(k)
+    a, b, d = (dense[np.ix_(rows, cols)] for rows, cols in ((lo, lo), (lo, hi), (hi, hi)))
+    del dense
+    coupling_block = 0.5 * ((a - d) - (b - b.T))
+    coupling_block[n:] *= SQRT_HALF
+    coupling = float(np.linalg.norm(coupling_block))
+    del coupling_block
+    # in place, each array freed once read: the peak stays the assembly's
+    a += d                               # A + D
+    b += b.T                             # B + B^T
+    del d
+    plus = 0.5 * (a + b)
+    plus[n:] *= SQRT_HALF
+    plus[:, n:] *= SQRT_HALF
+    a -= b                               # A + D - (B + B^T)
+    del b
+    minus = 0.5 * a[:n, :n]
+    del a
+    plus_vals, plus_vecs = np.linalg.eigh(plus)
+    del plus
+    minus_vals, minus_vecs = np.linalg.eigh(minus)
+    del minus
+    merged = np.concatenate([plus_vals, minus_vals])
+    order = np.argsort(merged, kind="stable")
+    evals = merged[order]
     scale = max(1.0, float(np.abs(evals).max()))
     gap = CLUSTER_GAP_FACTOR * scale
     numeric = _cluster(evals, gap)
@@ -357,8 +453,12 @@ def numerical_spectrum_match(
             max_dev = max(max_dev, dev)
         if nm != am:
             mults_ok = False
-        scores = _isotypic_scores(evecs[:, col:col + nm], k)
+        picked = order[col:col + nm]
         col += nm
+        from_plus = picked[picked < len(plus_vals)]
+        from_minus = picked[picked >= len(plus_vals)] - len(plus_vals)
+        vecs = _unfold(plus_vecs[:, from_plus], minus_vecs[:, from_minus], lo, hi, n)
+        scores = _isotypic_scores(vecs, k)
         top = max(scores.values())
         dominant = next(lab for lab, s in scores.items()
                         if s >= top - LABEL_TIE_FACTOR * nm)
@@ -367,14 +467,14 @@ def numerical_spectrum_match(
             deviation=dev, dominant_label=dominant,
         ))
     floor = k * k * float(np.finfo(float).eps) * scale
-    ok = shape_ok and mults_ok and max_dev <= max(tolerance, floor)
+    ok = shape_ok and mults_ok and max_dev + coupling <= max(tolerance, floor)
     msg = "" if ok else (
         f"cluster shape {[m for _, m in numeric]} vs analytic {[m for _, m in analytic]}, "
-        f"max matched deviation {max_dev:.3e} at tolerance {tolerance:.1e} "
-        f"(eigensolver floor {floor:.1e})"
+        f"max matched deviation {max_dev:.3e} plus pairing coupling |C|_F {coupling:.3e} "
+        f"at tolerance {tolerance:.1e} (eigensolver floor {floor:.1e})"
     )
     return SpectrumMatchReport(
-        ok=ok, max_deviation=max_dev, multiplicities_agree=mults_ok,
+        ok=ok, max_deviation=max_dev, multiplicities_agree=mults_ok, coupling=coupling,
         clusters=clusters, message=msg,
     )
 

@@ -19,6 +19,7 @@ from symbreak.golden import load_golden
 from symbreak.hessian import assemble_dense, block_operator_apply, hessian_at_minimum, vec
 from symbreak.spectrum import (
     CLUSTER_GAP_FACTOR,
+    LABEL_TIE_FACTOR,
     _cluster,
     _isotypic_scores,
     analytic_spectrum,
@@ -503,3 +504,141 @@ def test_match_labels_without_basis_qr_or_svd(monkeypatch):
 def test_match_capacity_guard():
     with pytest.raises(CapacityError):
         numerical_spectrum_match(65, 1.0)
+
+
+def _refuse_assembly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("refused inputs must not reach the assembly")
+
+    monkeypatch.setattr(spectrum, "assemble_dense", refuse)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_match_refuses_nonfinite_perturbation(bad, monkeypatch):
+    _refuse_assembly(monkeypatch)
+    with pytest.raises(DomainError, match="finite"):
+        numerical_spectrum_match(5, 1.0, perturbation=bad)
+
+
+def test_match_refuses_narrow_width(monkeypatch):
+    _refuse_assembly(monkeypatch)
+    with pytest.raises(DomainError, match="k >= 4"):
+        numerical_spectrum_match(3, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the pairing split against the full eigensolve
+# ---------------------------------------------------------------------------
+
+def _full_eigh_reference(k, alpha):
+    """The matcher's former single eigh of the whole assembled matrix, kept
+    as the reference for the split: (value, multiplicity, dominant label)
+    per cluster, and the scale."""
+    evals, evecs = np.linalg.eigh(assemble_dense(hessian_at_minimum(k, alpha)))
+    scale = max(1.0, float(np.abs(evals).max()))
+    out, col = [], 0
+    for value, m in _cluster(evals, CLUSTER_GAP_FACTOR * scale):
+        scores = _isotypic_scores(evecs[:, col:col + m], k)
+        col += m
+        top = max(scores.values())
+        label = next(lab for lab, s in scores.items() if s >= top - LABEL_TIE_FACTOR * m)
+        out.append((value, m, label))
+    return out, scale
+
+
+def _assert_split_matches_full(k, alpha):
+    rep = numerical_spectrum_match(k, alpha)
+    want, scale = _full_eigh_reference(k, alpha)
+    assert rep.ok, (k, alpha, rep.message)
+    assert rep.coupling == 0.0
+    got = [(c.numeric_multiplicity, c.dominant_label) for c in rep.clusters]
+    assert got == [(m, label) for _, m, label in want], (k, alpha)
+    for c, (value, _, _) in zip(rep.clusters, want):
+        assert abs(c.numeric_value - value) <= 1e-12 * scale, (k, alpha)
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_split_eigensolve_matches_full_reference(k):
+    # the 11-point grid holds the k = 4 and k = 6, alpha = 0 label ties
+    for alpha in [*np.linspace(0.0, 3.5, 11), -3.5, -1.0, 0.7]:
+        _assert_split_matches_full(k, float(alpha))
+
+
+@pytest.mark.slow
+def test_split_eigensolve_matches_full_reference_k48():
+    _assert_split_matches_full(48, 1.0)
+
+
+def _pi(k):
+    """pi(i, a) = (sigma(i), sigma(a)) on m = i*k + a, sigma = (0 1)(2 3)...
+    with k - 1 fixed for odd k."""
+    sigma = [i ^ 1 if i ^ 1 < k else i for i in range(k)]
+    return lambda m: sigma[m // k] * k + sigma[m % k]
+
+
+def _defective_assembly(monkeypatch, changes):
+    """assemble_dense plus a symmetric change delta at each (p, q, delta)."""
+    assemble = spectrum.assemble_dense
+
+    def defective(blocks):
+        dense = assemble(blocks)
+        for p, q, delta in changes:
+            dense[p, q] += delta
+            dense[q, p] += delta
+        return dense
+
+    monkeypatch.setattr(spectrum, "assemble_dense", defective)
+
+
+def test_symmetry_breaking_change_fails_on_the_coupling(monkeypatch):
+    k = 6
+    pi = _pi(k)
+    p, q = 1 * k + 2, 3 * k            # (1, 2) and (3, 0)
+    assert {pi(p), pi(q)} != {p, q}
+    _defective_assembly(monkeypatch, [(p, q, 1e-6)])
+    rep = numerical_spectrum_match(k, 1.0)
+    assert not rep.ok
+    assert rep.coupling > 0.0
+    assert "coupling" in rep.message
+
+
+def test_change_the_split_cannot_see_fails_on_the_coupling(monkeypatch):
+    # +delta at (p, q) and -delta at (pi p, pi q), both p and q below their
+    # images: the two blocks get A + D and B, which the change leaves as they
+    # were, so only the coupling block sees it
+    k = 6
+    pi = _pi(k)
+    p, q = 0 * k + 2, 2 * k + 4        # (0, 2) and (2, 4)
+    assert p < pi(p) and q < pi(q)
+    _defective_assembly(monkeypatch, [(p, q, 1e-6), (pi(p), pi(q), -1e-6)])
+    rep = numerical_spectrum_match(k, 1.0)
+    assert rep.max_deviation <= 1e-12
+    assert rep.coupling == pytest.approx(1e-6 * math.sqrt(2.0), rel=1e-6)
+    assert not rep.ok
+    assert "coupling" in rep.message
+
+
+def test_symmetric_change_fails_on_the_deviation(monkeypatch):
+    k = 6
+    pi = _pi(k)
+    p, q = 1 * k + 2, 3 * k
+    _defective_assembly(monkeypatch, [(p, q, 1e-6), (pi(p), pi(q), 1e-6)])
+    rep = numerical_spectrum_match(k, 1.0)
+    assert rep.coupling == 0.0
+    assert not rep.ok
+
+
+@pytest.mark.parametrize("k", [4, 5, 8, 9])
+def test_two_half_size_eigensolves_per_match(k, monkeypatch):
+    rows = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        rows.append(matrix.shape[0])
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert numerical_spectrum_match(k, 1.3).ok
+    assert len(rows) == 2
+    assert max(rows) <= -(-k * k // 2)
+    assert sum(rows) == k * k
