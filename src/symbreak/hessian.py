@@ -168,8 +168,9 @@ def unvec(x: np.ndarray, k: int) -> np.ndarray:
 def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
     """k^2 x k^2 symmetric matrix with block (i, j) at rows i*k:(i+1)*k.
 
-    The assembly is symmetrized after a guard: raw asymmetry beyond 1e-9 is
-    an internal-consistency error (well-formed blocks stay under 1e-12).
+    The assembly is symmetrized after a guard: raw asymmetry beyond 1e-9,
+    or a NaN entry, is an internal-consistency error (well-formed blocks
+    stay under 1e-12).
     Entry (p, q) of the result is (x + y) * 0.5 for the raw entries x at
     (p, q) and y at (q, p), and the guard reads max |x - y|.  Both are
     formed in one pass over block pairs (i, j >= i), one block row at a
@@ -193,7 +194,7 @@ def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
         tiles[i, :, i:] = pair.transpose(1, 0, 2)
         tiles[i:, :, i] = pair.transpose(0, 2, 1)
     asym = float(peaks.max())
-    if asym > ASSEMBLY_SYMMETRY_TOL:
+    if not asym <= ASSEMBLY_SYMMETRY_TOL:       # a NaN fails this test too
         raise ConsistencyError(f"assembled Hessian asymmetry {asym:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL}")
     return dense
 

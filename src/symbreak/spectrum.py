@@ -26,15 +26,19 @@ that the tests hold bit-identical to family_values_at.
 
 numerical_spectrum_match checks the table against a dense eigensolve of the
 assembled Hessian and labels each eigenvalue cluster by closed-form isotypic
-projections, with no basis.  The eigensolve is two eigh calls of half size:
-the neuron pairing sigma = (0 1)(2 3)... acts on the coordinates (i, a) as
-the involution pi = sigma (x) sigma, which fixes the identity teacher, and
-its +1 and -1 eigenspaces split the assembled matrix into two blocks.  The
-coupling block C between them, gathered from the same matrix, is 0 for a
-symmetric assembly; by Weyl's inequality the split eigenvalues are those of
-the full matrix up to |C|_F, and the match fails unless the deviation plus
-|C|_F is within tolerance.  The split uses no analytic basis, so the
-oracle stays a dense eigensolve of the assembled matrix.
+projections, with no basis.  The eigensolve is one eigh call on a stack of
+k Hermitian k x k blocks: the cyclic neuron shift g(i, a) = (i+1, a+1) mod k
+relabels the neurons and fixes the identity teacher, so it commutes with the
+Hessian H.  It acts freely on the k^2 coordinates, and indexing coordinate
+(t, t+d) by its orbit d and position t makes H block-circulant in t.  The
+representative slabs h_s[d, d'] = H[(0, d), (s, s+d')], symmetrized and
+Fourier transformed over s, are the blocks.  Every other slab is gathered
+from the same matrix and compared with its representative; the root sum of
+squares of the differences, the coupling, is 0 for a shift-invariant
+assembly and bounds the distance from H to the block-circulant matrix that
+was solved, so by Weyl's inequality the match fails unless the deviation
+plus the coupling is within tolerance.  The split uses no analytic basis,
+so the oracle stays a dense eigensolve of the assembled matrix.
 
 Write an eigenvector as a k x k matrix U = Diag(d) + A + S, A antisymmetric
 and S symmetric with zero diagonal, let rho = A 1 and sigma = S 1, and let
@@ -253,7 +257,7 @@ def w_block_matrix(k: int, alpha: float) -> np.ndarray:
 
 CLUSTER_GAP_FACTOR = 1e-8
 LABEL_TIE_FACTOR = 1e-9
-SQRT_HALF = math.sqrt(0.5)
+SCORE_CHUNK = 64                  # eigenvectors scored at a time
 
 
 @dataclass
@@ -269,7 +273,7 @@ class SpectrumMatchReport:
     ok: bool
     max_deviation: float
     multiplicities_agree: bool
-    coupling: float                # |C|_F of the pairing split, 0.0 for a symmetric assembly
+    coupling: float                # distance to the shift-invariant split, 0.0 for a clean assembly
     clusters: list[ClusterMatch] = field(default_factory=list)
     message: str = ""
 
@@ -313,33 +317,23 @@ def _isotypic_scores(vecs: np.ndarray, k: int) -> dict[str, float]:
     }
 
 
-def _pairing(k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Coordinates of the involution pi(i, a) = (sigma(i), sigma(a)) on
-    m = i*k + a, with sigma = (0 1)(2 3)...: lo = {m : m < pi(m)} ascending,
-    hi = pi(lo), and n = |lo|.  For odd k, sigma fixes k - 1, and the one
-    fixed coordinate m = k^2 - 1 is appended to both arrays."""
-    sigma = np.arange(k) ^ 1
-    if k % 2:
-        sigma[-1] = k - 1
-    image = (sigma[:, None] * k + sigma[None, :]).ravel()
-    m = np.arange(k * k)
-    lo, fix = m[m < image], m[m == image]
-    return np.concatenate([lo, fix]), np.concatenate([image[lo], fix]), len(lo)
-
-
-def _unfold(plus: np.ndarray, minus: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            n: int) -> np.ndarray:
-    """Columns of the two blocks' eigenvectors in the k^2 coordinates: a
-    plus column y puts y/sqrt2 at lo and at hi (and its last entry at the
-    fixed coordinate, odd k), a minus column y/sqrt2 at lo and -y/sqrt2 at
-    hi."""
-    p = plus.shape[1]
-    x = np.zeros((len(lo) + n, p + minus.shape[1]))
-    x[lo[:n], :p] = x[hi[:n], :p] = plus[:n] * SQRT_HALF
-    x[lo[n:], :p] = plus[n:]
-    x[lo[:n], p:] = minus * SQRT_HALF
-    x[hi[:n], p:] = -x[lo[:n], p:]
-    return x
+def _shift_scores(vecs: np.ndarray, picked: np.ndarray, phase: np.ndarray,
+                  back: np.ndarray) -> dict[str, float]:
+    """Summed _isotypic_scores of the block eigenvectors picked (flat index
+    w*k + j for column j of block w), mapped back to the k^2 coordinates
+    as x[(t, t+d)] = y[d] phase[t, w], phase[t, w] = e^(-2 pi i w t/k)/sqrt(k),
+    back[i, a] = a - i mod k being the orbit d of (i, a).  A complex
+    column scores as its real and imaginary parts, and the scores are
+    additive over columns, so SCORE_CHUNK columns at a time give the whole
+    sum."""
+    k = len(phase)
+    totals: dict[str, float] = {}
+    for start in range(0, len(picked), SCORE_CHUNK):
+        w, j = np.divmod(picked[start:start + SCORE_CHUNK], k)
+        x = vecs[w, :, j].T[back] * phase[:, None, w]      # [i, a, column]
+        part = _isotypic_scores(np.concatenate([x.real, x.imag], axis=2).reshape(k * k, -1), k)
+        totals = {lab: totals.get(lab, 0.0) + score for lab, score in part.items()}
+    return totals
 
 
 def numerical_spectrum_match(
@@ -350,32 +344,42 @@ def numerical_spectrum_match(
 ) -> SpectrumMatchReport:
     """Dense eigensolve of the assembled minimum Hessian against the analytic
     table, for 4 <= k <= MAX_DENSE_K (wider raises CapacityError, narrower
-    DomainError).
+    DomainError, and a non-finite alpha DomainError, all before anything is
+    assembled).
 
-    The eigensolve is split in two by the coordinate involution
-    pi(i, a) = (sigma(i), sigma(a)), sigma = (0 1)(2 3)... (k - 1 fixed for
-    odd k; see _pairing).  sigma (x) sigma relabels the neurons and fixes
-    the identity teacher, so it commutes with the Hessian H, and the
-    orthonormal vectors (e_m +- e_pi(m))/sqrt2 for m in lo (plus e_fix for
-    odd k) split H into the blocks
+    The eigensolve is split by the cyclic neuron shift
+    g(i, a) = (i+1, a+1) mod k.  g relabels the neurons and fixes the
+    identity teacher, so it commutes with the Hessian H, and it acts freely
+    on the k^2 coordinates (i, a) = (t, t+d) for every k, odd or even:
+    orbit d, position t.  In that order the block (t, t+s)
+    of H is the slab
 
-        plus   1/2 (A + D + (B + B^T)),   with (H[lo, fix] + H[hi, fix])/sqrt2
-                                          and H[fix, fix] appended (odd k)
-        minus  1/2 (A + D - (B + B^T))
+        slab_{t,s}[d, d'] = H[(t, t+d), (t+s, t+s+d')],
 
-    where A = H[lo, lo], B = H[lo, hi], D = H[hi, hi].  What the split
-    leaves out is the coupling block C = 1/2 ((A - D) - (B - B^T)), with
-    (H[lo, fix] - H[hi, fix])/sqrt2 for odd k.  All of it is gathered from
-    the one assembled matrix, which is released before the two eigh calls
-    of at most ceil(k^2/2) rows.  By Weyl's inequality every eigenvalue of
-    H lies within |C|_F of the split eigenvalues, so a matched deviation
-    passes only when deviation + |C|_F <= max(tolerance, k^2 eps scale),
-    the second term being the eigensolver's backward error at large leak
-    values (it stays below 8e-11 for k <= 64, |alpha| <= 3.5).  |C|_F is 0
-    exactly for the assembled Hessian; an assembly that breaks the symmetry
-    fails on it instead of being hidden by the split.  The oracle stays
-    independent of the analytic side: the split is an orthogonal similarity
-    checked on the assembled matrix, and it reads no isotypic basis.
+    and H is block-circulant in t: slab_{t,s} = slab_{0,s}.  The
+    representative slabs h_s = slab_{0,s} are gathered from the one
+    assembled matrix, symmetrized as h_s <- (h_s + h_{-s}^T)/2 and
+    transformed over s, B_w = sum_s h_s e^(-2 pi i w s/k).  The k blocks
+    B_w are Hermitian, and one stacked eigh call solves them all: the
+    eigenvalues of B_w are those of the block-circulant matrix M built
+    from the symmetrized h_s, with eigenvectors
+    x[(t, t+d)] = y[d] e^(-2 pi i w t/k)/sqrt(k).  What the split leaves
+    out is measured slab by slab, so no second k^4 array exists:
+
+        coupling = sqrt(sum_{t,s} |slab_{t,s} - slab_{0,s}|_F^2).
+
+    H - M has the blocks ((slab_{t,s} - slab_{0,s}) + (slab_{t+s,-s} -
+    slab_{0,-s})^T)/2, since H is symmetric, so |H - M|_2 <= |H - M|_F <=
+    coupling, and by Weyl's inequality every eigenvalue of H lies within
+    the coupling of the eigenvalues of M.  A matched deviation passes only
+    when deviation + coupling <= max(tolerance, k^2 eps scale), the second
+    term being the eigensolver's backward error at large leak values (it
+    stays below 8e-11 for k <= 64, |alpha| <= 3.5).  The coupling is 0
+    exactly for the assembled Hessian; an assembly that breaks the shift
+    symmetry fails on it instead of being hidden by the split.  The oracle
+    stays independent of the analytic side: the split is a unitary
+    similarity checked on the assembled matrix, and it reads no isotypic
+    basis.
 
     Eigenvalues are clustered with gap threshold 1e-8 * scale so analytic
     coincidences (all of them at alpha = 0) do not trip multiplicity checks.
@@ -385,8 +389,8 @@ def numerical_spectrum_match(
     never an exception.
 
     Each cluster's eigenvectors, mapped back to the k^2 coordinates by
-    _unfold, are scored by _isotypic_scores, the squared projections onto
-    the four isotypic components:
+    _shift_scores, are scored by _isotypic_scores, the squared projections
+    onto the four isotypic components:
 
         (k)        k dbar^2 + k sigmabar^2/(k-1)
         (k-1,1)    |d - dbar|^2 + 2|rho|^2/k + 2|sigma - sigmabar|^2/(k-2)
@@ -404,37 +408,35 @@ def numerical_spectrum_match(
         raise CapacityError(f"dense eigenanalysis capped at k = {MAX_DENSE_K}")
     if k < 4:
         raise DomainError("k >= 4 required")
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     if perturbation is not None and not math.isfinite(perturbation):
         raise DomainError(f"perturbation must be finite, got {perturbation!r}")
     dense = assemble_dense(hessian_at_minimum(k, alpha))
     if perturbation is not None:
         dense[0, 1] += perturbation
         dense[1, 0] += perturbation
-    lo, hi, n = _pairing(k)
-    a, b, d = (dense[np.ix_(rows, cols)] for rows, cols in ((lo, lo), (lo, hi), (hi, hi)))
+    steps = np.arange(k)
+    pos = steps[:, None] * k + (steps[:, None] + steps) % k    # pos[t, d]: coordinate (t, t+d)
+
+    def slabs(t: int) -> np.ndarray:                # [d, s, d']: slab_{t,s}
+        return dense[pos[t][:, None], pos[(t + steps) % k].ravel()].reshape(k, k, k)
+
+    h = slabs(0)
+    coupling_sq = 0.0
+    for t in range(1, k):
+        diff = slabs(t)
+        diff -= h
+        coupling_sq += float(np.vdot(diff, diff))
+    coupling = math.sqrt(coupling_sq)
     del dense
-    coupling_block = 0.5 * ((a - d) - (b - b.T))
-    coupling_block[n:] *= SQRT_HALF
-    coupling = float(np.linalg.norm(coupling_block))
-    del coupling_block
-    # in place, each array freed once read: the peak stays the assembly's
-    a += d                               # A + D
-    b += b.T                             # B + B^T
-    del d
-    plus = 0.5 * (a + b)
-    plus[n:] *= SQRT_HALF
-    plus[:, n:] *= SQRT_HALF
-    a -= b                               # A + D - (B + B^T)
-    del b
-    minus = 0.5 * a[:n, :n]
-    del a
-    plus_vals, plus_vecs = np.linalg.eigh(plus)
-    del plus
-    minus_vals, minus_vecs = np.linalg.eigh(minus)
-    del minus
-    merged = np.concatenate([plus_vals, minus_vals])
-    order = np.argsort(merged, kind="stable")
-    evals = merged[order]
+    h = h.transpose(1, 0, 2)                                    # [s, d, d']
+    h = 0.5 * (h + h[-steps % k].transpose(0, 2, 1))
+    roots = np.exp(-2j * math.pi * (np.outer(steps, steps) % k) / k)   # e^(-2 pi i w s/k)
+    block_vals, block_vecs = np.linalg.eigh(np.tensordot(roots, h, axes=1))
+    phase, back = roots / math.sqrt(k), (steps[None, :] - steps[:, None]) % k
+    order = np.argsort(block_vals, axis=None, kind="stable")   # flat index w*k + j
+    evals = block_vals.ravel()[order]
     scale = max(1.0, float(np.abs(evals).max()))
     gap = CLUSTER_GAP_FACTOR * scale
     numeric = _cluster(evals, gap)
@@ -453,12 +455,8 @@ def numerical_spectrum_match(
             max_dev = max(max_dev, dev)
         if nm != am:
             mults_ok = False
-        picked = order[col:col + nm]
+        scores = _shift_scores(block_vecs, order[col:col + nm], phase, back)
         col += nm
-        from_plus = picked[picked < len(plus_vals)]
-        from_minus = picked[picked >= len(plus_vals)] - len(plus_vals)
-        vecs = _unfold(plus_vecs[:, from_plus], minus_vecs[:, from_minus], lo, hi, n)
-        scores = _isotypic_scores(vecs, k)
         top = max(scores.values())
         dominant = next(lab for lab, s in scores.items()
                         if s >= top - LABEL_TIE_FACTOR * nm)
@@ -470,7 +468,7 @@ def numerical_spectrum_match(
     ok = shape_ok and mults_ok and max_dev + coupling <= max(tolerance, floor)
     msg = "" if ok else (
         f"cluster shape {[m for _, m in numeric]} vs analytic {[m for _, m in analytic]}, "
-        f"max matched deviation {max_dev:.3e} plus pairing coupling |C|_F {coupling:.3e} "
+        f"max matched deviation {max_dev:.3e} plus shift coupling {coupling:.3e} "
         f"at tolerance {tolerance:.1e} (eigensolver floor {floor:.1e})"
     )
     return SpectrumMatchReport(

@@ -353,6 +353,15 @@ def test_assemble_rejects_asymmetry():
         assemble_dense(HessianBlocks(k=2, blocks=blocks))
 
 
+@pytest.mark.parametrize("entry", [(0, 1, 0, 0), (0, 0, 0, 0), (2, 3, 1, 2)])
+def test_assemble_rejects_nan_entry(entry):
+    # nan > tol is False, so the guard must read "not asym <= tol"
+    blocks = hessian_at_minimum(4, 1.0)
+    blocks.blocks[entry] = math.nan
+    with pytest.raises(ConsistencyError, match="asymmetry nan exceeds"):
+        assemble_dense(blocks)
+
+
 def test_minimum_eigenvalues_match_table_k4():
     dense = assemble_dense(hessian_at_minimum(4, 1.0))
     evals = np.sort(np.linalg.eigvalsh(dense))

@@ -520,6 +520,13 @@ def test_match_refuses_nonfinite_perturbation(bad, monkeypatch):
         numerical_spectrum_match(5, 1.0, perturbation=bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_match_refuses_nonfinite_alpha(bad, monkeypatch):
+    _refuse_assembly(monkeypatch)
+    with pytest.raises(DomainError, match="finite"):
+        numerical_spectrum_match(5, bad)
+
+
 def test_match_refuses_narrow_width(monkeypatch):
     _refuse_assembly(monkeypatch)
     with pytest.raises(DomainError, match="k >= 4"):
@@ -527,7 +534,7 @@ def test_match_refuses_narrow_width(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the pairing split against the full eigensolve
+# the shift split against the full eigensolve
 # ---------------------------------------------------------------------------
 
 def _full_eigh_reference(k, alpha):
@@ -566,14 +573,14 @@ def test_split_eigensolve_matches_full_reference(k):
 
 @pytest.mark.slow
 def test_split_eigensolve_matches_full_reference_k48():
-    _assert_split_matches_full(48, 1.0)
+    # alpha = 0 holds the largest tie cluster, scored in chunks
+    for alpha in (0.0, 1.0, 3.5):
+        _assert_split_matches_full(48, alpha)
 
 
-def _pi(k):
-    """pi(i, a) = (sigma(i), sigma(a)) on m = i*k + a, sigma = (0 1)(2 3)...
-    with k - 1 fixed for odd k."""
-    sigma = [i ^ 1 if i ^ 1 < k else i for i in range(k)]
-    return lambda m: sigma[m // k] * k + sigma[m % k]
+def _shift(k):
+    """g(i, a) = (i + 1, a + 1) mod k on m = i*k + a."""
+    return lambda m: (m // k + 1) % k * k + (m % k + 1) % k
 
 
 def _defective_assembly(monkeypatch, changes):
@@ -592,9 +599,9 @@ def _defective_assembly(monkeypatch, changes):
 
 def test_symmetry_breaking_change_fails_on_the_coupling(monkeypatch):
     k = 6
-    pi = _pi(k)
+    g = _shift(k)
     p, q = 1 * k + 2, 3 * k            # (1, 2) and (3, 0)
-    assert {pi(p), pi(q)} != {p, q}
+    assert {g(p), g(q)} != {p, q}
     _defective_assembly(monkeypatch, [(p, q, 1e-6)])
     rep = numerical_spectrum_match(k, 1.0)
     assert not rep.ok
@@ -603,42 +610,47 @@ def test_symmetry_breaking_change_fails_on_the_coupling(monkeypatch):
 
 
 def test_change_the_split_cannot_see_fails_on_the_coupling(monkeypatch):
-    # +delta at (p, q) and -delta at (pi p, pi q), both p and q below their
-    # images: the two blocks get A + D and B, which the change leaves as they
-    # were, so only the coupling block sees it
+    # +delta at (p, q) and -delta at (g p, g q), no row or column at
+    # position t = 0: the representative slabs h_s are read from the rows
+    # (0, d) alone and stay as they were, so no eigenvalue moves, and only
+    # the coupling sees the four changed entries
     k = 6
-    pi = _pi(k)
-    p, q = 0 * k + 2, 2 * k + 4        # (0, 2) and (2, 4)
-    assert p < pi(p) and q < pi(q)
-    _defective_assembly(monkeypatch, [(p, q, 1e-6), (pi(p), pi(q), -1e-6)])
+    g = _shift(k)
+    p, q = 1 * k + 3, 3 * k            # (1, 3) and (3, 0)
+    assert all(m // k != 0 for m in (p, q, g(p), g(q)))
+    _defective_assembly(monkeypatch, [(p, q, 1e-6), (g(p), g(q), -1e-6)])
     rep = numerical_spectrum_match(k, 1.0)
     assert rep.max_deviation <= 1e-12
-    assert rep.coupling == pytest.approx(1e-6 * math.sqrt(2.0), rel=1e-6)
+    assert rep.coupling == pytest.approx(2e-6, rel=1e-6)
     assert not rep.ok
     assert "coupling" in rep.message
 
 
 def test_symmetric_change_fails_on_the_deviation(monkeypatch):
+    # the same delta on the whole shift orbit of (p, q) keeps the assembly
+    # shift-invariant
     k = 6
-    pi = _pi(k)
+    g = _shift(k)
     p, q = 1 * k + 2, 3 * k
-    _defective_assembly(monkeypatch, [(p, q, 1e-6), (pi(p), pi(q), 1e-6)])
+    orbit = []
+    for _ in range(k):
+        orbit.append((p, q, 1e-6))
+        p, q = g(p), g(q)
+    _defective_assembly(monkeypatch, orbit)
     rep = numerical_spectrum_match(k, 1.0)
     assert rep.coupling == 0.0
     assert not rep.ok
 
 
 @pytest.mark.parametrize("k", [4, 5, 8, 9])
-def test_two_half_size_eigensolves_per_match(k, monkeypatch):
-    rows = []
+def test_one_stacked_eigensolve_per_match(k, monkeypatch):
+    shapes = []
     eigh = np.linalg.eigh
 
     def counted(matrix):
-        rows.append(matrix.shape[0])
+        shapes.append(matrix.shape)
         return eigh(matrix)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert numerical_spectrum_match(k, 1.3).ok
-    assert len(rows) == 2
-    assert max(rows) <= -(-k * k // 2)
-    assert sum(rows) == k * k
+    assert shapes == [(k, k, k)]
