@@ -351,7 +351,8 @@ def _alpha_list(args) -> list[float]:
         return [args.alpha]
     start, stop, points = args.alpha_grid
     n = int(points)
-    return [start + (stop - start) * i / (n - 1) for i in range(n)]
+    # the formula can round the last point below stop, so stop ends the grid
+    return [start + (stop - start) * i / (n - 1) for i in range(n - 1)] + [stop]
 
 
 def _parse_tol(pairs: list[str] | None) -> dict[str, float]:

@@ -13,11 +13,10 @@ multiplicities and isotypic labels):
     span_IJ_+-     (2b + k(a+c) +- sqrt(k^2(a-c)^2 + 4c(2a-c)(k-1))) / 2
 
 family_terms writes them once, for a float or a float array of leak
-values; family_values_at evaluates them on one float, and
-spectrum.family_values on an array.  Every square is written as a product:
-Python's float power calls libm pow, which can differ from numpy's
-elementwise square in the last bit, and a product is one correctly rounded
-multiplication on both paths.  So both evaluators agree bit for bit.
+values; family_values_at evaluates them on one float.  Every square is
+written as a product: Python's float power calls libm pow, which can differ
+from numpy's elementwise square in the last bit, and a product is one
+correctly rounded multiplication on a float and on an array alike.
 
 critical_set is the one owner of the critical set {0, alpha_std,
 alpha_triv}: its labels, its residuals and its ordering

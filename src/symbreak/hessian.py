@@ -169,8 +169,8 @@ def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
     """k^2 x k^2 symmetric matrix with block (i, j) at rows i*k:(i+1)*k.
 
     The assembly is symmetrized after a guard: raw asymmetry beyond 1e-9,
-    or a NaN entry, is an internal-consistency error (well-formed blocks
-    stay under 1e-12).
+    or a NaN or infinite entry, is an internal-consistency error
+    (well-formed blocks stay under 1e-12).
     Entry (p, q) of the result is (x + y) * 0.5 for the raw entries x at
     (p, q) and y at (q, p), and the guard reads max |x - y|.  Both are
     formed in one pass over block pairs (i, j >= i), one block row at a
@@ -187,8 +187,9 @@ def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
         x = raw[i, i:]                           # [j, a, b]: block (i, j) at (a, b)
         y = raw[i:, i].transpose(0, 2, 1)        # [j, a, b]: block (j, i) at (b, a)
         pair = work[:k - i]
-        np.subtract(x, y, out=pair)
-        peaks[i] = np.abs(pair, out=pair).max()
+        with np.errstate(invalid="ignore"):      # inf - inf is a NaN the guard refuses
+            np.subtract(x, y, out=pair)
+            peaks[i] = np.abs(pair, out=pair).max()
         np.add(x, y, out=pair)
         pair *= 0.5
         tiles[i, :, i:] = pair.transpose(1, 0, 2)

@@ -20,9 +20,7 @@ often merge them into one line of multiplicity k(k-1)/2.
 
 The seven formulas, the (a, b, c) coefficients, the critical set, the root
 scan and the dense cap MAX_DENSE_K live in closed_forms, which needs no
-numpy; import them from there.  family_values evaluates the formulas on an
-array of leak values; no command calls it, and it stays as the array form
-that the tests hold bit-identical to family_values_at.
+numpy; import them from there.
 
 numerical_spectrum_match checks the table against a dense eigensolve of the
 assembled Hessian and labels each eigenvalue cluster by closed-form isotypic
@@ -50,10 +48,28 @@ are
     (k-2,2)    |S|^2 - k sigmabar^2/(k-1) - 2|sigma - sigmabar|^2/(k-2)
     (k-2,1,1)  |A|^2 - 2|rho|^2/k
 
-(the standard line sums the D, K and S copies).  A cluster's label is its
-top summed score; scores within 1e-9 * multiplicity of the top tie, and a
-tie goes to the first label in FORMULA_IDS order: hook, two-row, standard,
-trivial.  isotypic_basis stays the explicit basis for verify and the tests.
+(the standard line sums the D, K and S copies).  The projectors are real,
+so the score of a complex column, its real part's plus its imaginary
+part's, is the Hermitian form x^H P x: each square above becomes a squared
+modulus, and <U, U^T> its real part.  The matcher never forms U.  A block-w
+eigenvector y (a k-vector) stands for U[t, t+d] = y[d] e^(-2 pi i w t/k)/sqrt(k),
+and the projectors commute with the shift, so its scores are read from y
+in O(k).  With e_d = e^(2 pi i w d/k), y0 = y[0], R = sum_d y[d],
+C = sum_d e_d y[d], X = Re sum_d conj(y[d]) y[-d] conj(e_d) = <U, U^T> and
+sigma = (R + C)/2 - y0:
+
+    (k-2,1,1)  (|y|^2 - X)/2 - |R - C|^2/(2k)
+    (k-2,2)    (|y|^2 + X)/2 - |y0|^2 - T - S
+    (k-1,1)    D + |R - C|^2/(2k) + S
+    (k)        M + T
+
+with T = 0, D = |y0|^2, S = 2|sigma|^2/(k-2), M = 0 for w != 0, where every
+mean over the rows vanishes, and T = |sigma|^2/(k-1), D = S = 0,
+M = |y0|^2 for w = 0, where d and sigma are constant.  A cluster's label
+is its top summed score; scores within 1e-9 * multiplicity of the top tie,
+and a tie goes to the first label in FORMULA_IDS order: hook, two-row,
+standard, trivial.  isotypic_basis stays the explicit basis for verify and
+the tests.
 """
 
 from __future__ import annotations
@@ -64,7 +80,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .closed_forms import FORMULA_IDS, MAX_DENSE_K, abc_terms, family_terms, family_values_at
+from .closed_forms import FORMULA_IDS, MAX_DENSE_K, abc_terms, family_values_at
 from .closed_forms import root_scan  # noqa: F401  perfbench/tracer.py finds the span here
 from .errors import CapacityError, ConsistencyError, DomainError
 from .hessian import assemble_dense, hessian_at_minimum
@@ -83,27 +99,6 @@ class SpectrumEntry:
     multiplicity: int          # eigenspace dimension = dim of one irreducible copy
     label: Partition           # isotypic component
     formula_id: str
-
-
-def family_values(k: int, alphas) -> np.ndarray:
-    """The seven eigenvalue families at every leak value, shape (7, n), rows
-    in FORMULA_IDS order: closed_forms.family_terms on an array.  Every
-    entry is bit-identical to family_values_at on the same float, because
-    the formulas write each square as a product."""
-    alphas = np.asarray(alphas, dtype=float)
-
-    def root(r: np.ndarray, name: str) -> np.ndarray:
-        finite = np.isfinite(r)
-        if not finite.all():
-            alpha = float(alphas[np.argmin(finite)])
-            raise DomainError(f"alpha={alpha!r} at k={k} overflows the {name} radicand")
-        if (r < 0.0).any():
-            raise ConsistencyError(
-                f"negative discriminant {float(r[r < 0.0][0])!r} in the {name} family")
-        return np.sqrt(r)
-
-    with np.errstate(all="ignore"):
-        return np.stack(family_terms(k, alphas, root))
 
 
 def analytic_spectrum(k: int, alpha: float) -> list[SpectrumEntry]:
@@ -257,7 +252,6 @@ def w_block_matrix(k: int, alpha: float) -> np.ndarray:
 
 CLUSTER_GAP_FACTOR = 1e-8
 LABEL_TIE_FACTOR = 1e-9
-SCORE_CHUNK = 64                  # eigenvectors scored at a time
 
 
 @dataclass
@@ -288,52 +282,34 @@ def _cluster(values: np.ndarray, gap: float) -> list[tuple[float, int]]:
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
-def _isotypic_scores(vecs: np.ndarray, k: int) -> dict[str, float]:
-    """Squared Frobenius norm of the orthogonal projection of the columns of
-    vecs (shape (k^2, m), vec coordinates) onto each isotypic component,
-    keyed hook, two-row, standard, trivial: the closed forms of the module
-    docstring, O(k^2) per column.  The C-order reshape of a column-stacked
-    vector is U^T, and every score is invariant under transposition;
-    |A|^2 and |S|^2 come from |U|^2 and <U, U^T>.
+def _frequency_scores(vecs: np.ndarray) -> np.ndarray:
+    """Squared projections of block eigenvectors onto the four isotypic
+    components, shape (4, k*m), rows hook, two-row, standard, trivial:
+    column j of block w is vecs[w, :, j] (vecs has shape (k, k, m)), at
+    flat index w*m + j.  The per-frequency forms of the module docstring,
+    O(k) per column.
     """
-    x = vecs.reshape(k, k, -1)
-    d = np.einsum("iim->im", x)
-    rows, cols = x.sum(axis=1), x.sum(axis=0)
-    rho = 0.5 * (rows - cols)
-    sigma = 0.5 * (rows + cols) - d
-    total = float(np.einsum("ijm,ijm->", x, x))
-    cross = float(np.einsum("ijm,jim->", x, x))         # <U, U^T>
-    anti = 0.5 * (total - cross)                         # |A|^2
-    sym = 0.5 * (total + cross) - float((d * d).sum())   # |S|^2
-    d_bar, s_bar = d.mean(axis=0), sigma.mean(axis=0)
-    triv_off = k * float((s_bar * s_bar).sum()) / (k - 1)
-    std_off = 2.0 * float(((sigma - s_bar) ** 2).sum()) / (k - 2)
-    std_anti = 2.0 * float((rho * rho).sum()) / k
-    return {
-        f"({k - 2},1,1)": anti - std_anti,
-        f"({k - 2},2)": sym - triv_off - std_off,
-        f"({k - 1},1)": float(((d - d_bar) ** 2).sum()) + std_anti + std_off,
-        f"({k})": k * float((d_bar * d_bar).sum()) + triv_off,
-    }
-
-
-def _shift_scores(vecs: np.ndarray, picked: np.ndarray, phase: np.ndarray,
-                  back: np.ndarray) -> dict[str, float]:
-    """Summed _isotypic_scores of the block eigenvectors picked (flat index
-    w*k + j for column j of block w), mapped back to the k^2 coordinates
-    as x[(t, t+d)] = y[d] phase[t, w], phase[t, w] = e^(-2 pi i w t/k)/sqrt(k),
-    back[i, a] = a - i mod k being the orbit d of (i, a).  A complex
-    column scores as its real and imaginary parts, and the scores are
-    additive over columns, so SCORE_CHUNK columns at a time give the whole
-    sum."""
-    k = len(phase)
-    totals: dict[str, float] = {}
-    for start in range(0, len(picked), SCORE_CHUNK):
-        w, j = np.divmod(picked[start:start + SCORE_CHUNK], k)
-        x = vecs[w, :, j].T[back] * phase[:, None, w]      # [i, a, column]
-        part = _isotypic_scores(np.concatenate([x.real, x.imag], axis=2).reshape(k * k, -1), k)
-        totals = {lab: totals.get(lab, 0.0) + score for lab, score in part.items()}
-    return totals
+    k = vecs.shape[0]
+    steps = np.arange(k)
+    e = np.exp(2j * math.pi * (np.outer(steps, steps) % k) / k)   # e[w, d] = e^(2 pi i w d/k)
+    shifted = vecs * e[:, :, None]                                 # e_d y[d]
+    y0 = vecs[:, 0]
+    rows, cols = vecs.sum(axis=1), shifted.sum(axis=1)
+    total = np.einsum("wdj,wdj->wj", vecs.conj(), vecs).real          # |y|^2
+    cross = np.einsum("wdj,wdj->wj", shifted.conj(), vecs[:, -steps % k]).real   # X
+    diag_sq = np.abs(y0) ** 2
+    sigma_sq = np.abs(0.5 * (rows + cols) - y0) ** 2
+    std_anti = np.abs(rows - cols) ** 2 / (2 * k)
+    mean = steps[:, None] == 0                   # w = 0: d and sigma are constant
+    triv_off = np.where(mean, sigma_sq / (k - 1), 0.0)
+    std_off = np.where(mean, 0.0, 2.0 * sigma_sq / (k - 2))
+    std_diag = np.where(mean, 0.0, diag_sq)
+    return np.stack([
+        0.5 * (total - cross) - std_anti,
+        0.5 * (total + cross) - diag_sq - triv_off - std_off,
+        std_diag + std_anti + std_off,
+        diag_sq - std_diag + triv_off,
+    ]).reshape(4, -1)
 
 
 def numerical_spectrum_match(
@@ -388,16 +364,15 @@ def numerical_spectrum_match(
     before anything is assembled); mismatches produce a failing report,
     never an exception.
 
-    Each cluster's eigenvectors, mapped back to the k^2 coordinates by
-    _shift_scores, are scored by _isotypic_scores, the squared projections
-    onto the four isotypic components:
-
-        (k)        k dbar^2 + k sigmabar^2/(k-1)
-        (k-1,1)    |d - dbar|^2 + 2|rho|^2/k + 2|sigma - sigmabar|^2/(k-2)
-        (k-2,2)    |S|^2 - k sigmabar^2/(k-1) - 2|sigma - sigmabar|^2/(k-2)
-        (k-2,1,1)  |A|^2 - 2|rho|^2/k
-
-    with U = Diag(d) + A + S, rho = A 1, sigma = S 1 (module docstring).
+    Each block eigenvector y stands for the complex eigenvector
+    x[(t, t+d)] = y[d] e^(-2 pi i w t/k)/sqrt(k) of H.  Its squared
+    projections onto the four isotypic components are read from y alone
+    by _frequency_scores, with the per-frequency forms of the module
+    docstring.  The projectors P are real, so a complex column scores as
+    the Hermitian form x^H P x, its real part's score plus its imaginary
+    part's.  They commute with the shift, so x is never formed.  The
+    scores of all k^2 block eigenvectors are one (4, k^2) array, O(k^3),
+    and a cluster's scores are the sums over its columns.
     The dominant label is the top score.  Labels within 1e-9 * multiplicity
     of the top score count as tied, and a tie goes to the first in
     FORMULA_IDS order: hook, two-row, standard, trivial.  So the k = 4
@@ -434,7 +409,8 @@ def numerical_spectrum_match(
     h = 0.5 * (h + h[-steps % k].transpose(0, 2, 1))
     roots = np.exp(-2j * math.pi * (np.outer(steps, steps) % k) / k)   # e^(-2 pi i w s/k)
     block_vals, block_vecs = np.linalg.eigh(np.tensordot(roots, h, axes=1))
-    phase, back = roots / math.sqrt(k), (steps[None, :] - steps[:, None]) % k
+    scores = _frequency_scores(block_vecs)
+    labels = (f"({k - 2},1,1)", f"({k - 2},2)", f"({k - 1},1)", f"({k})")
     order = np.argsort(block_vals, axis=None, kind="stable")   # flat index w*k + j
     evals = block_vals.ravel()[order]
     scale = max(1.0, float(np.abs(evals).max()))
@@ -455,11 +431,9 @@ def numerical_spectrum_match(
             max_dev = max(max_dev, dev)
         if nm != am:
             mults_ok = False
-        scores = _shift_scores(block_vecs, order[col:col + nm], phase, back)
+        summed = scores[:, order[col:col + nm]].sum(axis=1)
         col += nm
-        top = max(scores.values())
-        dominant = next(lab for lab, s in scores.items()
-                        if s >= top - LABEL_TIE_FACTOR * nm)
+        dominant = labels[int(np.argmax(summed >= summed.max() - LABEL_TIE_FACTOR * nm))]
         clusters.append(ClusterMatch(
             numeric_value=nv, numeric_multiplicity=nm,
             deviation=dev, dominant_label=dominant,

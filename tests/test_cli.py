@@ -75,6 +75,15 @@ def test_spectrum_alpha_grid(capsys, tmp_path):
     assert [p["alpha"] for p in rep["results"]["per_alpha"]] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
+def test_alpha_grid_ends_at_stop(capsys, tmp_path):
+    # start + (stop - start) * 2/2 rounds to 0.9999999999999999 here
+    code, rep = run_json(capsys, "--cache-dir", str(tmp_path), "spectrum",
+                         "--k", "4", "--alpha-grid", "-1e-3", "1", "3")
+    assert code == 0
+    assert rep["config"]["alphas"] == [-1e-3, 0.49949999999999994, 1.0]
+    assert [p["alpha"] for p in rep["results"]["per_alpha"]] == rep["config"]["alphas"]
+
+
 @pytest.mark.parametrize("alpha", ["1e6", "1e10"])
 def test_spectrum_large_alpha_passes_within_eigensolver_floor(alpha, capsys, tmp_path):
     # eigenvalues near 8.5e5 (8.5e9) agree to a few ulps, which exceeds the

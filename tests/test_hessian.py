@@ -355,11 +355,13 @@ def test_assemble_rejects_asymmetry():
 
 @pytest.mark.parametrize("entry", [(0, 1, 0, 0), (0, 0, 0, 0), (2, 3, 1, 2)])
 def test_assemble_rejects_nan_entry(entry):
-    # nan > tol is False, so the guard must read "not asym <= tol"
-    blocks = hessian_at_minimum(4, 1.0)
-    blocks.blocks[entry] = math.nan
-    with pytest.raises(ConsistencyError, match="asymmetry nan exceeds"):
-        assemble_dense(blocks)
+    # nan > tol is False, so the guard must read "not asym <= tol"; an
+    # infinite diagonal entry gives inf - inf, which must not warn first
+    for bad in (math.nan, math.inf, -math.inf):
+        blocks = hessian_at_minimum(4, 1.0)
+        blocks.blocks[entry] = bad
+        with pytest.raises(ConsistencyError, match="asymmetry (nan|inf) exceeds"):
+            assemble_dense(blocks)
 
 
 def test_minimum_eigenvalues_match_table_k4():

@@ -21,9 +21,8 @@ from symbreak.spectrum import (
     CLUSTER_GAP_FACTOR,
     LABEL_TIE_FACTOR,
     _cluster,
-    _isotypic_scores,
+    _frequency_scores,
     analytic_spectrum,
-    family_values,
     isotypic_basis,
     merged_view,
     numerical_spectrum_match,
@@ -253,7 +252,7 @@ def test_nonzero_members_zero_exactly_their_family(k):
     crit = critical_set(k)
     _, mid, last = crit.values
     margin = 1e-6
-    fam = dict(zip(FORMULA_IDS, family_values(k, [mid, last])))
+    fam = dict(zip(FORMULA_IDS, zip(family_values_at(k, mid), family_values_at(k, last))))
     for fid in ("wedge", "sym0", "W_bminus_c", "W_plus", "span_IJ_plus"):
         assert abs(fam[fid][0]) > margin
         assert abs(fam[fid][1]) > margin
@@ -285,21 +284,15 @@ def test_asymptote_distances_match_exact_rationals(k):
         assert d_triv == pytest.approx(critical_alpha_trivial(k) - 2.0, rel=1e-13)
 
 
-def test_family_values_array_bit_identical_to_scalar():
-    # on root_scan's grid: both evaluators run closed_forms.family_terms, and
-    # with every square written as a product numpy and Python floats round
-    # alike (a Python float power calls libm pow and can be 1 ulp off)
-    xs = np.linspace(-10.0, 10.0, 4001)
-    for k in range(4, 80):
-        scalar = np.array([family_values_at(k, x) for x in xs.tolist()]).T
-        assert np.array_equal(family_values(k, xs).view(np.uint64), scalar.view(np.uint64)), k
-
-
 def _numpy_root_scan(k, lo=-10.0, hi=10.0, grid=4000, tol=1e-12):
     # the array scan root_scan replaced, kept as its reference
     out = {}
     xs = np.linspace(lo, hi, grid + 1)
-    for row, (fid, row_vals) in enumerate(zip(FORMULA_IDS, family_values(k, xs))):
+    # closed_forms.family_terms on the array, every square a product, so each
+    # entry rounds as family_values_at's; a negative radicand raises
+    with np.errstate(all="raise"):
+        table = closed_forms.family_terms(k, xs, lambda r, name: np.sqrt(r))
+    for row, (fid, row_vals) in enumerate(zip(FORMULA_IDS, table)):
         vals = row_vals.tolist()
         roots = []
         for i in range(grid):
@@ -442,6 +435,36 @@ def test_eigenvector_projections_recover_isotypic_multiplicities():
         assert mults == {hook_lab: 1, f"({k - 2},2)": 1, std_lab: 3, f"({k})": 2}
 
 
+def _isotypic_scores(vecs, k):
+    """Squared Frobenius norm of the orthogonal projection of the real
+    columns of vecs (shape (k^2, m), vec coordinates) onto each isotypic
+    component, keyed hook, two-row, standard, trivial: the general closed
+    forms of the spectrum module docstring, O(k^2) per column.  The C-order
+    reshape of a column-stacked vector is U^T, and every score is invariant
+    under transposition; |A|^2 and |S|^2 come from |U|^2 and <U, U^T>.  The
+    reference for the matcher's per-frequency scores, on its own code path.
+    """
+    x = vecs.reshape(k, k, -1)
+    d = np.einsum("iim->im", x)
+    rows, cols = x.sum(axis=1), x.sum(axis=0)
+    rho = 0.5 * (rows - cols)
+    sigma = 0.5 * (rows + cols) - d
+    total = float(np.einsum("ijm,ijm->", x, x))
+    cross = float(np.einsum("ijm,jim->", x, x))         # <U, U^T>
+    anti = 0.5 * (total - cross)                         # |A|^2
+    sym = 0.5 * (total + cross) - float((d * d).sum())   # |S|^2
+    d_bar, s_bar = d.mean(axis=0), sigma.mean(axis=0)
+    triv_off = k * float((s_bar * s_bar).sum()) / (k - 1)
+    std_off = 2.0 * float(((sigma - s_bar) ** 2).sum()) / (k - 2)
+    std_anti = 2.0 * float((rho * rho).sum()) / k
+    return {
+        f"({k - 2},1,1)": anti - std_anti,
+        f"({k - 2},2)": sym - triv_off - std_off,
+        f"({k - 1},1)": float(((d - d_bar) ** 2).sum()) + std_anti + std_off,
+        f"({k})": k * float((d_bar * d_bar).sum()) + triv_off,
+    }
+
+
 def _basis_scores(vecs, k):
     """Squared projection norms onto the QR-orthonormalized families of
     isotypic_basis: the labelling oracle, on its own code path."""
@@ -474,6 +497,46 @@ def test_isotypic_scores_match_basis_projections(k, rng):
         assert set(got) == set(want)
         for lab in got:
             assert abs(got[lab] - want[lab]) <= 1e-12 * block.shape[1], lab
+
+
+def _unfolded_scores(y, w, k):
+    """_isotypic_scores of the block-w eigenvector y unfolded to the k^2
+    coordinates, x[(t, t+d)] = y[d] e^(-2 pi i w t/k)/sqrt(k): its real
+    part's plus its imaginary part's.  The labelling the per-frequency forms
+    replaced, kept as their reference."""
+    t = np.arange(k)
+    back = (t[None, :] - t[:, None]) % k          # back[i, a]: the orbit d of (i, a)
+    x = y[back] * (np.exp(-2j * math.pi * w * t / k) / math.sqrt(k))[:, None]
+    return list(_isotypic_scores(np.stack([x.real.ravel(), x.imag.ravel()], axis=1), k).values())
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_frequency_scores_match_unfolded_reference(k, rng, monkeypatch):
+    # random unit complex columns in every block w, w = 0 included, and the
+    # matcher's own block eigenvectors at 0, 1, 3.5 and both nonzero
+    # critical values
+    random = rng.standard_normal((k, k, 3)) + 1j * rng.standard_normal((k, k, 3))
+    stacks = [random / np.linalg.norm(random, axis=1, keepdims=True)]
+    eigh = np.linalg.eigh
+
+    def kept(matrix):
+        vals, vecs = eigh(matrix)
+        stacks.append(vecs)
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", kept)
+    _, mid, last = critical_set(k).values
+    for alpha in (0.0, 1.0, 3.5, mid, last):
+        assert numerical_spectrum_match(k, alpha).ok
+    assert len(stacks) == 6
+    for vecs in stacks:
+        got = _frequency_scores(vecs)
+        m = vecs.shape[2]
+        assert got.shape == (4, k * m)
+        for w in range(k):
+            for j in range(m):
+                want = _unfolded_scores(vecs[w, :, j], w, k)
+                assert np.abs(got[:, w * m + j] - want).max() <= 1e-13, (w, j)
 
 
 def test_dominant_label_ties_are_deterministic():
@@ -573,7 +636,7 @@ def test_split_eigensolve_matches_full_reference(k):
 
 @pytest.mark.slow
 def test_split_eigensolve_matches_full_reference_k48():
-    # alpha = 0 holds the largest tie cluster, scored in chunks
+    # alpha = 0 holds the largest tie cluster: 2,256 of the 2,304 eigenvectors
     for alpha in (0.0, 1.0, 3.5):
         _assert_split_matches_full(48, alpha)
 
