@@ -780,6 +780,17 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
         raise ConsistencyError(f"malformed lattice cache: {type(exc).__name__}: {exc}") from exc
 
 
+def _conjugate(a: SubgroupClass, b: SubgroupClass, k: int) -> bool:
+    """Whether some g in S_k maps the representative of a onto that of b,
+    for two classes of one order: g H g^-1 = K iff g x g^-1 lies in K for
+    every generator x of H."""
+    for g in itertools.permutations(range(k)):
+        g_inv = invert(g)
+        if all(compose(compose(g, x), g_inv) in b.representative for x in a.generators):
+            return True
+    return False
+
+
 def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
     k = int(header.split("k=")[1])
     if not 1 <= k <= MAX_LATTICE_K:
@@ -822,6 +833,16 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
             if val < 1:
                 raise ConsistencyError("cached n(L,H) is not positive")
             n_table[(li, hi)] = val
+    # a class line whose generators close to a conjugate of another class's
+    # representative misfiles a class; conjugates share their cycle-type
+    # counts, so only classes with equal counts are compared
+    by_counts: dict[frozenset, list[SubgroupClass]] = {}
+    for c in classes:
+        same = by_counts.setdefault(frozenset(c.cycle_type_counts.items()), [])
+        for other in same:
+            if _conjugate(other, c, k):
+                raise ConsistencyError(f"cached classes {other.label!r} and {c.label!r} are conjugate")
+        same.append(c)
     if leq != n_table.keys():
         raise ConsistencyError("cached leq rows differ from the n(L,H) pairs")
     # serialize_lattice writes n(H,H) = 1 for every class, and a pair L != H

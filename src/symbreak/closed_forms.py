@@ -43,8 +43,7 @@ if TYPE_CHECKING:
 
 TWO_PI = 2.0 * math.pi
 
-# the dense eigensolve of the k^2 x k^2 Hessian stops here: its time grows
-# as k^6 and its memory as k^4
+# the dense oracle stops here: its memory grows as k^4, the Hessian blocks
 MAX_DENSE_K = 64
 
 FORMULA_IDS = ("wedge", "sym0", "W_bminus_c", "W_plus", "W_minus",
@@ -176,6 +175,9 @@ def critical_set(k: int) -> CriticalSet:
 # root scan
 # ---------------------------------------------------------------------------
 
+SCAN_LO, SCAN_HI, SCAN_GRID, SCAN_TOL = -10.0, 10.0, 4000, 1e-12
+
+
 def _grid(lo: float, hi: float, grid: int):
     """The grid + 1 points of numpy.linspace(lo, hi, grid + 1), bit for bit:
     float(i) * step + lo, with hi last."""
@@ -185,12 +187,12 @@ def _grid(lo: float, hi: float, grid: int):
     yield float(hi)
 
 
-def _bisect(k: int, row: int, a: float, b: float, fa: float, tol: float) -> float:
+def _bisect(k: int, row: int, a: float, b: float, fa: float) -> float:
     """Safeguarded bisection of family `row` on [a, b], where it changes sign."""
     for _ in range(200):
         m = 0.5 * (a + b)
         fm = family_values_at(k, m)[row]
-        if fm == 0.0 or (b - a) < tol:
+        if fm == 0.0 or (b - a) < SCAN_TOL:
             break
         if fa * fm < 0.0:
             b = m
@@ -199,9 +201,9 @@ def _bisect(k: int, row: int, a: float, b: float, fa: float, tol: float) -> floa
     return 0.5 * (a + b)
 
 
-def root_scan(k: int, lo: float = -10.0, hi: float = 10.0,
-              grid: int = 4000, tol: float = 1e-12) -> dict[str, list[float]]:
-    """Safeguarded bisection roots of every eigenvalue family on [lo, hi].
+def root_scan(k: int) -> dict[str, list[float]]:
+    """Safeguarded bisection roots of every eigenvalue family on
+    [SCAN_LO, SCAN_HI], in SCAN_GRID cells, to brackets under SCAN_TOL.
 
     Oracle for the nonnegativity of the critical set: no family may have a
     root below zero, and each has at most one nonzero root (the quadratic
@@ -210,7 +212,7 @@ def root_scan(k: int, lo: float = -10.0, hi: float = 10.0,
     one family_values_at call per point, so no array is formed.
     """
     roots: dict[str, list[float]] = {fid: [] for fid in FORMULA_IDS}
-    points = _grid(lo, hi, grid)
+    points = _grid(SCAN_LO, SCAN_HI, SCAN_GRID)
     x_a = next(points)
     at_a = family_values_at(k, x_a)
     for x_b in points:
@@ -220,7 +222,7 @@ def root_scan(k: int, lo: float = -10.0, hi: float = 10.0,
             if va == 0.0:
                 roots[fid].append(x_a)
             elif va * vb < 0.0:
-                roots[fid].append(_bisect(k, row, x_a, x_b, va, tol))
+                roots[fid].append(_bisect(k, row, x_a, x_b, va))
         x_a, at_a = x_b, at_b
     for row, fid in enumerate(FORMULA_IDS):
         if at_a[row] == 0.0:

@@ -1,5 +1,5 @@
-"""Hessian blocks of the loss, the block operator at the global minimum, and
-dense assembly for numerical eigenanalysis.
+"""Hessian blocks of the loss, the block operator at the global minimum, the
+asymmetry guard on the blocks, and dense assembly.
 
 Block (i, j) of the Hessian lives on neuron pair (u_i, u_j).  At a general
 admissible point the blocks are built from the two matrix kernels
@@ -165,22 +165,13 @@ def unvec(x: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape((k, k), order="F")
 
 
-def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
-    """k^2 x k^2 symmetric matrix with block (i, j) at rows i*k:(i+1)*k.
-
-    The assembly is symmetrized after a guard: raw asymmetry beyond 1e-9,
-    or a NaN or infinite entry, is an internal-consistency error
-    (well-formed blocks stay under 1e-12).
-    Entry (p, q) of the result is (x + y) * 0.5 for the raw entries x at
-    (p, q) and y at (q, p), and the guard reads max |x - y|.  Both are
-    formed in one pass over block pairs (i, j >= i), one block row at a
-    time; the lower block triangle is the mirror image of the upper, which
-    holds exactly because x + y == y + x in floating point.
-    """
+def check_symmetry(blocks: HessianBlocks) -> None:
+    """The assembly guard: raw asymmetry max |B[i, j][a, b] - B[j, i][b, a]|
+    beyond 1e-9, or a NaN or infinite entry, is an internal-consistency
+    error (well-formed blocks stay under 1e-12).  Block row i is compared
+    with block column i, one row at a time, so the temporaries are k^3."""
     k = blocks.k
     raw = blocks.blocks
-    dense = np.empty((k * k, k * k))
-    tiles = dense.reshape(k, k, k, k)    # tiles[i, a, j, b] = dense[i*k + a, j*k + b]
     work = np.empty((k, k, k))
     peaks = np.empty(k)    # max |x - y| per block row; np.max, unlike max(), keeps a NaN
     for i in range(k):
@@ -190,14 +181,24 @@ def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
         with np.errstate(invalid="ignore"):      # inf - inf is a NaN the guard refuses
             np.subtract(x, y, out=pair)
             peaks[i] = np.abs(pair, out=pair).max()
-        np.add(x, y, out=pair)
-        pair *= 0.5
-        tiles[i, :, i:] = pair.transpose(1, 0, 2)
-        tiles[i:, :, i] = pair.transpose(0, 2, 1)
     asym = float(peaks.max())
     if not asym <= ASSEMBLY_SYMMETRY_TOL:       # a NaN fails this test too
         raise ConsistencyError(f"assembled Hessian asymmetry {asym:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL}")
-    return dense
+
+
+def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
+    """k^2 x k^2 symmetric matrix with block (i, j) at rows i*k:(i+1)*k.
+
+    After check_symmetry, entry (p, q) is (x + y) * 0.5 for the raw
+    entries x at (p, q) and y at (q, p).  The dense oracle reads the blocks
+    themselves, so only verify (at k = 4) and the tests assemble.
+    """
+    check_symmetry(blocks)
+    k = blocks.k
+    raw = blocks.blocks
+    dense = raw + raw.transpose(1, 0, 3, 2)
+    dense *= 0.5
+    return dense.transpose(0, 2, 1, 3).reshape(k * k, k * k)
 
 
 # ---------------------------------------------------------------------------

@@ -23,20 +23,15 @@ scan and the dense cap MAX_DENSE_K live in closed_forms, which needs no
 numpy; import them from there.
 
 numerical_spectrum_match checks the table against a dense eigensolve of the
-assembled Hessian and labels each eigenvalue cluster by closed-form isotypic
-projections, with no basis.  The eigensolve is one eigh call on a stack of
-k Hermitian k x k blocks: the cyclic neuron shift g(i, a) = (i+1, a+1) mod k
-relabels the neurons and fixes the identity teacher, so it commutes with the
-Hessian H.  It acts freely on the k^2 coordinates, and indexing coordinate
-(t, t+d) by its orbit d and position t makes H block-circulant in t.  The
-representative slabs h_s[d, d'] = H[(0, d), (s, s+d')], symmetrized and
-Fourier transformed over s, are the blocks.  Every other slab is gathered
-from the same matrix and compared with its representative; the root sum of
-squares of the differences, the coupling, is 0 for a shift-invariant
-assembly and bounds the distance from H to the block-circulant matrix that
-was solved, so by Weyl's inequality the match fails unless the deviation
-plus the coupling is within tolerance.  The split uses no analytic basis,
-so the oracle stays a dense eigensolve of the assembled matrix.
+Hessian and labels each eigenvalue cluster by closed-form isotypic
+projections, with no basis.  The cyclic neuron shift g(i, a) = (i+1, a+1)
+mod k commutes with the Hessian, so the eigensolve is one eigh call on k
+Hermitian k x k blocks, built from slabs read straight from the Hessian
+blocks after the dense assembly's asymmetry guard; no k^2 x k^2 matrix is
+formed.  The coupling, added to the deviation, bounds by Weyl's inequality
+what the split leaves out (numerical_spectrum_match gives the argument).
+The split uses no analytic basis, so the oracle stays a dense eigensolve of
+the Hessian's own entries.
 
 Write an eigenvector as a k x k matrix U = Diag(d) + A + S, A antisymmetric
 and S symmetric with zero diagonal, let rho = A 1 and sigma = S 1, and let
@@ -83,7 +78,7 @@ import numpy as np
 from .closed_forms import FORMULA_IDS, MAX_DENSE_K, abc_terms, family_values_at
 from .closed_forms import root_scan  # noqa: F401  perfbench/tracer.py finds the span here
 from .errors import CapacityError, ConsistencyError, DomainError
-from .hessian import assemble_dense, hessian_at_minimum
+from .hessian import check_symmetry, hessian_at_minimum
 
 if TYPE_CHECKING:
     from .symrep import Partition
@@ -137,11 +132,7 @@ class IsotypicBasis:
     """Matrix bases of the six isotypic families under the diagonal action.
 
     span_ij + ksd triples + s0 + wedge form a basis of all k x k matrices
-    (2 + 3(k-1) + k(k-3)/2 + (k-1)(k-2)/2 = k^2).  p_perp and u_w are the
-    featured invariant constructions: p_perp = I - J/k spans the trivial
-    copy inside the symmetric square and lies in span{I, J}; u_w for w in
-    the r_i basis equals -k D_i, exhibiting the symmetric-square copy of the
-    standard component.
+    (2 + 3(k-1) + k(k-3)/2 + (k-1)(k-2)/2 = k^2).
     """
 
     k: int
@@ -149,26 +140,6 @@ class IsotypicBasis:
     ksd: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     s0: list[np.ndarray]
     wedge: list[np.ndarray]
-    p_perp: np.ndarray
-    u_w: list[np.ndarray]
-
-    def families(self) -> dict[str, list[np.ndarray]]:
-        return {
-            "span_IJ": self.span_ij,
-            "K": [t[0] for t in self.ksd],
-            "S": [t[1] for t in self.ksd],
-            "D": [t[2] for t in self.ksd],
-            "S0": self.s0,
-            "wedge": self.wedge,
-        }
-
-    def all_matrices(self) -> list[np.ndarray]:
-        out = list(self.span_ij)
-        for kk, ss, dd in self.ksd:
-            out.extend([kk, ss, dd])
-        out.extend(self.s0)
-        out.extend(self.wedge)
-        return out
 
 
 def isotypic_basis(k: int) -> IsotypicBasis:
@@ -186,8 +157,6 @@ def isotypic_basis(k: int) -> IsotypicBasis:
         S = np.outer(ri, ones) + np.outer(ones, ri)
         D = np.diag(ri) - S / k
         ksd.append((K, S, D))
-
-    u_w = [np.outer(w, ones) + np.outer(ones, w) - k * np.diag(w) for w in r]
 
     wedge = []
     for i in range(k - 1):
@@ -230,8 +199,6 @@ def isotypic_basis(k: int) -> IsotypicBasis:
         ksd=ksd,
         s0=s0,
         wedge=wedge,
-        p_perp=eye - J / k,
-        u_w=u_w,
     )
 
 
@@ -318,50 +285,52 @@ def numerical_spectrum_match(
     tolerance: float = 1e-10,
     perturbation: float | None = None,
 ) -> SpectrumMatchReport:
-    """Dense eigensolve of the assembled minimum Hessian against the analytic
-    table, for 4 <= k <= MAX_DENSE_K (wider raises CapacityError, narrower
-    DomainError, and a non-finite alpha DomainError, all before anything is
-    assembled).
+    """Dense eigensolve of the minimum Hessian against the analytic table,
+    for 4 <= k <= MAX_DENSE_K (wider raises CapacityError, narrower
+    DomainError, and a non-finite alpha DomainError, all before the
+    Hessian is built).
 
     The eigensolve is split by the cyclic neuron shift
     g(i, a) = (i+1, a+1) mod k.  g relabels the neurons and fixes the
     identity teacher, so it commutes with the Hessian H, and it acts freely
     on the k^2 coordinates (i, a) = (t, t+d) for every k, odd or even:
-    orbit d, position t.  In that order the block (t, t+s)
-    of H is the slab
+    orbit d, position t.  In that order the block (t, t+s) of the raw
+    Hessian H is the slab
 
-        slab_{t,s}[d, d'] = H[(t, t+d), (t+s, t+s+d')],
+        x_{t,s}[d, d'] = B[t, t+s][t+d, t+s+d'],
 
-    and H is block-circulant in t: slab_{t,s} = slab_{0,s}.  The
-    representative slabs h_s = slab_{0,s} are gathered from the one
-    assembled matrix, symmetrized as h_s <- (h_s + h_{-s}^T)/2 and
-    transformed over s, B_w = sum_s h_s e^(-2 pi i w s/k).  The k blocks
-    B_w are Hermitian, and one stacked eigh call solves them all: the
-    eigenvalues of B_w are those of the block-circulant matrix M built
-    from the symmetrized h_s, with eigenvectors
+    gathered straight from the blocks B of hessian_at_minimum after the
+    asymmetry guard (hessian.check_symmetry), so B is the only k^4 array.
+    H is block-circulant in t: x_{t,s} = x_{0,s}.  The representative slabs
+    h_s = x_{0,s}, symmetrized once as h_s <- (h_s + h_{-s}^T)/2 and
+    transformed over s, B_w = sum_s h_s e^(-2 pi i w s/k), are k Hermitian
+    blocks, and one stacked eigh call solves them all: the eigenvalues of
+    B_w are those of the block-circulant matrix M built from the
+    symmetrized h_s, with eigenvectors
     x[(t, t+d)] = y[d] e^(-2 pi i w t/k)/sqrt(k).  What the split leaves
-    out is measured slab by slab, so no second k^4 array exists:
+    out is measured on the raw slabs, one position t at a time:
 
-        coupling = sqrt(sum_{t,s} |slab_{t,s} - slab_{0,s}|_F^2).
+        coupling = sqrt(sum_{t,s} |x_{t,s} - x_{0,s}|_F^2).
 
-    H - M has the blocks ((slab_{t,s} - slab_{0,s}) + (slab_{t+s,-s} -
-    slab_{0,-s})^T)/2, since H is symmetric, so |H - M|_2 <= |H - M|_F <=
-    coupling, and by Weyl's inequality every eigenvalue of H lies within
-    the coupling of the eigenvalues of M.  A matched deviation passes only
+    (H + H^T)/2, the dense assembly, differs from M by the blocks
+    ((x_{t,s} - x_{0,s}) + (x_{t+s,-s} - x_{0,-s})^T)/2, so its distance
+    to M in the 2-norm is at most the coupling, and by Weyl's inequality
+    so is that of every eigenvalue.  A matched deviation passes only
     when deviation + coupling <= max(tolerance, k^2 eps scale), the second
     term being the eigensolver's backward error at large leak values (it
     stays below 8e-11 for k <= 64, |alpha| <= 3.5).  The coupling is 0
-    exactly for the assembled Hessian; an assembly that breaks the shift
-    symmetry fails on it instead of being hidden by the split.  The oracle
-    stays independent of the analytic side: the split is a unitary
-    similarity checked on the assembled matrix, and it reads no isotypic
-    basis.
+    exactly for the blocks of hessian_at_minimum; blocks that break the
+    shift symmetry fail on it instead of being hidden by the split.  The
+    oracle stays independent of the analytic side: the split is a unitary
+    similarity checked on the Hessian's own entries, and it reads no
+    isotypic basis.
 
     Eigenvalues are clustered with gap threshold 1e-8 * scale so analytic
     coincidences (all of them at alpha = 0) do not trip multiplicity checks.
-    An optional finite symmetric perturbation of one off-diagonal entry
+    An optional finite symmetric perturbation of H[0, 1] and H[1, 0]
+    (x_{0,0}[0, 1] and x_{0,0}[1, 0], before the coupling is measured)
     supports negative-control runs (a non-finite one raises DomainError
-    before anything is assembled); mismatches produce a failing report,
+    before the Hessian is built); mismatches produce a failing report,
     never an exception.
 
     Each block eigenvector y stands for the complex eigenvector
@@ -387,25 +356,26 @@ def numerical_spectrum_match(
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     if perturbation is not None and not math.isfinite(perturbation):
         raise DomainError(f"perturbation must be finite, got {perturbation!r}")
-    dense = assemble_dense(hessian_at_minimum(k, alpha))
-    if perturbation is not None:
-        dense[0, 1] += perturbation
-        dense[1, 0] += perturbation
+    blocks = hessian_at_minimum(k, alpha)
+    check_symmetry(blocks)
     steps = np.arange(k)
-    pos = steps[:, None] * k + (steps[:, None] + steps) % k    # pos[t, d]: coordinate (t, t+d)
+    sd = (steps[:, None] + steps) % k                           # sd[s, d'] = s + d'
 
-    def slabs(t: int) -> np.ndarray:                # [d, s, d']: slab_{t,s}
-        return dense[pos[t][:, None], pos[(t + steps) % k].ravel()].reshape(k, k, k)
+    def slab(t: int) -> np.ndarray:                 # [s, d, d']: x_{t,s}[d, d']
+        r = (steps + t) % k
+        return blocks.blocks[t].take((r[:, None, None] * k + r[:, None]) * k + r[sd][:, None, :])
 
-    h = slabs(0)
+    h = slab(0)
+    if perturbation is not None:                    # H[0, 1] and H[1, 0]
+        h[0, 0, 1] += perturbation
+        h[0, 1, 0] += perturbation
     coupling_sq = 0.0
     for t in range(1, k):
-        diff = slabs(t)
+        diff = slab(t)
         diff -= h
         coupling_sq += float(np.vdot(diff, diff))
     coupling = math.sqrt(coupling_sq)
-    del dense
-    h = h.transpose(1, 0, 2)                                    # [s, d, d']
+    del blocks                                      # the k^4 array: the rest is O(k^3)
     h = 0.5 * (h + h[-steps % k].transpose(0, 2, 1))
     roots = np.exp(-2j * math.pi * (np.outer(steps, steps) % k) / k)   # e^(-2 pi i w s/k)
     block_vals, block_vecs = np.linalg.eigh(np.tensordot(roots, h, axes=1))

@@ -353,6 +353,12 @@ def _label_names_wrong_order(blob: bytes) -> bytes:
     return _edit_body(blob, "generators=(1 2 3 4 5)|Z5\n", "generators=(1 2 3 4 5)|D5'\n")
 
 
+# the generators of one class closing to a conjugate of another's
+# representative: order, label and |N(H)| still agree
+def _class_generates_a_conjugate(blob: bytes) -> bytes:
+    return _edit_body(blob, "generators=(2 3)(4 5)|Z2\n", "generators=(4 5)|Z2\n")
+
+
 def _header_names_other_version(blob: bytes) -> bytes:
     return _edit_body(blob, "burnside-lattice v1 k=5\n", "burnside-lattice v10 k=5\n")
 
@@ -386,7 +392,8 @@ def _diagonal_dropped(blob: bytes) -> bytes:
                                      _generator_repeats_a_point, _normalizer_order_zero,
                                      _normalizer_order_not_a_multiple, _n_value_zero,
                                      _class_index_out_of_place, _label_duplicated,
-                                     _label_names_wrong_order, _header_names_other_version,
+                                     _label_names_wrong_order, _class_generates_a_conjugate,
+                                     _header_names_other_version,
                                      _pair_names_no_class, _order_does_not_divide,
                                      _orders_equal, _diagonal_dropped])
 def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):

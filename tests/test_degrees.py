@@ -345,11 +345,13 @@ def test_readme_quick_start():
 
 @pytest.mark.parametrize("fixture", ["lattice4", "lattice5", "lattice6"])
 def test_cycle_types_counted_once_per_class(fixture, request, monkeypatch):
-    # a fresh copy, as a warm cache read gives it: no counts yet
-    lattice = load_lattice(serialize_lattice(request.getfixturevalue(fixture)))
+    # a warm cache read, whose conjugacy check reads the counts, and then
+    # the invariants: each element is counted once in all
+    blob = serialize_lattice(request.getfixturevalue(fixture))
     calls = []
     original = burnside.cycle_type
     monkeypatch.setattr(burnside, "cycle_type", lambda p: calls.append(p) or original(p))
+    lattice = load_lattice(blob)
     all_invariants(lattice.k, lattice)
     assert len(calls) == sum(c.order for c in lattice.classes)
     all_invariants(lattice.k, lattice)

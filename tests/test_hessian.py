@@ -306,7 +306,7 @@ def test_assembly_equals_loop_reference(k, rng):
 
 
 def _three_pass_assemble(blocks):
-    # the full-matrix assembly the block-row pass replaced, kept as its
+    # the full-matrix assembly on the k^2 x k^2 matrix, kept as the
     # reference: copy, guard on |dense - dense^T|, then (dense + dense^T) / 2
     k = blocks.k
     dense = blocks.blocks.transpose(0, 2, 1, 3).reshape(k * k, k * k)

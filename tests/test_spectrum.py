@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,10 +136,22 @@ def test_symbolic_display_check_catches_one_misprint(name, monkeypatch):
 # isotypic basis
 # ---------------------------------------------------------------------------
 
+def _families(basis):
+    """The six families of an IsotypicBasis by name."""
+    return {
+        "span_IJ": basis.span_ij,
+        "K": [t[0] for t in basis.ksd],
+        "S": [t[1] for t in basis.ksd],
+        "D": [t[2] for t in basis.ksd],
+        "S0": basis.s0,
+        "wedge": basis.wedge,
+    }
+
+
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_basis_counts_and_algebra(k):
     basis = isotypic_basis(k)
-    mats = basis.all_matrices()
+    mats = [m for fam in _families(basis).values() for m in fam]
     assert len(mats) == k * k
     stacked = np.stack([m.flatten() for m in mats])
     assert np.linalg.matrix_rank(stacked) == k * k
@@ -152,21 +165,25 @@ def test_basis_counts_and_algebra(k):
         assert np.abs(D @ J).max() <= 1e-12
         assert np.abs(2 * np.outer(r, ones) - (S + K)).max() <= 1e-12
         assert np.abs(2 * np.outer(ones, r) - (S - K)).max() <= 1e-12
-    # featured constructions
-    assert np.abs(basis.p_perp - (np.eye(k) - J / k)).max() == 0.0
-    assert np.abs(np.diag(basis.p_perp) - (1 - 1 / k)).max() <= 1e-15
-    for i, uw in enumerate(basis.u_w):
+    # featured constructions: P_perp = I - J/k spans the trivial copy inside
+    # the symmetric square, and U_w for w in the r_i basis is the
+    # symmetric-square copy of the standard component
+    p_perp = np.eye(k) - J / k
+    assert np.abs(p_perp - (basis.span_ij[0] - basis.span_ij[1] / k)).max() == 0.0
+    assert np.abs(np.diag(p_perp) - (1 - 1 / k)).max() <= 1e-15
+    for i in range(k - 1):
         r = np.zeros(k)
         r[i], r[-1] = 1.0, -1.0
+        uw = np.outer(r, ones) + np.outer(ones, r) - k * np.diag(r)
         assert np.abs(np.diag(uw) - (2 - k) * r).max() <= 1e-12
         assert np.abs(uw + k * basis.ksd[i][2]).max() <= 1e-12   # U_{r_i} = -k D_i
     # P_perp lies in span{I, J}
     coeffs, res, *_ = np.linalg.lstsq(
         np.stack([m.flatten() for m in basis.span_ij], axis=1),
-        basis.p_perp.flatten(), rcond=None,
+        p_perp.flatten(), rcond=None,
     )
     assert np.abs(np.stack([m.flatten() for m in basis.span_ij], axis=1) @ coeffs
-                  - basis.p_perp.flatten()).max() <= 1e-12
+                  - p_perp.flatten()).max() <= 1e-12
 
 
 @pytest.mark.parametrize("k,alpha", [(4, 1.0), (5, 0.7), (6, 2.5)])
@@ -194,7 +211,7 @@ def test_eigen_equations_on_basis(k, alpha):
 def test_families_closed_under_diagonal_action(rng):
     k = 5
     basis = isotypic_basis(k)
-    for fam_name, mats in basis.families().items():
+    for fam_name, mats in _families(basis).items():
         span = np.stack([m.flatten() for m in mats], axis=1)
         for _ in range(5):
             sigma = rng.permutation(k)
@@ -340,7 +357,7 @@ def test_root_scan_equals_numpy_scan(k):
 
 @pytest.mark.parametrize("k", [4, 5, 8, 16, 64])
 def test_root_scan_nonnegativity(k):
-    scan = root_scan(k, grid=2000)
+    scan = root_scan(k)
     for fid, roots in scan.items():
         assert all(r >= 0.0 for r in roots), (fid, roots)
         assert sum(1 for r in roots if r > 0.0) <= 1
@@ -389,6 +406,9 @@ def test_match_detects_perturbation():
     rep = numerical_spectrum_match(5, 1.0, perturbation=1e-3)
     assert not rep.ok
     assert rep.message
+    # H[0, 1] and H[1, 0] sit at position t = 0 alone, so each differs
+    # from its k - 1 shifted images, and the coupling reads all of them
+    assert rep.coupling == pytest.approx(1e-3 * math.sqrt(2 * (5 - 1)), rel=1e-12)
 
 
 @pytest.mark.parametrize("k", range(4, 9))
@@ -471,7 +491,7 @@ def _basis_scores(vecs, k):
     labels = {"span_IJ": f"({k})", "K": f"({k - 1},1)", "S": f"({k - 1},1)",
               "D": f"({k - 1},1)", "S0": f"({k - 2},2)", "wedge": f"({k - 2},1,1)"}
     grouped: dict[str, list[np.ndarray]] = {}
-    for fam, mats in isotypic_basis(k).families().items():
+    for fam, mats in _families(isotypic_basis(k)).items():
         grouped.setdefault(labels[fam], []).extend(vec(m) for m in mats)
     out = {}
     for lab, cols in grouped.items():
@@ -573,7 +593,7 @@ def _refuse_assembly(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("refused inputs must not reach the assembly")
 
-    monkeypatch.setattr(spectrum, "assemble_dense", refuse)
+    monkeypatch.setattr(spectrum, "hessian_at_minimum", refuse)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -647,17 +667,19 @@ def _shift(k):
 
 
 def _defective_assembly(monkeypatch, changes):
-    """assemble_dense plus a symmetric change delta at each (p, q, delta)."""
-    assemble = spectrum.assemble_dense
+    """hessian_at_minimum plus a symmetric change delta at each dense
+    (p, q, delta): block entry (p // k, q // k, p % k, q % k) and its
+    mirror."""
+    build = spectrum.hessian_at_minimum
 
-    def defective(blocks):
-        dense = assemble(blocks)
+    def defective(k, alpha):
+        blocks = build(k, alpha)
         for p, q, delta in changes:
-            dense[p, q] += delta
-            dense[q, p] += delta
-        return dense
+            blocks.blocks[p // k, q // k, p % k, q % k] += delta
+            blocks.blocks[q // k, p // k, q % k, p % k] += delta
+        return blocks
 
-    monkeypatch.setattr(spectrum, "assemble_dense", defective)
+    monkeypatch.setattr(spectrum, "hessian_at_minimum", defective)
 
 
 def test_symmetry_breaking_change_fails_on_the_coupling(monkeypatch):
@@ -703,6 +725,36 @@ def test_symmetric_change_fails_on_the_deviation(monkeypatch):
     rep = numerical_spectrum_match(k, 1.0)
     assert rep.coupling == 0.0
     assert not rep.ok
+
+
+@pytest.mark.parametrize("bad", [1e-6, math.nan])
+def test_match_refuses_asymmetric_blocks(bad, monkeypatch):
+    # the matcher reads the raw blocks, so it runs the assembly guard itself
+    build = spectrum.hessian_at_minimum
+
+    def asymmetric(k, alpha):
+        blocks = build(k, alpha)
+        blocks.blocks[1, 3, 2, 0] += bad
+        return blocks
+
+    monkeypatch.setattr(spectrum, "hessian_at_minimum", asymmetric)
+    with pytest.raises(ConsistencyError, match="asymmetry"):
+        numerical_spectrum_match(6, 1.0)
+
+
+def test_match_holds_one_k4_array():
+    # the Hessian blocks are the only k^4 array: the slabs, the guard's
+    # work rows and the eigensolve are O(k^3), and no k^2 x k^2 matrix is
+    # assembled beside the blocks
+    k = 24
+    assert not hasattr(spectrum, "assemble_dense")
+    tracemalloc.start()
+    try:
+        assert numerical_spectrum_match(k, 1.0).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * k ** 4
 
 
 @pytest.mark.parametrize("k", [4, 5, 8, 9])
