@@ -18,7 +18,6 @@ _EXPORTS = {
     "critical_set": "closed_forms",
     "all_invariants": "degrees",
     "basic_degree": "degrees",
-    "bifurcation_invariant": "degrees",
     "linear_map_degree": "degrees",
     "maximal_orbit_types": "degrees",
     "CapacityError": "errors",

@@ -195,10 +195,6 @@ class SubgroupLattice:
     n_table: dict[tuple[int, int], int]
 
     @property
-    def trivial_index(self) -> int:
-        return 0
-
-    @property
     def full_index(self) -> int:
         return len(self.classes) - 1
 
@@ -208,12 +204,6 @@ class SubgroupLattice:
     def mark(self, li: int, hi: int) -> int:
         """|(G/H_hi)^{L_li}| = n(L,H)|W(H)| -- the table of marks."""
         return self.n(li, hi) * self.classes[hi].weyl_order
-
-    def class_by_label(self, label: str) -> SubgroupClass:
-        for c in self.classes:
-            if c.label == label:
-                return c
-        raise KeyError(label)
 
     def strictly_above(self, li: int) -> list[int]:
         return [j for j in range(len(self.classes))
@@ -629,10 +619,6 @@ class BurnsideElement:
         self.coeffs = {i: c for i, c in self.coeffs.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
-    @staticmethod
-    def zero(lattice: SubgroupLattice) -> "BurnsideElement":
-        return BurnsideElement(lattice, {})
-
     @staticmethod
     def generator(lattice: SubgroupLattice, class_index: int) -> "BurnsideElement":
         return BurnsideElement(lattice, {class_index: 1})

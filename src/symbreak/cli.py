@@ -339,8 +339,10 @@ def validate_args(args) -> None:
                                    ("--seed", args.seed, 0)):
             if value < least:
                 raise DomainError(f"{flag} must be >= {least}, got {value}")
-        if args.perturb_hessian is not None and not math.isfinite(args.perturb_hessian):
-            raise DomainError(f"--perturb-hessian must be finite, got {args.perturb_hessian}")
+        # the sweep's shift coupling is sqrt(2(k - 1) p^2); verify's default widths are 4 and 5
+        p, k = args.perturb_hessian, max(widths, default=5)
+        if p is not None and not math.isfinite(2.0 * p * p * (k - 1)):
+            raise DomainError(f"--perturb-hessian must keep 2(k - 1) p^2 finite at k={k}, got {p}")
     # after every usage check, so that a bad argument still exits 2
     if args.command in ("spectrum", "verify") and max(widths, default=0) > MAX_DENSE_K:
         raise CapacityError(f"dense eigenanalysis capped at k = {MAX_DENSE_K}")

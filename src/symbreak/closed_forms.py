@@ -12,11 +12,11 @@ multiplicities and isotypic labels):
     W_plus/minus   (ak + 2b +- sqrt(a^2k^2 + 4c(c-2a))) / 2
     span_IJ_+-     (2b + k(a+c) +- sqrt(k^2(a-c)^2 + 4c(2a-c)(k-1))) / 2
 
-family_terms writes them once, for a float or a float array of leak
-values; family_values_at evaluates them on one float.  Every square is
-written as a product: Python's float power calls libm pow, which can differ
-from numpy's elementwise square in the last bit, and a product is one
-correctly rounded multiplication on a float and on an array alike.
+family_values_at writes them once, for one float leak value.  Every
+square is written as a product: Python's float power calls libm pow, which
+can differ from numpy's elementwise square in the last bit, and a product
+is one correctly rounded multiplication on a float and on an array alike,
+so the tests' array copy of these formulas rounds as they do.
 
 critical_set is the one owner of the critical set {0, alpha_std,
 alpha_triv}: its labels, its residuals and its ordering
@@ -60,12 +60,19 @@ def abc_terms(alpha):
     return 0.5 - alpha / 4.0, alpha / 4.0, alpha / TWO_PI
 
 
-def family_terms(k: int, alpha, root) -> tuple:
-    """The seven families at alpha, a float or a float array, in FORMULA_IDS
-    order.  root(r, name) checks the radicand r of the W or span_IJ family
-    and returns its square root."""
+def family_values_at(k: int, alpha: float) -> tuple[float, ...]:
+    """The seven families at one leak value, in FORMULA_IDS order."""
+    alpha = float(alpha)
     if k < 4:
         raise DomainError("k >= 4 required (the uniform decomposition starts there)")
+
+    def root(r: float, name: str) -> float:
+        if not math.isfinite(r):
+            raise DomainError(f"alpha={alpha!r} at k={k} overflows the {name} radicand")
+        if r < 0.0:
+            raise ConsistencyError(f"negative discriminant {r!r} in the {name} family")
+        return math.sqrt(r)
+
     kf = float(k)
     a, b, c = abc_terms(alpha)
     s1 = root(a * a * kf * kf + 4.0 * c * (c - 2.0 * a), "W")
@@ -75,20 +82,6 @@ def family_terms(k: int, alpha, root) -> tuple:
     return (b - c, b + c, b - c,
             0.5 * (w_lin + s1), 0.5 * (w_lin - s1),
             0.5 * (ij_lin + s2), 0.5 * (ij_lin - s2))
-
-
-def family_values_at(k: int, alpha: float) -> tuple[float, ...]:
-    """The seven families at one leak value, in FORMULA_IDS order."""
-    alpha = float(alpha)
-
-    def root(r: float, name: str) -> float:
-        if not math.isfinite(r):
-            raise DomainError(f"alpha={alpha!r} at k={k} overflows the {name} radicand")
-        if r < 0.0:
-            raise ConsistencyError(f"negative discriminant {r!r} in the {name} family")
-        return math.sqrt(r)
-
-    return family_terms(k, alpha, root)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +95,9 @@ class CriticalSet:
     labels: tuple[tuple[Partition, ...], ...]   # vanishing components per value
     residuals: tuple[float, ...]                # eigenvalue at its critical value
     # the minus branches of both quadratic families also pass through zero at
-    # alpha = 0, so the trivial component degenerates there as well; kept as
-    # an explicit note because displays list only the three linear families
-    trivial_zero_at_origin: bool = True
+    # alpha = 0, so the trivial component degenerates there as well; read off
+    # span_IJ_minus at 0 because displays list only the three linear families
+    trivial_zero_at_origin: bool
 
     @property
     def subcritical_regime(self) -> bool:
@@ -163,6 +156,7 @@ def critical_set(k: int) -> CriticalSet:
             ((k,),),
         ),
         residuals=(max(abs(v) for v in at_zero[:3]), abs(at_mid[4]), abs(at_last[6])),
+        trivial_zero_at_origin=at_zero[6] == 0.0,
     )
     # the values decide the order; equal values fall through to the distances
     d_std, d_triv = _asymptote_distances(k)

@@ -218,14 +218,6 @@ def all_invariants(
     return degrees, invariants
 
 
-def bifurcation_invariant(k: int, which: int, lattice: SubgroupLattice) -> BifurcationInvariant:
-    """Invariant omega at the which-th critical value (0-based, increasing)."""
-    invariants = all_invariants(k, lattice)[1]
-    if not 0 <= which < len(invariants):
-        raise DomainError(f"critical index {which} out of range 0..{len(invariants) - 1}")
-    return invariants[which]
-
-
 # ---------------------------------------------------------------------------
 # report payloads
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ admissible point the blocks are built from the two matrix kernels
 where t is the angle, nxy is the unit normal of x against y, and the normal
 of parallel vectors is the zero vector (so h1 vanishes there).  h1 and h2
 take all row pairs of two row stacks at once, with the angles of
-landscape._angles; phi_map, whose finite-difference Jacobians are their
-oracle, keeps an angle of its own.  At the
+landscape._angles; they are (1/2pi) times the partial derivative maps of
+Phi(x, y) = |y| sin(t) xhat - t y, whose finite-difference Jacobians, with
+an angle of their own, are the tests' oracle for them.  At the
 global minimum the blocks collapse to A_ii = I/2 and
 A_ij = (1/2 - a/4) I + (a/2pi)(E_ij + E_ji), whose action on a k x k matrix
 U is the block operator
@@ -20,13 +21,12 @@ U is the block operator
 
 a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi; closed_forms holds the one
 source of these coefficients, abc_terms(alpha), and TWO_PI.  vec
-convention: a matrix maps to the concatenation of its columns, so
-assemble_dense(...) @ vec(U) equals vec(block_operator_apply(U)).
+convention (vec lives in the tests): a matrix maps to the concatenation of
+its columns, so assemble_dense(...) @ vec(U) equals vec(block_operator_apply(U)).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +81,6 @@ def h2(rows_x, rows_y) -> np.ndarray:
             + np.einsum("ija,jb->ijab", nxy, yh) + np.einsum("ija,ib->ijab", nyx, xh)) / TWO_PI
 
 
-def phi_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Phi(x, y) = |y| sin(t) xhat - t y; h1 and h2 are (1/2pi) times its
-    partial derivative maps.  No command calls it; it stays as the map whose
-    finite-difference Jacobians are the oracle for h1 and h2, so it computes
-    its own angle (clamped math.acos) rather than read landscape._angles,
-    the routine h1 and h2 use."""
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    t = math.acos(min(1.0, max(-1.0, float(np.dot(x, y)) / (nx * ny))))
-    return ny * math.sin(t) * x / nx - t * y
-
-
 # ---------------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------------
@@ -140,7 +129,7 @@ def hessian_at_minimum(k: int, alpha: float) -> HessianBlocks:
 
 
 # ---------------------------------------------------------------------------
-# block operator and vec/unvec
+# block operator, asymmetry guard and dense assembly
 # ---------------------------------------------------------------------------
 
 def block_operator_apply(U, alpha: float) -> np.ndarray:
@@ -154,15 +143,6 @@ def block_operator_apply(U, alpha: float) -> np.ndarray:
     return U @ (a * J + b * np.eye(k)) + c * (
         U.T + np.trace(U) * np.eye(k) - 2.0 * np.diag(np.diag(U))
     )
-
-
-def vec(U: np.ndarray) -> np.ndarray:
-    """Column stacking: (u_1, ..., u_k) -> concatenated columns."""
-    return np.asarray(U, dtype=float).flatten(order="F")
-
-
-def unvec(x: np.ndarray, k: int) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape((k, k), order="F")
 
 
 def check_symmetry(blocks: HessianBlocks) -> None:

@@ -327,10 +327,11 @@ def numerical_spectrum_match(
 
     Eigenvalues are clustered with gap threshold 1e-8 * scale so analytic
     coincidences (all of them at alpha = 0) do not trip multiplicity checks.
-    An optional finite symmetric perturbation of H[0, 1] and H[1, 0]
+    An optional finite symmetric perturbation p of H[0, 1] and H[1, 0]
     (x_{0,0}[0, 1] and x_{0,0}[1, 0], before the coupling is measured)
-    supports negative-control runs (a non-finite one raises DomainError
-    before the Hessian is built); mismatches produce a failing report,
+    supports negative-control runs; its coupling is sqrt(2(k - 1) p^2), so
+    a p for which 2(k - 1) p^2 is not a finite float raises DomainError
+    before the Hessian is built.  Mismatches produce a failing report,
     never an exception.
 
     Each block eigenvector y stands for the complex eigenvector
@@ -354,8 +355,9 @@ def numerical_spectrum_match(
         raise DomainError("k >= 4 required")
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
-    if perturbation is not None and not math.isfinite(perturbation):
-        raise DomainError(f"perturbation must be finite, got {perturbation!r}")
+    if perturbation is not None and not math.isfinite(2.0 * perturbation * perturbation * (k - 1)):
+        raise DomainError(f"perturbation must keep 2(k - 1) p^2 finite at k={k}, "
+                          f"got {perturbation!r}")
     blocks = hessian_at_minimum(k, alpha)
     check_symmetry(blocks)
     steps = np.arange(k)

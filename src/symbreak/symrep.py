@@ -8,9 +8,9 @@ moves one bead b down to a free place b - m, with sign (-1)^(beads
 strictly between), and the character is the signed sum over every such move
 of the character of the smaller partition on the remaining cycles; the
 empty partition on no cycles has value 1.  All values are exact integers.
-Everything downstream (closed two-row/hook forms, Sym^2 / wedge^2 splits,
-the isotypic decomposition of R^{k^2} under the diagonal action,
-fixed-space dimensions) is checked against this one primitive.
+Everything downstream (closed two-row/hook forms, the isotypic
+decomposition of R^{k^2} under the diagonal action, fixed-space
+dimensions) is checked against this one primitive.
 """
 
 from __future__ import annotations
@@ -211,31 +211,6 @@ def decompose_class_function(f: ClassFunction, n: int) -> dict[Partition, int]:
     return out
 
 
-def sym_wedge_characters(k: int) -> tuple[ClassFunction, ClassFunction]:
-    """Characters of Sym^2 and wedge^2 of the standard representation.
-
-    Uses chi(g)^2 +- chi(g^2) with the fixed-point identity
-    i1(g^2) = i1(g) + 2 i2(g); all values stay integral.  No command calls
-    it; it stays as an independent route to decompose_diag_square's result.
-    """
-    if k < 4:
-        raise DomainError("k >= 4 required")
-    sym: ClassFunction = {}
-    wedge: ClassFunction = {}
-    for c in sorted_cycle_types(k):
-        counts = cycle_counts(c)
-        i1, i2 = counts.get(1, 0), counts.get(2, 0)
-        chi = i1 - 1
-        chi_sq = (i1 + 2 * i2) - 1  # chi evaluated on g^2
-        s2 = chi * chi + chi_sq
-        w2 = chi * chi - chi_sq
-        if s2 % 2 or w2 % 2:
-            raise ConsistencyError("Sym^2/wedge^2 character values must be even before halving")
-        sym[c] = s2 // 2
-        wedge[c] = w2 // 2
-    return sym, wedge
-
-
 def diag_square_character(k: int) -> ClassFunction:
     """Character of R^{k^2} under the diagonal action: i1(g)^2."""
     out: ClassFunction = {}
@@ -276,10 +251,6 @@ class CharacterTable:
         r = self.row(eta)
         return {c: r[i] for i, c in enumerate(self.cycle_types)}
 
-    def degrees(self) -> list[int]:
-        ident = self.cycle_types.index(tuple([1] * self.k))
-        return [row[ident] for row in self.values]
-
     def check_orthogonality(self) -> None:
         n_fact = math.factorial(self.k)
         for a, ra in enumerate(self.values):
@@ -316,7 +287,9 @@ def fixed_space_dim(chi: ClassFunction, subgroup_elements) -> int:
 
     chi is a class function keyed by cycle type; subgroup_elements is any
     iterable of permutation tuples.  The average is fixed_dim_from_counts
-    on their cycle-type counts.
+    on their cycle-type counts.  No command calls it: it stays as the
+    tests' reference for degrees.fixed_dims_for, which reads the counts
+    each lattice class keeps, and as a span the benchmark tracer names.
     """
     from .burnside import cycle_type
 
@@ -339,14 +312,3 @@ def fixed_dim_from_counts(chi: ClassFunction, counts: dict[Partition, int]) -> i
         raise ConsistencyError(f"negative fixed-space dimension {dim}")
     return dim
 
-
-def permutation_matrix(p) -> np.ndarray:
-    """Matrix P with P e_i = e_{p(i)} for a permutation tuple p.  No command
-    calls it; it stays as the explicit action that checks the characters."""
-    import numpy as np
-
-    k = len(p)
-    mat = np.zeros((k, k))
-    for i, x in enumerate(p):
-        mat[x, i] = 1.0
-    return mat

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import class_by_label
 from symbreak.burnside import (
     BurnsideElement,
     _GroupTables,
@@ -66,7 +67,7 @@ def test_class_counts(lattice4, lattice5):
 
 
 def test_weyl_orders(lattice5):
-    trivial = lattice5.classes[lattice5.trivial_index]
+    trivial = lattice5.classes[0]
     full = lattice5.classes[lattice5.full_index]
     assert trivial.order == 1 and trivial.weyl_order == math.factorial(5)
     assert full.order == 120 and full.weyl_order == 1
@@ -114,14 +115,14 @@ def test_exhaustive_enumeration_oracle_k4(lattice4):
 
 def test_n_table_basics(lattice5):
     full = lattice5.classes[lattice5.full_index]
-    trivial = lattice5.classes[lattice5.trivial_index]
+    trivial = lattice5.classes[0]
     for cls in lattice5.classes:
         assert lattice5.n(cls.index, full.index) == 1
         assert lattice5.n(trivial.index, cls.index) == cls.n_conjugates
         assert lattice5.n(cls.index, cls.index) == 1
     # order must divide, else zero
-    z5 = lattice5.class_by_label("Z5")
-    s4 = lattice5.class_by_label("S4")
+    z5 = class_by_label(lattice5, "Z5")
+    s4 = class_by_label(lattice5, "S4")
     assert lattice5.n(z5.index, s4.index) == 0
 
 
@@ -153,8 +154,8 @@ def test_unit_element(lattice5):
 
 def test_free_orbit_square(lattice4, lattice5):
     for lat, k in ((lattice4, 4), (lattice5, 5)):
-        triv = BurnsideElement.generator(lat, lat.trivial_index)
-        assert (triv * triv).coeffs == {lat.trivial_index: math.factorial(k)}
+        triv = BurnsideElement.generator(lat, 0)     # class 0 is the trivial group
+        assert (triv * triv).coeffs == {0: math.factorial(k)}
 
 
 def test_commutativity_associativity(lattice5):

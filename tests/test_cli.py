@@ -143,6 +143,10 @@ def test_spectrum_dense_cap_exit3(capsys, tmp_path):
     # negative values that argparse alone reads as unknown options
     (["spectrum", "--k", "5", "--alpha", "-inf"], "--alpha"),
     (["verify", "--perturb-hessian", "-nan"], "--perturb-hessian"),
+    # finite, but the coupling's square 2(k - 1) p^2 is not, at k = 5 or at k = 64
+    (["verify", "--perturb-hessian", "1e308"], "--perturb-hessian"),
+    (["verify", "--k", "64", "--perturb-hessian", "2e153"],
+     "--perturb-hessian must keep 2(k - 1) p^2 finite at k=64"),
 ])
 def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
     # rejected before any command runs: no Monte-Carlo stage, no traceback

@@ -8,7 +8,6 @@ from symbreak.closed_forms import critical_set
 from symbreak.degrees import (
     all_invariants,
     basic_degree,
-    bifurcation_invariant,
     fixed_dims_for,
     leading_coefficient_check,
     linear_map_degree,
@@ -240,9 +239,7 @@ def test_invariant_critical_values_align(lattice5):
 
 def test_invariant_input_validation(lattice5):
     with pytest.raises(DomainError):
-        bifurcation_invariant(5, 3, lattice5)
-    with pytest.raises(DomainError):
-        bifurcation_invariant(4, 0, lattice5)
+        all_invariants(4, lattice5)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,7 @@ def test_invariant_input_validation(lattice5):
 def test_maximal_orbit_types_basics(lattice5):
     full = BurnsideElement(lattice5, {lattice5.full_index: -1})
     assert maximal_orbit_types(full, lattice5) == [lattice5.full_index]
-    zero = BurnsideElement.zero(lattice5)
+    zero = BurnsideElement(lattice5, {})
     assert maximal_orbit_types(zero, lattice5) == []
 
 
@@ -327,7 +324,7 @@ def test_invariants_payload_capacity():
 
 def test_bifurcation_capacity_error(lattice5):
     with pytest.raises(CapacityError):
-        bifurcation_invariant(7, 0, lattice5)
+        all_invariants(7, lattice5)
 
 
 def test_readme_quick_start():
@@ -339,7 +336,7 @@ def test_readme_quick_start():
     deg = sb.basic_degree((4, 1), lat)
     assert deg.element.pretty() == "(Z1) - 4(D1) + 3(D2) + 3(S3) - 2(D6) - 2(S4) + (S5)"
     assert (deg.element * deg.element) == sb.BurnsideElement.one(lat)
-    omega = sb.bifurcation_invariant(5, 0, lat)
+    omega = sb.all_invariants(5, lat)[1][0]
     assert [lat.classes[i].label for i in omega.maximal_types] == ["Z6", "D5", "S4"]
 
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_admissible
+from conftest import random_admissible, unvec, vec
 from symbreak.errors import ConsistencyError, DomainError
 from symbreak.hessian import (
     HessianBlocks,
@@ -15,9 +15,6 @@ from symbreak.hessian import (
     h2,
     hessian_at_minimum,
     hessian_published,
-    phi_map,
-    unvec,
-    vec,
 )
 from symbreak.landscape import identity_teacher
 from symbreak.closed_forms import abc_terms
@@ -54,6 +51,16 @@ def test_h_kernels_reject_stacks_of_two_widths():
         h1([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
     with pytest.raises(DomainError, match="one width"):
         h2([1.0, 0.0], [[1.0, 0.0]])
+
+
+def phi_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Phi(x, y) = |y| sin(t) xhat - t y; h1 and h2 are (1/2pi) times its
+    partial derivative maps.  It computes its own angle (clamped math.acos)
+    rather than read landscape._angles, the routine h1 and h2 use, so its
+    finite-difference Jacobians stay an independent oracle for them."""
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    t = math.acos(min(1.0, max(-1.0, float(np.dot(x, y)) / (nx * ny))))
+    return ny * math.sin(t) * x / nx - t * y
 
 
 def _fd_jacobian(f, x, eps=1e-6):

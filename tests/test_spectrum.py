@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import permutation_matrix, unvec, vec
 from symbreak import closed_forms, spectrum
 from symbreak.closed_forms import (
     FORMULA_IDS,
@@ -17,7 +18,7 @@ from symbreak.closed_forms import (
 )
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import load_golden
-from symbreak.hessian import assemble_dense, block_operator_apply, hessian_at_minimum, vec
+from symbreak.hessian import assemble_dense, block_operator_apply, hessian_at_minimum
 from symbreak.spectrum import (
     CLUSTER_GAP_FACTOR,
     LABEL_TIE_FACTOR,
@@ -30,7 +31,6 @@ from symbreak.spectrum import (
     spectrum_symbolic_check_k5,
     w_block_matrix,
 )
-from symbreak.symrep import permutation_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -279,6 +279,18 @@ def test_nonzero_members_zero_exactly_their_family(k):
     assert abs(fam["span_IJ_minus"][0]) > margin
 
 
+def test_trivial_zero_at_origin_is_read_from_span_ij_minus(monkeypatch):
+    assert all(critical_set(k).trivial_zero_at_origin for k in range(4, 65))
+    original = closed_forms.family_values_at
+
+    def lifted(k, alpha):                # span_IJ_minus moved off zero at 0
+        values = original(k, alpha)
+        return values[:6] + (values[6] + 1e-3,) if alpha == 0.0 else values
+
+    monkeypatch.setattr(closed_forms, "family_values_at", lifted)
+    assert not critical_set(5).trivial_zero_at_origin
+
+
 def test_critical_set_rejects_violated_chain(monkeypatch):
     mid = critical_alpha_standard(5)
     monkeypatch.setattr(closed_forms, "critical_alpha_trivial", lambda k: mid - 0.5)
@@ -305,10 +317,17 @@ def _numpy_root_scan(k, lo=-10.0, hi=10.0, grid=4000, tol=1e-12):
     # the array scan root_scan replaced, kept as its reference
     out = {}
     xs = np.linspace(lo, hi, grid + 1)
-    # closed_forms.family_terms on the array, every square a product, so each
-    # entry rounds as family_values_at's; a negative radicand raises
+    # the seven families on the array, written here with every square a
+    # product, so each entry rounds as family_values_at's; a negative
+    # radicand raises
+    kf = float(k)
     with np.errstate(all="raise"):
-        table = closed_forms.family_terms(k, xs, lambda r, name: np.sqrt(r))
+        a, b, c = 0.5 - xs / 4.0, xs / 4.0, xs / TWO_PI
+        s1 = np.sqrt(a * a * kf * kf + 4.0 * c * (c - 2.0 * a))
+        s2 = np.sqrt(kf * kf * ((a - c) * (a - c)) + 4.0 * c * (2.0 * a - c) * (kf - 1))
+        w_lin, ij_lin = a * kf + 2 * b, 2 * b + kf * (a + c)
+        table = (b - c, b + c, b - c, 0.5 * (w_lin + s1), 0.5 * (w_lin - s1),
+                 0.5 * (ij_lin + s2), 0.5 * (ij_lin - s2))
     for row, (fid, row_vals) in enumerate(zip(FORMULA_IDS, table)):
         vals = row_vals.tolist()
         roots = []
@@ -415,8 +434,6 @@ def test_match_detects_perturbation():
 def test_operator_matrix_spectral_equivalence(k):
     # eigenvalues of the abstract block operator, built by applying it to a
     # matrix unit basis, coincide with the assembled-Hessian spectrum
-    from symbreak.hessian import assemble_dense, hessian_at_minimum, unvec, vec
-
     for alpha in np.linspace(0.0, 3.5, 11):
         dense = assemble_dense(hessian_at_minimum(k, float(alpha)))
         op = np.zeros((k * k, k * k))
@@ -596,7 +613,8 @@ def _refuse_assembly(monkeypatch):
     monkeypatch.setattr(spectrum, "hessian_at_minimum", refuse)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# 1e200 and -1e160 are finite, but 2(k - 1) p^2, the coupling's square, is not
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200, -1e160])
 def test_match_refuses_nonfinite_perturbation(bad, monkeypatch):
     _refuse_assembly(monkeypatch)
     with pytest.raises(DomainError, match="finite"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import class_by_label, permutation_matrix
 from symbreak.burnside import cycle_type
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import compare_character_table
@@ -24,9 +25,7 @@ from symbreak.symrep import (
     inner_product,
     irreducible_character,
     partitions_of,
-    permutation_matrix,
     sorted_cycle_types,
-    sym_wedge_characters,
     validate_partition,
 )
 
@@ -218,7 +217,10 @@ def test_orthogonality_and_centralizer_columns(k):
 
 
 def test_character_table_k4_degrees():
-    assert sorted(character_table(4).degrees()) == [1, 1, 2, 3, 3]
+    # column 0 is the identity class, so it holds the degrees
+    table = character_table(4)
+    assert table.cycle_types[0] == (1, 1, 1, 1)
+    assert sorted(row[0] for row in table.values) == [1, 1, 2, 3, 3]
 
 
 def test_character_table_capacity():
@@ -229,6 +231,24 @@ def test_character_table_capacity():
 # ---------------------------------------------------------------------------
 # Sym^2 / wedge^2 and the diagonal-square decomposition
 # ---------------------------------------------------------------------------
+
+def sym_wedge_characters(k: int):
+    """Characters of Sym^2 and wedge^2 of the standard representation, from
+    chi(g)^2 +- chi(g^2) with the fixed-point identity i1(g^2) = i1(g) +
+    2 i2(g): an independent route to decompose_diag_square's result."""
+    sym, wedge = {}, {}
+    for c in sorted_cycle_types(k):
+        counts = cycle_counts(c)
+        i1, i2 = counts.get(1, 0), counts.get(2, 0)
+        chi = i1 - 1
+        chi_sq = (i1 + 2 * i2) - 1  # chi evaluated on g^2
+        s2 = chi * chi + chi_sq
+        w2 = chi * chi - chi_sq
+        assert s2 % 2 == 0 and w2 % 2 == 0, "values must be even before halving"
+        sym[c] = s2 // 2
+        wedge[c] = w2 // 2
+    return sym, wedge
+
 
 @pytest.mark.parametrize("k", range(4, 9))
 def test_sym_wedge_decompositions(k):
@@ -293,7 +313,7 @@ def test_fixed_space_standard_at_full_group(lattice5):
 
 def test_fixed_space_standard_at_point_stabilizer(lattice5):
     chi = irreducible_character((4, 1))
-    s4 = lattice5.class_by_label("S4")
+    s4 = class_by_label(lattice5, "S4")
     assert fixed_space_dim(chi, s4.representative) == 1
     # burn-in against the explicit matrix action on the sum-zero subspace
     elems = list(s4.representative)
@@ -306,7 +326,7 @@ def test_fixed_space_standard_at_point_stabilizer(lattice5):
 def test_fixed_space_rejects_non_integer_average(lattice5):
     chi = dict(irreducible_character((4, 1)))
     chi[(2, 1, 1, 1)] += 1   # corrupt one class value
-    d1 = lattice5.class_by_label("D1")
+    d1 = class_by_label(lattice5, "D1")
     with pytest.raises(ConsistencyError):
         fixed_space_dim(chi, d1.representative)
 
