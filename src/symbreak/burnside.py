@@ -8,7 +8,10 @@ their closure), and the nonzero n(L, H).  The rest is derived: the Weyl order
 |N(H)|/|H|, the number of conjugates k!/|N(H)|, the containment order,
 which is the key set of the n table ((L) <= (H) iff n(L, H) > 0), and each
 class's cycle-type counts, which the fixed-space dimensions of every
-irreducible read (counted once per class, in memory).
+irreducible read (counted once per class, in memory).  The labels, which key
+the reported expansions, are a function of those counts, the order and the
+number of moved points (name_classes); the builder and the cache reader
+both run it, and the reader refuses a label that differs.
 
 The mark homomorphism mark_L(H) = n(L,H)|W(H)| (the table of marks) is an
 injective ring map into integer vectors with the pointwise product, so a
@@ -350,97 +353,60 @@ class _GroupTables:
         return np.flatnonzero(bits)
 
 
-def _fingerprint(tables: _GroupTables, sub: frozenset[int]) -> tuple:
-    types = sorted(tables.cycle_types[h] for h in sub)
-    return (len(sub), tuple(types))
+def class_name(order: int, counts: dict[tuple[int, ...], int], moved: int) -> str:
+    """Structural name of a subgroup H of S_k: Z_n, D_n, V4, A_m, S_m, F20,
+    A4 or G<order>, from |H|, the number of its elements of each cycle type
+    (SubgroupClass.cycle_type_counts) and the number m of points its
+    generators move.  It reads no group table, so the cache reader names
+    the classes it loads exactly as build_lattice names the ones it builds.
 
-
-def _isomorphism_label(tables: _GroupTables, sub: frozenset[int]) -> str:
-    """Coarse structural name: Z_n, D_n, V4, A_m, S_m, F20, or G<order>.
-
-    Conjugacy classes sharing a name get primes appended later.  The names
-    follow the dihedral convention D_n = symmetries of the n-gon (order 2n);
-    an order-2 class generated by a single transposition is called D1 to
-    distinguish it from Z2 classes generated by products of 2-cycles.
+    D_n is the symmetry group of the n-gon (order 2n); an order-2 class
+    generated by a single transposition is D1, one generated by a product
+    of 2-cycles is Z2.  H fixes every point its generators fix, so it lies
+    in S_m on its moved points: order m! makes it that S_m, and order m!/2
+    with even elements only makes it A_m.  A group of order 2n, n >= 3,
+    with an element of order n is dihedral iff it has n + 1 - (n mod 2)
+    involutions, i.e. iff every element off that rotation's subgroup is one.
+    Classes sharing a name get primes from name_classes.
     """
-    order = len(sub)
-    perms = [tables.perms[h] for h in sub]
-    k = tables.k
+    k = sum(next(iter(counts)))
+    orders: collections.Counter[int] = collections.Counter()
+    for t, c in counts.items():
+        orders[math.lcm(*t)] += c
+    all_even = all((k - len(t)) % 2 == 0 for t in counts)
+    n = order // 2
     if order == 1:
         return "Z1"
-    cyclic = max(math.lcm(*tables.cycle_types[h]) for h in sub) == order
-    all_even = not any(tables.odd[h] for h in sub)
     if order == 2:
-        nontriv = next(p for p in perms if p != identity_perm(k))
-        n2 = sum(1 for c in cycle_type(nontriv) if c == 2)
-        return "D1" if n2 == 1 else "Z2"
-    if cyclic:
+        return "D1" if moved == 2 else "Z2"
+    if max(orders) == order:
         return f"Z{order}"
     if order == 4:   # not cyclic, so the Klein four-group
         return "V4" if all_even else "D2"
-    moved = [i for i in range(k) if any(p[i] != i for p in perms)]
-    m = len(moved)
-    if order == math.factorial(m):
-        # symmetric group on its moved points?
-        if _acts_fully(perms, moved, symmetric=True):
-            return f"S{m}"
-    if order == math.factorial(m) // 2 and all_even:
-        if _acts_fully(perms, moved, symmetric=False):
-            return f"A{m}"
+    if order == math.factorial(moved):
+        return f"S{moved}"
+    if order == math.factorial(moved) // 2 and all_even:
+        return f"A{moved}"
     if order == 20:
         return "F20"
-    if _is_dihedral(tables, sub):
-        return f"D{order // 2}"
+    if order % 2 == 0 and order >= 6 and orders[n] and orders[2] == n + 1 - n % 2:
+        return f"D{n}"
     if order == 12 and all_even:
         return "A4"
     return f"G{order}"
 
 
-_LABEL = re.compile(r"(V4|F20|([ZDASG])([1-9][0-9]*))'*")
-
-
-def _label_order(label: str, k: int) -> int | None:
-    """The order of the group a label of _isomorphism_label names: Z_n n,
-    D_n 2n, A_n n!/2, S_n n!, G<m> m, V4 4, F20 20, each followed by any
-    number of primes.  None for a label it never writes in S_k."""
-    match = _LABEL.fullmatch(label)
-    if match is None:
-        return None
-    name, kind, digits = match.groups()
-    if kind is None:
-        return int(name[1:])
-    n = int(digits)
-    if kind in "ZG":
-        return n
-    if kind == "D":
-        return 2 * n
-    if n > k:
-        return None
-    return math.factorial(n) // (2 if kind == "A" else 1)
-
-
-def _acts_fully(perms: list[Perm], moved: list[int], symmetric: bool) -> bool:
-    """Does the restriction to the moved points give the full S_m (or A_m)?"""
-    images = {tuple(p[i] for i in moved) for p in perms}
-    want = math.factorial(len(moved)) // (1 if symmetric else 2)
-    return len(images) == len(perms) == want
-
-
-def _is_dihedral(tables: _GroupTables, sub: frozenset[int]) -> bool:
-    order = len(sub)
-    if order % 2 or order < 6:
-        return False
-    n = order // 2
-    rotations = [h for h in sub if perm_order(tables.perms[h]) == n]
-    if not rotations:
-        return False
-    (key,) = tables.close_indices([], [tables.ident], rotations[:1])
-    cyc = frozenset(tables.members(key).tolist())
-    if len(cyc) != n:
-        return False
-    return all(
-        perm_order(tables.perms[s]) == 2 for s in sub if s not in cyc
-    ) and len(sub - cyc) == n
+def name_classes(classes: Iterable[tuple[int, dict, Iterable[Perm]]]) -> list[str]:
+    """class_name of each (order, cycle-type counts, generators), in class
+    order, with one prime per earlier class of the same name."""
+    seen: collections.Counter[str] = collections.Counter()
+    labels = []
+    for order, counts, generators in classes:
+        moved = len({i for g in generators for i, x in enumerate(g) if x != i})
+        name = class_name(order, counts, moved)
+        labels.append(name + "'" * seen[name])
+        seen[name] += 1
+    return labels
 
 
 def build_lattice(k: int) -> SubgroupLattice:
@@ -539,35 +505,26 @@ def build_lattice(k: int) -> SubgroupLattice:
             for pos, key in zip(led, joined):
                 classify(key, gens + [cyclic_gens[pos]])
 
-    # deterministic class ordering: (order, fingerprint, normalizer order)
-    order_key = [
-        (len(reps[i]), _fingerprint(tables, reps[i]), len(normalizers[i]))
-        for i in range(len(reps))
-    ]
-    perm_order_ids = sorted(range(len(reps)), key=lambda i: order_key[i])
+    # deterministic class ordering: (order, cycle types, normalizer order)
+    counts = [collections.Counter(tables.cycle_types[h] for h in sub) for sub in reps]
+    perm_order_ids = sorted(range(len(reps)), key=lambda i: (
+        len(reps[i]), sorted(counts[i].elements()), len(normalizers[i])))
+    generators = [tuple(tables.perms[g] for g in _minimal_gens(tables, reps[i]))
+                  for i in perm_order_ids]
+    labels = name_classes((len(reps[i]), counts[i], gens)
+                          for i, gens in zip(perm_order_ids, generators))
 
-    # labels with disambiguation primes
-    raw_labels = [_isomorphism_label(tables, reps[i]) for i in perm_order_ids]
-    seen_labels: dict[str, int] = {}
-    labels = []
-    for lab in raw_labels:
-        cnt = seen_labels.get(lab, 0)
-        labels.append(lab + "'" * cnt)
-        seen_labels[lab] = cnt + 1
-
-    classes: list[SubgroupClass] = []
-    for new_i, old_i in enumerate(perm_order_ids):
-        sub = reps[old_i]
-        classes.append(
-            SubgroupClass(
-                index=new_i,
-                order=len(sub),
-                normalizer_order=len(normalizers[old_i]),
-                label=labels[new_i],
-                generators=tuple(tables.perms[g] for g in _minimal_gens(tables, sub)),
-                representative=frozenset(tables.perms[h] for h in sub),
-            )
+    classes = [
+        SubgroupClass(
+            index=new_i,
+            order=len(reps[old_i]),
+            normalizer_order=len(normalizers[old_i]),
+            label=labels[new_i],
+            generators=generators[new_i],
+            representative=frozenset(tables.perms[h] for h in reps[old_i]),
         )
+        for new_i, old_i in enumerate(perm_order_ids)
+    ]
 
     # n(L,H) via distinct conjugates of L inside H; its keys are the containment order
     n_table: dict[tuple[int, int], int] = {}
@@ -805,10 +762,6 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
                 raise ConsistencyError("cached generators do not regenerate the class order")
             if nrm <= 0 or nrm % order or math.factorial(k) % nrm:
                 raise ConsistencyError("cached |N(H)| is not a multiple of |H| dividing k!")
-            if any(c.label == label for c in classes):
-                raise ConsistencyError(f"cached class label {label!r} repeats")
-            if _label_order(label, k) != order:
-                raise ConsistencyError(f"cached class label {label!r} does not name order {order}")
             classes.append(SubgroupClass(index=len(classes), order=order, normalizer_order=nrm,
                                          label=label, generators=gens, representative=rep))
         elif mode == "leq":
@@ -829,6 +782,14 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
             if _conjugate(other, c, k):
                 raise ConsistencyError(f"cached classes {other.label!r} and {c.label!r} are conjugate")
         same.append(c)
+    # the ring's unit is the full class, and its free orbit the trivial one
+    if not classes or classes[0].order != 1 or classes[-1].order != math.factorial(k):
+        raise ConsistencyError("cached classes do not run from the trivial group to S_k")
+    # the reports key expansions by label, so each must be the builder's
+    labels = name_classes((c.order, c.cycle_type_counts, c.generators) for c in classes)
+    for c, label in zip(classes, labels):
+        if c.label != label:
+            raise ConsistencyError(f"cached class {c.index} is labelled {c.label!r}, not {label!r}")
     if leq != n_table.keys():
         raise ConsistencyError("cached leq rows differ from the n(L,H) pairs")
     # serialize_lattice writes n(H,H) = 1 for every class, and a pair L != H

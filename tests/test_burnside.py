@@ -332,6 +332,10 @@ def test_k7_lattice_published_totals(monkeypatch):
     lattice = build_lattice(7)
     assert len(lattice.classes) == 96
     assert lattice.total_subgroups() == 11300
+    # k = 7 takes naming branches no smaller width reaches (Z7, D7, G21,
+    # G168, F20'), so its bytes are pinned as PINNED_LATTICE_SHA256's are
+    digest = hashlib.sha256(serialize_lattice(lattice)).hexdigest()
+    assert digest == "973fdba026ee739e2f4e2d3b50f77423c9967742a214adfcb2016a291fa816af"
 
 
 @pytest.mark.parametrize("k, classes", [(4, 11), (5, 19), (6, 56)])

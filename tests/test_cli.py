@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -301,12 +302,27 @@ def _non_ascii(blob: bytes) -> bytes:
     return bytes(out)
 
 
+def _body(blob: bytes) -> str:
+    return blob.decode("ascii").rsplit("checksum ", 1)[0]
+
+
+def _with_checksum(body: str) -> bytes:
+    return (body + f"checksum {zlib.crc32(body.encode('ascii'))}\n").encode("ascii")
+
+
 def _edit_body(blob: bytes, old: str, new: str) -> bytes:
     """Replace the first `old` of the body and restore a valid checksum."""
-    body = blob.decode("ascii").rsplit("checksum ", 1)[0]
+    body = _body(blob)
     assert old in body
-    body = body.replace(old, new, 1)
-    return (body + f"checksum {zlib.crc32(body.encode('ascii'))}\n").encode("ascii")
+    return _with_checksum(body.replace(old, new, 1))
+
+
+def _keep_lines(blob: bytes, keep) -> bytes:
+    """Keep the body lines for which keep(line) holds; restore the checksum."""
+    lines = _body(blob).splitlines(keepends=True)
+    kept = [line for line in lines if keep(line)]
+    assert len(kept) < len(lines)
+    return _with_checksum("".join(kept))
 
 
 def _header_without_equals(blob: bytes) -> bytes:
@@ -347,14 +363,41 @@ def _class_index_out_of_place(blob: bytes) -> bytes:
     return _edit_body(blob, "\n1|2|12|", "\n7|2|12|")
 
 
-# the reports key expansions by label, so labels must be distinct and name
-# the class order
+# the reports key expansions by label, so each label must be the one the
+# builder gives its class
 def _label_duplicated(blob: bytes) -> bytes:
     return _edit_body(blob, "generators=(4 5)|D1\n", "generators=(4 5)|Z2\n")
 
 
 def _label_names_wrong_order(blob: bytes) -> bytes:
     return _edit_body(blob, "generators=(1 2 3 4 5)|Z5\n", "generators=(1 2 3 4 5)|D5'\n")
+
+
+# labels swapped between two classes of one order: each still names its
+# order, but not its class, so the expansions would print under wrong keys
+def _labels_swapped(blob: bytes, a: str, b: str) -> bytes:
+    swap = {f"|{a}\n": f"|{b}\n", f"|{b}\n": f"|{a}\n"}
+    body, count = re.subn("|".join(map(re.escape, swap)), lambda m: swap[m[0]], _body(blob))
+    assert count == 2
+    return _with_checksum(body)
+
+
+def _order_two_labels_swapped(blob: bytes) -> bytes:
+    return _labels_swapped(blob, "D1", "Z2")
+
+
+def _order_six_labels_swapped(blob: bytes) -> bytes:
+    return _labels_swapped(blob, "S3", "D3")
+
+
+# the ring's unit is the full class and the free orbit the trivial one, so
+# a file without either is refused, with the pair rows that name them
+def _no_class_lines(blob: bytes) -> bytes:
+    return _keep_lines(blob, lambda line: not line[0].isdigit())
+
+
+def _full_class_dropped(blob: bytes) -> bytes:
+    return _keep_lines(blob, lambda line: not re.fullmatch(r"18\|.*\n|\d+ 18( \d+)?\n", line))
 
 
 # the generators of one class closing to a conjugate of another's
@@ -399,7 +442,9 @@ def _diagonal_dropped(blob: bytes) -> bytes:
                                      _label_names_wrong_order, _class_generates_a_conjugate,
                                      _header_names_other_version,
                                      _pair_names_no_class, _order_does_not_divide,
-                                     _orders_equal, _diagonal_dropped])
+                                     _orders_equal, _diagonal_dropped,
+                                     _order_two_labels_swapped, _order_six_labels_swapped,
+                                     _no_class_lines, _full_class_dropped])
 def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
                               "invariants", "--k", "5", "--output", "json")

@@ -313,11 +313,8 @@ def test_asymptote_distances_match_exact_rationals(k):
         assert d_triv == pytest.approx(critical_alpha_trivial(k) - 2.0, rel=1e-13)
 
 
-def _numpy_root_scan(k, lo=-10.0, hi=10.0, grid=4000, tol=1e-12):
-    # the array scan root_scan replaced, kept as its reference
-    out = {}
-    xs = np.linspace(lo, hi, grid + 1)
-    # the seven families on the array, written here with every square a
+def _numpy_families(k, xs):
+    # the seven families on an array, written here with every square a
     # product, so each entry rounds as family_values_at's; a negative
     # radicand raises
     kf = float(k)
@@ -326,8 +323,16 @@ def _numpy_root_scan(k, lo=-10.0, hi=10.0, grid=4000, tol=1e-12):
         s1 = np.sqrt(a * a * kf * kf + 4.0 * c * (c - 2.0 * a))
         s2 = np.sqrt(kf * kf * ((a - c) * (a - c)) + 4.0 * c * (2.0 * a - c) * (kf - 1))
         w_lin, ij_lin = a * kf + 2 * b, 2 * b + kf * (a + c)
-        table = (b - c, b + c, b - c, 0.5 * (w_lin + s1), 0.5 * (w_lin - s1),
-                 0.5 * (ij_lin + s2), 0.5 * (ij_lin - s2))
+        return (b - c, b + c, b - c, 0.5 * (w_lin + s1), 0.5 * (w_lin - s1),
+                0.5 * (ij_lin + s2), 0.5 * (ij_lin - s2))
+
+
+def _numpy_root_scan(k, lo=-10.0, hi=10.0, grid=4000, tol=1e-12):
+    # the array scan root_scan replaced, kept as its reference; it brackets
+    # and bisects on its own formulas, the bisection at one-point arrays
+    out = {}
+    xs = np.linspace(lo, hi, grid + 1)
+    table = _numpy_families(k, xs)
     for row, (fid, row_vals) in enumerate(zip(FORMULA_IDS, table)):
         vals = row_vals.tolist()
         roots = []
@@ -341,7 +346,7 @@ def _numpy_root_scan(k, lo=-10.0, hi=10.0, grid=4000, tol=1e-12):
                 fa = va
                 for _ in range(200):
                     m = 0.5 * (a_ + b_)
-                    fm = family_values_at(k, m)[row]
+                    fm = float(_numpy_families(k, np.array([m]))[row][0])
                     if fm == 0.0 or (b_ - a_) < tol:
                         break
                     if fa * fm < 0.0:
