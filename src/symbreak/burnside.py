@@ -25,9 +25,10 @@ with every division asserted exact.  Direct orbit counting on G/H x G/K
 
 Permutations are tuples of images on {0, ..., k-1}; subgroups are frozensets
 of such tuples.  Everything here is exact integer arithmetic.  Only lattice
-construction uses numpy, for its index-space group tables (_GroupTables,
-build_lattice), and imports it there: a warm read (load_lattice) and the
-ring arithmetic run without it.  build_lattice closes all joins of one class
+construction uses numpy, for its index-space multiplication and inverse
+tables (_GroupTables, build_lattice), from which conjugation is read as two
+gathers, and imports it there: a warm read (load_lattice) and the ring
+arithmetic run without it.  build_lattice closes all joins of one class
 with the cyclic subgroups at once, as one breadth-first search over the
 right cosets of the class representative (_GroupTables.close_indices), and
 classifies each join by one lookup of its packed bit mask over the k!
@@ -42,7 +43,7 @@ import itertools
 import math
 import re
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, ConsistencyError, DomainError
@@ -138,7 +139,7 @@ def closure(generators: list[Perm], k: int) -> frozenset[Perm]:
 
     Stays apart from _GroupTables.close_indices: it needs no group tables,
     which keeps the oracle enumerate_all_subgroups off the production path
-    and spares load_lattice the k!^2 tables on a warm read."""
+    and spares load_lattice the k!^2 table on a warm read."""
     ident = identity_perm(k)
     elems = {ident}
     frontier = [ident]
@@ -228,13 +229,12 @@ class _GroupTables:
     """Index-space group tables for S_k, as numpy int16 arrays.
 
     Permutations are numbered in lexicographic order, so the identity is
-    index 0.  mul[i, j] indexes perms[i]*perms[j], inv[i] indexes perms[i]^-1
-    and conj[g, h] indexes g h g^-1; conj is column-major, so the conjugates
-    of a set by all of S_k (conjugate_set) are contiguous reads.  The tables
-    are filled a block of rows at a time, so no k! x k! x k temporary is ever
-    allocated.  odd[i] is the parity of perms[i].  An int16 index holds at
-    most 7! permutations; a wider k is refused (CapacityError) before
-    anything is allocated.
+    index 0.  mul[i, j] indexes perms[i]*perms[j] and inv[i] indexes
+    perms[i]^-1; mul is the one k! x k! table, and conjugates reads
+    g h g^-1 from it as two gathers.  mul is filled a block of rows at a
+    time, so no k! x k! x k temporary is ever allocated.  odd[i] is the
+    parity of perms[i].  An int16 index holds at most 7! permutations; a
+    wider k is refused (CapacityError) before anything is allocated.
 
     close_indices is the one subgroup closure: it joins a closed subgroup H
     with each of many extra generators in one breadth-first search over the
@@ -268,23 +268,21 @@ class _GroupTables:
         digits = images.astype(float)
         spread = weights[inverse_images].T.astype(float)
         self.mul = np.empty((n, n), dtype=np.int16)
-        # column-major, so conj[:, sub] reads contiguous columns
-        self.conj = np.empty((n, n), dtype=np.int16, order="F")
-        block = np.empty((self._BLOCK, n), dtype=np.int16)
         for lo in range(0, n, self._BLOCK):
             hi = min(lo + self._BLOCK, n)
             self.mul[lo:hi] = rank[(digits[lo:hi] @ spread).astype(np.intp)]
-            for g in range(lo, hi):
-                # g h g^-1 = (g h) g^-1, and right multiplication by g^-1 is
-                # x -> (g x^-1)^-1
-                row = self.mul[g]
-                block[g - lo] = self.inv[row[self.inv]][row]
-            self.conj[lo:hi] = block[:hi - lo]
         self.odd = np.array([(k - len(t)) % 2 for t in self.cycle_types], dtype=bool)
+
+    def conjugates(self, gs: Sequence[int], hs: Sequence[int]) -> np.ndarray:
+        """[i, j] indexes gs[i] hs[j] gs[i]^-1, read as (g h) g^-1."""
+        import numpy as np
+
+        gs = np.asarray(gs, dtype=np.intp)
+        return self.mul[self.mul[np.ix_(gs, hs)], self.inv[gs, None]]
 
     def conjugate_set(self, sub: Iterable[int]) -> np.ndarray:
         """Row g holds the indices of g sub g^-1, for every g in S_k."""
-        return self.conj[:, sorted(sub)]
+        return self.conjugates(range(len(self.perms)), sorted(sub))
 
     def right_cosets(self, sub: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """The right cosets sub*x of a subgroup, each named by its least
@@ -367,7 +365,9 @@ def class_name(order: int, counts: dict[tuple[int, ...], int], moved: int) -> st
     with even elements only makes it A_m.  A group of order 2n, n >= 3,
     with an element of order n is dihedral iff it has n + 1 - (n mod 2)
     involutions, i.e. iff every element off that rotation's subgroup is one.
-    Classes sharing a name get primes from name_classes.
+    A group of order 12 is A4 iff it has 8 elements of order 3: its Sylow
+    3-subgroups are then 4, not 1 (Sylow), and A4 is the only group of order
+    12 with 4 of them.  Classes sharing a name get primes from name_classes.
     """
     k = sum(next(iter(counts)))
     orders: collections.Counter[int] = collections.Counter()
@@ -391,7 +391,7 @@ def class_name(order: int, counts: dict[tuple[int, ...], int], moved: int) -> st
         return "F20"
     if order % 2 == 0 and order >= 6 and orders[n] and orders[2] == n + 1 - n % 2:
         return f"D{n}"
-    if order == 12 and all_even:
+    if order == 12 and orders[3] == 8:
         return "A4"
     return f"G{order}"
 
@@ -445,8 +445,10 @@ def build_lattice(k: int) -> SubgroupLattice:
     cyclic_list = sorted(cyclic.items(), key=lambda it: (len(it[0]), sorted(it[0])))
     cyclic_gens = [cgen for _, cgen in cyclic_list]
     position = {csub: pos for pos, (csub, _) in enumerate(cyclic_list)}
-    # cyclic_pos[g] = position of <g> in cyclic_list
+    # cyclic_pos[g] = position of <g> in cyclic_list, and conjugated_pos[g, pos]
+    # the position of g <c> g^-1 for the pos-th cyclic subgroup <c>
     cyclic_pos = np.array([position[c] for c in generated], dtype=np.int16)
+    conjugated_pos = cyclic_pos[tables.conjugates(range(n_g), cyclic_gens)]
 
     # per class: representative, its generators and element mask, normalizer
     # and distinct conjugates (one row each)
@@ -472,7 +474,7 @@ def build_lattice(k: int) -> SubgroupLattice:
         normalizer = np.flatnonzero(mask[tables.conjugate_set(gens)].all(axis=1))
         # the distinct conjugates g^-1 H g, one per right coset N(H) g
         leaders, _ = tables.right_cosets(normalizer)
-        distinct = tables.conj[np.ix_(tables.inv[leaders], sub)]
+        distinct = tables.conjugates(tables.inv[leaders], sub)
         if len(normalizer) * len(distinct) != n_g:
             raise ConsistencyError("orbit-stabilizer mismatch in normalizer computation")
         conjugate_masks = np.zeros((len(distinct), n_g), dtype=bool)
@@ -494,11 +496,9 @@ def build_lattice(k: int) -> SubgroupLattice:
         gens = rep_gens[ci]
         # <c> lies in H iff its generator does
         outside = [pos for pos, cgen in enumerate(cyclic_gens) if not rep_masks[ci][cgen]]
-        # first cyclic_list position in each N(H)-orbit of cyclic subgroups;
-        # conj is column-major, so the conjugates of c, conj.T[c], are a row
-        orbits = tables.conj.T[np.ix_([cyclic_gens[pos] for pos in outside], normalizers[ci])]
-        led = [pos for pos, first in zip(outside, cyclic_pos[orbits].min(axis=1).tolist())
-               if first == pos]
+        # first cyclic_list position in each N(H)-orbit of cyclic subgroups
+        firsts = conjugated_pos[np.ix_(normalizers[ci], outside)].min(axis=0)
+        led = [pos for pos, first in zip(outside, firsts.tolist()) if first == pos]
         # the leaders' joins are closed at once
         if led:
             joined = tables.close_indices(gens, reps[ci], [cyclic_gens[pos] for pos in led])

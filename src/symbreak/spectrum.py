@@ -163,41 +163,26 @@ def isotypic_basis(k: int) -> IsotypicBasis:
         for j in range(i + 1, k - 1):
             wedge.append(np.outer(r[i], r[j]) - np.outer(r[j], r[i]))
 
-    # S0: symmetric, zero diagonal, orthogonal (Frobenius) to the zero-diagonal
-    # parts of P_perp and of every D_i -- equivalently row sums vanish.
-    # Orthonormalize the symmetric off-diagonal units against those targets
-    # in one shot (projection + SVD instead of an elementwise sweep).
-    offdiag_targets = [J - eye]
-    offdiag_targets += [np.diag(np.diag(D)) - D for (_, _, D) in ksd]  # -offdiag(D_i)
-    q_rows = []
-    for tgt in offdiag_targets:
-        v = tgt.flatten()
-        for q in q_rows:
-            v = v - (v @ q) * q
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-10:
-            q_rows.append(v / nrm)
-    q_mat = np.stack(q_rows)
-    cands = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            cand = np.zeros((k, k))
-            cand[i, j] = cand[j, i] = 1.0
-            cands.append(cand.flatten())
-    cand_mat = np.stack(cands)
-    cand_mat -= (cand_mat @ q_mat.T) @ q_mat
-    _, sing, vt = np.linalg.svd(cand_mat, full_matrices=False)
-    want = k * (k - 3) // 2
+    # S0: symmetric, zero diagonal, zero row sums.  On the k(k-1)/2 entries
+    # above the diagonal the row-sum map is the incidence matrix of the
+    # complete graph K_k, of rank k, and S0 is its kernel: the rows of vt
+    # past the k-th, mirrored and scaled to unit Frobenius norm.
+    rows, cols = np.triu_indices(k, 1)
+    edges = np.arange(len(rows))
+    incidence = np.zeros((k, len(rows)))
+    incidence[rows, edges] = incidence[cols, edges] = 1.0
+    _, sing, vt = np.linalg.svd(incidence)
     rank = int((sing > 1e-8).sum())
-    if rank != want:
-        raise ConsistencyError(f"S0 construction found rank {rank}, want {want}")
-    s0 = [vt[r].reshape(k, k) for r in range(want)]
+    if rank != k:
+        raise ConsistencyError(f"S0 construction found a row-sum map of rank {rank}, want {k}")
+    s0 = np.zeros((len(rows) - k, k, k))
+    s0[:, rows, cols] = s0[:, cols, rows] = vt[k:] / np.sqrt(2.0)
 
     return IsotypicBasis(
         k=k,
         span_ij=[eye, J],
         ksd=ksd,
-        s0=s0,
+        s0=list(s0),
         wedge=wedge,
     )
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -13,8 +14,10 @@ from symbreak.burnside import (
     BurnsideElement,
     _GroupTables,
     build_lattice,
+    class_name,
     closure,
     compose,
+    cycle_type,
     cycles_to_perm,
     enumerate_all_subgroups,
     identity_perm,
@@ -333,9 +336,32 @@ def test_k7_lattice_published_totals(monkeypatch):
     assert len(lattice.classes) == 96
     assert lattice.total_subgroups() == 11300
     # k = 7 takes naming branches no smaller width reaches (Z7, D7, G21,
-    # G168, F20'), so its bytes are pinned as PINNED_LATTICE_SHA256's are
+    # G168, F20', G12'), so its bytes are pinned as PINNED_LATTICE_SHA256's are
     digest = hashlib.sha256(serialize_lattice(lattice)).hexdigest()
-    assert digest == "973fdba026ee739e2f4e2d3b50f77423c9967742a214adfcb2016a291fa816af"
+    assert digest == "9ff8f0d46cb42a5d6fc7b8347f7dfadc9ef1e969da6c5a1d6aef895d8570e642"
+    # the pin is not self-certifying: each A4 has A4's 8 elements of order 3
+    a4 = [c for c in lattice.classes if c.label.rstrip("'") == "A4"]
+    assert len(a4) == 3
+    for c in a4:
+        assert sum(n for t, n in c.cycle_type_counts.items() if math.lcm(*t) == 3) == 8
+
+
+@pytest.mark.parametrize("gens, name", [
+    # Z3 x V4: abelian, 2 elements of order 3
+    (["(5 6 7)", "(1 2)(3 4)", "(1 3)(2 4)"], "G12"),
+    # six elements of order 4, which A4 lacks
+    (["(5 6 7)", "(1 2)(3 4)", "(1 3 2 4)(6 7)"], "G12"),
+    # A4 acting on {1, 2, 3, 4} and, through its quotient Z3, on {5, 6, 7}
+    (["(2 3 4)(5 6 7)", "(1 2)(3 4)"], "A4"),
+])
+def test_order_twelve_named_a4_only_with_eight_elements_of_order_three(gens, name):
+    # even order-12 groups on 7 points that are neither cyclic nor dihedral
+    perms = [cycles_to_perm(g, 7) for g in gens]
+    group = closure(perms, 7)
+    assert len(group) == 12
+    counts = collections.Counter(map(cycle_type, group))
+    moved = len({i for g in perms for i, x in enumerate(g) if x != i})
+    assert class_name(len(group), counts, moved) == name
 
 
 @pytest.mark.parametrize("k, classes", [(4, 11), (5, 19), (6, 56)])
@@ -378,11 +404,29 @@ def test_group_tables_match_compose():
     tables = _tables(4)
     perms = tables.perms
     assert perms == sorted(itertools.permutations(range(4)))
+    conj = tables.conjugates(range(24), range(24))
     for i, p in enumerate(perms):
         assert perms[tables.inv[i]] == invert(p)
         for j, q in enumerate(perms):
             assert perms[tables.mul[i, j]] == compose(p, q)
-            assert perms[tables.conj[i, j]] == compose(p, compose(q, invert(p)))
+            assert perms[conj[i, j]] == compose(p, compose(q, invert(p)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_conjugates_match_compose(data):
+    # the two-gather conjugation against the tuple arithmetic, on drawn lists
+    k = data.draw(st.integers(4, 6), label="k")
+    tables = _tables(k)
+    index = st.integers(0, len(tables.perms) - 1)
+    gs = data.draw(st.lists(index, min_size=1, max_size=5), label="gs")
+    hs = data.draw(st.lists(index, min_size=1, max_size=5), label="hs")
+    got = tables.conjugates(gs, hs)
+    assert got.shape == (len(gs), len(hs))
+    for i, g in enumerate(gs):
+        p = tables.perms[g]
+        for j, h in enumerate(hs):
+            assert tables.perms[got[i, j]] == compose(p, compose(tables.perms[h], invert(p)))
 
 
 def _close(tables, gens, base):
