@@ -9,7 +9,10 @@ only there) and is reported as a table, never as a failure.
 from __future__ import annotations
 
 import collections
+import functools
+import itertools
 import math
+import multiprocessing
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -29,6 +32,9 @@ from .report import resolve_tolerances
 
 # points at which the published Hessian is checked by finite differences
 HESSIAN_FD_POINTS = 5
+
+# kernel trials per task handed to a Monte-Carlo worker process
+MC_TRIAL_CHUNK = 8
 
 
 @dataclass
@@ -57,7 +63,8 @@ def _random_admissible(rng: np.random.Generator, k: int) -> np.ndarray:
 
 def mc_workers() -> int:
     """CPUs available to this process: its affinity mask where the platform
-    has one, else the CPU count."""
+    has one, else the CPU count.  `verify` forks at most one kernel-trial
+    worker process per CPU, and runs serially on one."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -75,27 +82,53 @@ def _kernel_trials(rng: np.random.Generator, n: int):
         yield w, v, float(rng.uniform(-0.5, 2.5)), int(rng.integers(2**31))
 
 
+def _kernel_hit(trial, n_samples: int, sigma: float) -> bool:
+    """Whether the Monte-Carlo kernel estimate of one trial lies within sigma
+    standard errors of the closed form."""
+    if trial is None:
+        return True
+    w, v, alpha, seed = trial
+    est, se = ls.kernel_mc(w, v, alpha, n_samples, seed)
+    return abs(est - ls.kernel_f(w, v, alpha)) <= sigma * se
+
+
+def _chunk_hits(hit, chunk: list) -> int:
+    return sum(map(hit, chunk))
+
+
 def _count_hits(hit, trials, workers: int) -> int:
     """Number of trials for which hit(trial) holds.
 
-    With more than one worker the trials run on a thread pool (numpy's
-    normal fills and products release the GIL).  Trials are drawn as they
-    are submitted, at most 2 * workers ahead of the oldest unfinished one,
-    so the draw order is the serial one and no trial count queues at once.
-    Each result depends only on its own trial, so the count does not depend
-    on the number of workers."""
+    With more than one worker, and where the platform can fork, the trials
+    run in chunks of MC_TRIAL_CHUNK on a pool of forked worker processes, no
+    more workers than chunks (the per-trial ufuncs hold the GIL, so threads
+    do not scale; a forked worker starts with numpy and this package loaded,
+    where a spawned one would import them again).  hit must pickle: a
+    module-level function, or a partial of one.  Trials are drawn in the
+    parent as their chunk is submitted, at most 2 * workers chunks ahead of
+    the oldest unfinished one, so the draw order is the serial one and no
+    trial count queues at once.  Each result depends only on its own trial,
+    so the count does not depend on the number of workers.  Every worker is
+    joined before this returns or raises."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        workers = 1
+    chunks = iter(lambda: list(itertools.islice(trials, MC_TRIAL_CHUNK)), [])
+    ahead = list(itertools.islice(chunks, 2 * workers))
+    workers = min(workers, len(ahead))
     if workers <= 1:
-        return sum(map(hit, trials))
-    from concurrent.futures import ThreadPoolExecutor  # lazy: the CLI imports this module
+        return sum(_chunk_hits(hit, chunk) for chunk in itertools.chain(ahead, chunks))
+    from concurrent.futures import ProcessPoolExecutor  # lazy: the CLI imports this module
 
     hits = 0
-    pending = collections.deque()
-    with ThreadPoolExecutor(workers) as pool:
-        for trial in trials:
-            if len(pending) == 2 * workers:
-                hits += pending.popleft().result()
-            pending.append(pool.submit(hit, trial))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        pending = collections.deque(pool.submit(_chunk_hits, hit, chunk) for chunk in ahead)
+        for chunk in chunks:
+            hits += pending.popleft().result()
+            pending.append(pool.submit(_chunk_hits, hit, chunk))
         hits += sum(future.result() for future in pending)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return hits
 
 
@@ -106,14 +139,8 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     results: dict = {}
 
     # -- Monte Carlo vs closed-form kernel ---------------------------------
-    def kernel_hit(trial) -> bool:
-        if trial is None:
-            return True
-        w, v, alpha, seed = trial
-        est, se = ls.kernel_mc(w, v, alpha, config.mc_samples, seed)
-        return abs(est - ls.kernel_f(w, v, alpha)) <= tol["mc_sigma"] * se
-
-    hits = _count_hits(kernel_hit, _kernel_trials(rng, config.mc_trials), mc_workers())
+    hit = functools.partial(_kernel_hit, n_samples=config.mc_samples, sigma=tol["mc_sigma"])
+    hits = _count_hits(hit, _kernel_trials(rng, config.mc_trials), mc_workers())
     frac = hits / config.mc_trials
     checks.append(_check(
         "mc_kernel_3sigma", frac >= tol["mc_pass_fraction"],

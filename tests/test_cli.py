@@ -2,10 +2,11 @@ import contextlib
 import importlib
 import io
 import json
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
-import threading
 import zlib
 
 import numpy as np
@@ -568,28 +569,90 @@ def test_verify_deterministic(capsys, tmp_path):
     assert out1 == out2
 
 
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the kernel-trial pool forks its workers")
+
+
+@needs_fork
 def test_verify_stdout_independent_of_worker_count(capsys, tmp_path, monkeypatch):
     _, default = run_cli(capsys, "--cache-dir", str(tmp_path), *VERIFY_FAST,
                          "--output", "json")
-    threads = set()
+    pid_log = tmp_path / "kernel_mc_pids.txt"
     real = landscape.kernel_mc
 
     def recording_kernel_mc(*args, **kwargs):
-        threads.add(threading.current_thread().name)
+        # forked workers inherit this patch and append their own pid
+        with open(pid_log, "a") as log:
+            log.write(f"{os.getpid()}\n")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(landscape, "kernel_mc", recording_kernel_mc)
     for workers in (1, 3):
-        threads.clear()
+        pid_log.write_text("")
         monkeypatch.setattr(verify, "mc_workers", lambda: workers)
         _, out = run_cli(capsys, "--cache-dir", str(tmp_path), *VERIFY_FAST,
                          "--output", "json")
         assert out == default, workers
-        # serial in the calling thread; pooled on worker threads only
+        pids = {int(pid) for pid in pid_log.read_text().split()}
+        # serial in the calling process; pooled on worker processes only
         if workers == 1:
-            assert threads == {threading.current_thread().name}
+            assert pids == {os.getpid()}
         else:
-            assert threads and threading.current_thread().name not in threads
+            assert pids and os.getpid() not in pids
+
+
+@needs_fork
+def test_verify_worker_failure_exits4_and_joins_workers(capsys, tmp_path, monkeypatch):
+    parent = os.getpid()
+    real = landscape.kernel_mc
+
+    def kernel_mc_failing_in_workers(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("kernel worker fault")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(landscape, "kernel_mc", kernel_mc_failing_in_workers)
+    monkeypatch.setattr(verify, "mc_workers", lambda: 2)
+    assert main(["--cache-dir", str(tmp_path), *VERIFY_FAST, "--output", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: kernel worker fault\n"
+    assert multiprocessing.active_children() == []
+
+
+def _hit_none_or_multiple_of_3(trial) -> bool:
+    return trial is None or trial % 3 == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_count_hits_exact_at_chunk_edges(workers):
+    chunk = verify.MC_TRIAL_CHUNK
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * workers * chunk + 3):
+        # passing None trials on both edges of every chunk
+        trials = [None if i % chunk in (0, chunk - 1) else i for i in range(n)]
+        want = sum(map(_hit_none_or_multiple_of_3, trials))
+        assert verify._count_hits(_hit_none_or_multiple_of_3, iter(trials), workers) == want, n
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_count_hits_starts_no_more_workers_than_chunks(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    chunk = verify.MC_TRIAL_CHUNK
+    for n, pool_size in ((1, None), (chunk, None), (chunk + 1, 2), (10 * chunk, 3)):
+        sizes.clear()
+        assert verify._count_hits(_hit_none_or_multiple_of_3, iter(range(n)), 3) \
+            == sum(map(_hit_none_or_multiple_of_3, range(n)))
+        assert sizes == ([] if pool_size is None else [pool_size]), n
 
 
 def test_run_verify_matches_serial_trial_loop(lattice4, lattice5):
