@@ -43,7 +43,9 @@ if TYPE_CHECKING:
 
 TWO_PI = 2.0 * math.pi
 
-# the dense oracle stops here: its memory grows as k^4, the Hessian blocks
+# the dense oracle stops here.  Its memory grows as k^3, since it builds
+# the Hessian one block row at a time; the cap stays until wider widths
+# are timed and measured
 MAX_DENSE_K = 64
 
 FORMULA_IDS = ("wedge", "sym0", "W_bminus_c", "W_plus", "W_minus",

@@ -23,6 +23,13 @@ a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi; closed_forms holds the one
 source of these coefficients, abc_terms(alpha), and TWO_PI.  vec
 convention (vec lives in the tests): a matrix maps to the concatenation of
 its columns, so assemble_dense(...) @ vec(U) equals vec(block_operator_apply(U)).
+
+minimum_blocks is the one closed form of the blocks at the minimum, indexed
+by block positions, so the dense oracle builds one block row and one block
+column at a time (k^3 entries each) and never the k^4 block array;
+hessian_at_minimum is minimum_blocks on the full grid.  check_block_pair is
+the asymmetry guard on one block row against its block column, and
+check_symmetry runs it on every row of a full block array.
 """
 
 from __future__ import annotations
@@ -112,20 +119,30 @@ def hessian_published(student, teacher, alpha: float) -> HessianBlocks:
     return HessianBlocks(k=k, blocks=blocks)
 
 
-def hessian_at_minimum(k: int, alpha: float) -> HessianBlocks:
-    """Blocks at the global minimum: A_ii = I/2, and for i != j
-    A_ij = (1/2 - a/4) I + (a/2pi)(E_ij + E_ji)."""
+def minimum_blocks(k: int, alpha: float, rows, cols) -> np.ndarray:
+    """Blocks B[rows, cols] at the global minimum, the index arrays
+    broadcast: shape broadcast(rows, cols).shape + (k, k).  A_ii = I/2, and
+    for i != j A_ij = a I + c (E_ij + E_ji) with a, c of abc_terms: entry
+    (p, q) is a * I[p, q], plus c where (p, q) is (i, j) or (j, i), so the
+    off-diagonal blocks' zeros are a * 0.0, signed like a.  Block row t is
+    minimum_blocks(k, alpha, t, range(k)) and block column t
+    minimum_blocks(k, alpha, range(k), t), each k^3 entries."""
     if k < 2:
         raise DomainError("k >= 2 required")
     a, _, c = abc_terms(alpha)
-    blocks = np.empty((k, k, k, k))
-    blocks[...] = a * np.eye(k)
-    diag = np.arange(k)
-    blocks[diag, diag] = 0.5 * np.eye(k)
-    i, j = np.nonzero(~np.eye(k, dtype=bool))
-    blocks[i, j, i, j] += c
-    blocks[i, j, j, i] += c
-    return HessianBlocks(k=k, blocks=blocks)
+    i, j = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
+    eye = np.eye(k)
+    blocks = np.where((i == j)[..., None, None], 0.5 * eye, a * eye)
+    off = i != j
+    blocks[off, i[off], j[off]] += c
+    blocks[off, j[off], i[off]] += c
+    return blocks
+
+
+def hessian_at_minimum(k: int, alpha: float) -> HessianBlocks:
+    """minimum_blocks on the full k x k grid of block positions."""
+    steps = np.arange(k)
+    return HessianBlocks(k=k, blocks=minimum_blocks(k, alpha, steps[:, None], steps))
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +162,25 @@ def block_operator_apply(U, alpha: float) -> np.ndarray:
     )
 
 
-def check_symmetry(blocks: HessianBlocks) -> None:
-    """The assembly guard: raw asymmetry max |B[i, j][a, b] - B[j, i][b, a]|
-    beyond 1e-9, or a NaN or infinite entry, is an internal-consistency
-    error (well-formed blocks stay under 1e-12).  Block row i is compared
-    with block column i, one row at a time, so the temporaries are k^3."""
-    k = blocks.k
-    raw = blocks.blocks
-    work = np.empty((k, k, k))
-    peaks = np.empty(k)    # max |x - y| per block row; np.max, unlike max(), keeps a NaN
-    for i in range(k):
-        x = raw[i, i:]                           # [j, a, b]: block (i, j) at (a, b)
-        y = raw[i:, i].transpose(0, 2, 1)        # [j, a, b]: block (j, i) at (b, a)
-        pair = work[:k - i]
-        with np.errstate(invalid="ignore"):      # inf - inf is a NaN the guard refuses
-            np.subtract(x, y, out=pair)
-            peaks[i] = np.abs(pair, out=pair).max()
-    asym = float(peaks.max())
+def check_block_pair(row, col) -> None:
+    """The assembly guard on block row i against block column i, both read
+    as [j, a, b] (block (i, j) and block (j, i) at (a, b)): raw asymmetry
+    max |row[j][a, b] - col[j][b, a]| beyond 1e-9, or a NaN or infinite
+    entry, is an internal-consistency error (well-formed blocks stay under
+    1e-12).  The temporaries are the size of the pair."""
+    with np.errstate(invalid="ignore"):          # inf - inf is a NaN the guard refuses
+        pair = np.subtract(row, np.swapaxes(col, 1, 2))
+        asym = float(np.max(np.abs(pair, out=pair)))   # np.max, unlike max(), keeps a NaN
     if not asym <= ASSEMBLY_SYMMETRY_TOL:       # a NaN fails this test too
         raise ConsistencyError(f"assembled Hessian asymmetry {asym:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL}")
+
+
+def check_symmetry(blocks: HessianBlocks) -> None:
+    """check_block_pair on every block row i, from the diagonal block on,
+    so every pair (i, j) is compared once and the temporaries are k^3."""
+    raw = blocks.blocks
+    for i in range(blocks.k):
+        check_block_pair(raw[i, i:], raw[i:, i])
 
 
 def assemble_dense(blocks: HessianBlocks) -> np.ndarray:

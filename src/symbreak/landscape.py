@@ -114,8 +114,11 @@ def _mc_mean_se(draw, k: int, n_samples: int, seed: int) -> tuple[float, float]:
     consecutive blocks hold exactly the rows of one (chunk, k) draw; each
     value depends on its own row only; and each chunk's sum and dot product
     see the same contiguous array of values as a per-chunk allocation would.
-    The result therefore does not depend on the block size or on available
-    parallelism."""
+    The result therefore does not depend on the block size, nor on verify's
+    worker count, which only decides where each trial runs.  It does depend
+    on the BLAS thread count: np.dot gives different last bits on one and
+    on two OpenBLAS threads, so CI and the benchmark pin
+    OPENBLAS_NUM_THREADS=1."""
     if n_samples < 2:
         raise DomainError("n_samples >= 2 required for a standard error")
     rng = np.random.default_rng(seed)

@@ -27,9 +27,11 @@ Hessian and labels each eigenvalue cluster by closed-form isotypic
 projections, with no basis.  The cyclic neuron shift g(i, a) = (i+1, a+1)
 mod k commutes with the Hessian, so the eigensolve is one eigh call on k
 Hermitian k x k blocks, built from slabs read straight from the Hessian
-blocks after the dense assembly's asymmetry guard; no k^2 x k^2 matrix is
-formed.  The coupling, added to the deviation, bounds by Weyl's inequality
-what the split leaves out (numerical_spectrum_match gives the argument).
+blocks, one block row at a time, after the dense assembly's asymmetry guard
+on that row and its block column; neither the k^2 x k^2 matrix nor the k^4
+block array is formed, so the oracle's memory is O(k^3).  The coupling,
+added to the deviation, bounds by Weyl's inequality what the split leaves
+out (numerical_spectrum_match gives the argument).
 The split uses no analytic basis, so the oracle stays a dense eigensolve of
 the Hessian's own entries.
 
@@ -78,7 +80,7 @@ import numpy as np
 from .closed_forms import FORMULA_IDS, MAX_DENSE_K, abc_terms, family_values_at
 from .closed_forms import root_scan  # noqa: F401  perfbench/tracer.py finds the span here
 from .errors import CapacityError, ConsistencyError, DomainError
-from .hessian import check_symmetry, hessian_at_minimum
+from .hessian import check_block_pair, minimum_blocks
 
 if TYPE_CHECKING:
     from .symrep import Partition
@@ -239,29 +241,33 @@ def _frequency_scores(vecs: np.ndarray) -> np.ndarray:
     components, shape (4, k*m), rows hook, two-row, standard, trivial:
     column j of block w is vecs[w, :, j] (vecs has shape (k, k, m)), at
     flat index w*m + j.  The per-frequency forms of the module docstring,
-    O(k) per column.
+    O(k) per column, scored one frequency w at a time on the (k, m) slice
+    vecs[w], so the temporaries are O(k m).
     """
-    k = vecs.shape[0]
+    k, _, m = vecs.shape
     steps = np.arange(k)
-    e = np.exp(2j * math.pi * (np.outer(steps, steps) % k) / k)   # e[w, d] = e^(2 pi i w d/k)
-    shifted = vecs * e[:, :, None]                                 # e_d y[d]
-    y0 = vecs[:, 0]
-    rows, cols = vecs.sum(axis=1), shifted.sum(axis=1)
-    total = np.einsum("wdj,wdj->wj", vecs.conj(), vecs).real          # |y|^2
-    cross = np.einsum("wdj,wdj->wj", shifted.conj(), vecs[:, -steps % k]).real   # X
-    diag_sq = np.abs(y0) ** 2
-    sigma_sq = np.abs(0.5 * (rows + cols) - y0) ** 2
-    std_anti = np.abs(rows - cols) ** 2 / (2 * k)
-    mean = steps[:, None] == 0                   # w = 0: d and sigma are constant
-    triv_off = np.where(mean, sigma_sq / (k - 1), 0.0)
-    std_off = np.where(mean, 0.0, 2.0 * sigma_sq / (k - 2))
-    std_diag = np.where(mean, 0.0, diag_sq)
-    return np.stack([
-        0.5 * (total - cross) - std_anti,
-        0.5 * (total + cross) - diag_sq - triv_off - std_off,
-        std_diag + std_anti + std_off,
-        diag_sq - std_diag + triv_off,
-    ]).reshape(4, -1)
+    scores = np.empty((4, k, m))
+    for w, y in enumerate(vecs):
+        e = np.exp(2j * math.pi * (steps * w % k) / k)             # e[d] = e^(2 pi i w d/k)
+        shifted = y * e[:, None]                                   # e_d y[d]
+        y0 = y[0]
+        rows, cols = y.sum(axis=0), shifted.sum(axis=0)
+        total = np.einsum("dj,dj->j", y.conj(), y).real                   # |y|^2
+        cross = np.einsum("dj,dj->j", shifted.conj(), y[-steps % k]).real   # X
+        diag_sq = np.abs(y0) ** 2
+        sigma_sq = np.abs(0.5 * (rows + cols) - y0) ** 2
+        std_anti = np.abs(rows - cols) ** 2 / (2 * k)
+        mean = w == 0                                # d and sigma are constant
+        triv_off = np.where(mean, sigma_sq / (k - 1), 0.0)
+        std_off = np.where(mean, 0.0, 2.0 * sigma_sq / (k - 2))
+        std_diag = np.where(mean, 0.0, diag_sq)
+        scores[:, w] = (
+            0.5 * (total - cross) - std_anti,
+            0.5 * (total + cross) - diag_sq - triv_off - std_off,
+            std_diag + std_anti + std_off,
+            diag_sq - std_diag + triv_off,
+        )
+    return scores.reshape(4, -1)
 
 
 def numerical_spectrum_match(
@@ -284,8 +290,15 @@ def numerical_spectrum_match(
 
         x_{t,s}[d, d'] = B[t, t+s][t+d, t+s+d'],
 
-    gathered straight from the blocks B of hessian_at_minimum after the
-    asymmetry guard (hessian.check_symmetry), so B is the only k^4 array.
+    gathered straight from block row t of the blocks B at the minimum.
+    Each position t builds block row t and block column t with
+    hessian.minimum_blocks, the closed form hessian_at_minimum reads, runs
+    the asymmetry guard on that pair (hessian.check_block_pair, the core
+    of hessian.check_symmetry, from the diagonal block on, so every pair
+    of blocks is compared once and a bad entry raises ConsistencyError
+    before the eigensolve), gathers slab t, adds its part of the coupling
+    and drops both.  No k^4 array is allocated: the temporaries are a few
+    k^3 arrays, and the eigensolve's complex (k, k, k) stack is the peak.
     H is block-circulant in t: x_{t,s} = x_{0,s}.  The representative slabs
     h_s = x_{0,s}, symmetrized once as h_s <- (h_s + h_{-s}^T)/2 and
     transformed over s, B_w = sum_s h_s e^(-2 pi i w s/k), are k Hermitian
@@ -326,8 +339,9 @@ def numerical_spectrum_match(
     docstring.  The projectors P are real, so a complex column scores as
     the Hermitian form x^H P x, its real part's score plus its imaginary
     part's.  They commute with the shift, so x is never formed.  The
-    scores of all k^2 block eigenvectors are one (4, k^2) array, O(k^3),
-    and a cluster's scores are the sums over its columns.
+    scores of all k^2 block eigenvectors are one (4, k^2) array, computed
+    one frequency at a time in O(k^3), and a cluster's scores are the sums
+    over its columns.
     The dominant label is the top score.  Labels within 1e-9 * multiplicity
     of the top score count as tied, and a tie goes to the first in
     FORMULA_IDS order: hook, two-row, standard, trivial.  So the k = 4
@@ -343,26 +357,24 @@ def numerical_spectrum_match(
     if perturbation is not None and not math.isfinite(2.0 * perturbation * perturbation * (k - 1)):
         raise DomainError(f"perturbation must keep 2(k - 1) p^2 finite at k={k}, "
                           f"got {perturbation!r}")
-    blocks = hessian_at_minimum(k, alpha)
-    check_symmetry(blocks)
     steps = np.arange(k)
     sd = (steps[:, None] + steps) % k                           # sd[s, d'] = s + d'
-
-    def slab(t: int) -> np.ndarray:                 # [s, d, d']: x_{t,s}[d, d']
-        r = (steps + t) % k
-        return blocks.blocks[t].take((r[:, None, None] * k + r[:, None]) * k + r[sd][:, None, :])
-
-    h = slab(0)
-    if perturbation is not None:                    # H[0, 1] and H[1, 0]
-        h[0, 0, 1] += perturbation
-        h[0, 1, 0] += perturbation
     coupling_sq = 0.0
-    for t in range(1, k):
-        diff = slab(t)
-        diff -= h
-        coupling_sq += float(np.vdot(diff, diff))
+    for t in range(k):                              # block row t and block column t, then dropped
+        row = minimum_blocks(k, alpha, t, steps)    # [j, a, b]: B[t, j][a, b]
+        check_block_pair(row[t:], minimum_blocks(k, alpha, steps[t:], t))
+        r = (steps + t) % k                         # [s, d, d']: x_{t,s}[d, d']
+        slab = row.take((r[:, None, None] * k + r[:, None]) * k + r[sd][:, None, :])
+        del row
+        if t == 0:
+            h = slab
+            if perturbation is not None:            # H[0, 1] and H[1, 0]
+                h[0, 0, 1] += perturbation
+                h[0, 1, 0] += perturbation
+        else:
+            slab -= h
+            coupling_sq += float(np.vdot(slab, slab))
     coupling = math.sqrt(coupling_sq)
-    del blocks                                      # the k^4 array: the rest is O(k^3)
     h = 0.5 * (h + h[-steps % k].transpose(0, 2, 1))
     roots = np.exp(-2j * math.pi * (np.outer(steps, steps) % k) / k)   # e^(-2 pi i w s/k)
     block_vals, block_vecs = np.linalg.eigh(np.tensordot(roots, h, axes=1))

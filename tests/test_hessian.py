@@ -15,6 +15,7 @@ from symbreak.hessian import (
     h2,
     hessian_at_minimum,
     hessian_published,
+    minimum_blocks,
 )
 from symbreak.landscape import identity_teacher
 from symbreak.closed_forms import abc_terms
@@ -290,6 +291,35 @@ def _loop_minimum_blocks(k, alpha):
                 block[j, i] += c
                 blocks[i, j] = block
     return blocks
+
+
+def _full_array_minimum_blocks(k, alpha):
+    # the whole-array construction the indexed closed form replaced, kept
+    # as its bit-for-bit reference
+    a, _, c = abc_terms(alpha)
+    blocks = np.empty((k, k, k, k))
+    blocks[...] = a * np.eye(k)
+    diag = np.arange(k)
+    blocks[diag, diag] = 0.5 * np.eye(k)
+    i, j = np.nonzero(~np.eye(k, dtype=bool))
+    blocks[i, j, i, j] += c
+    blocks[i, j, j, i] += c
+    return blocks
+
+
+@pytest.mark.parametrize("k", [4, 5, 8, 17, 48])
+def test_minimum_blocks_equal_full_array_reference(k):
+    # a * 0.0 is -0.0 for a < 0 (alpha > 2), so comparing the bits also
+    # compares the signs of the zeros
+    steps = np.arange(k)
+    for alpha in (-3.5, -0.7, 0.0, 1.0, 1.3, 3.5):
+        want = _bits(_full_array_minimum_blocks(k, alpha))
+        assert np.array_equal(_bits(hessian_at_minimum(k, alpha).blocks), want)
+        for t in range(k):
+            assert np.array_equal(_bits(minimum_blocks(k, alpha, t, steps)), want[t])
+            assert np.array_equal(_bits(minimum_blocks(k, alpha, steps, t)), want[:, t])
+            assert np.array_equal(_bits(minimum_blocks(k, alpha, steps[t:], t)), want[t:, t])
+        assert np.array_equal(_bits(minimum_blocks(k, alpha, 1, 0)), want[1, 0])
 
 
 def _loop_assemble(blocks):

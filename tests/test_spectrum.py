@@ -581,6 +581,46 @@ def test_frequency_scores_match_unfolded_reference(k, rng, monkeypatch):
                 assert np.abs(got[:, w * m + j] - want).max() <= 1e-13, (w, j)
 
 
+def _vectorized_frequency_scores(vecs):
+    """_frequency_scores on all k frequencies at once, with (k, k, m)
+    temporaries: the form the per-frequency loop replaced, kept as its
+    bit-for-bit reference."""
+    k = vecs.shape[0]
+    steps = np.arange(k)
+    e = np.exp(2j * math.pi * (np.outer(steps, steps) % k) / k)
+    shifted = vecs * e[:, :, None]
+    y0 = vecs[:, 0]
+    rows, cols = vecs.sum(axis=1), shifted.sum(axis=1)
+    total = np.einsum("wdj,wdj->wj", vecs.conj(), vecs).real
+    cross = np.einsum("wdj,wdj->wj", shifted.conj(), vecs[:, -steps % k]).real
+    diag_sq = np.abs(y0) ** 2
+    sigma_sq = np.abs(0.5 * (rows + cols) - y0) ** 2
+    std_anti = np.abs(rows - cols) ** 2 / (2 * k)
+    mean = steps[:, None] == 0
+    triv_off = np.where(mean, sigma_sq / (k - 1), 0.0)
+    std_off = np.where(mean, 0.0, 2.0 * sigma_sq / (k - 2))
+    std_diag = np.where(mean, 0.0, diag_sq)
+    return np.stack([
+        0.5 * (total - cross) - std_anti,
+        0.5 * (total + cross) - diag_sq - triv_off - std_off,
+        std_diag + std_anti + std_off,
+        diag_sq - std_diag + triv_off,
+    ]).reshape(4, -1)
+
+
+def test_frequency_scores_equal_vectorized_reference(rng):
+    # random complex blocks, square as eigh returns them and with 3 columns,
+    # and unitary blocks from eigh
+    for k in range(4, 65):
+        stacks = [rng.standard_normal((k, k, m)) + 1j * rng.standard_normal((k, k, m))
+                  for m in (k, 3)]
+        stacks.append(np.linalg.eigh(stacks[0] + stacks[0].conj().transpose(0, 2, 1))[1])
+        for vecs in stacks:
+            got = _frequency_scores(vecs)
+            assert np.array_equal(got.view(np.int64),
+                                  _vectorized_frequency_scores(vecs).view(np.int64)), k
+
+
 def test_dominant_label_ties_are_deterministic():
     # the k = 4 b - c cluster holds 3 hook + 3 standard dimensions, and the
     # k = 6, alpha = 0 zero cluster 10 hook + 10 standard: ties go to the hook
@@ -615,7 +655,7 @@ def _refuse_assembly(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("refused inputs must not reach the assembly")
 
-    monkeypatch.setattr(spectrum, "hessian_at_minimum", refuse)
+    monkeypatch.setattr(spectrum, "minimum_blocks", refuse)
 
 
 # 1e200 and -1e160 are finite, but 2(k - 1) p^2, the coupling's square, is not
@@ -689,20 +729,32 @@ def _shift(k):
     return lambda m: (m // k + 1) % k * k + (m % k + 1) % k
 
 
-def _defective_assembly(monkeypatch, changes):
-    """hessian_at_minimum plus a symmetric change delta at each dense
-    (p, q, delta): block entry (p // k, q // k, p % k, q % k) and its
-    mirror."""
-    build = spectrum.hessian_at_minimum
+def _patch_blocks(monkeypatch, changes):
+    """The block builder the matcher reads, plus delta at each block entry
+    (i, j, a, b) of changes, in every block row or column that holds block
+    (i, j): the same dense entries as a change to the whole block array."""
+    build = spectrum.minimum_blocks
 
-    def defective(k, alpha):
-        blocks = build(k, alpha)
-        for p, q, delta in changes:
-            blocks.blocks[p // k, q // k, p % k, q % k] += delta
-            blocks.blocks[q // k, p // k, q % k, p % k] += delta
+    def patched(k, alpha, rows, cols):
+        blocks = build(k, alpha, rows, cols)
+        rows, cols = np.broadcast_arrays(rows, cols)
+        for (i, j, a, b), delta in changes:
+            blocks[(rows == i) & (cols == j), a, b] += delta
         return blocks
 
-    monkeypatch.setattr(spectrum, "hessian_at_minimum", defective)
+    monkeypatch.setattr(spectrum, "minimum_blocks", patched)
+
+
+def _defective_assembly(monkeypatch, k, changes):
+    """The minimum blocks plus a symmetric change delta at each dense
+    (p, q, delta): block entry (p // k, q // k, p % k, q % k) and its
+    mirror."""
+    _patch_blocks(monkeypatch, [
+        change
+        for p, q, delta in changes
+        for change in (((p // k, q // k, p % k, q % k), delta),
+                       ((q // k, p // k, q % k, p % k), delta))
+    ])
 
 
 def test_symmetry_breaking_change_fails_on_the_coupling(monkeypatch):
@@ -710,7 +762,7 @@ def test_symmetry_breaking_change_fails_on_the_coupling(monkeypatch):
     g = _shift(k)
     p, q = 1 * k + 2, 3 * k            # (1, 2) and (3, 0)
     assert {g(p), g(q)} != {p, q}
-    _defective_assembly(monkeypatch, [(p, q, 1e-6)])
+    _defective_assembly(monkeypatch, k, [(p, q, 1e-6)])
     rep = numerical_spectrum_match(k, 1.0)
     assert not rep.ok
     assert rep.coupling > 0.0
@@ -726,7 +778,7 @@ def test_change_the_split_cannot_see_fails_on_the_coupling(monkeypatch):
     g = _shift(k)
     p, q = 1 * k + 3, 3 * k            # (1, 3) and (3, 0)
     assert all(m // k != 0 for m in (p, q, g(p), g(q)))
-    _defective_assembly(monkeypatch, [(p, q, 1e-6), (g(p), g(q), -1e-6)])
+    _defective_assembly(monkeypatch, k, [(p, q, 1e-6), (g(p), g(q), -1e-6)])
     rep = numerical_spectrum_match(k, 1.0)
     assert rep.max_deviation <= 1e-12
     assert rep.coupling == pytest.approx(2e-6, rel=1e-6)
@@ -744,7 +796,7 @@ def test_symmetric_change_fails_on_the_deviation(monkeypatch):
     for _ in range(k):
         orbit.append((p, q, 1e-6))
         p, q = g(p), g(q)
-    _defective_assembly(monkeypatch, orbit)
+    _defective_assembly(monkeypatch, k, orbit)
     rep = numerical_spectrum_match(k, 1.0)
     assert rep.coupling == 0.0
     assert not rep.ok
@@ -753,31 +805,42 @@ def test_symmetric_change_fails_on_the_deviation(monkeypatch):
 @pytest.mark.parametrize("bad", [1e-6, math.nan])
 def test_match_refuses_asymmetric_blocks(bad, monkeypatch):
     # the matcher reads the raw blocks, so it runs the assembly guard itself
-    build = spectrum.hessian_at_minimum
-
-    def asymmetric(k, alpha):
-        blocks = build(k, alpha)
-        blocks.blocks[1, 3, 2, 0] += bad
-        return blocks
-
-    monkeypatch.setattr(spectrum, "hessian_at_minimum", asymmetric)
+    _patch_blocks(monkeypatch, [((1, 3, 2, 0), bad)])
     with pytest.raises(ConsistencyError, match="asymmetry"):
         numerical_spectrum_match(6, 1.0)
 
 
-def test_match_holds_one_k4_array():
-    # the Hessian blocks are the only k^4 array: the slabs, the guard's
-    # work rows and the eigensolve are O(k^3), and no k^2 x k^2 matrix is
-    # assembled beside the blocks
-    k = 24
+def test_match_guard_covers_every_block_pair(monkeypatch):
+    # one asymmetric entry in any block (i, j), diagonal blocks included,
+    # stops the matcher before the eigensolve
+    k = 5
+
+    def refuse(matrix):
+        raise AssertionError("asymmetric blocks must not reach the eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for i, j in itertools.product(range(k), repeat=2):
+        with monkeypatch.context() as patch:
+            _patch_blocks(patch, [((i, j, 1, 0), 1e-6)])
+            with pytest.raises(ConsistencyError, match="asymmetry"):
+                numerical_spectrum_match(k, 1.0)
+
+
+def test_match_peak_is_cubic():
+    # the blocks are built one block row and column at a time, so no
+    # allocation holds k^4 entries: the slabs, the guard's pair and the
+    # eigensolve are O(k^3), about three complex (k, k, k) arrays, and no
+    # k^2 x k^2 matrix is assembled
+    k = 48
     assert not hasattr(spectrum, "assemble_dense")
+    assert not hasattr(spectrum, "hessian_at_minimum")
     tracemalloc.start()
     try:
         assert numerical_spectrum_match(k, 1.0).ok
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * k ** 4
+    assert peak < 4 * 16 * k ** 3
 
 
 @pytest.mark.parametrize("k", [4, 5, 8, 9])
