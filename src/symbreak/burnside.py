@@ -2,16 +2,18 @@
 
 A lattice holds one representative per conjugacy class of subgroups of S_k
 (k <= 6) and the table n(L, H) = |N(L, H)| / |N(H)| counting conjugates of L
-inside H.  It holds what its cache file holds and nothing more: per class the
-index, order, normalizer order, label and generators (the representative is
-their closure), and the nonzero n(L, H).  The rest is derived: the Weyl order
-|N(H)|/|H|, the number of conjugates k!/|N(H)|, the containment order,
-which is the key set of the n table ((L) <= (H) iff n(L, H) > 0), and each
-class's cycle-type counts, which the fixed-space dimensions of every
-irreducible read (counted once per class, in memory).  The labels, which key
-the reported expansions, are a function of those counts, the order and the
-number of moved points (name_classes); the builder and the cache reader
-both run it, and the reader refuses a label that differs.
+inside H.  Its cache file stores each fact once: per class, in class order,
+the normalizer order and the generators, and n(L, H) for every proper
+containment L < H.  The rest is derived: the index from its place in that
+order, the representative as the closure of the generators and the order as
+its size, n(H, H) = 1, the Weyl order |N(H)|/|H|, the number of conjugates
+k!/|N(H)|, the containment order, which is the key set of the n table
+((L) <= (H) iff n(L, H) > 0), and each class's cycle-type counts, which the
+fixed-space dimensions of every irreducible read (counted once per class,
+in memory).
+The labels, which key the reported expansions, are a function of those
+counts, the order and the number of moved points (name_classes); the
+builder and the cache reader both run it.
 
 The mark homomorphism mark_L(H) = n(L,H)|W(H)| (the table of marks) is an
 injective ring map into integer vectors with the pointwise product, so a
@@ -38,7 +40,6 @@ indices in a registry that holds every conjugate of every class found.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 import re
@@ -170,6 +171,9 @@ class SubgroupClass:
     label: str
     generators: tuple[Perm, ...]
     representative: frozenset[Perm] = field(repr=False, compare=False)
+    # number of elements of each cycle type in the representative, counted
+    # once, by build_lattice or load_lattice (no cache bytes)
+    cycle_type_counts: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
     @property
     def weyl_order(self) -> int:
@@ -180,12 +184,6 @@ class SubgroupClass:
         # k comes from the representative: the trivial class has no generators
         k = len(next(iter(self.representative)))
         return math.factorial(k) // self.normalizer_order
-
-    @functools.cached_property
-    def cycle_type_counts(self) -> dict[tuple[int, ...], int]:
-        """Number of elements of each cycle type in the representative,
-        counted on first use and kept in memory (no cache bytes)."""
-        return dict(collections.Counter(map(cycle_type, self.representative)))
 
 
 @dataclass
@@ -522,6 +520,7 @@ def build_lattice(k: int) -> SubgroupLattice:
             label=labels[new_i],
             generators=generators[new_i],
             representative=frozenset(tables.perms[h] for h in reps[old_i]),
+            cycle_type_counts=dict(counts[old_i]),
         )
         for new_i, old_i in enumerate(perm_order_ids)
     ]
@@ -677,21 +676,20 @@ def multiply(x: BurnsideElement, y: BurnsideElement, lattice: SubgroupLattice) -
 # serialization (versioned text cache)
 # ---------------------------------------------------------------------------
 
-_CACHE_HEADER = "burnside-lattice v1"
+_CACHE_HEADER = "burnside-lattice v2"
 
 
 def serialize_lattice(lattice: SubgroupLattice) -> bytes:
-    """Byte-stable text format; trailing line carries a CRC32 checksum."""
+    """Byte-stable text format: per class, in class order, one line
+    `|N(H)||generators`, then `n:` and one `L H n(L,H)` row per proper
+    containment L < H; a trailing line carries a CRC32 checksum."""
     lines = [f"{_CACHE_HEADER} k={lattice.k}"]
     for c in lattice.classes:
-        gens = ",".join(perm_to_cycles(g) for g in c.generators)
-        lines.append(f"{c.index}|{c.order}|{c.normalizer_order}|generators={gens}|{c.label}")
-    lines.append("leq:")
-    for (li, hi) in sorted(lattice.n_table):
-        lines.append(f"{li} {hi}")
+        lines.append(f"{c.normalizer_order}|" + ",".join(perm_to_cycles(g) for g in c.generators))
     lines.append("n:")
-    for (li, hi) in sorted(lattice.n_table):
-        lines.append(f"{li} {hi} {lattice.n_table[(li, hi)]}")
+    for (li, hi), n in sorted(lattice.n_table.items()):
+        if li != hi:
+            lines.append(f"{li} {hi} {n}")
     body = "\n".join(lines) + "\n"
     checksum = zlib.crc32(body.encode("ascii"))
     return (body + f"checksum {checksum}\n").encode("ascii")
@@ -700,8 +698,11 @@ def serialize_lattice(lattice: SubgroupLattice) -> bytes:
 def load_lattice(blob: bytes) -> SubgroupLattice:
     """Rebuild a lattice from serialize_lattice output, verifying the checksum.
 
-    Any file it cannot read back, checksum valid or not, raises
-    ConsistencyError."""
+    Each class's index is the position of its line, its representative the
+    closure of its generators and its order that closure's size; its label
+    is name_classes', from the cycle-type counts the degrees read; and
+    n(H,H) = 1 for every class.  Any file it cannot read back, checksum
+    valid or not, raises ConsistencyError."""
     try:
         text = blob.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -739,39 +740,22 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
     if not 1 <= k <= MAX_LATTICE_K:
         raise ConsistencyError(f"lattice cache width k={k} is out of range")
 
-    classes: list[SubgroupClass] = []
-    mode = "classes"
-    leq: set[tuple[int, int]] = set()
-    n_table: dict[tuple[int, int], int] = {}
-    for line in lines:
-        if line == "leq:":
-            mode = "leq"
-            continue
-        if line == "n:":
-            mode = "n"
-            continue
-        if mode == "classes":
-            idx_s, order_s, nrm_s, gens_s, label = line.split("|")
-            if int(idx_s) != len(classes):
-                raise ConsistencyError("cached class indices are not 0, 1, 2, ... in order")
-            gens_text = gens_s.removeprefix("generators=")
-            gens = tuple(cycles_to_perm(t, k) for t in gens_text.split(",")) if gens_text else ()
-            rep = closure(list(gens), k)
-            order, nrm = int(order_s), int(nrm_s)
-            if len(rep) != order:
-                raise ConsistencyError("cached generators do not regenerate the class order")
-            if nrm <= 0 or nrm % order or math.factorial(k) % nrm:
-                raise ConsistencyError("cached |N(H)| is not a multiple of |H| dividing k!")
-            classes.append(SubgroupClass(index=len(classes), order=order, normalizer_order=nrm,
-                                         label=label, generators=gens, representative=rep))
-        elif mode == "leq":
-            li, hi = map(int, line.split())
-            leq.add((li, hi))
-        else:
-            li, hi, val = map(int, line.split())
-            if val < 1:
-                raise ConsistencyError("cached n(L,H) is not positive")
-            n_table[(li, hi)] = val
+    split = lines.index("n:")
+    parsed = []
+    for line in lines[:split]:
+        nrm_s, gens_text = line.split("|")
+        gens = tuple(cycles_to_perm(t, k) for t in gens_text.split(",")) if gens_text else ()
+        rep = closure(list(gens), k)
+        nrm = int(nrm_s)
+        if nrm <= 0 or nrm % len(rep) or math.factorial(k) % nrm:
+            raise ConsistencyError("cached |N(H)| is not a multiple of |H| dividing k!")
+        parsed.append((nrm, gens, rep, dict(collections.Counter(map(cycle_type, rep)))))
+    # the reports key expansions by label, so the reader names the classes
+    # with the builder's function
+    labels = name_classes((len(rep), counts, gens) for _, gens, rep, counts in parsed)
+    classes = [SubgroupClass(index=i, order=len(rep), normalizer_order=nrm, label=label,
+                             generators=gens, representative=rep, cycle_type_counts=counts)
+               for i, ((nrm, gens, rep, counts), label) in enumerate(zip(parsed, labels))]
     # a class line whose generators close to a conjugate of another class's
     # representative misfiles a class; conjugates share their cycle-type
     # counts, so only classes with equal counts are compared
@@ -785,24 +769,20 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
     # the ring's unit is the full class, and its free orbit the trivial one
     if not classes or classes[0].order != 1 or classes[-1].order != math.factorial(k):
         raise ConsistencyError("cached classes do not run from the trivial group to S_k")
-    # the reports key expansions by label, so each must be the builder's
-    labels = name_classes((c.order, c.cycle_type_counts, c.generators) for c in classes)
-    for c, label in zip(classes, labels):
-        if c.label != label:
-            raise ConsistencyError(f"cached class {c.index} is labelled {c.label!r}, not {label!r}")
-    if leq != n_table.keys():
-        raise ConsistencyError("cached leq rows differ from the n(L,H) pairs")
-    # serialize_lattice writes n(H,H) = 1 for every class, and a pair L != H
-    # only where L is a proper subgroup, so |L| properly divides |H|
+    # serialize_lattice writes a pair only where L is a proper subgroup of H,
+    # so |L| properly divides |H|; that refuses a diagonal row as well
     n = len(classes)
-    if any(n_table.get((i, i)) != 1 for i in range(n)):
-        raise ConsistencyError("a cached class lacks n(H,H) = 1")
-    for li, hi in n_table:
+    n_table = {(i, i): 1 for i in range(n)}
+    for line in lines[split + 1:]:
+        li, hi, val = map(int, line.split())
+        if val < 1:
+            raise ConsistencyError("cached n(L,H) is not positive")
         if not (0 <= li < n and 0 <= hi < n):
             raise ConsistencyError(f"cached pair ({li}, {hi}) names a class outside 0..{n - 1}")
         lo, ho = classes[li].order, classes[hi].order
-        if li != hi and (ho % lo or lo == ho):
+        if ho % lo or lo == ho:
             raise ConsistencyError(f"cached pair ({li}, {hi}): |L| does not properly divide |H|")
+        n_table[(li, hi)] = val
     return SubgroupLattice(k=k, classes=classes, n_table=n_table)
 
 

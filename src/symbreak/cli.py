@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .closed_forms import MAX_DENSE_K, critical_set, root_scan
+from .closed_forms import MAX_DENSE_K, SCAN_MAX_K, critical_set, root_scan
 from .errors import CapacityError, ConsistencyError, DomainError
 from .report import dumps, format_float, resolve_tolerances, validate_report
 
@@ -251,7 +251,7 @@ def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
         "asymptote_distance": [abs(v - 2.0) for v in crit.values[1:]],
         "subcritical_regime": crit.subcritical_regime,
     }
-    if args.k <= 64:
+    if args.k <= SCAN_MAX_K:
         scan = root_scan(args.k)
         results["root_scan"] = {fam: roots for fam, roots in scan.items()}
     report = {

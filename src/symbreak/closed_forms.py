@@ -172,6 +172,10 @@ def critical_set(k: int) -> CriticalSet:
 # ---------------------------------------------------------------------------
 
 SCAN_LO, SCAN_HI, SCAN_GRID, SCAN_TOL = -10.0, 10.0, 4000, 1e-12
+# the widest k whose `critical` report carries a root_scan; it equals
+# MAX_DENSE_K but is not tied to it, so raising the dense cap leaves what
+# `critical` prints unchanged
+SCAN_MAX_K = 64
 
 
 def _grid(lo: float, hi: float, grid: int):

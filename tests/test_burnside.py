@@ -255,20 +255,50 @@ def test_serialize_round_trip(k, request):
     assert [c.representative for c in again.classes] == [
         c.representative for c in lattice.classes
     ]
+    assert [c.cycle_type_counts for c in again.classes] == [
+        c.cycle_type_counts for c in lattice.classes
+    ]
     assert again.n_table == lattice.n_table
     assert serialize_lattice(again) == blob
+    # the file holds each fact once: per class |N(H)| and generators, then
+    # the proper containments; the index, order, label and n(H,H) = 1 are
+    # derived on reading
+    header, *body, checksum = blob.decode().splitlines()
+    assert header == f"burnside-lattice v2 k={k}"
+    assert checksum.startswith("checksum ")
+    split = body.index("n:")
+    assert split == len(lattice.classes)
+    for c, line in zip(lattice.classes, body[:split]):
+        assert line == f"{c.normalizer_order}|" + ",".join(map(perm_to_cycles, c.generators))
+    rows = [tuple(map(int, line.split())) for line in body[split + 1:]]
+    assert all(li != hi for li, hi, _ in rows)
+    assert len(rows) == len(lattice.n_table) - len(lattice.classes)
 
 
 # SHA-256 of serialize_lattice(build_lattice(k)): the class order, the
-# generators, the labels and their primes are the cache format and the
-# report keys, so no rewrite of build_lattice may move them
+# generators, the normalizer orders and the n(L,H) table are the cache
+# format, so no rewrite of build_lattice may move them
 PINNED_LATTICE_SHA256 = {
-    2: "bf54d840f1c130a9e23dd7326ead2be6382c622764172b3a3b2aafc951423aa8",
-    3: "4848cdf5167a56bf4a6313c44b8f4892edaa7a515991052fe712b4edaddf24f0",
-    4: "e70202459551ae7095727ed09c09485304bd00c808b44893b767cf2a107596a3",
-    5: "2c8b53510af41b6e0bb78e57608e82b226dae9e23443c586d5b33cccd3cfba6e",
-    6: "5c5e5f901ece79a98d7eccfce8916b9861a3fb62295ea57467ca5c54867c5186",
+    2: "06972d059cbe8ecb7446c605c3d8aea4a4260d1d477f25ff141259d812ed0f81",
+    3: "410e4a12341d2e93abfe9dc59666c9bbeb486026134240f56ec79b62daa75c69",
+    4: "5f4ee4197bdc80c85a21327fefecbed01c2ea641e3fe2a60330eb3768586925d",
+    5: "90652d88bdbc3db437f68470f6e03face31ef3684107d8909ad0951ef19d0e01",
+    6: "6faf613fc76a372515e04991a5ca299dc4bd26fa54c65398746a2dda03a86695",
 }
+
+# SHA-256 of the class labels joined by single spaces: the labels and their
+# primes are the report keys, and the cache file no longer holds them
+PINNED_LABELS_SHA256 = {
+    2: "ae212ae8cb3488c768bd2addd87d58ea99ed0eee8fa4fae76cd9fff0f3bfac0d",
+    3: "40d6e62108945c45ebe0af6b23ab521d2d681e060da0091ad8dace39b5aee6b8",
+    4: "765b79bdfbea86a23a363d460c106c8d6db747ac74e74aeefddb40361a2d8e75",
+    5: "c329c0ebe1291fa74a9007b75163f8a569d65d35a396c7cfdfab5e1a65c81783",
+    6: "a322159e6c84a8e350f5463b7f8a8a5664bd9bcee2f34ab7e5646d943f9d8bc4",
+}
+
+
+def _labels_digest(lattice) -> str:
+    return hashlib.sha256(" ".join(c.label for c in lattice.classes).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("k", sorted(PINNED_LATTICE_SHA256))
@@ -276,6 +306,12 @@ def test_serialized_lattice_pinned(k, request):
     lattice = request.getfixturevalue(f"lattice{k}") if k >= 4 else build_lattice(k)
     digest = hashlib.sha256(serialize_lattice(lattice)).hexdigest()
     assert digest == PINNED_LATTICE_SHA256[k]
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_LABELS_SHA256))
+def test_class_labels_pinned(k, request):
+    lattice = request.getfixturevalue(f"lattice{k}") if k >= 4 else build_lattice(k)
+    assert _labels_digest(lattice) == PINNED_LABELS_SHA256[k]
 
 
 def test_load_is_fast(lattice5):
@@ -297,7 +333,7 @@ def test_corrupted_cache_rejected(lattice5):
 
 def test_version_mismatch_rejected(lattice5):
     blob = serialize_lattice(lattice5).decode()
-    body = blob.replace("burnside-lattice v1", "burnside-lattice v2", 1)
+    body = blob.replace("burnside-lattice v2", "burnside-lattice v3", 1)
     import zlib
 
     lines = body.splitlines()
@@ -336,9 +372,11 @@ def test_k7_lattice_published_totals(monkeypatch):
     assert len(lattice.classes) == 96
     assert lattice.total_subgroups() == 11300
     # k = 7 takes naming branches no smaller width reaches (Z7, D7, G21,
-    # G168, F20', G12'), so its bytes are pinned as PINNED_LATTICE_SHA256's are
+    # G168, F20', G12'), so its bytes and labels are pinned as k <= 6's are
     digest = hashlib.sha256(serialize_lattice(lattice)).hexdigest()
-    assert digest == "9ff8f0d46cb42a5d6fc7b8347f7dfadc9ef1e969da6c5a1d6aef895d8570e642"
+    assert digest == "d45a42b03a8446c011a48806a535e293e30a9cf1bfaf2fde19323947f3a842b0"
+    assert _labels_digest(lattice) == (
+        "41e8da444fcacd964bc4acfceca0a7647b58e8e0d7ef8e2d3fd5f1509ce6a2f1")
     # the pin is not self-certifying: each A4 has A4's 8 elements of order 3
     a4 = [c for c in lattice.classes if c.label.rstrip("'") == "A4"]
     assert len(a4) == 3

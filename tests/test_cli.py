@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -18,7 +19,7 @@ from conftest import random_admissible
 import symbreak
 from symbreak import cli, landscape, symrep, verify
 from symbreak.errors import ConsistencyError
-from symbreak.burnside import serialize_lattice
+from symbreak.burnside import load_lattice, perm_to_cycles, serialize_lattice
 from symbreak.closed_forms import critical_set
 from symbreak.cli import main
 from symbreak.landscape import (
@@ -245,6 +246,15 @@ def test_critical_ordering_holds_where_values_round_to_two(exponent, capsys, tmp
     assert max(rep["results"]["scaled_residuals"]) <= 1e-15
 
 
+def test_root_scan_width_does_not_follow_the_dense_cap(capsys, tmp_path, monkeypatch):
+    # critical scans roots up to k = 64 whatever width the dense oracle takes
+    monkeypatch.setattr(cli, "MAX_DENSE_K", 128)
+    for k, scanned in ((64, True), (65, False)):
+        code, rep = run_json(capsys, "--cache-dir", str(tmp_path), "critical", "--k", str(k))
+        assert code == 0
+        assert ("root_scan" in rep["results"]) == scanned
+
+
 def test_critical_radicand_overflow_exit2(capsys, tmp_path):
     assert main(["--cache-dir", str(tmp_path), "critical", "--k", str(10**300)]) == 2
     captured = capsys.readouterr()
@@ -331,64 +341,29 @@ def _header_without_equals(blob: bytes) -> bytes:
 
 
 def _non_numeric_order(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n0|1|", "\n0|x|")
+    return _edit_body(blob, "\n120|\n", "\nx|\n")
 
 
 def _header_names_other_width(blob: bytes) -> bytes:
     return _edit_body(blob, " k=5\n", " k=6\n")
 
 
-def _leq_row_dropped(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n4 13\n", "\n")
-
-
 def _generator_repeats_a_point(blob: bytes) -> bytes:
-    return _edit_body(blob, "generators=(4 5)|D1", "generators=(4 5 4)|D1")
+    return _edit_body(blob, "\n12|(4 5)\n", "\n12|(4 5 4)\n")
 
 
 # the Weyl orders, the conjugate counts and the containment order are derived
 # from these fields, so values that cannot be right are refused on reading
 def _normalizer_order_zero(blob: bytes) -> bytes:
-    return _edit_body(blob, "|2|12|generators=", "|2|0|generators=")
+    return _edit_body(blob, "\n12|(4 5)\n", "\n0|(4 5)\n")
 
 
 def _normalizer_order_not_a_multiple(blob: bytes) -> bytes:
-    return _edit_body(blob, "|2|12|generators=", "|2|7|generators=")
+    return _edit_body(blob, "\n12|(4 5)\n", "\n7|(4 5)\n")
 
 
 def _n_value_zero(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n0 0 1\n", "\n0 0 0\n")
-
-
-def _class_index_out_of_place(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n1|2|12|", "\n7|2|12|")
-
-
-# the reports key expansions by label, so each label must be the one the
-# builder gives its class
-def _label_duplicated(blob: bytes) -> bytes:
-    return _edit_body(blob, "generators=(4 5)|D1\n", "generators=(4 5)|Z2\n")
-
-
-def _label_names_wrong_order(blob: bytes) -> bytes:
-    return _edit_body(blob, "generators=(1 2 3 4 5)|Z5\n", "generators=(1 2 3 4 5)|D5'\n")
-
-
-# labels swapped between two classes of one order: each still names its
-# order, but not its class, so the expansions would print under wrong keys
-def _labels_swapped(blob: bytes, a: str, b: str) -> bytes:
-    swap = {f"|{a}\n": f"|{b}\n", f"|{b}\n": f"|{a}\n"}
-    body, count = re.subn("|".join(map(re.escape, swap)), lambda m: swap[m[0]], _body(blob))
-    assert count == 2
-    return _with_checksum(body)
-
-
-def _order_two_labels_swapped(blob: bytes) -> bytes:
-    return _labels_swapped(blob, "D1", "Z2")
-
-
-def _order_six_labels_swapped(blob: bytes) -> bytes:
-    return _labels_swapped(blob, "S3", "D3")
+    return _edit_body(blob, "\n0 1 10\n", "\n0 1 0\n")
 
 
 # the ring's unit is the full class and the free orbit the trivial one, so
@@ -398,23 +373,21 @@ def _no_class_lines(blob: bytes) -> bytes:
 
 
 def _full_class_dropped(blob: bytes) -> bytes:
-    return _keep_lines(blob, lambda line: not re.fullmatch(r"18\|.*\n|\d+ 18( \d+)?\n", line))
+    return _keep_lines(blob, lambda line: not re.fullmatch(r"120\|\(.*\n|\d+ 18 \d+\n", line))
 
 
 # the generators of one class closing to a conjugate of another's
-# representative: order, label and |N(H)| still agree
+# representative: the order and |N(H)| still agree
 def _class_generates_a_conjugate(blob: bytes) -> bytes:
-    return _edit_body(blob, "generators=(2 3)(4 5)|Z2\n", "generators=(4 5)|Z2\n")
+    return _edit_body(blob, "\n8|(2 3)(4 5)\n", "\n8|(4 5)\n")
 
 
 def _header_names_other_version(blob: bytes) -> bytes:
-    return _edit_body(blob, "burnside-lattice v1 k=5\n", "burnside-lattice v10 k=5\n")
+    return _edit_body(blob, "burnside-lattice v2 k=5\n", "burnside-lattice v20 k=5\n")
 
 
-# containment rows the writer never writes: the leq and n rows are edited
-# together, so that they still name the same pairs
+# containment rows the writer never writes
 def _add_pair(blob: bytes, li: int, hi: int) -> bytes:
-    blob = _edit_body(blob, "\nn:\n", f"\n{li} {hi}\nn:\n")
     return _edit_body(blob, "\nn:\n", f"\nn:\n{li} {hi} 1\n")
 
 
@@ -430,21 +403,41 @@ def _orders_equal(blob: bytes) -> bytes:
     return _add_pair(blob, 1, 2)      # D1 and Z2, both of order 2
 
 
+def _diagonal_row_added(blob: bytes) -> bytes:
+    return _add_pair(blob, 5, 5)      # n(H,H) = 1 is derived, never written
+
+
+def _v1_bytes(lattice) -> bytes:
+    """The burnside-lattice v1 text of a lattice: per class its index, order,
+    |N(H)|, generators and label, then a leq: row and an n: row for every
+    pair of the n table, n(H,H) = 1 included."""
+    lines = [f"burnside-lattice v1 k={lattice.k}"]
+    for c in lattice.classes:
+        gens = ",".join(map(perm_to_cycles, c.generators))
+        lines.append(f"{c.index}|{c.order}|{c.normalizer_order}|generators={gens}|{c.label}")
+    pairs = sorted(lattice.n_table)
+    lines += ["leq:", *(f"{li} {hi}" for li, hi in pairs)]
+    lines += ["n:", *(f"{li} {hi} {lattice.n_table[li, hi]}" for li, hi in pairs)]
+    return _with_checksum("\n".join(lines) + "\n")
+
+
+# a class without its n(H,H) = 1 row: a v2 file holds no such row and the
+# reader supplies every one, and a v1 file that drops one is refused by its
+# version like every v1 file
 def _diagonal_dropped(blob: bytes) -> bytes:
-    return _edit_body(_edit_body(blob, "\n5 5\n", "\n"), "\n5 5 1\n", "\n")
+    v1 = _v1_bytes(load_lattice(blob))
+    return _edit_body(_edit_body(v1, "\n5 5\n", "\n"), "\n5 5 1\n", "\n")
 
 
 @pytest.mark.parametrize("corrupt", [_truncated, _flipped_byte, _non_ascii,
                                      _header_without_equals, _non_numeric_order,
-                                     _header_names_other_width, _leq_row_dropped,
+                                     _header_names_other_width,
                                      _generator_repeats_a_point, _normalizer_order_zero,
                                      _normalizer_order_not_a_multiple, _n_value_zero,
-                                     _class_index_out_of_place, _label_duplicated,
-                                     _label_names_wrong_order, _class_generates_a_conjugate,
+                                     _class_generates_a_conjugate,
                                      _header_names_other_version,
                                      _pair_names_no_class, _order_does_not_divide,
-                                     _orders_equal, _diagonal_dropped,
-                                     _order_two_labels_swapped, _order_six_labels_swapped,
+                                     _orders_equal, _diagonal_dropped, _diagonal_row_added,
                                      _no_class_lines, _full_class_dropped])
 def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
@@ -462,6 +455,27 @@ def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["lattice_k5.txt"]
 
+
+
+def test_v1_cache_is_rebuilt(capsys, tmp_path):
+    cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
+                              "invariants", "--k", "5", "--output", "json")
+    assert cold_code == 0
+    path = tmp_path / "lattice_k5.txt"
+    good = path.read_bytes()
+    v1 = _v1_bytes(load_lattice(good))
+    # the bytes the v1 writer wrote for k = 5
+    assert hashlib.sha256(v1).hexdigest() == (
+        "2c8b53510af41b6e0bb78e57608e82b226dae9e23443c586d5b33cccd3cfba6e")
+    path.write_bytes(v1)
+    assert main(["--cache-dir", str(tmp_path), "invariants", "--k", "5",
+                 "--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "cache: rebuilt lattice_k5.txt (unsupported lattice cache version")
+    assert path.read_bytes() == good
 
 def _lattice_path_is_a_directory(tmp_path, monkeypatch):
     (tmp_path / "lattice_k4.txt").mkdir()
