@@ -750,6 +750,10 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
         if nrm <= 0 or nrm % len(rep) or math.factorial(k) % nrm:
             raise ConsistencyError("cached |N(H)| is not a multiple of |H| dividing k!")
         parsed.append((nrm, gens, rep, dict(collections.Counter(map(cycle_type, rep)))))
+    # the builder's sort key, so a file whose class lines moved is rebuilt
+    keys = [(len(r), sorted(collections.Counter(c).elements()), n) for n, _, r, c in parsed]
+    if any(a > b for a, b in zip(keys, keys[1:])):
+        raise ConsistencyError("cached classes are not in the builder's class order")
     # the reports key expansions by label, so the reader names the classes
     # with the builder's function
     labels = name_classes((len(rep), counts, gens) for _, gens, rep, counts in parsed)

@@ -1,8 +1,8 @@
 """Hessian blocks of the loss, the block operator at the global minimum, the
 asymmetry guard on the blocks, and dense assembly.
 
-Block (i, j) of the Hessian lives on neuron pair (u_i, u_j).  At a general
-admissible point the blocks are built from the two matrix kernels
+Block (i, j) of the Hessian lives on neuron pair (u_i, u_j).  At a weight
+pair (ws, wl), _hessian builds them as (wl/2) I plus ws times the kernels
 
     h1(x, y) = (sin t |y| / 2pi |x|) (I - x x^T/|x|^2 + nyx nyx^T)
     h2(x, y) = (1/2pi) (-t I + nxy y^T/|y| + nyx x^T/|x|)
@@ -12,10 +12,10 @@ of parallel vectors is the zero vector (so h1 vanishes there).  h1 and h2
 take all row pairs of two row stacks at once, with the angles of
 landscape._angles; they are (1/2pi) times the partial derivative maps of
 Phi(x, y) = |y| sin(t) xhat - t y, whose finite-difference Jacobians, with
-an angle of their own, are the tests' oracle for them.  At the
-global minimum the blocks collapse to A_ii = I/2 and
-A_ij = (1/2 - a/4) I + (a/2pi)(E_ij + E_ji), whose action on a k x k matrix
-U is the block operator
+an angle of their own, are the tests' oracle for them.  At the global
+minimum the published blocks (_hessian at landscape.published_weights)
+collapse to A_ii = I/2 and A_ij = (1/2 - a/4) I + (a/2pi)(E_ij + E_ji),
+whose action on a k x k matrix U is the block operator
 
     L(U) = U (aJ + bI) + c (U^T + tr(U) I - 2 Diag(U)),
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .closed_forms import TWO_PI, abc_terms
 from .errors import ConsistencyError, DomainError
-from .landscape import _angles, _check_pair, _check_rows, _losses, loss
+from .landscape import _angles, _check_pair, _check_rows, _losses, exact_weights, published_weights
 
 ASSEMBLY_SYMMETRY_TOL = 1e-9
 
@@ -101,21 +101,24 @@ class HessianBlocks:
 
 
 def hessian_published(student, teacher, alpha: float) -> HessianBlocks:
-    """Published block formulas at a general admissible point:
+    """The published blocks, the defined object of study: _hessian at
+    published_weights.  They equal the exact loss's blocks at alpha = 1;
+    elsewhere verify reports the finite-difference gap to the exact loss."""
+    return _hessian(*_check_pair(student, teacher), published_weights(alpha))
 
-        A_ii = I/2 + sum_j a (h1(u_i, u_j) - h1(u_i, v_j))
-        A_ij = I/2 + a h2(u_i, u_j),   i != j.
 
-    Exact second derivative of the loss at alpha = 1; elsewhere this family
-    is the defined object of study and the finite-difference gap is reported
-    rather than asserted.
+def _hessian(s: np.ndarray, t: np.ndarray, weights) -> HessianBlocks:
+    """Blocks of the second derivative of _losses at weights (ws, wl):
+
+        A_ii = (wl/2) I + ws sum_j (h1(u_i, u_j) - h1(u_i, v_j))
+        A_ij = (wl/2) I + ws h2(u_i, u_j),   i != j.
     """
-    s, t = _check_pair(student, teacher)
+    ws, wl = weights
     k = s.shape[0]
-    half = 0.5 * np.eye(k)
-    blocks = half + alpha * h2(s, s)
+    half = 0.5 * wl * np.eye(k)
+    blocks = half + ws * h2(s, s)
     diag = np.arange(k)
-    blocks[diag, diag] = half + alpha * (h1(s, s) - h1(s, t)).sum(axis=1)
+    blocks[diag, diag] = half + ws * (h1(s, s) - h1(s, t)).sum(axis=1)
     return HessianBlocks(k=k, blocks=blocks)
 
 
@@ -203,22 +206,22 @@ def assemble_dense(blocks: HessianBlocks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def finite_diff_hessian(student, teacher, alpha: float, step: float = 1e-4) -> np.ndarray:
-    """Dense k^2 x k^2 central second differences of loss.
+    """Second differences of loss: _finite_diff_hessian at exact_weights."""
+    return _finite_diff_hessian(*_check_pair(student, teacher), exact_weights(alpha), step)
 
-    Entry order follows the vec convention of assemble_dense: coordinate
-    m = i*k + a is entry (i, a) of the student (row i of the weight matrix),
-    which equals column-stacking of the transposed weight array.
-    Independent of every analytic derivative here.
+
+def _finite_diff_hessian(s: np.ndarray, t: np.ndarray, weights, step: float) -> np.ndarray:
+    """Dense k^2 x k^2 central second differences of _losses at weights,
+    independent of every analytic derivative here.  Entry order follows the
+    vec convention of assemble_dense: coordinate m = i*k + a is entry (i, a)
+    of the student, the column-stacking of the transposed weight array.
 
     Row m is evaluated as one stack of perturbed students: +-e_m and the
     four corners +-e_m +- e_mm for every mm > m, at most 4k^2 - 2 points of
-    k^2 entries, so memory stays O(k^4), the size of the dense result.  Each
-    point is a copy of the student with step added to or subtracted from
-    two entries, and every loss and difference quotient takes the same
-    operations in the same order as a point-by-point loop, so the result is
-    bit for bit the same.
+    k^2 entries, so memory stays O(k^4), the size of the dense result.
+    Every loss and quotient takes a point-by-point loop's operations in its
+    order, so the result is bit for bit the same.
     """
-    s, t = _check_pair(student, teacher)
     if step <= 0.0:
         raise DomainError("step must be positive")
     k = s.shape[0]
@@ -226,7 +229,7 @@ def finite_diff_hessian(student, teacher, alpha: float, step: float = 1e-4) -> n
     flat = s.reshape(n)
 
     hess = np.zeros((n, n))
-    f0 = loss(s, t, alpha)
+    f0 = _losses(s[None], t, weights)[0]
     for m in range(n):
         rest = np.arange(m + 1, n)
         r = np.arange(len(rest))
@@ -241,7 +244,7 @@ def finite_diff_hessian(student, teacher, alpha: float, step: float = 1e-4) -> n
         corners[r, 1, rest] -= step
         corners[r, 2, rest] += step
         corners[r, 3, rest] -= step
-        values = _losses(points.reshape(-1, k, k), t, alpha)
+        values = _losses(points.reshape(-1, k, k), t, weights)
         hess[m, m] = (values[0] - 2.0 * f0 + values[1]) / (step * step)
         fpp, fpm, fmp, fmm = values[2:].reshape(len(rest), 4).T
         row = (fpp - fpm - fmp + fmm) / (4.0 * step * step)

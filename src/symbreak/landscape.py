@@ -6,18 +6,18 @@ The activation is sigma_a(t) = max{(1-a)t, t} with leaky parameter a (slope
 
     f_a(w, v) = E[sigma_a(w.x) sigma_a(v.x)],   x ~ N(0, I_k)
 
-has one closed form, _kernel_matrix over all row pairs with the angles of
-_angles (kernel_f is its single entry), and the loss is the quadratic
-combination of kernels over all row pairs of the student and teacher weight
-matrices.
+is one arc-cosine closed form over a weight pair (ws, wl),
 
-Two gradients are exposed on purpose.  gradient_exact differentiates the
-closed-form kernel (coefficients a^2/2pi and 1 - a + a^2/2) and matches
-central finite differences everywhere; gradient_published reproduces a published
-variant with coefficients a/2pi and 1/2 that coincides with the exact one at
-a = 1 and is kept as a separately named, separately tested operation.  The
-finite-difference oracle is the arbiter between them; their comparison is a
-first-class report in the verify pipeline.
+    (1/2pi) |w||v| (ws (sin t - t cos t) + wl pi cos t)   at angle t.
+
+exact_weights(a) = (a^2, 2 + a^2 - 2a) gives f_a and its exact derivatives;
+published_weights(a) = (a, 1), equal to it at a = 1, gives the published
+gradient and Hessian (the gradient's teacher term assumes unit teacher
+rows).  Each derivative order is written once over the pair: _kernel_matrix
+(kernel_f is its single entry), _losses, _gradient and hessian._hessian.
+The finite-difference oracles differentiate _losses and the Monte-Carlo
+oracles sample the activation, so neither reads the formulas they check;
+verify reports the gap between the two conventions.
 """
 
 from __future__ import annotations
@@ -75,6 +75,16 @@ def activation(a: np.ndarray, alpha: float) -> np.ndarray:
     return np.maximum((1.0 - alpha) * a, a)
 
 
+def exact_weights(alpha: float) -> tuple[float, float]:
+    """(ws, wl) of the leaky activation's own kernel: (a^2, 2 + a^2 - 2a)."""
+    return alpha * alpha, 2.0 + alpha * alpha - 2.0 * alpha
+
+
+def published_weights(alpha: float) -> tuple[float, float]:
+    """(ws, wl) of the published formulas: (a, 1)."""
+    return alpha, 1.0
+
+
 # ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------
@@ -92,11 +102,10 @@ def _vectors(w, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kernel_f(w, v, alpha: float) -> float:
-    """Closed-form Gaussian kernel of the leaky activation at one vector pair,
-    the single entry of _kernel_matrix.  Symmetric and positively homogeneous
-    in each argument."""
+    """f_alpha(w, v), the single entry of _kernel_matrix at exact_weights.
+    Symmetric and positively homogeneous in each argument."""
     w, v = _vectors(w, v)
-    return float(_kernel_matrix(w[None], v[None], alpha)[0, 0])
+    return float(_kernel_matrix(w[None], v[None], exact_weights(alpha))[0, 0])
 
 
 MC_CHUNK = 1 << 16   # rows per summed chunk
@@ -112,13 +121,11 @@ def _mc_mean_se(draw, k: int, n_samples: int, seed: int) -> tuple[float, float]:
     reused chunk-length vals buffer.  This changes no draw and no sum:
     standard_normal fills its output in C order one normal at a time, so
     consecutive blocks hold exactly the rows of one (chunk, k) draw; each
-    value depends on its own row only; and each chunk's sum and dot product
-    see the same contiguous array of values as a per-chunk allocation would.
-    The result therefore does not depend on the block size, nor on verify's
-    worker count, which only decides where each trial runs.  It does depend
-    on the BLAS thread count: np.dot gives different last bits on one and
-    on two OpenBLAS threads, so CI and the benchmark pin
-    OPENBLAS_NUM_THREADS=1."""
+    value depends on its own row only; and each chunk's sums see the same
+    contiguous values as a per-chunk allocation would.  The sum of squares
+    is an einsum, which never calls BLAS, so the result depends neither on
+    the block size, nor on the BLAS thread count, nor on verify's worker
+    count, which only decides where each trial runs."""
     if n_samples < 2:
         raise DomainError("n_samples >= 2 required for a standard error")
     rng = np.random.default_rng(seed)
@@ -135,7 +142,7 @@ def _mc_mean_se(draw, k: int, n_samples: int, seed: int) -> tuple[float, float]:
             draw(rows, vals[lo:lo + len(rows)])
         chunk = vals[:m]
         total += float(chunk.sum())
-        total_sq += float(np.dot(chunk, chunk))
+        total_sq += float(np.einsum("i,i->", chunk, chunk))
         remaining -= m
     mean = total / n_samples
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
@@ -172,15 +179,12 @@ def _angles(rows_a: np.ndarray, rows_b: np.ndarray):
     return theta, np.sin(theta), cos, na, nb
 
 
-def _kernel_matrix(rows_a: np.ndarray, rows_b: np.ndarray, alpha: float) -> np.ndarray:
-    """f_alpha over all row pairs of two weight matrices (or stacks of them):
-
-        (1/2pi) |w||v| (alpha^2 (sin t - t cos t) + (2 + alpha^2 - 2 alpha) pi cos t)
-
-    for rows w, v at angle t."""
+def _kernel_matrix(rows_a: np.ndarray, rows_b: np.ndarray, weights) -> np.ndarray:
+    """The closed form at weights (ws, wl) over all row pairs of two weight
+    matrices (or stacks of them)."""
     theta, sin, cos, na, nb = _angles(rows_a, rows_b)
-    beta = 2.0 + alpha * alpha - 2.0 * alpha
-    vals = alpha * alpha * (sin - theta * cos) + beta * math.pi * cos
+    ws, wl = weights
+    vals = ws * (sin - theta * cos) + wl * math.pi * cos
     return (na[..., :, None] * nb[..., None, :]) * vals / TWO_PI
 
 
@@ -192,21 +196,21 @@ def loss(student, teacher, alpha: float) -> float:
     """sum_ij ( f(u_i,u_j)/2 - f(u_i,v_j) + f(v_i,v_j)/2 ); zero at the
     teacher and on its whole symmetry orbit."""
     s, t = _check_pair(student, teacher)
-    return float(_losses(s[None], t, alpha)[0])
+    return float(_losses(s[None], t, exact_weights(alpha))[0])
 
 
-def _losses(stack: np.ndarray, teacher: np.ndarray, alpha: float) -> np.ndarray:
-    """loss of each student in an (n, k, k) stack against one k x k teacher.
-
-    Each student's kernel matrix is summed as one contiguous row of k^2
-    values, the same reduction as summing a single k x k matrix, so entry i
-    is bit for bit loss(stack[i], teacher, alpha)."""
+def _losses(stack: np.ndarray, teacher: np.ndarray, weights) -> np.ndarray:
+    """Loss at weights (ws, wl) of each student in an (n, k, k) stack
+    against one k x k teacher.  Each student's kernel matrix is summed as
+    one contiguous row of k^2 values, the reduction of a single k x k
+    matrix, so at exact_weights(alpha) entry i is bit for bit
+    loss(stack[i], teacher, alpha)."""
     _check_rows(stack, "student")
     n = len(stack)
     return (
-        0.5 * _kernel_matrix(stack, stack, alpha).reshape(n, -1).sum(axis=1)
-        - _kernel_matrix(stack, teacher, alpha).reshape(n, -1).sum(axis=1)
-        + 0.5 * _kernel_matrix(teacher, teacher, alpha).sum()
+        0.5 * _kernel_matrix(stack, stack, weights).reshape(n, -1).sum(axis=1)
+        - _kernel_matrix(stack, teacher, weights).reshape(n, -1).sum(axis=1)
+        + 0.5 * _kernel_matrix(teacher, teacher, weights).sum()
     )
 
 
@@ -226,65 +230,52 @@ def loss_mc(student, teacher, alpha: float, n_samples: int, seed: int) -> tuple[
 # gradients
 # ---------------------------------------------------------------------------
 
-def gradient_published(student, teacher, alpha: float) -> np.ndarray:
-    """The published gradient variant, term by term:
+def _gradient(s: np.ndarray, t: np.ndarray, weights, teacher_norms: np.ndarray) -> np.ndarray:
+    """Gradient of _losses at weights (ws, wl), row i:
 
-        (a/2pi) sum_j (|u_j| sin(t_ij)/|u_i| u_i - t_ij u_j)
-      - (a/2pi) sum_j (sin(tt_ij)/|u_i| u_i - tt_ij v_j)
-      + (1/2)  sum_j (u_j - v_j)
+        (ws/2pi) sum_j (Phi(u_i, u_j) - Phi(u_i, v_j)) + (wl/2) sum_j (u_j - v_j)
 
-    Parallel rows follow the zero-normal convention: the sin terms vanish.
-    Coincides with gradient_exact at alpha = 1 (and only there, apart from
-    the zero locus); see the verify report for the quantified gap.
-    """
-    s, t = _check_pair(student, teacher)
+    with Phi(x, y) = |y| sin(t) xhat - t y and teacher_norms in place of
+    |v_j|; the sin terms of parallel rows vanish (zero-normal convention)."""
     theta_uu, sin_uu, _, nu, _ = _angles(s, s)
     theta_ut, sin_ut, _, _, _ = _angles(s, t)
-    coef = alpha / TWO_PI
-
-    self_uu = (sin_uu * nu[None, :]).sum(axis=1) / nu          # per i
-    self_ut = sin_ut.sum(axis=1) / nu
-    grad = coef * (self_uu - self_ut)[:, None] * s
-    grad -= coef * (theta_uu @ s - theta_ut @ t)
-    grad += 0.5 * (s.sum(axis=0)[None, :] - t.sum(axis=0)[None, :])
+    ws, wl = weights
+    self_uu = (sin_uu * nu[None, :]).sum(axis=1) / nu
+    self_ut = (sin_ut * teacher_norms[None, :]).sum(axis=1) / nu
+    grad = (ws / TWO_PI) * (self_uu - self_ut)[:, None] * s
+    grad += ((wl * math.pi - ws * theta_uu) @ s) / TWO_PI
+    grad -= ((wl * math.pi - ws * theta_ut) @ t) / TWO_PI
     return grad
 
 
 def gradient_exact(student, teacher, alpha: float) -> np.ndarray:
-    """Exact gradient of the closed-form loss for arbitrary alpha.
-
-    Row i:  sum_j [ (a^2 |u_j| sin(t_ij) / 2pi |u_i|) u_i
-                    + ((beta pi - a^2 t_ij)/2pi) u_j ]          (student sum)
-          - the same with v_j in place of u_j                    (teacher sum)
-    with beta = 2 + a^2 - 2a.  Matches central finite differences of loss to
-    1e-6 relative at every admissible point tested.
-    """
+    """Exact gradient of loss: _gradient at exact_weights."""
     s, t = _check_pair(student, teacher)
-    theta_uu, sin_uu, _, nu, _ = _angles(s, s)
-    theta_ut, sin_ut, _, _, nv = _angles(s, t)
-    a2 = alpha * alpha
-    beta = 2.0 + a2 - 2.0 * alpha
+    return _gradient(s, t, exact_weights(alpha), np.linalg.norm(t, axis=1))
 
-    self_uu = (sin_uu * nu[None, :]).sum(axis=1) / nu
-    self_ut = (sin_ut * nv[None, :]).sum(axis=1) / nu
-    grad = (a2 / TWO_PI) * (self_uu - self_ut)[:, None] * s
-    grad += ((beta * math.pi - a2 * theta_uu) @ s) / TWO_PI
-    grad -= ((beta * math.pi - a2 * theta_ut) @ t) / TWO_PI
-    return grad
+
+def gradient_published(student, teacher, alpha: float) -> np.ndarray:
+    """The published gradient: _gradient at published_weights with unit
+    teacher norms, as the published formula omits |v_j|."""
+    s, t = _check_pair(student, teacher)
+    return _gradient(s, t, published_weights(alpha), np.ones(len(t)))
 
 
 def finite_diff_gradient(student, teacher, alpha: float, step: float) -> np.ndarray:
-    """Entrywise central differences of loss; independent of both analytic
-    gradients.  Requires every student row norm to exceed 2*step so the
-    perturbed points stay admissible.
+    """Central differences of loss: _finite_diff_gradient at exact_weights."""
+    return _finite_diff_gradient(*_check_pair(student, teacher), exact_weights(alpha), step)
 
-    The 2k^2 perturbed students are evaluated as one stack, so memory is
-    O(k^4): 2k^4 floats for the stack and as many for each kernel-matrix
-    temporary.  Each student is a copy of the student with step added to or
-    subtracted from one entry, and every loss and quotient takes the same
-    operations in the same order as a point-by-point loop, so the result is
-    bit for bit the same."""
-    s, t = _check_pair(student, teacher)
+
+def _finite_diff_gradient(s: np.ndarray, t: np.ndarray, weights, step: float) -> np.ndarray:
+    """Entrywise central differences of _losses at weights (ws, wl),
+    independent of every analytic gradient.  Every student row norm must
+    exceed 2*step, so that the perturbed points stay admissible.
+
+    The 2k^2 perturbed students, each the student with step added to or
+    subtracted from one entry, are evaluated as one stack: memory is O(k^4),
+    2k^4 floats for the stack and as many for each kernel-matrix temporary.
+    Every loss and quotient takes a point-by-point loop's operations in its
+    order, so the result is bit for bit the same."""
     if step <= 0.0:
         raise DomainError("step must be positive")
     if float(np.linalg.norm(s, axis=1).min()) <= 2.0 * step:
@@ -296,5 +287,5 @@ def finite_diff_gradient(student, teacher, alpha: float, step: float) -> np.ndar
     minus = plus.copy()
     plus[m, i, j] += step
     minus[m, i, j] -= step
-    values = _losses(np.concatenate([plus, minus]), t, alpha)
+    values = _losses(np.concatenate([plus, minus]), t, weights)
     return ((values[:k * k] - values[k * k:]) / (2.0 * step)).reshape(k, k)

@@ -382,6 +382,15 @@ def _class_generates_a_conjugate(blob: bytes) -> bytes:
     return _edit_body(blob, "\n8|(2 3)(4 5)\n", "\n8|(4 5)\n")
 
 
+# the builder's class order, (order, cycle types, |N(H)|), is read back:
+# D1 (a transposition) and Z2 (a double transposition) share the order 2
+def _class_lines_swapped(blob: bytes) -> bytes:
+    lines = _body(blob).split("\n")
+    d1, z2 = lines.index("12|(4 5)"), lines.index("8|(2 3)(4 5)")
+    lines[d1], lines[z2] = lines[z2], lines[d1]
+    return _with_checksum("\n".join(lines))
+
+
 def _header_names_other_version(blob: bytes) -> bytes:
     return _edit_body(blob, "burnside-lattice v2 k=5\n", "burnside-lattice v20 k=5\n")
 
@@ -434,7 +443,7 @@ def _diagonal_dropped(blob: bytes) -> bytes:
                                      _header_names_other_width,
                                      _generator_repeats_a_point, _normalizer_order_zero,
                                      _normalizer_order_not_a_multiple, _n_value_zero,
-                                     _class_generates_a_conjugate,
+                                     _class_generates_a_conjugate, _class_lines_swapped,
                                      _header_names_other_version,
                                      _pair_names_no_class, _order_does_not_divide,
                                      _orders_equal, _diagonal_dropped, _diagonal_row_added,

@@ -8,6 +8,7 @@ from conftest import random_admissible, unvec, vec
 from symbreak.errors import ConsistencyError, DomainError
 from symbreak.hessian import (
     HessianBlocks,
+    _hessian,
     assemble_dense,
     block_operator_apply,
     finite_diff_hessian,
@@ -17,7 +18,7 @@ from symbreak.hessian import (
     hessian_published,
     minimum_blocks,
 )
-from symbreak.landscape import identity_teacher
+from symbreak.landscape import exact_weights, identity_teacher
 from symbreak.closed_forms import abc_terms
 from symbreak.spectrum import analytic_spectrum, merged_view
 
@@ -123,6 +124,35 @@ def test_hessian_published_matches_fd_at_alpha_one(rng):
         dense = assemble_dense(hessian_published(point, teacher, 1.0))
         fd = finite_diff_hessian(point, teacher, 1.0, 1e-4)
         assert np.abs(dense - fd).max() <= 1e-5
+
+
+def test_exact_weight_blocks_match_fd_at_every_alpha(rng):
+    # the same block formula at exact_weights is the exact loss's Hessian
+    teacher = identity_teacher(4)
+    for alpha in (-1.0, 0.0, 0.5, 1.0, 2.5, 3.5):
+        for _ in range(3):
+            point = random_admissible(rng, 4)
+            dense = assemble_dense(_hessian(point, teacher, exact_weights(alpha)))
+            fd = finite_diff_hessian(point, teacher, alpha, 1e-4)
+            assert np.abs(dense - fd).max() <= 1e-5, alpha
+
+
+def _alpha_hessian_published(s, t, alpha):
+    # the alpha-parametrised body that _hessian replaced, kept as a reference
+    k = s.shape[0]
+    half = 0.5 * np.eye(k)
+    blocks = half + alpha * h2(s, s)
+    blocks[np.arange(k), np.arange(k)] = half + alpha * (h1(s, s) - h1(s, t)).sum(axis=1)
+    return blocks
+
+
+def test_hessian_published_matches_alpha_reference_bits(rng):
+    for k in (2, 4, 5, 8):
+        teacher = identity_teacher(k)
+        for alpha in np.linspace(-3.5, 3.5, 15):
+            point = random_admissible(rng, k)
+            got = hessian_published(point, teacher, float(alpha)).blocks
+            assert got.tobytes() == _alpha_hessian_published(point, teacher, float(alpha)).tobytes()
 
 
 def test_block_symmetry_at_random_points(rng):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,11 @@ from conftest import random_admissible
 from symbreak.errors import DomainError
 from symbreak.hessian import finite_diff_hessian
 from symbreak.landscape import (
+    _angles,
+    _finite_diff_gradient,
+    _kernel_matrix,
     _losses,
+    exact_weights,
     finite_diff_gradient,
     gradient_exact,
     gradient_published,
@@ -18,6 +25,7 @@ from symbreak.landscape import (
     kernel_mc,
     loss,
     loss_mc,
+    published_weights,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -197,7 +205,7 @@ def _unblocked_mean_se(draw, k, n_samples, seed):
         m = min(1 << 16, remaining)
         vals = draw(rng.standard_normal((m, k)))
         total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+        total_sq += float(np.einsum("i,i->", vals, vals))
         remaining -= m
     mean = total / n_samples
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
@@ -229,6 +237,26 @@ def test_mc_accumulator_matches_unblocked_reference(rng):
 
             want = _unblocked_mean_se(risk, k, n, seed)
             assert loss_mc(student, teacher, alpha, n, seed) == want, (k, n)
+
+
+_LOSS_MC_BITS = """
+import numpy as np
+from symbreak.landscape import loss_mc
+student = np.eye(4)
+student[0, 0] = 2.0
+for seed in (7, 20240901):
+    print(*(v.hex() for v in loss_mc(student, np.eye(4), 1.0, 1_000_000, seed)))
+"""
+
+
+def test_loss_mc_bits_independent_of_blas_threads():
+    # verify's loss_mc oracle: a BLAS reduction (np.dot) of the squares
+    # moves the standard error's last bit between one and two BLAS threads
+    runs = [subprocess.run([sys.executable, "-c", _LOSS_MC_BITS], capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, check=True).stdout
+            for threads in ("1", "2")]
+    assert len(runs[0].split()) == 4
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +448,8 @@ def test_stacked_finite_differences_match_loop_reference(rng):
                 assert got.tobytes() == want.tobytes(), (k, alpha, step)
                 stack = point + step * rng.standard_normal((7, k, k))
                 each = [loss(p, teacher, alpha) for p in stack]
-                assert _losses(stack, teacher, alpha).tobytes() == np.array(each).tobytes()
+                got = _losses(stack, teacher, exact_weights(alpha))
+                assert got.tobytes() == np.array(each).tobytes()
 
 
 def test_finite_diff_hessian_rejects_zero_perturbed_row():
@@ -429,3 +458,81 @@ def test_finite_diff_hessian_rejects_zero_perturbed_row():
     point[0] = (1e-4, 0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         finite_diff_hessian(point, teacher, 1.0, 1e-4)
+
+
+# ---------------------------------------------------------------------------
+# one closed form over two weight pairs
+# ---------------------------------------------------------------------------
+
+def test_weight_pairs_equal_at_alpha_one():
+    assert published_weights(1.0) == exact_weights(1.0)
+
+
+def test_gradient_published_is_gradient_of_published_loss(rng):
+    # with unit teacher rows the published gradient differentiates _losses
+    # at published_weights, at every leak value
+    teacher = identity_teacher(5)
+    for alpha in (-1.0, 0.3, 1.0, 1.7, 2.5, 3.5):
+        for _ in range(5):
+            point = random_admissible(rng, 5)
+            grad = gradient_published(point, teacher, alpha)
+            fd = _finite_diff_gradient(point, teacher, published_weights(alpha), 1e-5)
+            assert np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()) <= 1e-6, alpha
+
+
+# the alpha-parametrised kernel and gradients that the weight pairs replaced,
+# kept as references
+def _alpha_kernel_matrix(rows_a, rows_b, alpha):
+    theta, sin, cos, na, nb = _angles(rows_a, rows_b)
+    beta = 2.0 + alpha * alpha - 2.0 * alpha
+    vals = alpha * alpha * (sin - theta * cos) + beta * math.pi * cos
+    return (na[..., :, None] * nb[..., None, :]) * vals / TWO_PI
+
+
+def _alpha_gradient_exact(s, t, alpha):
+    theta_uu, sin_uu, _, nu, _ = _angles(s, s)
+    theta_ut, sin_ut, _, _, nv = _angles(s, t)
+    a2 = alpha * alpha
+    beta = 2.0 + a2 - 2.0 * alpha
+    self_uu = (sin_uu * nu[None, :]).sum(axis=1) / nu
+    self_ut = (sin_ut * nv[None, :]).sum(axis=1) / nu
+    grad = (a2 / TWO_PI) * (self_uu - self_ut)[:, None] * s
+    grad += ((beta * math.pi - a2 * theta_uu) @ s) / TWO_PI
+    grad -= ((beta * math.pi - a2 * theta_ut) @ t) / TWO_PI
+    return grad
+
+
+def _alpha_gradient_published(s, t, alpha):
+    theta_uu, sin_uu, _, nu, _ = _angles(s, s)
+    theta_ut, sin_ut, _, _, _ = _angles(s, t)
+    coef = alpha / TWO_PI
+    self_uu = (sin_uu * nu[None, :]).sum(axis=1) / nu
+    self_ut = sin_ut.sum(axis=1) / nu
+    grad = coef * (self_uu - self_ut)[:, None] * s
+    grad -= coef * (theta_uu @ s - theta_ut @ t)
+    grad += 0.5 * (s.sum(axis=0)[None, :] - t.sum(axis=0)[None, :])
+    return grad
+
+
+def test_weight_pairs_match_alpha_references(rng):
+    # the kernel and exact gradient keep their operations, so their bits;
+    # the published gradient's order changed, so it agrees to rounding.
+    # Teachers with rows of other norms than 1 see the teacher norms.
+    for k in (2, 4, 5, 8):
+        for alpha in np.linspace(-3.5, 3.5, 15):
+            alpha = float(alpha)
+            point = random_admissible(rng, k)
+            teacher = identity_teacher(k) if alpha < 0 else random_admissible(rng, k)
+            stack = point + 0.1 * rng.standard_normal((3, k, k))
+            for a, b in ((point, teacher), (stack, stack), (stack, teacher)):
+                got = _kernel_matrix(a, b, exact_weights(alpha))
+                assert got.tobytes() == _alpha_kernel_matrix(a, b, alpha).tobytes()
+            assert np.float64(loss(point, teacher, alpha)).tobytes() == np.float64(
+                0.5 * _alpha_kernel_matrix(point, point, alpha).sum()
+                - _alpha_kernel_matrix(point, teacher, alpha).sum()
+                + 0.5 * _alpha_kernel_matrix(teacher, teacher, alpha).sum()).tobytes()
+            got = gradient_exact(point, teacher, alpha)
+            assert got.tobytes() == _alpha_gradient_exact(point, teacher, alpha).tobytes()
+            got = gradient_published(point, teacher, alpha)
+            want = _alpha_gradient_published(point, teacher, alpha)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
