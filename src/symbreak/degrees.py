@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 from .burnside import MAX_LATTICE_K, BurnsideElement, SubgroupLattice, solve_from_marks
 from .closed_forms import critical_set
 from .errors import CapacityError, ConsistencyError, DomainError
+from .report import check
 from .symrep import (
     Partition,
     closed_form_partition,
@@ -285,10 +286,9 @@ def invariants_payload(
         "invariants": invariant_block,
     }
     checks = [
-        {"name": "involution", "passed": involution_ok, "hard": True, "detail": None},
-        {"name": "leading_coefficients", "passed": leading_ok, "hard": True, "detail": None},
-        {"name": "invariants_nonzero",
-         "passed": all(inv.nonzero() for inv in invariants), "hard": True, "detail": None},
+        check("involution", involution_ok),
+        check("leading_coefficients", leading_ok),
+        check("invariants_nonzero", all(inv.nonzero() for inv in invariants)),
     ]
     if k == 5:
         from .golden import compare_character_table, compare_k5  # golden imports degrees
@@ -299,8 +299,7 @@ def invariants_payload(
         results["character_table_comparison"] = {
             k2: v for k2, v in table_cmp.items() if k2 != "mismatches"
         }
-        checks.append({"name": "reference_expansions", "passed": comparison["ok"],
-                       "hard": True, "detail": {"name_map": comparison["name_map"]}})
-        checks.append({"name": "reference_character_table", "passed": table_cmp["ok"],
-                       "hard": True, "detail": None})
+        checks.append(check("reference_expansions", comparison["ok"],
+                            detail={"name_map": comparison["name_map"]}))
+        checks.append(check("reference_character_table", table_cmp["ok"]))
     return results, checks

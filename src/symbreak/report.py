@@ -1,4 +1,4 @@
-"""Report serialization and schema validation for the CLI.
+"""Report serialization, check records and tolerances for the CLI.
 
 JSON payloads are emitted by a small custom writer so that every float
 carries 17 significant digits (value-preserving round trip) while exact
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
 
 from .errors import ConsistencyError, DomainError
 
@@ -55,50 +54,10 @@ def dumps(obj) -> str:
     return emit(obj, 0) + "\n"
 
 
-def load_schema() -> dict:
-    with resources.files("symbreak").joinpath("data/report_schema.json").open("r") as fh:
-        return json.load(fh)
-
-
-def validate_report(obj) -> list[str]:
-    """Check a report against the packaged schema with a minimal JSON-schema
-    subset validator (type/required/properties/items/enum); returns a list of
-    violations, empty when valid."""
-    errors: list[str] = []
-
-    def type_ok(value, expected: str) -> bool:
-        return {
-            "object": lambda v: isinstance(v, dict),
-            "array": lambda v: isinstance(v, (list, tuple)),
-            "string": lambda v: isinstance(v, str),
-            "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-            "boolean": lambda v: isinstance(v, bool),
-            "null": lambda v: v is None,
-        }[expected](value)
-
-    def walk(value, sch: dict, where: str):
-        stype = sch.get("type")
-        if stype is not None:
-            types = stype if isinstance(stype, list) else [stype]
-            if not any(type_ok(value, t) for t in types):
-                errors.append(f"{where}: expected {stype}, got {type(value).__name__}")
-                return
-        if "enum" in sch and value not in sch["enum"]:
-            errors.append(f"{where}: {value!r} not in {sch['enum']}")
-        if isinstance(value, dict):
-            for req in sch.get("required", []):
-                if req not in value:
-                    errors.append(f"{where}: missing required key {req!r}")
-            for key, sub in sch.get("properties", {}).items():
-                if key in value:
-                    walk(value[key], sub, f"{where}.{key}")
-        if isinstance(value, (list, tuple)) and "items" in sch:
-            for i, item in enumerate(value):
-                walk(item, sch["items"], f"{where}[{i}]")
-
-    walk(obj, load_schema(), "$")
-    return errors
+def check(name: str, passed, hard: bool = True, detail=None) -> dict:
+    """One check record of a report.  passed is coerced to bool, so a numpy
+    bool never reaches the writer."""
+    return {"name": name, "passed": bool(passed), "hard": hard, "detail": detail}
 
 
 DEFAULT_TOLERANCES = {

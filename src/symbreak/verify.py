@@ -27,7 +27,7 @@ from . import symrep as sr
 from .closed_forms import abc_terms, critical_set, root_scan
 from .degrees import invariants_payload
 from .errors import ConsistencyError
-from .report import resolve_tolerances
+from .report import check, resolve_tolerances
 
 
 # points at which the published Hessian is checked by finite differences
@@ -48,10 +48,6 @@ class VerifyConfig:
     fd_points: int = 100
     tolerances: dict[str, float] = field(default_factory=dict)
     perturb_hessian: float | None = None
-
-
-def _check(name: str, passed: bool, hard: bool = True, detail=None) -> dict:
-    return {"name": name, "passed": bool(passed), "hard": hard, "detail": detail}
 
 
 def _random_admissible(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -132,7 +128,7 @@ def _count_hits(hit, trials, workers: int) -> int:
     return hits
 
 
-def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
+def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
     tol = resolve_tolerances(config.tolerances)
     rng = np.random.default_rng(config.seed)
     checks: list[dict] = []
@@ -142,7 +138,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     hit = functools.partial(_kernel_hit, n_samples=config.mc_samples, sigma=tol["mc_sigma"])
     hits = _count_hits(hit, _kernel_trials(rng, config.mc_trials), mc_workers())
     frac = hits / config.mc_trials
-    checks.append(_check(
+    checks.append(check(
         "mc_kernel_3sigma", frac >= tol["mc_pass_fraction"],
         detail={"pass_fraction": frac, "trials": config.mc_trials,
                 "samples": config.mc_samples},
@@ -154,7 +150,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     scaled[0, 0] = 2.0
     closed = ls.loss(scaled, teacher, 1.0)
     est, se = ls.loss_mc(scaled, teacher, 1.0, 1_000_000, config.seed)
-    checks.append(_check(
+    checks.append(check(
         "loss_mc_oracle", abs(est - closed) <= tol["mc_sigma"] * se,
         detail={"closed_form": closed, "mc": est, "stderr": se},
     ))
@@ -168,7 +164,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
         fd = ls.finite_diff_gradient(point, teacher, alpha, 1e-5)
         scale = max(1.0, float(np.abs(fd).max()))
         worst_rel = max(worst_rel, float(np.abs(g - fd).max()) / scale)
-    checks.append(_check(
+    checks.append(check(
         "gradient_exact_vs_fd", worst_rel <= tol["gradient_fd_rel"],
         detail={"worst_relative_error": worst_rel, "points": config.fd_points},
     ))
@@ -180,7 +176,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
         worst = max(worst, float(np.abs(
             ls.gradient_published(point, teacher, 1.0) - ls.gradient_exact(point, teacher, 1.0)
         ).max()))
-    checks.append(_check(
+    checks.append(check(
         "alpha1_gradient_agreement", worst <= tol["alpha1_gradient_agreement"],
         detail={"max_abs_difference": worst},
     ))
@@ -192,7 +188,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
         dense = hs.assemble_dense(hs.hessian_published(point, teacher, 1.0))
         fd = hs.finite_diff_hessian(point, teacher, 1.0, 1e-4)
         worst = max(worst, float(np.abs(dense - fd).max()))
-    checks.append(_check(
+    checks.append(check(
         "alpha1_hessian_fd", worst <= tol["alpha1_hessian_fd"],
         detail={"max_abs_difference": worst, "points": HESSIAN_FD_POINTS},
     ))
@@ -202,7 +198,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
         float(np.abs(ls.gradient_exact(teacher, teacher, a)).max())
         for a in np.linspace(-1.0, 4.0, 21)
     )
-    checks.append(_check(
+    checks.append(check(
         "critical_point_gradient", worst <= tol["critical_point_gradient"],
         detail={"max_abs_gradient": worst},
     ))
@@ -220,7 +216,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
         ).max())
         gap_rows.append({"alpha": a, "gradient_gap": g_gap, "hessian_fd_gap": h_gap})
     results["published_formula_gap"] = gap_rows
-    checks.append(_check("published_formula_gap_reported", True, hard=False,
+    checks.append(check("published_formula_gap_reported", True, hard=False,
                          detail=gap_rows))
 
     # -- analytic spectrum vs dense eigensolve ------------------------------
@@ -235,7 +231,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
             worst_dev = max(worst_dev, rep.max_deviation)
             if not rep.ok and mism is None:
                 mism = {"k": k, "alpha": float(a), "message": rep.message}
-    checks.append(_check(
+    checks.append(check(
         "spectrum_match_sweep", mism is None,
         detail={"max_deviation": worst_dev, "ks": list(config.ks),
                 "first_mismatch": mism},
@@ -244,7 +240,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     # -- negative control: an injected perturbation must be detected --------
     control = sp.numerical_spectrum_match(5, 1.0, tolerance=tol["spectrum_match"],
                                           perturbation=1e-3)
-    checks.append(_check(
+    checks.append(check(
         "spectrum_negative_control", not control.ok,
         detail={"perturbation": 1e-3, "detected": not control.ok,
                 "max_deviation": control.max_deviation},
@@ -267,7 +263,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
         sum(1 for r in roots if r > 0.0) <= 1
         for fam in scan.values() for roots in fam.values()
     )
-    checks.append(_check(
+    checks.append(check(
         "critical_set", worst_res <= tol["critical_residual"]
         and subcritical_ok and no_negative_roots and nonzero_root_counts_ok,
         detail={"max_residual": worst_res, "ordering_ok": True,
@@ -296,7 +292,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
                     want = sum(block[row, col] * triple[col] for col in range(3))
                     worst = max(worst, float(np.abs(
                         hs.block_operator_apply(mat, a) - want).max()))
-    checks.append(_check(
+    checks.append(check(
         "isotypic_eigen_equations", worst <= 1e-10,
         detail={"max_residual": worst},
     ))
@@ -316,7 +312,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
                 if prod != direct:
                     mark_ok = False
                     worst_pair = (k, lattice.classes[hi].label, lattice.classes[ki].label)
-    checks.append(_check(
+    checks.append(check(
         "burnside_mark_homomorphism", mark_ok,
         detail={"first_failure": worst_pair},
     ))
@@ -335,7 +331,7 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
             for ci in range(len(table.cycle_types))
         )
         ortho_ok &= cent_ok
-    checks.append(_check("character_orthogonality", ortho_ok))
+    checks.append(check("character_orthogonality", ortho_ok))
 
     closed_ok = True
     for k in range(4, 9):
@@ -344,14 +340,14 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
             for ct in sr.sorted_cycle_types(k):
                 if sr.closed_form_character(shape, ct) != sr.frobenius_character(eta, ct):
                     closed_ok = False
-    checks.append(_check("closed_form_characters_vs_frobenius", closed_ok))
+    checks.append(check("closed_form_characters_vs_frobenius", closed_ok))
 
     decomp_ok = all(
         sr.decompose_diag_square(k) == {
             (k,): 2, (k - 1, 1): 3, (k - 2, 2): 1, (k - 2, 1, 1): 1}
         for k in range(4, 11)
     )
-    checks.append(_check("isotypic_decomposition_law", decomp_ok))
+    checks.append(check("isotypic_decomposition_law", decomp_ok))
 
     # -- width-5 reference objects: the golden block of the invariants report -
     k5_results, k5_checks = invariants_payload(5, lambda k: lattices[k])
@@ -359,4 +355,4 @@ def run_verify(config: VerifyConfig) -> tuple[list[dict], dict]:
     checks += [{**c, "name": f"k5_{c['name']}"}
                for c in k5_checks if c["name"].startswith("reference_")]
 
-    return checks, results
+    return results, checks

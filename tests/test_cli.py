@@ -9,7 +9,9 @@ import re
 import subprocess
 import sys
 import zlib
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,13 +31,11 @@ from symbreak.landscape import (
     kernel_f,
     kernel_mc,
 )
-from symbreak.report import (
-    DEFAULT_TOLERANCES,
-    dumps,
-    format_float,
-    load_schema,
-    validate_report,
-)
+from symbreak.report import DEFAULT_TOLERANCES, check, dumps, format_float
+
+# the shipped schema, which the package does not read at run time: the tests hold reports to it
+REPORT_SCHEMA = json.loads(
+    resources.files("symbreak").joinpath("data/report_schema.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -204,9 +204,7 @@ def test_alpha_grid_points_capacity_exit3(capsys, tmp_path):
 def test_spectrum_schema_valid(capsys, tmp_path):
     _, rep = run_json(capsys, "--cache-dir", str(tmp_path), "spectrum",
                       "--k", "5", "--alpha", "0.5")
-    assert validate_report(rep) == []
-    jsonschema = pytest.importorskip("jsonschema")
-    jsonschema.validate(rep, load_schema())
+    jsonschema.validate(rep, REPORT_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +679,7 @@ def test_count_hits_starts_no_more_workers_than_chunks(monkeypatch):
 def test_run_verify_matches_serial_trial_loop(lattice4, lattice5):
     config = verify.VerifyConfig(ks=(4,), mc_trials=60, mc_samples=5000, fd_points=5,
                                  lattice_provider={4: lattice4, 5: lattice5}.get)
-    checks, _ = verify.run_verify(config)
+    _, checks = verify.run_verify(config)
     detail = {c["name"]: c["detail"] for c in checks}
 
     # the serial trial loop the pool replaces, then the gradient check's
@@ -754,6 +752,46 @@ def test_text_and_json_carry_identical_numbers(capsys, tmp_path):
         assert format_float(value) in text
     for value in rep["results"]["asymptote_distance"]:
         assert format_float(value) in text
+
+
+# one command per report shape: every command, a capacity notice (exit 3) and
+# failed checks (exit 1)
+REPORT_SHAPES = {
+    "critical-k5": (["critical", "--k", "5"], 0),
+    "critical-k64": (["critical", "--k", "64"], 0),
+    "spectrum-k5": (["spectrum", "--k", "5", "--alpha", "1"], 0),
+    "invariants-k4": (["invariants", "--k", "4"], 0),
+    "invariants-k5": (["invariants", "--k", "5"], 0),
+    "invariants-k6": (["invariants", "--k", "6"], 0),
+    "invariants-k7": (["invariants", "--k", "7"], 3),
+    "verify-perturbed": (["verify", "--mc-trials", "2", "--mc-samples", "100",
+                          "--fd-points", "1", "--perturb-hessian", "1e-3"], 1),
+}
+
+_CHECK_LINE = re.compile(r"^  \[(PASS|FAIL)\] \((hard|info)\) (.+)$", re.MULTILINE)
+
+
+@pytest.mark.parametrize("argv, code", REPORT_SHAPES.values(), ids=REPORT_SHAPES)
+def test_every_report_shape_fits_the_schema_and_its_text(argv, code, capsys, tmp_path,
+                                                         lattice4, lattice5, lattice6):
+    for lattice in (lattice4, lattice5, lattice6):
+        (tmp_path / f"lattice_k{lattice.k}.txt").write_bytes(serialize_lattice(lattice))
+    got, rep = run_json(capsys, "--cache-dir", str(tmp_path), *argv)
+    assert got == rep["exit_code"] == code
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    # the text report lists the same checks, one line each, in the same order
+    got, text = run_cli(capsys, "--cache-dir", str(tmp_path), *argv)
+    assert got == code
+    assert _CHECK_LINE.findall(text) == [
+        ("PASS" if c["passed"] else "FAIL", "hard" if c["hard"] else "info", c["name"])
+        for c in rep["checks"]
+    ]
+
+
+def test_check_record_passed_is_a_python_bool():
+    record = check("x", np.bool_(False))
+    assert record["passed"] is False
+    assert record == {"name": "x", "passed": False, "hard": True, "detail": None}
 
 
 @pytest.mark.parametrize("output", ["json", "text"])
@@ -838,7 +876,7 @@ def test_cli_fuzz_exit_codes_and_reports(data, tmp_path_factory):
     if out.getvalue():
         # a report, which a capacity limit (exit 3) also emits
         report = json.loads(out.getvalue())
-        assert validate_report(report) == []
+        jsonschema.validate(report, REPORT_SCHEMA)
         assert report["exit_code"] == code and code != 2
     else:
         # refused: exit 2 or 3, with the reason in one line
