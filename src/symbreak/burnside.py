@@ -791,7 +791,7 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles (used by the verify pipeline and the test suite)
+# brute-force oracles (used by the test suite)
 # ---------------------------------------------------------------------------
 
 def orbit_count_product(lattice: SubgroupLattice, hi: int, ki: int) -> dict[int, int]:

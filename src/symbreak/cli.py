@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from .closed_forms import MAX_DENSE_K, SCAN_MAX_K, critical_set, root_scan
 from .errors import CapacityError, ConsistencyError, DomainError
-from .report import check, dumps, format_float, resolve_tolerances
+from .report import TOLERANCES, check, dumps, format_float
 
 if TYPE_CHECKING:
     from .burnside import SubgroupLattice
@@ -188,7 +188,7 @@ def _report(command: str, config: dict, results: dict, checks: list[dict],
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args, tol: dict[str, float]) -> tuple[dict, int]:
+def cmd_spectrum(args) -> tuple[dict, int]:
     from . import spectrum as sp
 
     alphas = _alpha_list(args)
@@ -197,7 +197,7 @@ def cmd_spectrum(args, tol: dict[str, float]) -> tuple[dict, int]:
     worst = 0.0
     for alpha in alphas:
         entries = sp.analytic_spectrum(args.k, alpha)
-        match = sp.numerical_spectrum_match(args.k, alpha, tolerance=tol["spectrum_match"])
+        match = sp.numerical_spectrum_match(args.k, alpha)
         all_ok &= match.ok
         worst = max(worst, match.max_deviation)
         per_alpha.append({
@@ -223,12 +223,12 @@ def cmd_spectrum(args, tol: dict[str, float]) -> tuple[dict, int]:
             },
         })
     return _report("spectrum",
-                   {"k": args.k, "alphas": alphas, "tolerance": tol["spectrum_match"]},
+                   {"k": args.k, "alphas": alphas, "tolerance": TOLERANCES["spectrum_match"]},
                    {"per_alpha": per_alpha},
                    [check("spectrum_match", all_ok, detail={"max_deviation": worst})])
 
 
-def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
+def cmd_critical(args) -> tuple[dict, int]:
     crit = critical_set(args.k)  # raises ConsistencyError on a violated ordering
     # closed-form roots are exact to machine precision relative to the
     # eigenvalue scale ~ k/2; the absolute residual criterion applies at
@@ -251,12 +251,12 @@ def cmd_critical(args, tol: dict[str, float]) -> tuple[dict, int]:
     checks = [
         # a literal, not check(): its pinned reports print "hard" before "passed"
         {"name": "root_residuals", "hard": True,
-         "passed": max(crit.residuals) / scale <= tol["critical_residual"],
+         "passed": max(crit.residuals) / scale <= TOLERANCES["critical_residual"],
          "detail": {"max_residual": max(crit.residuals),
                     "max_scaled_residual": max(crit.residuals) / scale}},
         check("ordering_chain", True),
     ]
-    return _report("critical", {"k": args.k, "tolerance": tol["critical_residual"]},
+    return _report("critical", {"k": args.k, "tolerance": TOLERANCES["critical_residual"]},
                    results, checks)
 
 
@@ -268,26 +268,16 @@ def cmd_invariants(args, cache_dir: Path) -> tuple[dict, int]:
                    capacity="capacity_notice" in results)
 
 
-def cmd_verify(args, tol: dict[str, float], cache_dir: Path) -> tuple[dict, int]:
-    from .verify import VerifyConfig, run_verify
+def cmd_verify(args, cache_dir: Path) -> tuple[dict, int]:
+    from .verify import run_verify
 
     make_cache_dir(cache_dir)   # an unusable one fails now, not after the Monte-Carlo
-    config = VerifyConfig(
-        ks=tuple(args.k) if args.k else (4, 5),
-        seed=args.seed,
-        mc_trials=args.mc_trials,
-        mc_samples=args.mc_samples,
-        fd_points=args.fd_points,
-        tolerances=tol,
-        perturb_hessian=args.perturb_hessian,
-        lattice_provider=lambda k: get_lattice(k, cache_dir),
-    )
-    results, checks = run_verify(config)
-    return _report("verify", {
-        "ks": list(config.ks), "seed": config.seed,
-        "mc_trials": config.mc_trials, "mc_samples": config.mc_samples,
-        "fd_points": config.fd_points, "perturb_hessian": config.perturb_hessian,
-    }, results, checks, rng=RNG_DESCRIPTION)
+    # what runs is what the report prints
+    config = {"ks": args.k, "seed": args.seed, "mc_trials": args.mc_trials,
+              "mc_samples": args.mc_samples, "fd_points": args.fd_points,
+              "perturb_hessian": args.perturb_hessian}
+    results, checks = run_verify(lambda k: get_lattice(k, cache_dir), **config)
+    return _report("verify", config, results, checks, rng=RNG_DESCRIPTION)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +288,7 @@ def validate_args(args) -> None:
     """Reject out-of-domain arguments (DomainError), then widths or grids
     beyond a declared capacity (CapacityError), before any command starts
     work."""
-    widths = (args.k or []) if args.command == "verify" else [args.k]
+    widths = args.k if args.command == "verify" else [args.k]
     for k in widths:
         if not 4 <= k <= sys.float_info.max:
             raise DomainError(f"{args.command} requires 4 <= k <= {sys.float_info.max!r}, "
@@ -322,12 +312,12 @@ def validate_args(args) -> None:
                                    ("--seed", args.seed, 0)):
             if value < least:
                 raise DomainError(f"{flag} must be >= {least}, got {value}")
-        # the sweep's shift coupling is sqrt(2(k - 1) p^2); verify's default widths are 4 and 5
-        p, k = args.perturb_hessian, max(widths, default=5)
+        # the sweep's shift coupling is sqrt(2(k - 1) p^2)
+        p, k = args.perturb_hessian, max(widths)
         if p is not None and not math.isfinite(2.0 * p * p * (k - 1)):
             raise DomainError(f"--perturb-hessian must keep 2(k - 1) p^2 finite at k={k}, got {p}")
     # after every usage check, so that a bad argument still exits 2
-    if args.command in ("spectrum", "verify") and max(widths, default=0) > MAX_DENSE_K:
+    if args.command in ("spectrum", "verify") and max(widths) > MAX_DENSE_K:
         raise CapacityError(f"dense eigenanalysis capped at k = {MAX_DENSE_K}")
 
 
@@ -338,19 +328,6 @@ def _alpha_list(args) -> list[float]:
     n = int(points)
     # the formula can round the last point below stop, so stop ends the grid
     return [start + (stop - start) * i / (n - 1) for i in range(n - 1)] + [stop]
-
-
-def _parse_tol(pairs: list[str] | None) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise DomainError(f"--tol expects NAME=VALUE, got {pair!r}")
-        name, _, value = pair.partition("=")
-        try:
-            out[name.strip()] = float(value)
-        except ValueError:
-            raise DomainError(f"--tol {name.strip()!r} needs a number, got {value!r}") from None
-    return out
 
 
 # flags whose values may be negative floats -> how many values each takes
@@ -378,6 +355,21 @@ def _shield_negative_floats(argv: list[str]) -> list[str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line on stderr, like every other refusal; --help prints the usage
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _Widths(argparse.Action):
+    """A repeatable --k whose first value replaces the default list, where
+    action="append" would extend it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        widths = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, (widths if widths is not self.default else []) + [value])
+
+
 def build_parser() -> argparse.ArgumentParser:
     # shared flags are accepted both before and after the subcommand; the
     # SUPPRESS default keeps an unset subcommand-level flag from shadowing a
@@ -389,11 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--cache-dir", type=Path, default=argparse.SUPPRESS,
                         help="lattice cache directory (default $SYMBREAK_CACHE_DIR "
                              "or ~/.cache/symbreak)")
-    shared.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        default=argparse.SUPPRESS,
-                        help="override a named tolerance (repeatable)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symbreak",
         parents=[shared],
         allow_abbrev=False,
@@ -423,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", parents=[shared], allow_abbrev=False,
                            help="full oracle suite")
-    p_ver.add_argument("--k", type=int, action="append",
+    p_ver.add_argument("--k", type=int, action=_Widths, default=[4, 5],
                        help="widths for the spectral sweeps (repeatable; default 4 and 5)")
     p_ver.add_argument("--seed", type=int, default=20240901)
     p_ver.add_argument("--mc-trials", type=int, default=1000)
@@ -443,19 +432,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     args.output = getattr(args, "output", "text")
-    args.tol = getattr(args, "tol", None)
     cache_dir = getattr(args, "cache_dir", None) or default_cache_dir()
     try:
         validate_args(args)
-        tol = resolve_tolerances(_parse_tol(args.tol))
         if args.command == "spectrum":
-            report, code = cmd_spectrum(args, tol)
+            report, code = cmd_spectrum(args)
         elif args.command == "critical":
-            report, code = cmd_critical(args, tol)
+            report, code = cmd_critical(args)
         elif args.command == "invariants":
             report, code = cmd_invariants(args, cache_dir)
         elif args.command == "verify":
-            report, code = cmd_verify(args, tol, cache_dir)
+            report, code = cmd_verify(args, cache_dir)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
             return EXIT_USAGE

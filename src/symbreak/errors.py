@@ -12,8 +12,11 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Request exceeds the declared exact-computation capacity
-    (subgroup lattices above k=6, character extraction above n=12)."""
+    """Request exceeds a declared capacity: exact ring arithmetic on
+    subgroup lattices above k=6, exact characters above n=12,
+    character_table above k=8, int16 group tables above k=7, the dense
+    eigenanalysis above k=64, or an --alpha-grid of more than 10,000
+    points."""
 
 
 class ConsistencyError(RuntimeError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError
 
 
 def format_float(x: float) -> str:
@@ -60,7 +60,8 @@ def check(name: str, passed, hard: bool = True, detail=None) -> dict:
     return {"name": name, "passed": bool(passed), "hard": hard, "detail": detail}
 
 
-DEFAULT_TOLERANCES = {
+# the gates of the hard checks; fixed, so that no run can loosen a check
+TOLERANCES = {
     "spectrum_match": 1e-10,
     "critical_residual": 1e-12,
     "gradient_fd_rel": 1e-6,
@@ -70,16 +71,3 @@ DEFAULT_TOLERANCES = {
     "mc_sigma": 3.0,
     "mc_pass_fraction": 0.99,
 }
-
-
-def resolve_tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
-    tol = dict(DEFAULT_TOLERANCES)
-    for name, value in (overrides or {}).items():
-        if name not in tol:
-            raise DomainError(f"unknown tolerance {name!r}; known: {sorted(tol)}")
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"tolerance {name} must be positive and finite, got {value}")
-        if name == "mc_pass_fraction" and value > 1:
-            raise DomainError(f"tolerance mc_pass_fraction must be at most 1, got {value}")
-        tol[name] = value
-    return tol

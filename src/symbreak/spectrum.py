@@ -81,6 +81,7 @@ from .closed_forms import FORMULA_IDS, MAX_DENSE_K, abc_terms, family_values_at
 from .closed_forms import root_scan  # noqa: F401  perfbench/tracer.py finds the span here
 from .errors import CapacityError, ConsistencyError, DomainError
 from .hessian import check_block_pair, minimum_blocks
+from .report import TOLERANCES
 
 if TYPE_CHECKING:
     from .symrep import Partition
@@ -273,7 +274,7 @@ def _frequency_scores(vecs: np.ndarray) -> np.ndarray:
 def numerical_spectrum_match(
     k: int,
     alpha: float,
-    tolerance: float = 1e-10,
+    tolerance: float = TOLERANCES["spectrum_match"],
     perturbation: float | None = None,
 ) -> SpectrumMatchReport:
     """Dense eigensolve of the minimum Hessian against the analytic table,

@@ -15,7 +15,6 @@ import math
 import multiprocessing
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from . import symrep as sr
 from .closed_forms import abc_terms, critical_set, root_scan
 from .degrees import invariants_payload
 from .errors import ConsistencyError
-from .report import check, resolve_tolerances
+from .report import TOLERANCES, check
 
 
 # points at which the published Hessian is checked by finite differences
@@ -35,19 +34,6 @@ HESSIAN_FD_POINTS = 5
 
 # kernel trials per task handed to a Monte-Carlo worker process
 MC_TRIAL_CHUNK = 8
-
-
-@dataclass
-class VerifyConfig:
-    # callable k -> SubgroupLattice, injected by the CLI to reuse its cache
-    lattice_provider: Callable[[int], bb.SubgroupLattice]
-    ks: tuple[int, ...] = (4, 5)
-    seed: int = 20240901
-    mc_trials: int = 1000
-    mc_samples: int = 100_000
-    fd_points: int = 100
-    tolerances: dict[str, float] = field(default_factory=dict)
-    perturb_hessian: float | None = None
 
 
 def _random_admissible(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -128,20 +114,23 @@ def _count_hits(hit, trials, workers: int) -> int:
     return hits
 
 
-def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
-    tol = resolve_tolerances(config.tolerances)
-    rng = np.random.default_rng(config.seed)
+def run_verify(lattice_for: Callable[[int], bb.SubgroupLattice], *, ks: list[int], seed: int,
+               mc_trials: int, mc_samples: int, fd_points: int,
+               perturb_hessian: float | None) -> tuple[dict, list[dict]]:
+    """Every oracle check, and the results they report.  lattice_for(k)
+    gives the subgroup lattice at width k; the CLI passes its cache."""
+    rng = np.random.default_rng(seed)
     checks: list[dict] = []
     results: dict = {}
 
     # -- Monte Carlo vs closed-form kernel ---------------------------------
-    hit = functools.partial(_kernel_hit, n_samples=config.mc_samples, sigma=tol["mc_sigma"])
-    hits = _count_hits(hit, _kernel_trials(rng, config.mc_trials), mc_workers())
-    frac = hits / config.mc_trials
+    hit = functools.partial(_kernel_hit, n_samples=mc_samples, sigma=TOLERANCES["mc_sigma"])
+    hits = _count_hits(hit, _kernel_trials(rng, mc_trials), mc_workers())
+    frac = hits / mc_trials
     checks.append(check(
-        "mc_kernel_3sigma", frac >= tol["mc_pass_fraction"],
-        detail={"pass_fraction": frac, "trials": config.mc_trials,
-                "samples": config.mc_samples},
+        "mc_kernel_3sigma", frac >= TOLERANCES["mc_pass_fraction"],
+        detail={"pass_fraction": frac, "trials": mc_trials,
+                "samples": mc_samples},
     ))
 
     # -- loss against direct Monte Carlo of the defining risk ---------------
@@ -149,15 +138,15 @@ def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
     scaled = teacher.copy()
     scaled[0, 0] = 2.0
     closed = ls.loss(scaled, teacher, 1.0)
-    est, se = ls.loss_mc(scaled, teacher, 1.0, 1_000_000, config.seed)
+    est, se = ls.loss_mc(scaled, teacher, 1.0, 1_000_000, seed)
     checks.append(check(
-        "loss_mc_oracle", abs(est - closed) <= tol["mc_sigma"] * se,
+        "loss_mc_oracle", abs(est - closed) <= TOLERANCES["mc_sigma"] * se,
         detail={"closed_form": closed, "mc": est, "stderr": se},
     ))
 
     # -- exact gradient vs central differences ------------------------------
     worst_rel = 0.0
-    for _ in range(config.fd_points):
+    for _ in range(fd_points):
         point = _random_admissible(rng, 4)
         alpha = float(rng.uniform(-1.0, 3.0))
         g = ls.gradient_exact(point, teacher, alpha)
@@ -165,11 +154,14 @@ def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
         scale = max(1.0, float(np.abs(fd).max()))
         worst_rel = max(worst_rel, float(np.abs(g - fd).max()) / scale)
     checks.append(check(
-        "gradient_exact_vs_fd", worst_rel <= tol["gradient_fd_rel"],
-        detail={"worst_relative_error": worst_rel, "points": config.fd_points},
+        "gradient_exact_vs_fd", worst_rel <= TOLERANCES["gradient_fd_rel"],
+        detail={"worst_relative_error": worst_rel, "points": fd_points},
     ))
 
     # -- the two gradients coincide at alpha = 1 ----------------------------
+    # passes by construction: both run landscape._gradient at one weight
+    # pair, exact_weights(1.0) == published_weights(1.0) == (1.0, 1.0), and
+    # the identity teacher's row norms are exactly 1.0, so the difference is 0
     worst = 0.0
     for _ in range(20):
         point = _random_admissible(rng, 4)
@@ -177,7 +169,7 @@ def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
             ls.gradient_published(point, teacher, 1.0) - ls.gradient_exact(point, teacher, 1.0)
         ).max()))
     checks.append(check(
-        "alpha1_gradient_agreement", worst <= tol["alpha1_gradient_agreement"],
+        "alpha1_gradient_agreement", worst <= TOLERANCES["alpha1_gradient_agreement"],
         detail={"max_abs_difference": worst},
     ))
 
@@ -189,7 +181,7 @@ def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
         fd = hs.finite_diff_hessian(point, teacher, 1.0, 1e-4)
         worst = max(worst, float(np.abs(dense - fd).max()))
     checks.append(check(
-        "alpha1_hessian_fd", worst <= tol["alpha1_hessian_fd"],
+        "alpha1_hessian_fd", worst <= TOLERANCES["alpha1_hessian_fd"],
         detail={"max_abs_difference": worst, "points": HESSIAN_FD_POINTS},
     ))
 
@@ -199,13 +191,13 @@ def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
         for a in np.linspace(-1.0, 4.0, 21)
     )
     checks.append(check(
-        "critical_point_gradient", worst <= tol["critical_point_gradient"],
+        "critical_point_gradient", worst <= TOLERANCES["critical_point_gradient"],
         detail={"max_abs_gradient": worst},
     ))
 
     # -- informational: general-alpha gap of the published formulas ---------
     gap_rows = []
-    probe = _random_admissible(np.random.default_rng(config.seed + 1), 4)
+    probe = _random_admissible(np.random.default_rng(seed + 1), 4)
     for a in (0.0, 0.5, 1.0, 1.5, 2.5):
         g_gap = float(np.abs(
             ls.gradient_published(probe, teacher, a) - ls.gradient_exact(probe, teacher, a)
@@ -222,24 +214,20 @@ def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
     # -- analytic spectrum vs dense eigensolve ------------------------------
     worst_dev = 0.0
     mism = None
-    for k in config.ks:
+    for k in ks:
         for a in np.linspace(0.0, 3.5, 11):
-            rep = sp.numerical_spectrum_match(
-                k, float(a), tolerance=tol["spectrum_match"],
-                perturbation=config.perturb_hessian,
-            )
+            rep = sp.numerical_spectrum_match(k, float(a), perturbation=perturb_hessian)
             worst_dev = max(worst_dev, rep.max_deviation)
             if not rep.ok and mism is None:
                 mism = {"k": k, "alpha": float(a), "message": rep.message}
     checks.append(check(
         "spectrum_match_sweep", mism is None,
-        detail={"max_deviation": worst_dev, "ks": list(config.ks),
+        detail={"max_deviation": worst_dev, "ks": ks,
                 "first_mismatch": mism},
     ))
 
     # -- negative control: an injected perturbation must be detected --------
-    control = sp.numerical_spectrum_match(5, 1.0, tolerance=tol["spectrum_match"],
-                                          perturbation=1e-3)
+    control = sp.numerical_spectrum_match(5, 1.0, perturbation=1e-3)
     checks.append(check(
         "spectrum_negative_control", not control.ok,
         detail={"perturbation": 1e-3, "detected": not control.ok,
@@ -254,7 +242,7 @@ def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
         crit = critical_set(k)
         worst_res = max(worst_res, max(crit.residuals))
         subcritical_ok &= crit.subcritical_regime
-    scan = {k: root_scan(k) for k in config.ks if k <= 16}
+    scan = {k: root_scan(k) for k in ks if k <= 16}
     no_negative_roots = all(
         all(r >= 0.0 for r in roots)
         for fam in scan.values() for roots in fam.values()
@@ -264,7 +252,7 @@ def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
         for fam in scan.values() for roots in fam.values()
     )
     checks.append(check(
-        "critical_set", worst_res <= tol["critical_residual"]
+        "critical_set", worst_res <= TOLERANCES["critical_residual"]
         and subcritical_ok and no_negative_roots and nonzero_root_counts_ok,
         detail={"max_residual": worst_res, "ordering_ok": True,
                 "subcritical_ok": subcritical_ok,
@@ -273,7 +261,7 @@ def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
 
     # -- isotypic eigen-equations on the explicit basis ---------------------
     worst = 0.0
-    for k in config.ks:
+    for k in ks:
         if k > 12:
             continue  # basis-level residuals are a small-width structural check
         basis = sp.isotypic_basis(k)
@@ -298,9 +286,12 @@ def run_verify(config: VerifyConfig) -> tuple[dict, list[dict]]:
     ))
 
     # -- Burnside: recursion products vs mark vectors ------------------------
+    # can only pass or raise: multiply is the pointwise mark product solved
+    # back, and a triangular solve whose every division is exact reproduces
+    # the marks it was given (a non-exact one raises ConsistencyError)
     mark_ok = True
     worst_pair = None
-    lattices = {k: config.lattice_provider(k) for k in (4, 5)}
+    lattices = {k: lattice_for(k) for k in (4, 5)}
     for k, lattice in lattices.items():
         n = len(lattice.classes)
         for hi in range(n):

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import multiprocessing
@@ -31,7 +32,7 @@ from symbreak.landscape import (
     kernel_f,
     kernel_mc,
 )
-from symbreak.report import DEFAULT_TOLERANCES, check, dumps, format_float
+from symbreak.report import TOLERANCES, check, dumps, format_float
 
 # the shipped schema, which the package does not read at run time: the tests hold reports to it
 REPORT_SCHEMA = json.loads(
@@ -126,13 +127,15 @@ def test_spectrum_dense_cap_exit3(capsys, tmp_path):
     (["spectrum", "--k", "5", "--alpha-grid", "0", "nan", "3"], "--alpha-grid"),
     (["spectrum", "--k", "5", "--alpha-grid", "0", "1", "inf"], "--alpha-grid"),
     (["spectrum", "--k", "5", "--alpha", "1e308"], "overflows"),
+    # there is no --tol: it is refused in every position and spelling, where
+    # argparse reads a top-level value as the command
     (["--tol", "critical_residual=nan", "critical", "--k", "5"], "critical_residual"),
-    (["--tol", "critical_residual=inf", "critical", "--k", "5"], "critical_residual"),
+    (["critical", "--k", "5", "--tol", "critical_residual=inf"], "critical_residual"),
     (["critical", "--k", "1" + "0" * 310], "--k"),
     (["spectrum", "--k", "5", "--alpha-grid", "0", "1", "2.7"], "--alpha-grid"),
     (["invariants", "--k", "4", "--cache-dir", "/dev/null/x"], "--cache-dir"),
     (["verify", "--cache-dir", "/dev/null/x"], "--cache-dir"),
-    (["--tol", "critical_residual=abc", "critical", "--k", "5"], "critical_residual"),
+    (["--tol=critical_residual=abc", "critical", "--k", "5"], "critical_residual"),
     # 2k^2 in alpha_triv is inf from k ~ 9.5e153 on: the message names the
     # width, not a nan leak value
     *(pytest.param(["critical", "--k", str(10**e)],
@@ -142,7 +145,7 @@ def test_spectrum_dense_cap_exit3(capsys, tmp_path):
     (["verify", "--perturb-hessian", "nan"], "--perturb-hessian"),
     (["verify", "--perturb-hessian=inf"], "--perturb-hessian"),
     (["verify", "--perturb-hessian=-inf"], "--perturb-hessian"),
-    (["--tol", "mc_pass_fraction=1.5", "verify"], "mc_pass_fraction"),
+    (["verify", "--tol", "mc_pass_fraction=1.5"], "mc_pass_fraction"),
     # negative values that argparse alone reads as unknown options
     (["spectrum", "--k", "5", "--alpha", "-inf"], "--alpha"),
     (["verify", "--perturb-hessian", "-nan"], "--perturb-hessian"),
@@ -189,7 +192,7 @@ def test_abbreviated_flags_exit2(argv, names, capsys, tmp_path):
     assert main(["--cache-dir", str(tmp_path), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert names in captured.err
+    assert captured.err.count("\n") == 1 and names in captured.err
 
 
 def test_alpha_grid_points_capacity_exit3(capsys, tmp_path):
@@ -260,18 +263,25 @@ def test_critical_radicand_overflow_exit2(capsys, tmp_path):
     assert "overflows the W radicand" in captured.err
 
 
-def test_critical_tolerance_override_can_fail(capsys, tmp_path):
-    code, rep = run_json(capsys, "--cache-dir", str(tmp_path),
-                         "--tol", "critical_residual=1e-30",
-                         "critical", "--k", "1000000")
+def test_critical_tolerance_override_can_fail(capsys, tmp_path, monkeypatch):
+    # the gates are fixed; a tighter one in the table reaches the exit-1 path
+    monkeypatch.setitem(TOLERANCES, "critical_residual", 1e-30)
+    code, rep = run_json(capsys, "--cache-dir", str(tmp_path), "critical", "--k", "1000000")
     assert code == 1
     assert rep["status"] == "fail"
+    assert rep["config"]["tolerance"] == 1e-30
 
 
 def test_unknown_tolerance_rejected(capsys, tmp_path):
-    code = main(["--cache-dir", str(tmp_path), "--tol", "nope=1", "critical", "--k", "5"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: unknown tolerance 'nope';")
+    # no run can move a gate: --tol is an unrecognized argument
+    assert main(["--cache-dir", str(tmp_path), "critical", "--k", "5", "--tol", "nope=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "symbreak: error: unrecognized arguments: --tol nope=1\n"
+    assert main(["--cache-dir", str(tmp_path), "--tol", "critical_residual=1",
+                 "critical", "--k", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -677,28 +687,29 @@ def test_count_hits_starts_no_more_workers_than_chunks(monkeypatch):
 
 
 def test_run_verify_matches_serial_trial_loop(lattice4, lattice5):
-    config = verify.VerifyConfig(ks=(4,), mc_trials=60, mc_samples=5000, fd_points=5,
-                                 lattice_provider={4: lattice4, 5: lattice5}.get)
-    _, checks = verify.run_verify(config)
+    seed, mc_trials, mc_samples, fd_points = 20240901, 60, 5000, 5
+    _, checks = verify.run_verify({4: lattice4, 5: lattice5}.get, ks=[4], seed=seed,
+                                  mc_trials=mc_trials, mc_samples=mc_samples,
+                                  fd_points=fd_points, perturb_hessian=None)
     detail = {c["name"]: c["detail"] for c in checks}
 
     # the serial trial loop the pool replaces, then the gradient check's
     # draws, which see the generator state the trials leave behind
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     hits = 0
-    for _ in range(config.mc_trials):
+    for _ in range(mc_trials):
         w = rng.standard_normal(4)
         v = rng.standard_normal(4)
         if np.linalg.norm(w) < 1e-3 or np.linalg.norm(v) < 1e-3:
             hits += 1
             continue
         alpha = float(rng.uniform(-0.5, 2.5))
-        est, se = kernel_mc(w, v, alpha, config.mc_samples, int(rng.integers(2**31)))
+        est, se = kernel_mc(w, v, alpha, mc_samples, int(rng.integers(2**31)))
         if abs(est - kernel_f(w, v, alpha)) <= 3.0 * se:
             hits += 1
     teacher = identity_teacher(4)
     worst_rel = 0.0
-    for _ in range(config.fd_points):
+    for _ in range(fd_points):
         point = random_admissible(rng, 4)
         alpha = float(rng.uniform(-1.0, 3.0))
         g = gradient_exact(point, teacher, alpha)
@@ -706,8 +717,26 @@ def test_run_verify_matches_serial_trial_loop(lattice4, lattice5):
         scale = max(1.0, float(np.abs(fd).max()))
         worst_rel = max(worst_rel, float(np.abs(g - fd).max()) / scale)
 
-    assert detail["mc_kernel_3sigma"]["pass_fraction"] == hits / config.mc_trials
+    assert detail["mc_kernel_3sigma"]["pass_fraction"] == hits / mc_trials
     assert detail["gradient_exact_vs_fd"]["worst_relative_error"] == worst_rel
+
+
+@pytest.mark.parametrize("widths, ks", [([], [4, 5]), (["--k", "6"], [6]),
+                                        (["--k", "5", "--k", "4"], [5, 4])])
+def test_verify_config_is_what_run_verify_takes(widths, ks, capsys, tmp_path, monkeypatch):
+    # the printed config is the keyword arguments run_verify ran with
+    params = inspect.signature(verify.run_verify).parameters
+    seen = {}
+
+    def recording(lattice_for, **kwargs):
+        seen.update(kwargs)
+        return {}, []
+
+    monkeypatch.setattr(verify, "run_verify", recording)
+    code, rep = run_json(capsys, "--cache-dir", str(tmp_path), "verify", *widths)
+    assert code == 0
+    assert list(rep["config"]) == [n for n, p in params.items() if p.kind is p.KEYWORD_ONLY]
+    assert rep["config"] == seen and seen["ks"] == ks
 
 
 def test_verify_perturbation_fails(capsys, tmp_path):
@@ -798,8 +827,8 @@ def test_check_record_passed_is_a_python_bool():
 def test_unformattable_report_exits2_with_one_line(output, capsys, tmp_path, monkeypatch):
     real = cli.cmd_critical
 
-    def nan_critical(args, tol):
-        report, code = real(args, tol)
+    def nan_critical(args):
+        report, code = real(args)
         report["results"]["values"][1] = float("nan")
         return report, code
 
@@ -817,7 +846,7 @@ def test_unformattable_report_exits2_with_one_line(output, capsys, tmp_path, mon
 ], ids=["KeyError", "ValueError"])
 def test_internal_error_exits4_with_one_line(exc, line, capsys, tmp_path, monkeypatch):
     # a defect is neither a usage error (2) nor a failed check (1)
-    def broken(args, tol):
+    def broken(args):
         raise exc
 
     monkeypatch.setattr(cli, "cmd_critical", broken)
@@ -838,11 +867,6 @@ _LEAKS = st.one_of(
     st.floats().map(repr),
 )
 _BAD_WIDTHS = st.one_of(st.integers(-3, 3), st.just(_HUGE_K))
-_TOL = st.builds(
-    "{}={}".format,
-    st.one_of(st.sampled_from(sorted(DEFAULT_TOLERANCES)), st.text(max_size=8)),
-    st.one_of(st.floats(1e-14, 1e3).map(repr), _LEAKS, st.text(max_size=8)),
-)
 
 
 @st.composite
@@ -861,8 +885,7 @@ def _argv(draw, cache_dir):
         args = [draw(st.sampled_from(["--k=3", f"--k={_HUGE_K}", "--mc-trials=0",
                                       "--mc-samples=1", "--fd-points=0", "--seed=-1",
                                       "--perturb-hessian=nan", "--perturb-hessian=inf"]))]
-    tol = [f"--tol={pair}" for pair in draw(st.lists(_TOL, max_size=1))]
-    return ["--cache-dir", str(cache_dir), *tol, command, *args, "--output=json"]
+    return ["--cache-dir", str(cache_dir), command, *args, "--output=json"]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
