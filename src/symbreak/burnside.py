@@ -26,11 +26,16 @@ with every division asserted exact.  Direct orbit counting on G/H x G/K
 (orbit_count_product) is the independent oracle for products.
 
 Permutations are tuples of images on {0, ..., k-1}; subgroups are frozensets
-of such tuples.  Everything here is exact integer arithmetic.  Only lattice
-construction uses numpy, for its index-space multiplication and inverse
-tables (_GroupTables, build_lattice), from which conjugation is read as two
-gathers, and imports it there: a warm read (load_lattice) and the ring
-arithmetic run without it.  build_lattice closes all joins of one class
+of such tuples.  compose(p, q) maps q's images through p with map, half the
+cost of a generator expression; closure and _conjugate call it about 10,000
+times on a warm k = 6 read.  SubgroupClass is a plain immutable class and
+SubgroupLattice a named tuple: the package imports no dataclasses, whose
+import and per-class code generation a warm `invariants` process would pay
+on every start (README, Start-up).  Everything here is exact integer
+arithmetic.  Only lattice construction uses numpy, for its index-space
+multiplication and inverse tables (_GroupTables, build_lattice), from which
+conjugation is read as two gathers, and imports it there: a warm read
+(load_lattice) and the ring arithmetic run without it.  build_lattice closes all joins of one class
 with the cyclic subgroups at once, as one breadth-first search over the
 right cosets of the class representative (_GroupTables.close_indices), and
 classifies each join by one lookup of its packed bit mask over the k!
@@ -45,7 +50,7 @@ import math
 import re
 import zlib
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CapacityError, ConsistencyError, DomainError
 
@@ -64,7 +69,7 @@ def identity_perm(k: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p*q)(i) = p(q(i)): apply q first."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def invert(p: Perm) -> Perm:
@@ -161,19 +166,38 @@ def closure(generators: list[Perm], k: int) -> frozenset[Perm]:
 # lattice data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SubgroupClass:
-    """One conjugacy class of subgroups, carried by a chosen representative."""
+    """One conjugacy class of subgroups, carried by a chosen representative.
 
-    index: int
-    order: int
-    normalizer_order: int
-    label: str
-    generators: tuple[Perm, ...]
-    representative: frozenset[Perm] = field(repr=False, compare=False)
-    # number of elements of each cycle type in the representative, counted
-    # once, by build_lattice or load_lattice (no cache bytes)
-    cycle_type_counts: dict[tuple[int, ...], int] = field(repr=False, compare=False)
+    cycle_type_counts holds the number of elements of each cycle type in the
+    representative, counted once, by build_lattice or load_lattice (no cache
+    bytes).  Immutable and hashable: equality and the hash read the index,
+    order, normalizer order, label and generators, never the representative
+    or the counts derived from it."""
+
+    def __init__(self, index: int, order: int, normalizer_order: int, label: str,
+                 generators: tuple[Perm, ...], representative: frozenset[Perm],
+                 cycle_type_counts: dict[tuple[int, ...], int]):
+        self.__dict__.update(index=index, order=order, normalizer_order=normalizer_order,
+                             label=label, generators=generators, representative=representative,
+                             cycle_type_counts=cycle_type_counts)
+
+    def _key(self) -> tuple:
+        return self.index, self.order, self.normalizer_order, self.label, self.generators
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def weyl_order(self) -> int:
@@ -186,8 +210,7 @@ class SubgroupClass:
         return math.factorial(k) // self.normalizer_order
 
 
-@dataclass
-class SubgroupLattice:
+class SubgroupLattice(NamedTuple):
     """All subgroup classes of S_k with the n(L,H) table."""
 
     k: int
@@ -564,15 +587,14 @@ def _minimal_gens(tables: _GroupTables, sub: frozenset[int]) -> list[int]:
 # Burnside elements
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BurnsideElement:
-    """Integer formal sum of subgroup classes of a fixed lattice."""
+    """Integer formal sum of subgroup classes of a fixed lattice.
 
-    lattice: SubgroupLattice
-    coeffs: dict[int, int] = field(default_factory=dict)
+    coeffs is a new dict holding the nonzero coefficients only."""
 
-    def __post_init__(self):
-        self.coeffs = {i: c for i, c in self.coeffs.items() if c != 0}
+    def __init__(self, lattice: SubgroupLattice, coeffs: dict[int, int] | None = None):
+        self.lattice = lattice
+        self.coeffs = {i: c for i, c in (coeffs or {}).items() if c != 0}
 
     # -- constructors ------------------------------------------------------
     @staticmethod

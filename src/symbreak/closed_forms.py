@@ -33,8 +33,7 @@ capacity report) run without numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConsistencyError, DomainError
 
@@ -90,8 +89,7 @@ def family_values_at(k: int, alpha: float) -> tuple[float, ...]:
 # critical set
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CriticalSet:
+class CriticalSet(NamedTuple):
     k: int
     values: tuple[float, float, float]          # (0, standard, trivial), increasing
     labels: tuple[tuple[Partition, ...], ...]   # vanishing components per value

@@ -14,8 +14,8 @@ every factor that degenerated at a smaller value (all ones below the first).
 """
 
 from __future__ import annotations
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+
+from typing import TYPE_CHECKING, NamedTuple
 
 from .burnside import MAX_LATTICE_K, BurnsideElement, SubgroupLattice, solve_from_marks
 from .closed_forms import critical_set
@@ -40,12 +40,13 @@ if TYPE_CHECKING:
 # basic degrees
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BasicDegree:
-    element: BurnsideElement
-    fixed_dims: dict[int, int]          # class index -> dim V^K
-    marks: list[int]                    # class index -> (-1)^{dim V^K}
-    maximal_types: list[int] = field(default_factory=list)
+    def __init__(self, element: BurnsideElement, fixed_dims: dict[int, int], marks: list[int],
+                 maximal_types: list[int] | None = None):
+        self.element = element
+        self.fixed_dims = fixed_dims            # class index -> dim V^K
+        self.marks = marks                      # class index -> (-1)^{dim V^K}
+        self.maximal_types = [] if maximal_types is None else maximal_types
 
     def labels(self) -> dict[str, int]:
         lat = self.element.lattice
@@ -95,8 +96,7 @@ def maximal_orbit_types(x: BurnsideElement, lattice: SubgroupLattice) -> list[in
     return out
 
 
-@dataclass
-class LeadingCoefficientReport:
+class LeadingCoefficientReport(NamedTuple):
     entries: list[dict]
     violations: list[dict]
 
@@ -168,8 +168,7 @@ def linear_map_degree(spectrum: list[SpectrumEntry], lattice: SubgroupLattice) -
 # bifurcation invariants
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BifurcationInvariant:
+class BifurcationInvariant(NamedTuple):
     critical_value: float
     labels: list[Partition]              # isotypic factors degenerating here
     element: BurnsideElement

@@ -13,8 +13,8 @@ is selected and published with the report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .burnside import (BurnsideElement, SubgroupClass, SubgroupLattice, compose, cycle_type,
                        perm_order)
@@ -65,13 +65,12 @@ def _candidates(label: str, order: int, lattice: SubgroupLattice) -> list[int]:
     return out
 
 
-@dataclass
-class NameMap:
+class NameMap(NamedTuple):
     label_to_class: dict[str, int]
     class_to_label: dict[int, str]
     score: int
     total: int
-    per_display: dict[str, bool] = field(default_factory=dict)
+    per_display: dict[str, bool]
 
 
 def _display_targets(golden: dict) -> dict[str, dict[str, int]]:

@@ -34,7 +34,7 @@ check_symmetry runs it on every row of a full block array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ def h2(rows_x, rows_y) -> np.ndarray:
 # blocks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HessianBlocks:
+class HessianBlocks(NamedTuple):
     """blocks[i, j] is the k x k block on neuron pair (i, j)."""
 
     k: int

@@ -72,8 +72,7 @@ the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -91,8 +90,7 @@ if TYPE_CHECKING:
 # analytic spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     value: float
     multiplicity: int          # eigenspace dimension = dim of one irreducible copy
     label: Partition           # isotypic component
@@ -130,8 +128,7 @@ def merged_view(entries: list[SpectrumEntry], tol: float = 0.0) -> list[tuple[fl
 # isotypic basis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IsotypicBasis:
+class IsotypicBasis(NamedTuple):
     """Matrix bases of the six isotypic families under the diagonal action.
 
     span_ij + ksd triples + s0 + wedge form a basis of all k x k matrices
@@ -209,22 +206,20 @@ CLUSTER_GAP_FACTOR = 1e-8
 LABEL_TIE_FACTOR = 1e-9
 
 
-@dataclass
-class ClusterMatch:
+class ClusterMatch(NamedTuple):
     numeric_value: float
     numeric_multiplicity: int
     deviation: float | None        # None when the cluster has no analytic partner
     dominant_label: str
 
 
-@dataclass
-class SpectrumMatchReport:
+class SpectrumMatchReport(NamedTuple):
     ok: bool
     max_deviation: float
     multiplicities_agree: bool
     coupling: float                # distance to the shift-invariant split, 0.0 for a clean assembly
-    clusters: list[ClusterMatch] = field(default_factory=list)
-    message: str = ""
+    clusters: list[ClusterMatch]
+    message: str
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[tuple[float, int]]:

@@ -7,7 +7,9 @@ and remove the cycles of the class one at a time.  Removing an m-cycle
 moves one bead b down to a free place b - m, with sign (-1)^(beads
 strictly between), and the character is the signed sum over every such move
 of the character of the smaller partition on the remaining cycles; the
-empty partition on no cycles has value 1.  All values are exact integers.
+empty partition on no cycles has value 1.  All values are exact integers;
+multiplicities are integer divisions asserted exact, and only
+inner_product builds a Fraction, importing fractions when it is called.
 Everything downstream (closed two-row/hook forms, the isotypic
 decomposition of R^{k^2} under the diagonal action, fixed-space
 dimensions) is checked against this one primitive.
@@ -17,11 +19,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError, ConsistencyError, DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Partition = tuple[int, ...]
 
@@ -194,20 +198,29 @@ def irreducible_character(eta: Partition) -> ClassFunction:
     return dict(_irreducible_character_cached(eta))
 
 
+def _weighted_sum(f: ClassFunction, g: ClassFunction, n: int) -> int:
+    """n! <f, g>: the class-size-weighted sum, an exact integer."""
+    return sum(class_size(c) * f[c] * g[c] for c in sorted_cycle_types(n))
+
+
 def inner_product(f: ClassFunction, g: ClassFunction, n: int) -> Fraction:
-    total = sum(class_size(c) * f[c] * g[c] for c in sorted_cycle_types(n))
-    return Fraction(total, math.factorial(n))
+    # imported here: fractions loads decimal, and no command needs it
+    from fractions import Fraction
+
+    return Fraction(_weighted_sum(f, g, n), math.factorial(n))
 
 
 def decompose_class_function(f: ClassFunction, n: int) -> dict[Partition, int]:
     """Multiplicities of each irreducible in f; asserts integrality."""
+    n_fact = math.factorial(n)
     out: dict[Partition, int] = {}
     for eta in partitions_of(n):
-        m = inner_product(f, irreducible_character(eta), n)
-        if m.denominator != 1:
-            raise ConsistencyError(f"non-integral multiplicity {m} at {eta}")
+        chi = irreducible_character(eta)
+        m, rem = divmod(_weighted_sum(f, chi, n), n_fact)
+        if rem:
+            raise ConsistencyError(f"non-integral multiplicity {inner_product(f, chi, n)} at {eta}")
         if m:
-            out[eta] = int(m)
+            out[eta] = m
     return out
 
 
@@ -236,8 +249,7 @@ def decompose_diag_square(k: int) -> dict[Partition, int]:
 # character table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CharacterTable:
+class CharacterTable(NamedTuple):
     k: int
     partitions: list[Partition]          # row order: descending lexicographic
     cycle_types: list[Partition]         # column order: (moved points, lex)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from conftest import class_by_label
 from symbreak.burnside import (
     BurnsideElement,
+    SubgroupClass,
+    SubgroupLattice,
     _GroupTables,
     build_lattice,
     class_name,
@@ -56,6 +58,77 @@ def test_compose_and_invert():
     pq = compose(p, q)
     assert pq == tuple(p[q[i]] for i in range(4))
     assert compose(p, invert(p)) == identity_perm(4)
+
+
+def test_compose_equals_generator_reference():
+    # compose reads q's images through p with map; the reference is the
+    # generator expression it replaced, on every pair of S_5 x S_5
+    def reference(p, q):
+        return tuple(p[q[i]] for i in range(len(p)))
+
+    perms = list(itertools.permutations(range(5)))
+    pairs = 0
+    for p in perms:
+        for q in perms:
+            got = compose(p, q)
+            assert type(got) is tuple and got == reference(p, q)
+            pairs += 1
+    assert pairs == 14_400
+
+
+# ---------------------------------------------------------------------------
+# record semantics (plain classes and named tuples, no dataclasses)
+# ---------------------------------------------------------------------------
+
+def _copy_class(cls, **changes):
+    fields = dict(index=cls.index, order=cls.order, normalizer_order=cls.normalizer_order,
+                  label=cls.label, generators=cls.generators,
+                  representative=cls.representative, cycle_type_counts=cls.cycle_type_counts)
+    return SubgroupClass(**{**fields, **changes})
+
+
+def test_subgroup_class_is_frozen_and_hashable(lattice5):
+    cls = class_by_label(lattice5, "S4")
+    for name in ("index", "label", "representative", "weyl_order", "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(cls, name, 0)
+    with pytest.raises(AttributeError):
+        del cls.label
+    assert cls.label == "S4" and cls.index == lattice5.classes.index(cls)
+    # equality and the hash read index, order, normalizer order, label and
+    # generators, never the representative or its cycle-type counts
+    twin = _copy_class(cls, representative=frozenset(), cycle_type_counts={})
+    assert twin == cls and hash(twin) == hash(cls)
+    assert len({cls, twin, *lattice5.classes}) == len(lattice5.classes)
+    for field, value in (("index", cls.index + 1), ("order", 1), ("normalizer_order", 1),
+                         ("label", "S4'"), ("generators", cls.generators[:1])):
+        assert _copy_class(cls, **{field: value}) != cls, field
+    assert cls != tuple(vars(cls).values())
+
+
+def test_burnside_element_owns_its_nonzero_coefficients(lattice4):
+    given = {0: 2, 1: 0, 3: -1}
+    x = BurnsideElement(lattice4, given)
+    assert x.coeffs == {0: 2, 3: -1}
+    assert given == {0: 2, 1: 0, 3: -1}    # the argument is not aliased
+    given[0] = 5
+    assert x.coeffs[0] == 2
+    empty, other = BurnsideElement(lattice4), BurnsideElement(lattice4)
+    assert empty.coeffs == {} and empty.coeffs is not other.coeffs
+    empty.coeffs[1] = 1
+    assert other.coeffs == {}
+    with pytest.raises(TypeError):
+        hash(x)
+
+
+def test_lattice_equality_compares_k_classes_and_n_table(lattice4):
+    again = load_lattice(serialize_lattice(lattice4))
+    assert again == lattice4 and again is not lattice4
+    assert SubgroupLattice(3, lattice4.classes, lattice4.n_table) != lattice4
+    assert SubgroupLattice(4, lattice4.classes[::-1], lattice4.n_table) != lattice4
+    n_table = dict(lattice4.n_table)
+    n_table[(0, lattice4.full_index)] += 1
+    assert SubgroupLattice(4, lattice4.classes, n_table) != lattice4
 
 
 # ---------------------------------------------------------------------------

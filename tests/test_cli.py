@@ -924,6 +924,8 @@ for k in (4, 5, 6, 7, 8):
                                       "--output", output])
         assert code == (0 if k <= 6 else 3), (k, output, code)
         assert "numpy" not in sys.modules, (k, output)
+        lean = [m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules]
+        assert not lean, (k, output, lean)
 from symbreak import BurnsideElement, build_lattice, critical_set
 assert critical_set(5).values[1] > 2.0 and "numpy" not in sys.modules
 import symbreak
@@ -953,6 +955,8 @@ for k in ("5", "64"):
         assert code == 0, (k, output, code)
         assert "root_scan" in out.getvalue(), (k, output)
 assert "numpy" not in sys.modules
+lean = [m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules]
+assert not lean, lean
 """
 
 
@@ -960,6 +964,25 @@ def test_critical_never_imports_numpy():
     # a fresh interpreter: the root scan at k <= 64 is pure Python
     proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_CRITICAL],
                           capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+_EVERY_SUBMODULE = """
+import importlib, pkgutil, sys
+import symbreak
+names = sorted(m.name for m in pkgutil.iter_modules(symbreak.__path__))
+assert {"cli", "verify", "spectrum", "golden"} <= set(names), names
+for name in names:
+    importlib.import_module("symbreak." + name)
+assert "dataclasses" not in sys.modules
+"""
+
+
+def test_no_submodule_imports_dataclasses():
+    # a fresh interpreter: dataclasses pulls in inspect, ast, dis and
+    # tokenize, and builds each class from generated source at import
+    proc = subprocess.run([sys.executable, "-c", _EVERY_SUBMODULE],
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 

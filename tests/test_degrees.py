@@ -6,6 +6,7 @@ from symbreak import burnside
 from symbreak.burnside import BurnsideElement, load_lattice, serialize_lattice
 from symbreak.closed_forms import critical_set
 from symbreak.degrees import (
+    BasicDegree,
     all_invariants,
     basic_degree,
     fixed_dims_for,
@@ -60,6 +61,17 @@ def test_unit_coefficient_at_full_group(lattice5):
     for eta, bd in _degrees(lattice5).items():
         want = -1 if eta == (5,) else 1
         assert bd.element.coeffs.get(lattice5.full_index, 0) == want
+
+
+def test_basic_degree_default_maximal_types_is_fresh(lattice4):
+    one = BurnsideElement.one(lattice4)
+    a = BasicDegree(one, {}, [])
+    b = BasicDegree(one, {}, [])
+    assert a.maximal_types == [] and a.maximal_types is not b.maximal_types
+    a.maximal_types.append(lattice4.full_index)
+    assert b.maximal_types == []
+    given = [0]
+    assert BasicDegree(one, {}, [], given).maximal_types is given
 
 
 def test_standard_degree_matches_reference(lattice5):
