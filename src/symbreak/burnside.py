@@ -676,7 +676,7 @@ def solve_from_marks(lattice: SubgroupLattice, marks: list[int]) -> BurnsideElem
         for hi in lattice.strictly_above(li):
             c = coeffs.get(hi, 0)
             if c:
-                acc -= c * lattice.n(li, hi) * lattice.classes[hi].weyl_order
+                acc -= c * lattice.mark(li, hi)
         w = lattice.classes[li].weyl_order
         if acc % w:
             raise ConsistencyError(

@@ -88,12 +88,8 @@ def basic_degree(eta, lattice: SubgroupLattice) -> BasicDegree:
 
 def maximal_orbit_types(x: BurnsideElement, lattice: SubgroupLattice) -> list[int]:
     """Support classes maximal under the containment order."""
-    support = sorted(x.coeffs)
-    out = []
-    for i in support:
-        if not any(j != i and (i, j) in lattice.n_table for j in support):
-            out.append(i)
-    return out
+    return [i for i in sorted(x.coeffs)
+            if not any(j in x.coeffs for j in lattice.strictly_above(i))]
 
 
 class LeadingCoefficientReport(NamedTuple):

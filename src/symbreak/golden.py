@@ -5,16 +5,18 @@ The reference expansions name subgroup classes with conventional symbols
 isomorphism types: S_5 has two order-2 classes, two Klein classes, and two
 order-6 nonabelian classes.  The correspondence between those symbols and
 the lattice classes is therefore inferred, not assumed: candidate classes
-are filtered by order and structure, and the unique injective assignment
-that reproduces every reference expansion as an exact coefficient multiset
-is selected and published with the report.
+are filtered by order and structure, and one product search runs over the
+candidate lists, labels sorted by name and then stably by candidate count.
+It scores each injective assignment by the number of reference expansions
+it reproduces as exact coefficient multisets; the first assignment, in that
+order, with the highest score is selected and published with the report.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from importlib import resources
-from typing import NamedTuple
 
 from .burnside import (BurnsideElement, SubgroupClass, SubgroupLattice, compose, cycle_type,
                        perm_order)
@@ -65,14 +67,6 @@ def _candidates(label: str, order: int, lattice: SubgroupLattice) -> list[int]:
     return out
 
 
-class NameMap(NamedTuple):
-    label_to_class: dict[str, int]
-    class_to_label: dict[int, str]
-    score: int
-    total: int
-    per_display: dict[str, bool]
-
-
 def _display_targets(golden: dict) -> dict[str, dict[str, int]]:
     targets = {}
     for key, entry in golden["basic_degrees"].items():
@@ -86,50 +80,27 @@ def infer_name_map(
     lattice: SubgroupLattice,
     computed: dict[str, BurnsideElement],
     golden: dict,
-) -> NameMap:
-    """Search injective label->class assignments maximizing the number of
-    reference expansions reproduced exactly.  computed maps display keys
-    (degree_hook, ..., invariant_at_zero, ...) to Burnside elements."""
+) -> tuple[dict[str, int], dict[str, bool]]:
+    """(label -> class, per-display verdicts) of the first injective
+    assignment, in candidate order, reproducing the most reference
+    expansions exactly.  computed maps display keys (degree_hook, ...,
+    invariant_at_zero, ...) to Burnside elements."""
     targets = _display_targets(golden)
     labels = sorted({lab for terms in targets.values() for lab in terms})
     orders = golden["label_orders"]
     cand = {lab: _candidates(lab, orders[lab], lattice) for lab in labels}
+    labels.sort(key=lambda lab: len(cand[lab]))
 
-    best: NameMap | None = None
-    order_of = sorted(labels, key=lambda lab: len(cand[lab]))
-
-    def score_assignment(assign: dict[str, int]) -> tuple[int, dict[str, bool]]:
-        per: dict[str, bool] = {}
-        for key, terms in targets.items():
-            want = {assign[lab]: c for lab, c in terms.items()}
-            got = computed[key].coeffs if key in computed else None
-            per[key] = got == want
-        return sum(per.values()), per
-
-    def backtrack(i: int, assign: dict[str, int], used: set[int]):
-        nonlocal best
-        if i == len(order_of):
-            sc, per = score_assignment(assign)
-            if best is None or sc > best.score:
-                best = NameMap(
-                    label_to_class=dict(assign),
-                    class_to_label={v: k for k, v in assign.items()},
-                    score=sc,
-                    total=len(targets),
-                    per_display=per,
-                )
-            return
-        lab = order_of[i]
-        for ci in cand[lab]:
-            if ci in used:
-                continue
-            assign[lab] = ci
-            used.add(ci)
-            backtrack(i + 1, assign, used)
-            used.discard(ci)
-            del assign[lab]
-
-    backtrack(0, {}, set())
+    best = None
+    for choice in itertools.product(*(cand[lab] for lab in labels)):
+        if len(set(choice)) < len(choice):
+            continue
+        assign = dict(zip(labels, choice))
+        per = {key: key in computed
+               and computed[key].coeffs == {assign[lab]: c for lab, c in terms.items()}
+               for key, terms in targets.items()}
+        if best is None or sum(per.values()) > sum(best[1].values()):
+            best = assign, per
     if best is None:
         raise RuntimeError("no injective label assignment exists")
     return best
@@ -139,12 +110,6 @@ def infer_name_map(
 # full k = 5 comparison
 # ---------------------------------------------------------------------------
 
-_GOLDEN_KEY_TO_PARTITION = {
-    "hook": (3, 1, 1),
-    "two_row": (3, 2),
-    "standard": (4, 1),
-    "trivial": (5,),
-}
 _INVARIANT_KEYS = ("at_zero", "at_standard", "at_trivial")
 
 
@@ -157,23 +122,21 @@ def compare_k5(
     expansions; returns the inferred name map, per-display verdicts, maximal
     orbit-type comparisons, and any repair notes from the reference data."""
     golden = load_golden()
-    computed: dict[str, BurnsideElement] = {}
-    for key, eta in _GOLDEN_KEY_TO_PARTITION.items():
-        computed[f"degree_{key}"] = degrees[eta].element
+    degree_of = {key: degrees[tuple(entry["partition"])]
+                 for key, entry in golden["basic_degrees"].items()}
+    computed = {f"degree_{key}": bd.element for key, bd in degree_of.items()}
     for key, inv in zip(_INVARIANT_KEYS, invariants):
         computed[f"invariant_{key}"] = inv.element
 
-    name_map = infer_name_map(lattice, computed, golden)
-    inv_label = name_map.class_to_label
+    label_to_class, per_display = infer_name_map(lattice, computed, golden)
+    inv_label = {ci: lab for lab, ci in label_to_class.items()}
 
     def to_labels(indices: list[int]) -> list[str]:
-        return sorted(
-            inv_label.get(i, lattice.classes[i].label) for i in indices
-        )
+        return sorted(inv_label.get(i, lattice.classes[i].label) for i in indices)
 
     maximal_checks = {}
-    for key, eta in _GOLDEN_KEY_TO_PARTITION.items():
-        got = to_labels(degrees[eta].maximal_types)
+    for key, bd in degree_of.items():
+        got = to_labels(bd.maximal_types)
         want = sorted(golden["basic_degrees"][key]["maximal"])
         maximal_checks[f"degree_{key}"] = {
             "computed": got,
@@ -198,17 +161,15 @@ def compare_k5(
         if "note" in entry:
             notes[f"invariant_{key}"] = entry["note"]
 
-    expansions_ok = name_map.score == name_map.total
+    expansions_ok = all(per_display.values())
     marked_ok = all(
         entry.get("equal", False) or entry.get("marked_subset_of_computed", False)
         for entry in maximal_checks.values()
     )
     return {
-        "name_map": {
-            lab: lattice.classes[ci].label
-            for lab, ci in sorted(name_map.label_to_class.items())
-        },
-        "displays_matched": name_map.per_display,
+        "name_map": {lab: lattice.classes[ci].label
+                     for lab, ci in sorted(label_to_class.items())},
+        "displays_matched": per_display,
         "expansions_ok": expansions_ok,
         "maximal_checks": maximal_checks,
         "maximal_ok": marked_ok,

@@ -15,9 +15,9 @@ published_weights(a) = (a, 1), equal to it at a = 1, gives the published
 gradient and Hessian (the gradient's teacher term assumes unit teacher
 rows).  Each derivative order is written once over the pair: _kernel_matrix
 (kernel_f is its single entry), _losses, _gradient and hessian._hessian.
-The finite-difference oracles differentiate _losses and the Monte-Carlo
-oracles sample the activation, so neither reads the formulas they check;
-verify reports the gap between the two conventions.
+The finite-difference oracles differentiate _losses and both Monte-Carlo
+oracles (kernel_mc, loss_mc) sample activation, the one sigma_a, so neither
+reads the formulas they check; verify reports the convention gap.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ def _check_pair(student, teacher):
     return s, t
 
 
-def activation(a: np.ndarray, alpha: float) -> np.ndarray:
-    """sigma_alpha(t) = max{(1-alpha) t, t}."""
-    return np.maximum((1.0 - alpha) * a, a)
+def activation(a: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
+    """sigma_alpha(t) = max{(1-alpha) t, t}, written into out if given."""
+    return np.maximum((1.0 - alpha) * a, a, out=out)
 
 
 def exact_weights(alpha: float) -> tuple[float, float]:
@@ -153,15 +153,12 @@ def kernel_mc(w, v, alpha: float, n_samples: int, seed: int) -> tuple[float, flo
     """Monte-Carlo (mean, standard error) of E[sigma(w.x) sigma(v.x)],
     x ~ N(0, I_k); deterministic for a fixed seed."""
     w, v = _vectors(w, v)
-    slope = 1.0 - alpha
 
     def draw(x, out):
         # two products, as one x @ [w v] product changes the last bits
         pw = x @ w
         pv = x @ v
-        np.maximum(slope * pw, pw, out=pw)
-        np.maximum(slope * pv, pv, out=pv)
-        np.multiply(pw, pv, out=out)
+        np.multiply(activation(pw, alpha, out=pw), activation(pv, alpha, out=pv), out=out)
 
     return _mc_mean_se(draw, w.size, n_samples, seed)
 

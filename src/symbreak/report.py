@@ -68,6 +68,7 @@ TOLERANCES = {
     "alpha1_gradient_agreement": 1e-10,
     "alpha1_hessian_fd": 1e-5,
     "critical_point_gradient": 1e-12,
+    "isotypic_residual": 1e-10,
     "mc_sigma": 3.0,
     "mc_pass_fraction": 0.99,
 }

@@ -269,7 +269,7 @@ def _frequency_scores(vecs: np.ndarray) -> np.ndarray:
 def numerical_spectrum_match(
     k: int,
     alpha: float,
-    tolerance: float = TOLERANCES["spectrum_match"],
+    tolerance: float | None = None,
     perturbation: float | None = None,
 ) -> SpectrumMatchReport:
     """Dense eigensolve of the minimum Hessian against the analytic table,
@@ -310,8 +310,9 @@ def numerical_spectrum_match(
     ((x_{t,s} - x_{0,s}) + (x_{t+s,-s} - x_{0,-s})^T)/2, so its distance
     to M in the 2-norm is at most the coupling, and by Weyl's inequality
     so is that of every eigenvalue.  A matched deviation passes only
-    when deviation + coupling <= max(tolerance, k^2 eps scale), the second
-    term being the eigensolver's backward error at large leak values (it
+    when deviation + coupling <= max(tolerance, k^2 eps scale), tolerance
+    being TOLERANCES["spectrum_match"] at the call unless given, and the
+    second term the eigensolver's backward error at large leak values (it
     stays below 8e-11 for k <= 64, |alpha| <= 3.5).  The coupling is 0
     exactly for the blocks of hessian_at_minimum; blocks that break the
     shift symmetry fail on it instead of being hidden by the split.  The
@@ -404,6 +405,8 @@ def numerical_spectrum_match(
             deviation=dev, dominant_label=dominant,
         ))
     floor = k * k * float(np.finfo(float).eps) * scale
+    if tolerance is None:
+        tolerance = TOLERANCES["spectrum_match"]
     ok = shape_ok and mults_ok and max_dev + coupling <= max(tolerance, floor)
     msg = "" if ok else (
         f"cluster shape {[m for _, m in numeric]} vs analytic {[m for _, m in analytic]}, "

@@ -187,15 +187,9 @@ def hook_dimension(eta) -> int:
 ClassFunction = dict[Partition, int]
 
 
-@lru_cache(maxsize=None)
-def _irreducible_character_cached(eta: Partition) -> tuple[tuple[Partition, int], ...]:
-    n = sum(eta)
-    return tuple((c, frobenius_character(eta, c)) for c in sorted_cycle_types(n))
-
-
 def irreducible_character(eta: Partition) -> ClassFunction:
     eta = validate_partition(eta)
-    return dict(_irreducible_character_cached(eta))
+    return {c: frobenius_character(eta, c) for c in sorted_cycle_types(sum(eta))}
 
 
 def _weighted_sum(f: ClassFunction, g: ClassFunction, n: int) -> int:

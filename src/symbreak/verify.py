@@ -281,7 +281,7 @@ def run_verify(lattice_for: Callable[[int], bb.SubgroupLattice], *, ks: list[int
                     worst = max(worst, float(np.abs(
                         hs.block_operator_apply(mat, a) - want).max()))
     checks.append(check(
-        "isotypic_eigen_equations", worst <= 1e-10,
+        "isotypic_eigen_equations", worst <= TOLERANCES["isotypic_residual"],
         detail={"max_residual": worst},
     ))
 

@@ -721,6 +721,23 @@ def test_run_verify_matches_serial_trial_loop(lattice4, lattice5):
     assert detail["gradient_exact_vs_fd"]["worst_relative_error"] == worst_rel
 
 
+def test_isotypic_gate_reads_the_table(lattice4, lattice5, monkeypatch):
+    # a residual is a maximum of absolute values, never negative, so a
+    # negative gate fails the check whatever the rounding
+    def isotypic_check():
+        _, checks = verify.run_verify({4: lattice4, 5: lattice5}.get, ks=[4], seed=1,
+                                      mc_trials=2, mc_samples=100, fd_points=1,
+                                      perturb_hessian=None)
+        (record,) = [c for c in checks if c["name"] == "isotypic_eigen_equations"]
+        return record
+
+    assert isotypic_check()["passed"]
+    monkeypatch.setitem(TOLERANCES, "isotypic_residual", -1.0)
+    record = isotypic_check()
+    assert not record["passed"]
+    assert 0.0 <= record["detail"]["max_residual"] <= 1e-10
+
+
 @pytest.mark.parametrize("widths, ks", [([], [4, 5]), (["--k", "6"], [6]),
                                         (["--k", "5", "--k", "4"], [5, 4])])
 def test_verify_config_is_what_run_verify_takes(widths, ks, capsys, tmp_path, monkeypatch):

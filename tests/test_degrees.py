@@ -16,7 +16,7 @@ from symbreak.degrees import (
     invariants_payload,
 )
 from symbreak.errors import CapacityError, DomainError
-from symbreak.golden import compare_k5, load_golden
+from symbreak.golden import _candidates, _display_targets, compare_k5, infer_name_map, load_golden
 from symbreak.spectrum import analytic_spectrum
 from symbreak.symrep import (
     closed_form_partition,
@@ -371,3 +371,96 @@ def test_cycle_types_counted_once_per_class(fixture, request, monkeypatch):
         chi = irreducible_character(eta)
         assert fixed_dims_for(eta, lattice) == {
             c.index: fixed_space_dim(chi, c.representative) for c in lattice.classes}
+
+
+# ---------------------------------------------------------------------------
+# width-5 name map and maximal orbit types against the replaced searches
+# ---------------------------------------------------------------------------
+
+def _depth_first_name_map(lattice, computed, golden):
+    """The depth-first search infer_name_map replaced: labels by candidate
+    count, each candidate in order, the first strictly better score kept."""
+    targets = _display_targets(golden)
+    labels = sorted({lab for terms in targets.values() for lab in terms})
+    cand = {lab: _candidates(lab, golden["label_orders"][lab], lattice) for lab in labels}
+    order_of = sorted(labels, key=lambda lab: len(cand[lab]))
+    best = []
+
+    def backtrack(i, assign, used):
+        if i == len(order_of):
+            per = {key: computed[key].coeffs == {assign[lab]: c for lab, c in terms.items()}
+                   if key in computed else False
+                   for key, terms in targets.items()}
+            if not best or sum(per.values()) > sum(best[0][1].values()):
+                best[:] = [(dict(assign), per)]
+            return
+        lab = order_of[i]
+        for ci in cand[lab]:
+            if ci not in used:
+                assign[lab] = ci
+                backtrack(i + 1, assign, used | {ci})
+                del assign[lab]
+
+    backtrack(0, {}, frozenset())
+    return best[0]
+
+
+def _golden_computed(lattice5):
+    degrees, invariants = all_invariants(5, lattice5)
+    golden = load_golden()
+    computed = {f"degree_{key}": degrees[tuple(entry["partition"])].element
+                for key, entry in golden["basic_degrees"].items()}
+    for key, inv in zip(golden["invariants"], invariants):
+        computed[f"invariant_{key}"] = inv.element
+    return computed, golden
+
+
+def test_name_map_matches_depth_first_reference(lattice5):
+    computed, golden = _golden_computed(lattice5)
+    got = infer_name_map(lattice5, computed, golden)
+    assert got == _depth_first_name_map(lattice5, computed, golden)
+    assignment, per_display = got
+    assert all(per_display.values()) and len(per_display) == 7
+    assert len(set(assignment.values())) == len(assignment)
+
+
+def test_name_map_tie_takes_first_in_candidate_order(lattice5):
+    # only the trivial degree, (S5), is known: every injective assignment
+    # scores 1, and the first in candidate order wins
+    computed, golden = _golden_computed(lattice5)
+    computed = {"degree_trivial": computed["degree_trivial"]}
+    assignment, per_display = infer_name_map(lattice5, computed, golden)
+    assert per_display == {key: key == "degree_trivial" for key in _display_targets(golden)}
+    assert (assignment, per_display) == _depth_first_name_map(lattice5, computed, golden)
+    labels = sorted(assignment)
+    cand = {lab: _candidates(lab, golden["label_orders"][lab], lattice5) for lab in labels}
+    labels.sort(key=lambda lab: len(cand[lab]))
+    first = next(choice for choice in itertools.product(*(cand[lab] for lab in labels))
+                 if len(set(choice)) == len(choice))
+    assert assignment == dict(zip(labels, first))
+    # the tie is real: some label has a second candidate it could have taken
+    assert any(len(cand[lab]) > 1 for lab in labels)
+
+
+def _n_table_maximal_types(x, lattice):
+    """The containment test maximal_orbit_types replaced, on the n_table keys."""
+    support = sorted(x.coeffs)
+    return [i for i in support
+            if not any(j != i and (i, j) in lattice.n_table for j in support)]
+
+
+@pytest.mark.parametrize("fixture", ["lattice4", "lattice5", "lattice6"])
+def test_maximal_orbit_types_match_n_table_reference(fixture, request):
+    lattice = request.getfixturevalue(fixture)
+    degrees, invariants = all_invariants(lattice.k, lattice)
+    elements = [inv.element for inv in invariants]
+    for bd in degrees.values():
+        proper = BurnsideElement(lattice, {i: c for i, c in bd.element.coeffs.items()
+                                           if i != lattice.full_index})
+        elements += [bd.element, proper]
+        assert bd.maximal_types == _n_table_maximal_types(
+            proper if proper.coeffs else bd.element, lattice)
+    for inv in invariants:
+        assert inv.maximal_types == _n_table_maximal_types(inv.element, lattice)
+    for x in elements:
+        assert maximal_orbit_types(x, lattice) == _n_table_maximal_types(x, lattice)

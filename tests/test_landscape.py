@@ -16,6 +16,7 @@ from symbreak.landscape import (
     _finite_diff_gradient,
     _kernel_matrix,
     _losses,
+    activation,
     exact_weights,
     finite_diff_gradient,
     gradient_exact,
@@ -174,6 +175,25 @@ def test_kernel_mc_deterministic():
     a = kernel_mc([1.0, 2.0], [0.5, -1.0], 0.7, 50_000, seed=99)
     b = kernel_mc([1.0, 2.0], [0.5, -1.0], 0.7, 50_000, seed=99)
     assert a == b
+
+
+def test_activation_out_is_in_place_and_bit_equal(rng):
+    for alpha in (-0.4, 0.0, 0.35, 1.0, 2.5):
+        a = rng.standard_normal((7, 3))
+        want = activation(a, alpha)
+        assert activation(a, alpha, out=a) is a
+        assert a.tobytes() == want.tobytes()
+
+
+def test_kernel_mc_bits_recorded():
+    # recorded from the draw that wrote its own np.maximum(slope * p, p);
+    # 70,000 samples cross the 65,536-row chunk boundary
+    w = [0.3, -1.2, 0.7, 0.5]
+    v = [1.1, 0.4, -0.6, 0.2]
+    assert [x.hex() for x in kernel_mc(w, v, 0.35, 70_000, seed=7)] == [
+        "-0x1.1e700b6c92ed1p-2", "0x1.5c1b9ccabe080p-8"]
+    assert [x.hex() for x in kernel_mc(w, v, -0.4, 5_000, seed=20240901)] == [
+        "-0x1.5d68686580b73p-1", "0x1.56fe8dd76a3b2p-5"]
 
 
 def test_kernel_mc_rejects_tiny_sample():

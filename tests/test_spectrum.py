@@ -19,6 +19,7 @@ from symbreak.closed_forms import (
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import load_golden
 from symbreak.hessian import assemble_dense, block_operator_apply, hessian_at_minimum
+from symbreak.report import TOLERANCES
 from symbreak.spectrum import (
     CLUSTER_GAP_FACTOR,
     LABEL_TIE_FACTOR,
@@ -424,6 +425,15 @@ def test_match_dominant_labels_k5():
     assert by_mult[5] == "(3,2)"
     assert by_mult[4] == "(4,1)"
     assert by_mult[1] == "(5)"
+
+
+def test_match_default_tolerance_read_at_call(monkeypatch):
+    # coupling 2.83e-9: over the table's 1e-10, under a patched 1e-6
+    assert not numerical_spectrum_match(5, 1.0, perturbation=1e-9).ok
+    monkeypatch.setitem(TOLERANCES, "spectrum_match", 1e-6)
+    rep = numerical_spectrum_match(5, 1.0, perturbation=1e-9)
+    assert rep.ok
+    assert rep.coupling == pytest.approx(1e-9 * math.sqrt(2 * (5 - 1)), rel=1e-12)
 
 
 def test_match_detects_perturbation():
