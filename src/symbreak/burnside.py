@@ -11,9 +11,9 @@ k!/|N(H)|, the containment order, which is the key set of the n table
 ((L) <= (H) iff n(L, H) > 0), and each class's cycle-type counts, which the
 fixed-space dimensions of every irreducible read (counted once per class,
 in memory).
-The labels, which key the reported expansions, are a function of those
-counts, the order and the number of moved points (name_classes); the
-builder and the cache reader both run it.
+The builder and the cache reader both make their classes with
+_class_records, which demands the class order (class_key) strictly and names
+each class (class_name); the labels key the reported expansions.
 
 The mark homomorphism mark_L(H) = n(L,H)|W(H)| (the table of marks) is an
 injective ring map into integer vectors with the pointwise product, so a
@@ -27,8 +27,8 @@ with every division asserted exact.  Direct orbit counting on G/H x G/K
 
 Permutations are tuples of images on {0, ..., k-1}; subgroups are frozensets
 of such tuples.  compose(p, q) maps q's images through p with map, half the
-cost of a generator expression; closure and _conjugate call it about 10,000
-times on a warm k = 6 read.  SubgroupClass is a plain immutable class and
+cost of a generator expression; closure calls it about 8,500 times on a
+warm k = 6 read.  SubgroupClass is a plain immutable class and
 SubgroupLattice a named tuple: the package imports no dataclasses, whose
 import and per-class code generation a warm `invariants` process would pay
 on every start (README, Start-up).  Everything here is exact integer
@@ -388,7 +388,7 @@ def class_name(order: int, counts: dict[tuple[int, ...], int], moved: int) -> st
     involutions, i.e. iff every element off that rotation's subgroup is one.
     A group of order 12 is A4 iff it has 8 elements of order 3: its Sylow
     3-subgroups are then 4, not 1 (Sylow), and A4 is the only group of order
-    12 with 4 of them.  Classes sharing a name get primes from name_classes.
+    12 with 4 of them.  Classes sharing a name get primes from _class_records.
     """
     k = sum(next(iter(counts)))
     orders: collections.Counter[int] = collections.Counter()
@@ -417,17 +417,41 @@ def class_name(order: int, counts: dict[tuple[int, ...], int], moved: int) -> st
     return f"G{order}"
 
 
-def name_classes(classes: Iterable[tuple[int, dict, Iterable[Perm]]]) -> list[str]:
-    """class_name of each (order, cycle-type counts, generators), in class
-    order, with one prime per earlier class of the same name."""
+def class_key(normalizer_order: int, generators: Iterable[Perm],
+              types: Iterable[tuple[int, ...]]) -> tuple:
+    """The class order: (|H|, the sorted cycle types of H's elements, |N(H)|,
+    the number of points the generators move).  Each field is a conjugacy
+    invariant, so conjugate classes tie; no two classes of S_k, k <= 7, do."""
+    types = sorted(types)
+    moved = len({i for g in generators for i, x in enumerate(g) if x != i})
+    return len(types), types, normalizer_order, moved
+
+
+def _class_records(k: int, rows: Iterable[tuple]) -> list[SubgroupClass]:
+    """The SubgroupClass of each (class_key, generators, representative), its
+    index its place and its label class_name's, with one prime per earlier
+    class of that name.  Refuses (ConsistencyError) keys that do not strictly
+    increase, an |N(H)| that is not a multiple of |H| dividing k!, and
+    classes that do not run from the trivial group to S_k."""
+    classes: list[SubgroupClass] = []
     seen: collections.Counter[str] = collections.Counter()
-    labels = []
-    for order, counts, generators in classes:
-        moved = len({i for g in generators for i, x in enumerate(g) if x != i})
+    for index, (key, generators, representative) in enumerate(rows):
+        order, types, normalizer_order, moved = key
+        if normalizer_order <= 0 or normalizer_order % order or math.factorial(k) % normalizer_order:
+            raise ConsistencyError("|N(H)| is not a multiple of |H| dividing k!")
+        if index and key <= previous:
+            raise ConsistencyError("classes are not in strictly increasing class order")
+        previous = key
+        counts = dict(collections.Counter(types))
         name = class_name(order, counts, moved)
-        labels.append(name + "'" * seen[name])
+        classes.append(SubgroupClass(index=index, order=order, normalizer_order=normalizer_order,
+                                     label=name + "'" * seen[name], generators=generators,
+                                     representative=representative, cycle_type_counts=counts))
         seen[name] += 1
-    return labels
+    # the ring's unit is the full class, and its free orbit the trivial one
+    if not classes or classes[0].order != 1 or classes[-1].order != math.factorial(k):
+        raise ConsistencyError("classes do not run from the trivial group to S_k")
+    return classes
 
 
 def build_lattice(k: int) -> SubgroupLattice:
@@ -526,44 +550,27 @@ def build_lattice(k: int) -> SubgroupLattice:
             for pos, key in zip(led, joined):
                 classify(key, gens + [cyclic_gens[pos]])
 
-    # deterministic class ordering: (order, cycle types, normalizer order)
-    counts = [collections.Counter(tables.cycle_types[h] for h in sub) for sub in reps]
-    perm_order_ids = sorted(range(len(reps)), key=lambda i: (
-        len(reps[i]), sorted(counts[i].elements()), len(normalizers[i])))
-    generators = [tuple(tables.perms[g] for g in _minimal_gens(tables, reps[i]))
-                  for i in perm_order_ids]
-    labels = name_classes((len(reps[i]), counts[i], gens)
-                          for i, gens in zip(perm_order_ids, generators))
-
-    classes = [
-        SubgroupClass(
-            index=new_i,
-            order=len(reps[old_i]),
-            normalizer_order=len(normalizers[old_i]),
-            label=labels[new_i],
-            generators=generators[new_i],
-            representative=frozenset(tables.perms[h] for h in reps[old_i]),
-            cycle_type_counts=dict(counts[old_i]),
-        )
-        for new_i, old_i in enumerate(perm_order_ids)
-    ]
+    # the class order, one key per class
+    generators = [tuple(tables.perms[g] for g in _minimal_gens(tables, sub)) for sub in reps]
+    keys = [class_key(len(nrm), gens, [tables.cycle_types[h] for h in sub])
+            for nrm, gens, sub in zip(normalizers, generators, reps)]
+    perm_order_ids = sorted(range(len(reps)), key=keys.__getitem__)
+    classes = _class_records(k, ((keys[i], generators[i], frozenset(tables.perms[h] for h in reps[i]))
+                                 for i in perm_order_ids))
 
     # n(L,H) via distinct conjugates of L inside H; its keys are the containment order
     n_table: dict[tuple[int, int], int] = {}
-    for li, old_l in enumerate(perm_order_ids):
-        lsize = len(reps[old_l])
-        n_l = len(normalizers[old_l])
-        for hi, old_h in enumerate(perm_order_ids):
-            if len(reps[old_h]) % lsize:
+    for low, old_l in zip(classes, perm_order_ids):
+        for high, old_h in zip(classes, perm_order_ids):
+            if high.order % low.order:
                 continue
             count = int(rep_masks[old_h][conjugates[old_l]].all(axis=1).sum())
             if count == 0:
                 continue
-            num = count * n_l
-            n_h = len(normalizers[old_h])
+            num, n_h = count * low.normalizer_order, high.normalizer_order
             if num % n_h:
                 raise ConsistencyError("n(L,H) not integral")
-            n_table[(li, hi)] = num // n_h
+            n_table[(low.index, high.index)] = num // n_h
 
     return SubgroupLattice(k=k, classes=classes, n_table=n_table)
 
@@ -722,8 +729,9 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
 
     Each class's index is the position of its line, its representative the
     closure of its generators and its order that closure's size; its label
-    is name_classes', from the cycle-type counts the degrees read; and
-    n(H,H) = 1 for every class.  Any file it cannot read back, checksum
+    comes from _class_records, as the builder's does; and n(H,H) = 1 for
+    every class.  Class lines and containment rows must be in the writer's
+    strictly increasing order.  Any file it cannot read back, checksum
     valid or not, raises ConsistencyError."""
     try:
         text = blob.decode("ascii")
@@ -746,61 +754,31 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
         raise ConsistencyError(f"malformed lattice cache: {type(exc).__name__}: {exc}") from exc
 
 
-def _conjugate(a: SubgroupClass, b: SubgroupClass, k: int) -> bool:
-    """Whether some g in S_k maps the representative of a onto that of b,
-    for two classes of one order: g H g^-1 = K iff g x g^-1 lies in K for
-    every generator x of H."""
-    for g in itertools.permutations(range(k)):
-        g_inv = invert(g)
-        if all(compose(compose(g, x), g_inv) in b.representative for x in a.generators):
-            return True
-    return False
-
-
 def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
     k = int(header.split("k=")[1])
     if not 1 <= k <= MAX_LATTICE_K:
         raise ConsistencyError(f"lattice cache width k={k} is out of range")
 
     split = lines.index("n:")
-    parsed = []
+    rows = []
     for line in lines[:split]:
-        nrm_s, gens_text = line.split("|")
+        nrm, gens_text = line.split("|")
         gens = tuple(cycles_to_perm(t, k) for t in gens_text.split(",")) if gens_text else ()
         rep = closure(list(gens), k)
-        nrm = int(nrm_s)
-        if nrm <= 0 or nrm % len(rep) or math.factorial(k) % nrm:
-            raise ConsistencyError("cached |N(H)| is not a multiple of |H| dividing k!")
-        parsed.append((nrm, gens, rep, dict(collections.Counter(map(cycle_type, rep)))))
-    # the builder's sort key, so a file whose class lines moved is rebuilt
-    keys = [(len(r), sorted(collections.Counter(c).elements()), n) for n, _, r, c in parsed]
-    if any(a > b for a, b in zip(keys, keys[1:])):
-        raise ConsistencyError("cached classes are not in the builder's class order")
-    # the reports key expansions by label, so the reader names the classes
-    # with the builder's function
-    labels = name_classes((len(rep), counts, gens) for _, gens, rep, counts in parsed)
-    classes = [SubgroupClass(index=i, order=len(rep), normalizer_order=nrm, label=label,
-                             generators=gens, representative=rep, cycle_type_counts=counts)
-               for i, ((nrm, gens, rep, counts), label) in enumerate(zip(parsed, labels))]
-    # a class line whose generators close to a conjugate of another class's
-    # representative misfiles a class; conjugates share their cycle-type
-    # counts, so only classes with equal counts are compared
-    by_counts: dict[frozenset, list[SubgroupClass]] = {}
-    for c in classes:
-        same = by_counts.setdefault(frozenset(c.cycle_type_counts.items()), [])
-        for other in same:
-            if _conjugate(other, c, k):
-                raise ConsistencyError(f"cached classes {other.label!r} and {c.label!r} are conjugate")
-        same.append(c)
-    # the ring's unit is the full class, and its free orbit the trivial one
-    if not classes or classes[0].order != 1 or classes[-1].order != math.factorial(k):
-        raise ConsistencyError("cached classes do not run from the trivial group to S_k")
-    # serialize_lattice writes a pair only where L is a proper subgroup of H,
-    # so |L| properly divides |H|; that refuses a diagonal row as well
+        rows.append((class_key(int(nrm), gens, map(cycle_type, rep)), gens, rep))
+    # a class repeated, or two conjugate ones, tie in the class order
+    classes = _class_records(k, rows)
+    # serialize_lattice writes each pair once, in strictly increasing (L, H)
+    # order, and only where L is a proper subgroup of H, so |L| properly
+    # divides |H|; that refuses a repeated and a diagonal row as well
     n = len(classes)
     n_table = {(i, i): 1 for i in range(n)}
+    previous = (-1, -1)
     for line in lines[split + 1:]:
         li, hi, val = map(int, line.split())
+        if (li, hi) <= previous:
+            raise ConsistencyError(f"cached pair ({li}, {hi}) does not follow {previous}")
+        previous = li, hi
         if val < 1:
             raise ConsistencyError("cached n(L,H) is not positive")
         if not (0 <= li < n and 0 <= hi < n):

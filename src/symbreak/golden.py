@@ -110,9 +110,6 @@ def infer_name_map(
 # full k = 5 comparison
 # ---------------------------------------------------------------------------
 
-_INVARIANT_KEYS = ("at_zero", "at_standard", "at_trivial")
-
-
 def compare_k5(
     lattice: SubgroupLattice,
     degrees: dict[tuple, BasicDegree],
@@ -124,8 +121,14 @@ def compare_k5(
     golden = load_golden()
     degree_of = {key: degrees[tuple(entry["partition"])]
                  for key, entry in golden["basic_degrees"].items()}
+    # each invariant by the factors degenerating at its critical value, in
+    # the report's form
+    by_factors = {tuple("/".join(map(str, eta)) for eta in sorted(inv.labels)): inv
+                  for inv in invariants}
+    invariant_of = {key: by_factors[tuple(entry["degenerating"])]
+                    for key, entry in golden["invariants"].items()}
     computed = {f"degree_{key}": bd.element for key, bd in degree_of.items()}
-    for key, inv in zip(_INVARIANT_KEYS, invariants):
+    for key, inv in invariant_of.items():
         computed[f"invariant_{key}"] = inv.element
 
     label_to_class, per_display = infer_name_map(lattice, computed, golden)
@@ -143,7 +146,7 @@ def compare_k5(
             "reference": want,
             "equal": got == want,
         }
-    for key, inv in zip(_INVARIANT_KEYS, invariants):
+    for key, inv in invariant_of.items():
         got = to_labels(inv.maximal_types)
         marked = sorted(golden["invariants"][key]["marked_maximal"])
         maximal_checks[f"invariant_{key}"] = {

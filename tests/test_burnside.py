@@ -16,6 +16,7 @@ from symbreak.burnside import (
     SubgroupLattice,
     _GroupTables,
     build_lattice,
+    class_key,
     class_name,
     closure,
     compose,
@@ -387,6 +388,26 @@ def test_class_labels_pinned(k, request):
     assert _labels_digest(lattice) == PINNED_LABELS_SHA256[k]
 
 
+def _assert_class_keys_strictly_increase(lattice):
+    # each key from the representative, whose moved points are its
+    # generators'; a tie would leave the cache reader unable to tell two
+    # classes, or their order, apart
+    keys = []
+    for c in lattice.classes:
+        types = [cycle_type(p) for p in c.representative]
+        moved = len({i for p in c.representative for i, x in enumerate(p) if x != i})
+        key = (c.order, sorted(types), c.normalizer_order, moved)
+        assert class_key(c.normalizer_order, c.generators, types) == key
+        keys.append(key)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_builder_class_keys_strictly_increase(k, request):
+    lattice = request.getfixturevalue(f"lattice{k}") if k >= 4 else build_lattice(k)
+    _assert_class_keys_strictly_increase(lattice)
+
+
 def test_load_is_fast(lattice5):
     import time
 
@@ -450,6 +471,7 @@ def test_k7_lattice_published_totals(monkeypatch):
     assert digest == "d45a42b03a8446c011a48806a535e293e30a9cf1bfaf2fde19323947f3a842b0"
     assert _labels_digest(lattice) == (
         "41e8da444fcacd964bc4acfceca0a7647b58e8e0d7ef8e2d3fd5f1509ce6a2f1")
+    _assert_class_keys_strictly_increase(lattice)
     # the pin is not self-certifying: each A4 has A4's 8 elements of order 3
     a4 = [c for c in lattice.classes if c.label.rstrip("'") == "A4"]
     assert len(a4) == 3

@@ -390,13 +390,18 @@ def _class_generates_a_conjugate(blob: bytes) -> bytes:
     return _edit_body(blob, "\n8|(2 3)(4 5)\n", "\n8|(4 5)\n")
 
 
-# the builder's class order, (order, cycle types, |N(H)|), is read back:
+# the builder's class order (burnside.class_key) is read back:
 # D1 (a transposition) and Z2 (a double transposition) share the order 2
 def _class_lines_swapped(blob: bytes) -> bytes:
     lines = _body(blob).split("\n")
     d1, z2 = lines.index("12|(4 5)"), lines.index("8|(2 3)(4 5)")
     lines[d1], lines[z2] = lines[z2], lines[d1]
     return _with_checksum("\n".join(lines))
+
+
+# the class order is strict, and a repeated class ties with itself
+def _class_line_repeated(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n8|(2 3)(4 5)\n", "\n12|(4 5)\n")
 
 
 def _header_names_other_version(blob: bytes) -> bytes:
@@ -422,6 +427,19 @@ def _orders_equal(blob: bytes) -> bytes:
 
 def _diagonal_row_added(blob: bytes) -> bytes:
     return _add_pair(blob, 5, 5)      # n(H,H) = 1 is derived, never written
+
+
+# the writer writes each pair once, in strictly increasing (L, H) order
+def _pair_repeated(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n0 1 10\n", "\n0 1 10\n0 1 10\n")
+
+
+def _pair_repeated_with_other_value(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n0 1 10\n", "\n0 1 10\n0 1 11\n")
+
+
+def _pairs_swapped(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n0 1 10\n0 2 15\n", "\n0 2 15\n0 1 10\n")
 
 
 def _v1_bytes(lattice) -> bytes:
@@ -452,10 +470,11 @@ def _diagonal_dropped(blob: bytes) -> bytes:
                                      _generator_repeats_a_point, _normalizer_order_zero,
                                      _normalizer_order_not_a_multiple, _n_value_zero,
                                      _class_generates_a_conjugate, _class_lines_swapped,
-                                     _header_names_other_version,
+                                     _class_line_repeated, _header_names_other_version,
                                      _pair_names_no_class, _order_does_not_divide,
                                      _orders_equal, _diagonal_dropped, _diagonal_row_added,
-                                     _no_class_lines, _full_class_dropped])
+                                     _no_class_lines, _full_class_dropped, _pair_repeated,
+                                     _pair_repeated_with_other_value, _pairs_swapped])
 def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
                               "invariants", "--k", "5", "--output", "json")
@@ -472,6 +491,27 @@ def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["lattice_k5.txt"]
 
+
+
+def test_conjugate_class_lines_swapped_k6_is_rebuilt(capsys, tmp_path):
+    # V4 and V4' tie on (order, cycle types, |N(H)|); V4 moves 4 points and
+    # V4' moves 6, so the class order still tells the two lines apart
+    cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
+                              "invariants", "--k", "6", "--output", "json")
+    assert cold_code == 0
+    path = tmp_path / "lattice_k6.txt"
+    good = path.read_bytes()
+    lines = _body(good).split("\n")
+    v4, v4_prime = lines.index("48|(3 4)(5 6),(3 5)(4 6)"), lines.index("48|(3 4)(5 6),(1 2)(5 6)")
+    lines[v4], lines[v4_prime] = lines[v4_prime], lines[v4]
+    path.write_bytes(_with_checksum("\n".join(lines)))
+    assert main(["--cache-dir", str(tmp_path), "invariants", "--k", "6",
+                 "--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cache: rebuilt lattice_k6.txt (")
+    assert path.read_bytes() == good
 
 
 def test_v1_cache_is_rebuilt(capsys, tmp_path):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from symbreak import burnside
+from symbreak import burnside, golden as golden_module
 from symbreak.burnside import BurnsideElement, load_lattice, serialize_lattice
 from symbreak.closed_forms import critical_set
 from symbreak.degrees import (
@@ -440,6 +440,23 @@ def test_name_map_tie_takes_first_in_candidate_order(lattice5):
     assert assignment == dict(zip(labels, first))
     # the tie is real: some label has a second candidate it could have taken
     assert any(len(cand[lab]) > 1 for lab in labels)
+
+
+def test_compare_k5_pairs_invariants_by_their_degenerating_factors(lattice5, monkeypatch):
+    # renamed keys in reversed order: each entry still finds its invariant
+    # by its own degenerating field, not by its name or place
+    golden = load_golden()
+    golden["invariants"] = {f"renamed_{key}": entry
+                            for key, entry in reversed(golden["invariants"].items())}
+    monkeypatch.setattr(golden_module, "load_golden", lambda: golden)
+    degrees, invariants = all_invariants(5, lattice5)
+    report = compare_k5(lattice5, degrees, invariants)
+    assert report["ok"]
+    names = ["invariant_renamed_at_trivial", "invariant_renamed_at_standard",
+             "invariant_renamed_at_zero"]
+    assert [key for key in report["displays_matched"] if key.startswith("invariant_")] == names
+    assert [key for key in report["maximal_checks"] if key.startswith("invariant_")] == names
+    assert report["maximal_checks"]["invariant_renamed_at_trivial"]["computed"] == ["S5"]
 
 
 def _n_table_maximal_types(x, lattice):

@@ -89,6 +89,13 @@ def test_k5_values_match_frozen_display():
         assert entries["span_IJ_minus"] == pytest.approx(want["span_minus"], abs=1e-12)
 
 
+def test_k5_critical_values_match_frozen_data():
+    want = load_golden()["critical_values"]
+    _, standard, trivial = critical_set(5).values
+    assert (standard, trivial) == (want["standard_exact"], want["trivial_exact"])
+    assert round(trivial, 4) == want["trivial_published_4sig"]
+
+
 def test_k4_alpha1_w_pair():
     entries = {e.formula_id: e for e in analytic_spectrum(4, 1.0)}
     # frozen from the dense eigensolver oracle; the independently quoted
