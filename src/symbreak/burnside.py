@@ -420,9 +420,9 @@ def class_name(order: int, counts: dict[tuple[int, ...], int], moved: int) -> st
 def class_key(normalizer_order: int, generators: Iterable[Perm],
               types: Iterable[tuple[int, ...]]) -> tuple:
     """The class order: (|H|, the sorted cycle types of H's elements, |N(H)|,
-    the number of points the generators move).  Each field is a conjugacy
-    invariant, so conjugate classes tie; no two classes of S_k, k <= 7, do."""
-    types = sorted(types)
+    the number of points the generators move), each a conjugacy invariant;
+    no two classes of S_k, k <= 7, tie on the fields other than |N(H)|."""
+    types = tuple(sorted(types))
     moved = len({i for g in generators for i, x in enumerate(g) if x != i})
     return len(types), types, normalizer_order, moved
 
@@ -431,17 +431,20 @@ def _class_records(k: int, rows: Iterable[tuple]) -> list[SubgroupClass]:
     """The SubgroupClass of each (class_key, generators, representative), its
     index its place and its label class_name's, with one prime per earlier
     class of that name.  Refuses (ConsistencyError) keys that do not strictly
-    increase, an |N(H)| that is not a multiple of |H| dividing k!, and
-    classes that do not run from the trivial group to S_k."""
+    increase or that tie on all but |N(H)|, which a file states (a class
+    written twice, or two conjugate ones), a bad |N(H)|, and classes that do
+    not run from the trivial group to S_k."""
     classes: list[SubgroupClass] = []
     seen: collections.Counter[str] = collections.Counter()
+    derived: set[tuple] = set()
     for index, (key, generators, representative) in enumerate(rows):
         order, types, normalizer_order, moved = key
         if normalizer_order <= 0 or normalizer_order % order or math.factorial(k) % normalizer_order:
             raise ConsistencyError("|N(H)| is not a multiple of |H| dividing k!")
-        if index and key <= previous:
-            raise ConsistencyError("classes are not in strictly increasing class order")
+        if index and key <= previous or (order, types, moved) in derived:
+            raise ConsistencyError("classes repeat, are conjugate or are out of the class order")
         previous = key
+        derived.add((order, types, moved))
         counts = dict(collections.Counter(types))
         name = class_name(order, counts, moved)
         classes.append(SubgroupClass(index=index, order=order, normalizer_order=normalizer_order,
@@ -766,7 +769,6 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
         gens = tuple(cycles_to_perm(t, k) for t in gens_text.split(",")) if gens_text else ()
         rep = closure(list(gens), k)
         rows.append((class_key(int(nrm), gens, map(cycle_type, rep)), gens, rep))
-    # a class repeated, or two conjugate ones, tie in the class order
     classes = _class_records(k, rows)
     # serialize_lattice writes each pair once, in strictly increasing (L, H)
     # order, and only where L is a proper subgroup of H, so |L| properly

@@ -121,11 +121,9 @@ def compare_k5(
     golden = load_golden()
     degree_of = {key: degrees[tuple(entry["partition"])]
                  for key, entry in golden["basic_degrees"].items()}
-    # each invariant by the factors degenerating at its critical value, in
-    # the report's form
-    by_factors = {tuple("/".join(map(str, eta)) for eta in sorted(inv.labels)): inv
-                  for inv in invariants}
-    invariant_of = {key: by_factors[tuple(entry["degenerating"])]
+    # each invariant by the factors degenerating at its critical value
+    by_factors = {tuple(inv.labels): inv for inv in invariants}
+    invariant_of = {key: by_factors[tuple(map(tuple, entry["degenerating"]))]
                     for key, entry in golden["invariants"].items()}
     computed = {f"degree_{key}": bd.element for key, bd in degree_of.items()}
     for key, inv in invariant_of.items():

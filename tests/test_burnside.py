@@ -391,15 +391,17 @@ def test_class_labels_pinned(k, request):
 def _assert_class_keys_strictly_increase(lattice):
     # each key from the representative, whose moved points are its
     # generators'; a tie would leave the cache reader unable to tell two
-    # classes, or their order, apart
+    # classes, or their order, apart.  A file states |N(H)|, so the reader
+    # tells classes apart by the other three fields alone
     keys = []
     for c in lattice.classes:
         types = [cycle_type(p) for p in c.representative]
         moved = len({i for p in c.representative for i, x in enumerate(p) if x != i})
-        key = (c.order, sorted(types), c.normalizer_order, moved)
+        key = (c.order, tuple(sorted(types)), c.normalizer_order, moved)
         assert class_key(c.normalizer_order, c.generators, types) == key
         keys.append(key)
     assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len({(order, types, moved) for order, types, _, moved in keys}) == len(keys)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

@@ -404,6 +404,13 @@ def _class_line_repeated(blob: bytes) -> bytes:
     return _edit_body(blob, "\n8|(2 3)(4 5)\n", "\n12|(4 5)\n")
 
 
+# a repeated class whose stated |N(H)| (24, a multiple of 2 dividing 120)
+# puts its line in strictly increasing order between D1 and Z3: the reader
+# derives the other key fields, which still tie with D1's
+def _class_line_repeated_with_other_normalizer(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n8|(2 3)(4 5)\n", "\n24|(4 5)\n")
+
+
 def _header_names_other_version(blob: bytes) -> bytes:
     return _edit_body(blob, "burnside-lattice v2 k=5\n", "burnside-lattice v20 k=5\n")
 
@@ -470,7 +477,9 @@ def _diagonal_dropped(blob: bytes) -> bytes:
                                      _generator_repeats_a_point, _normalizer_order_zero,
                                      _normalizer_order_not_a_multiple, _n_value_zero,
                                      _class_generates_a_conjugate, _class_lines_swapped,
-                                     _class_line_repeated, _header_names_other_version,
+                                     _class_line_repeated,
+                                     _class_line_repeated_with_other_normalizer,
+                                     _header_names_other_version,
                                      _pair_names_no_class, _order_does_not_divide,
                                      _orders_equal, _diagonal_dropped, _diagonal_row_added,
                                      _no_class_lines, _full_class_dropped, _pair_repeated,
@@ -492,7 +501,7 @@ def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["lattice_k5.txt"]
 
 
-
+@pytest.mark.slow
 def test_conjugate_class_lines_swapped_k6_is_rebuilt(capsys, tmp_path):
     # V4 and V4' tie on (order, cycle types, |N(H)|); V4 moves 4 points and
     # V4' moves 6, so the class order still tells the two lines apart
