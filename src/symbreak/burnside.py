@@ -4,13 +4,13 @@ A lattice holds one representative per conjugacy class of subgroups of S_k
 (k <= 6) and the table n(L, H) = |N(L, H)| / |N(H)| counting conjugates of L
 inside H.  Its cache file stores each fact once: per class, in class order,
 the normalizer order and the generators, and n(L, H) for every proper
-containment L < H.  The rest is derived: the index from its place in that
-order, the representative as the closure of the generators and the order as
-its size, n(H, H) = 1, the Weyl order |N(H)|/|H|, the number of conjugates
-k!/|N(H)|, the containment order, which is the key set of the n table
-((L) <= (H) iff n(L, H) > 0), and each class's cycle-type counts, which the
-fixed-space dimensions of every irreducible read (counted once per class,
-in memory).
+containment L < H that _derived_rows does not give.  The rest is derived:
+the index from its place in that order, the representative as the closure
+of the generators and the order as its size, the Weyl order |N(H)|/|H|, the
+number of conjugates k!/|N(H)|, the containment order, which is the key set
+of the n table ((L) <= (H) iff n(L, H) > 0), the rows of _derived_rows, and
+each class's cycle-type counts, which those rows and the fixed-space
+dimensions of every irreducible read (counted once per class, in memory).
 The builder and the cache reader both make their classes with
 _class_records, which demands the class order (class_key) strictly and names
 each class (class_name); the labels key the reported expansions.
@@ -47,7 +47,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import re
 import zlib
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
@@ -97,47 +96,6 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 def perm_order(p: Perm) -> int:
     return math.lcm(*cycle_type(p))
-
-
-def perm_to_cycles(p: Perm) -> str:
-    """1-based disjoint cycle notation, '()' for the identity."""
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc, j = [], i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j + 1)
-            j = p[j]
-        parts.append("(" + " ".join(str(c) for c in cyc) + ")")
-    return "".join(parts) if parts else "()"
-
-
-_CYCLES = re.compile(r"(\([1-9][0-9]*(?: [1-9][0-9]*)+\))+")
-
-
-def cycles_to_perm(text: str, k: int) -> Perm:
-    """Inverse of perm_to_cycles.
-
-    Accepts exactly what it writes: '()', or disjoint cycles '(a b ...)' of
-    distinct 1-based points <= k separated by single spaces.  Anything else
-    raises DomainError."""
-    images = list(range(k))
-    if text == "()":
-        return tuple(images)
-    if not _CYCLES.fullmatch(text):
-        raise DomainError(f"not cycle notation: {text!r}")
-    cycles = [[int(t) - 1 for t in c.split()] for c in text[1:-1].split(")(")]
-    points = [a for cyc in cycles for a in cyc]
-    if len(set(points)) != len(points) or max(points) >= k:
-        raise DomainError(f"not a permutation of {k} points: {text!r}")
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            images[a] = b
-    return tuple(images)
 
 
 def closure(generators: list[Perm], k: int) -> frozenset[Perm]:
@@ -708,20 +666,42 @@ def multiply(x: BurnsideElement, y: BurnsideElement, lattice: SubgroupLattice) -
 # serialization (versioned text cache)
 # ---------------------------------------------------------------------------
 
-_CACHE_HEADER = "burnside-lattice v2"
+_CACHE_HEADER = "burnside-lattice v3"
+
+
+def _derived_rows(classes: list[SubgroupClass]) -> dict[tuple[int, int], int]:
+    """n(L, H) wherever the class lines fix it, zeros included: n(H, H) =
+    n(L, S_k) = 1, and n(<g>, H) = z c(H)/|N(H)| (a mark at a cyclic subgroup
+    is a value of the permutation character), g of the cycle type t with
+    lcm(t) = |<g>|, z = prod i^m_i m_i! and c(H) the count of type t in H.  A
+    wrong |N(H)| raises ConsistencyError: an inexact division, n(H,H) or n(L,S_k) != 1."""
+    rows: dict[tuple[int, int], int] = {}
+    for low, t in ((c, t) for c in classes for t in c.cycle_type_counts if math.lcm(*t) == c.order):
+        z = math.prod(i ** m * math.factorial(m) for i, m in collections.Counter(t).items())
+        for high in classes:
+            rows[low.index, high.index], inexact = divmod(
+                z * high.cycle_type_counts.get(t, 0), high.normalizer_order)
+            if inexact:
+                raise ConsistencyError(f"n({low.label}, {high.label}) is not an integer")
+    for i in range(len(classes)):
+        if rows.setdefault((i, i), 1) != 1 or rows.setdefault((i, len(classes) - 1), 1) != 1:
+            raise ConsistencyError(f"n(L, H) of {classes[i].label} with itself or S_k is not 1")
+    return rows
 
 
 def serialize_lattice(lattice: SubgroupLattice) -> bytes:
     """Byte-stable text format: per class, in class order, one line
-    `|N(H)||generators`, then `n:` and one `L H n(L,H)` row per proper
-    containment L < H; a trailing line carries a CRC32 checksum."""
+    `|N(H)||generators`, each generator its 0-based images (a digit each,
+    k <= 10), then `n:` and one `L H n(L,H)` row per proper containment that
+    _derived_rows, checked here, does not give; then a CRC32 checksum."""
+    derived = _derived_rows(lattice.classes)
+    if any(lattice.n(*key) != n for key, n in derived.items()):
+        raise ConsistencyError("the n(L,H) table disagrees with its derived rows")
     lines = [f"{_CACHE_HEADER} k={lattice.k}"]
     for c in lattice.classes:
-        lines.append(f"{c.normalizer_order}|" + ",".join(perm_to_cycles(g) for g in c.generators))
-    lines.append("n:")
-    for (li, hi), n in sorted(lattice.n_table.items()):
-        if li != hi:
-            lines.append(f"{li} {hi} {n}")
+        lines.append(f"{c.normalizer_order}|" + ",".join("".join(map(str, g)) for g in c.generators))
+    lines += ["n:", *(f"{li} {hi} {n}" for (li, hi), n in sorted(lattice.n_table.items())
+                      if (li, hi) not in derived)]
     body = "\n".join(lines) + "\n"
     checksum = zlib.crc32(body.encode("ascii"))
     return (body + f"checksum {checksum}\n").encode("ascii")
@@ -732,10 +712,10 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
 
     Each class's index is the position of its line, its representative the
     closure of its generators and its order that closure's size; its label
-    comes from _class_records, as the builder's does; and n(H,H) = 1 for
-    every class.  Class lines and containment rows must be in the writer's
-    strictly increasing order.  Any file it cannot read back, checksum
-    valid or not, raises ConsistencyError."""
+    comes from _class_records, as the builder's does; and _derived_rows
+    gives the rows the file must not state.  Class lines and containment
+    rows must be in the writer's strictly increasing order.  Any file it
+    cannot read back, checksum valid or not, raises ConsistencyError."""
     try:
         text = blob.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -753,7 +733,7 @@ def load_lattice(blob: bytes) -> SubgroupLattice:
         raise ConsistencyError(f"unsupported lattice cache version: {header!r}")
     try:
         return _parse_lattice_body(header, lines[1:-1])
-    except (ValueError, IndexError) as exc:   # ValueError covers DomainError
+    except (ValueError, IndexError) as exc:
         raise ConsistencyError(f"malformed lattice cache: {type(exc).__name__}: {exc}") from exc
 
 
@@ -766,28 +746,28 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
     rows = []
     for line in lines[:split]:
         nrm, gens_text = line.split("|")
-        gens = tuple(cycles_to_perm(t, k) for t in gens_text.split(",")) if gens_text else ()
+        gens = tuple(tuple(map(int, t)) for t in gens_text.split(",")) if gens_text else ()
+        if any(sorted(g) != list(range(k)) for g in gens):
+            raise ConsistencyError(f"generators are not permutations of {k} points: {line!r}")
         rep = closure(list(gens), k)
         rows.append((class_key(int(nrm), gens, map(cycle_type, rep)), gens, rep))
     classes = _class_records(k, rows)
-    # serialize_lattice writes each pair once, in strictly increasing (L, H)
-    # order, and only where L is a proper subgroup of H, so |L| properly
-    # divides |H|; that refuses a repeated and a diagonal row as well
+    # serialize_lattice writes each row once, in strictly increasing (L, H)
+    # order, with n(L, H) > 0, |L| properly dividing |H|, and not derived
     n = len(classes)
-    n_table = {(i, i): 1 for i in range(n)}
+    derived = _derived_rows(classes)
+    n_table = {key: val for key, val in derived.items() if val}
     previous = (-1, -1)
     for line in lines[split + 1:]:
         li, hi, val = map(int, line.split())
         if (li, hi) <= previous:
             raise ConsistencyError(f"cached pair ({li}, {hi}) does not follow {previous}")
         previous = li, hi
-        if val < 1:
-            raise ConsistencyError("cached n(L,H) is not positive")
         if not (0 <= li < n and 0 <= hi < n):
             raise ConsistencyError(f"cached pair ({li}, {hi}) names a class outside 0..{n - 1}")
         lo, ho = classes[li].order, classes[hi].order
-        if ho % lo or lo == ho:
-            raise ConsistencyError(f"cached pair ({li}, {hi}): |L| does not properly divide |H|")
+        if val < 1 or ho % lo or lo == ho or (li, hi) in derived:
+            raise ConsistencyError(f"cached row {li} {hi} {val} is not one the writer writes")
         n_table[(li, hi)] = val
     return SubgroupLattice(k=k, classes=classes, n_table=n_table)
 

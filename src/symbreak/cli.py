@@ -65,8 +65,8 @@ def make_cache_dir(cache_dir: Path) -> None:
         raise _unusable_cache(cache_dir, exc) from exc
 
 
-def get_lattice(k: int, cache_dir: Path) -> SubgroupLattice:
-    """Load lattice_k<k>.txt, or build it and write it atomically.
+def get_lattice(k: int, cache_dir: Path) -> tuple[SubgroupLattice, bool]:
+    """(lattice_k<k>.txt's lattice, True), or (write_lattice's, False).
 
     A cache file that fails load_lattice's checks (checksum, truncation,
     version, malformed body) or holds another width is rebuilt and
@@ -75,19 +75,24 @@ def get_lattice(k: int, cache_dir: Path) -> SubgroupLattice:
     from . import burnside as bb
 
     make_cache_dir(cache_dir)
+    try:
+        cached = bb.load_lattice((cache_dir / f"lattice_k{k}.txt").read_bytes())
+    except FileNotFoundError:
+        return write_lattice(k, cache_dir, None), False
+    except ConsistencyError as exc:
+        return write_lattice(k, cache_dir, str(exc)), False
+    except OSError as exc:
+        raise _unusable_cache(cache_dir, exc) from exc
+    if cached.k != k:
+        return write_lattice(k, cache_dir, f"cache holds k={cached.k}"), False
+    return cached, True
+
+
+def write_lattice(k: int, cache_dir: Path, reason: str | None) -> SubgroupLattice:
+    """Build the lattice and write lattice_k<k>.txt atomically; print why if rebuilt."""
+    from . import burnside as bb
+
     path = cache_dir / f"lattice_k{k}.txt"
-    reason = None
-    if path.exists():
-        try:
-            cached = bb.load_lattice(path.read_bytes())
-        except ConsistencyError as exc:
-            reason = str(exc)
-        except OSError as exc:
-            raise _unusable_cache(cache_dir, exc) from exc
-        else:
-            if cached.k == k:
-                return cached
-            reason = f"cache holds k={cached.k}"
     lattice = bb.build_lattice(k)
     # a per-process temp file plus os.replace: a concurrent reader sees the
     # old file or the whole new one, never a partial write
@@ -263,7 +268,21 @@ def cmd_critical(args) -> tuple[dict, int]:
 def cmd_invariants(args, cache_dir: Path) -> tuple[dict, int]:
     from .degrees import invariants_payload
 
-    results, checks = invariants_payload(args.k, lambda k: get_lattice(k, cache_dir))
+    read = []
+
+    def lattice_for(k: int) -> SubgroupLattice:
+        lattice, from_file = get_lattice(k, cache_dir)
+        read.append(from_file)
+        return lattice
+
+    try:
+        results, checks = invariants_payload(args.k, lattice_for)
+    except ConsistencyError as exc:
+        # a failed solve blames a cache file (rebuilt once), not a fresh build
+        if not any(read):
+            raise
+        lattice = write_lattice(args.k, cache_dir, str(exc))
+        results, checks = invariants_payload(args.k, lambda k: lattice)
     return _report("invariants", {"k": args.k, "cache_dir": str(cache_dir)}, results, checks,
                    capacity="capacity_notice" in results)
 
@@ -276,7 +295,7 @@ def cmd_verify(args, cache_dir: Path) -> tuple[dict, int]:
     config = {"ks": args.k, "seed": args.seed, "mc_trials": args.mc_trials,
               "mc_samples": args.mc_samples, "fd_points": args.fd_points,
               "perturb_hessian": args.perturb_hessian}
-    results, checks = run_verify(lambda k: get_lattice(k, cache_dir), **config)
+    results, checks = run_verify(lambda k: get_lattice(k, cache_dir)[0], **config)
     return _report("verify", config, results, checks, rng=RNG_DESCRIPTION)
 
 

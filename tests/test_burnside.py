@@ -21,13 +21,11 @@ from symbreak.burnside import (
     closure,
     compose,
     cycle_type,
-    cycles_to_perm,
     enumerate_all_subgroups,
     identity_perm,
     invert,
     load_lattice,
     orbit_count_product,
-    perm_to_cycles,
     serialize_lattice,
 )
 from symbreak import burnside
@@ -38,20 +36,6 @@ from symbreak.errors import CapacityError, ConsistencyError, DomainError
 # ---------------------------------------------------------------------------
 # permutations
 # ---------------------------------------------------------------------------
-
-def test_cycle_notation_round_trip():
-    for k in (4, 5, 6):
-        import itertools
-
-        for p in itertools.islice(itertools.permutations(range(k)), 0, None, 7):
-            assert cycles_to_perm(perm_to_cycles(p), k) == p
-
-
-@pytest.mark.parametrize("text", ["(1 2 1)", "(0 1)", "(1 6)", "(1 2)x", "(1,2)", "(1 2", ""])
-def test_cycles_to_perm_rejects_what_the_writer_never_writes(text):
-    with pytest.raises(DomainError):
-        cycles_to_perm(text, 5)
-
 
 def test_compose_and_invert():
     p = (1, 2, 0, 3)
@@ -334,30 +318,78 @@ def test_serialize_round_trip(k, request):
     ]
     assert again.n_table == lattice.n_table
     assert serialize_lattice(again) == blob
-    # the file holds each fact once: per class |N(H)| and generators, then
-    # the proper containments; the index, order, label and n(H,H) = 1 are
-    # derived on reading
+    _assert_each_fact_stated_once(lattice, blob)
+
+
+def _assert_each_fact_stated_once(lattice, blob):
+    # per class |N(H)| and generators as image strings, then the rows that
+    # _derived_rows does not give; the index, order, label, n(H,H) = 1,
+    # n(L,S_k) = 1 and every row of a cyclic L are derived on reading
     header, *body, checksum = blob.decode().splitlines()
-    assert header == f"burnside-lattice v2 k={k}"
+    assert header == f"burnside-lattice v3 k={lattice.k}"
     assert checksum.startswith("checksum ")
     split = body.index("n:")
     assert split == len(lattice.classes)
     for c, line in zip(lattice.classes, body[:split]):
-        assert line == f"{c.normalizer_order}|" + ",".join(map(perm_to_cycles, c.generators))
-    rows = [tuple(map(int, line.split())) for line in body[split + 1:]]
-    assert all(li != hi for li, hi, _ in rows)
-    assert len(rows) == len(lattice.n_table) - len(lattice.classes)
+        images = ",".join("".join(map(str, g)) for g in c.generators)
+        assert line == f"{c.normalizer_order}|{images}"
+    rows = {(li, hi): n for li, hi, n in (map(int, line.split()) for line in body[split + 1:])}
+    cyclic = {c.index for c in lattice.classes
+              if any(math.lcm(*t) == c.order for t in c.cycle_type_counts)}
+
+    def derived(li, hi):
+        return li in cyclic or li == hi or hi == lattice.full_index
+
+    assert rows == {key: n for key, n in lattice.n_table.items() if not derived(*key)}
+
+
+def test_k6_file_states_194_of_467_rows_in_at_most_2800_bytes(lattice6):
+    blob = serialize_lattice(lattice6)
+    assert len(blob) <= 2800
+    assert blob.decode().split("n:\n")[1].count("\n") - 1 == 194
+    assert len(lattice6.n_table) - len(lattice6.classes) == 467
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_derived_rows_equal_the_builders_counts(k, request):
+    # the builder counts the conjugates of L inside H on its bit masks; the
+    # reader derives the rows of a cyclic L from the cycle-type counts, and
+    # n(H,H) = n(L,S_k) = 1, each from the class lines alone
+    lattice = request.getfixturevalue(f"lattice{k}") if k >= 4 else build_lattice(k)
+    _assert_derived_rows_agree(lattice)
+
+
+def test_writer_refuses_a_table_that_disagrees_with_its_derived_rows(lattice5):
+    # the file leaves the derived rows out, so a table the reader would not
+    # reproduce is never written
+    for key, n in [((0, 1), 9), ((1, 4), 2), ((4, 18), 2)]:
+        n_table = {**lattice5.n_table, key: n}
+        with pytest.raises(ConsistencyError, match="derived rows"):
+            serialize_lattice(SubgroupLattice(lattice5.k, lattice5.classes, n_table))
+    n_table = dict(lattice5.n_table)
+    del n_table[1, 4]
+    with pytest.raises(ConsistencyError, match="derived rows"):
+        serialize_lattice(SubgroupLattice(lattice5.k, lattice5.classes, n_table))
+
+
+def _assert_derived_rows_agree(lattice):
+    derived = burnside._derived_rows(lattice.classes)
+    assert {key: lattice.n(*key) for key in derived} == derived
+    full = lattice.full_index
+    assert all(derived[i, i] == derived[i, full] == 1 for i in range(len(lattice.classes)))
+    # the trivial class is cyclic, so its whole row is derived
+    assert all((0, j) in derived for j in range(len(lattice.classes)))
 
 
 # SHA-256 of serialize_lattice(build_lattice(k)): the class order, the
 # generators, the normalizer orders and the n(L,H) table are the cache
 # format, so no rewrite of build_lattice may move them
 PINNED_LATTICE_SHA256 = {
-    2: "06972d059cbe8ecb7446c605c3d8aea4a4260d1d477f25ff141259d812ed0f81",
-    3: "410e4a12341d2e93abfe9dc59666c9bbeb486026134240f56ec79b62daa75c69",
-    4: "5f4ee4197bdc80c85a21327fefecbed01c2ea641e3fe2a60330eb3768586925d",
-    5: "90652d88bdbc3db437f68470f6e03face31ef3684107d8909ad0951ef19d0e01",
-    6: "6faf613fc76a372515e04991a5ca299dc4bd26fa54c65398746a2dda03a86695",
+    2: "33b7a2ed25980a9fca3f58c5f54c2d68c94cc9ba0ef764d74f8c1c557b9adac3",
+    3: "e0b0320dc6ada25e3e66fea5feba384ec2b7808ff691ffdc03476b98e31e9371",
+    4: "46ae3713872bbc739ab1b34df305c6e7ebd3ae08f7e034e346cddcc39f280ac4",
+    5: "f5285929149fba41ab2abe820d1a8a04cd0079d5bc9fd4dc2c86d4fd5bec0c18",
+    6: "56460cf72b8b29e6ce4720029036cda32df7e6dca341cdcce1bd543873c7dd25",
 }
 
 # SHA-256 of the class labels joined by single spaces: the labels and their
@@ -429,7 +461,7 @@ def test_corrupted_cache_rejected(lattice5):
 
 def test_version_mismatch_rejected(lattice5):
     blob = serialize_lattice(lattice5).decode()
-    body = blob.replace("burnside-lattice v2", "burnside-lattice v3", 1)
+    body = blob.replace("burnside-lattice v3", "burnside-lattice v2", 1)
     import zlib
 
     lines = body.splitlines()
@@ -469,11 +501,16 @@ def test_k7_lattice_published_totals(monkeypatch):
     assert lattice.total_subgroups() == 11300
     # k = 7 takes naming branches no smaller width reaches (Z7, D7, G21,
     # G168, F20', G12'), so its bytes and labels are pinned as k <= 6's are
-    digest = hashlib.sha256(serialize_lattice(lattice)).hexdigest()
-    assert digest == "d45a42b03a8446c011a48806a535e293e30a9cf1bfaf2fde19323947f3a842b0"
+    blob = serialize_lattice(lattice)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "cb43128a5f26a96c444a9608e81beeb6a9ffaeacfa5aa3c7377015732ae13480")
     assert _labels_digest(lattice) == (
         "41e8da444fcacd964bc4acfceca0a7647b58e8e0d7ef8e2d3fd5f1509ce6a2f1")
     _assert_class_keys_strictly_increase(lattice)
+    _assert_derived_rows_agree(lattice)
+    _assert_each_fact_stated_once(lattice, blob)
+    again = load_lattice(blob)
+    assert again == lattice and again.n_table == lattice.n_table
     # the pin is not self-certifying: each A4 has A4's 8 elements of order 3
     a4 = [c for c in lattice.classes if c.label.rstrip("'") == "A4"]
     assert len(a4) == 3
@@ -483,19 +520,21 @@ def test_k7_lattice_published_totals(monkeypatch):
 
 @pytest.mark.parametrize("gens, name", [
     # Z3 x V4: abelian, 2 elements of order 3
-    (["(5 6 7)", "(1 2)(3 4)", "(1 3)(2 4)"], "G12"),
-    # six elements of order 4, which A4 lacks
-    (["(5 6 7)", "(1 2)(3 4)", "(1 3 2 4)(6 7)"], "G12"),
-    # A4 acting on {1, 2, 3, 4} and, through its quotient Z3, on {5, 6, 7}
-    (["(2 3 4)(5 6 7)", "(1 2)(3 4)"], "A4"),
+    # (4 5 6), (0 1)(2 3) and (0 2)(1 3), on the points 0..6
+    ([(0, 1, 2, 3, 5, 6, 4), (1, 0, 3, 2, 4, 5, 6), (2, 3, 0, 1, 4, 5, 6)], "G12"),
+    # six elements of order 4, which A4 lacks: (0 2 1 3)(5 6) in place of
+    # (0 2)(1 3)
+    ([(0, 1, 2, 3, 5, 6, 4), (1, 0, 3, 2, 4, 5, 6), (2, 3, 1, 0, 4, 6, 5)], "G12"),
+    # A4 acting on {0, 1, 2, 3} and, through its quotient Z3, on {4, 5, 6}:
+    # (1 2 3)(4 5 6) and (0 1)(2 3)
+    ([(0, 2, 3, 1, 5, 6, 4), (1, 0, 3, 2, 4, 5, 6)], "A4"),
 ])
 def test_order_twelve_named_a4_only_with_eight_elements_of_order_three(gens, name):
     # even order-12 groups on 7 points that are neither cyclic nor dihedral
-    perms = [cycles_to_perm(g, 7) for g in gens]
-    group = closure(perms, 7)
+    group = closure(gens, 7)
     assert len(group) == 12
     counts = collections.Counter(map(cycle_type, group))
-    moved = len({i for g in perms for i, x in enumerate(g) if x != i})
+    moved = len({i for g in gens for i, x in enumerate(g) if x != i})
     assert class_name(len(group), counts, moved) == name
 
 
@@ -676,5 +715,5 @@ def test_every_join_matches_per_join_reference(k, monkeypatch):
 
 
 def test_closure_helper():
-    gens = [cycles_to_perm("(1 2 3 4 5)", 5), cycles_to_perm("(2 5)(3 4)", 5)]
+    gens = [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)]   # a 5-cycle and a reflection
     assert len(closure(gens, 5)) == 10

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import zlib
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -20,9 +21,9 @@ from hypothesis import strategies as st
 
 from conftest import random_admissible
 import symbreak
-from symbreak import cli, landscape, symrep, verify
+from symbreak import cli, degrees, landscape, symrep, verify
 from symbreak.errors import ConsistencyError
-from symbreak.burnside import load_lattice, perm_to_cycles, serialize_lattice
+from symbreak.burnside import load_lattice, serialize_lattice
 from symbreak.closed_forms import critical_set
 from symbreak.cli import main
 from symbreak.landscape import (
@@ -357,67 +358,86 @@ def _header_names_other_width(blob: bytes) -> bytes:
 
 
 def _generator_repeats_a_point(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n12|(4 5)\n", "\n12|(4 5 4)\n")
+    return _edit_body(blob, "\n12|01243\n", "\n12|01143\n")
+
+
+# a generator is the string of its 0-based images, one digit per point
+def _generator_too_short(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n12|01243\n", "\n12|0124\n")
+
+
+def _generator_not_a_digit(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n12|01243\n", "\n12|0124x\n")
 
 
 # the Weyl orders, the conjugate counts and the containment order are derived
 # from these fields, so values that cannot be right are refused on reading
 def _normalizer_order_zero(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n12|(4 5)\n", "\n0|(4 5)\n")
+    return _edit_body(blob, "\n12|01243\n", "\n0|01243\n")
 
 
 def _normalizer_order_not_a_multiple(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n12|(4 5)\n", "\n7|(4 5)\n")
+    return _edit_body(blob, "\n12|01243\n", "\n7|01243\n")
+
+
+# a cyclic class's |N(H)| is fixed by its own derived row, n(H,H) =
+# z c(H)/|N(H)| = 1: for D1, z = 12 and c = 1, so 6 gives 2 and 24 gives 1/2
+def _cyclic_normalizer_order_halved(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n12|01243\n", "\n6|01243\n")
+
+
+def _cyclic_normalizer_order_doubled(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n12|01243\n", "\n24|01243\n")
 
 
 def _n_value_zero(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n0 1 10\n", "\n0 1 0\n")
+    return _edit_body(blob, "\n4 11 1\n", "\n4 11 0\n")
 
 
 # the ring's unit is the full class and the free orbit the trivial one, so
-# a file without either is refused, with the pair rows that name them
+# a file without either is refused
 def _no_class_lines(blob: bytes) -> bytes:
     return _keep_lines(blob, lambda line: not line[0].isdigit())
 
 
 def _full_class_dropped(blob: bytes) -> bytes:
-    return _keep_lines(blob, lambda line: not re.fullmatch(r"120\|\(.*\n|\d+ 18 \d+\n", line))
+    return _keep_lines(blob, lambda line: not re.fullmatch(r"120\|\d.*\n", line))
 
 
 # the generators of one class closing to a conjugate of another's
 # representative: the order and |N(H)| still agree
 def _class_generates_a_conjugate(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n8|(2 3)(4 5)\n", "\n8|(4 5)\n")
+    return _edit_body(blob, "\n8|02143\n", "\n8|01243\n")
 
 
 # the builder's class order (burnside.class_key) is read back:
 # D1 (a transposition) and Z2 (a double transposition) share the order 2
 def _class_lines_swapped(blob: bytes) -> bytes:
     lines = _body(blob).split("\n")
-    d1, z2 = lines.index("12|(4 5)"), lines.index("8|(2 3)(4 5)")
+    d1, z2 = lines.index("12|01243"), lines.index("8|02143")
     lines[d1], lines[z2] = lines[z2], lines[d1]
     return _with_checksum("\n".join(lines))
 
 
 # the class order is strict, and a repeated class ties with itself
 def _class_line_repeated(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n8|(2 3)(4 5)\n", "\n12|(4 5)\n")
+    return _edit_body(blob, "\n8|02143\n", "\n12|01243\n")
 
 
 # a repeated class whose stated |N(H)| (24, a multiple of 2 dividing 120)
 # puts its line in strictly increasing order between D1 and Z3: the reader
 # derives the other key fields, which still tie with D1's
 def _class_line_repeated_with_other_normalizer(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n8|(2 3)(4 5)\n", "\n24|(4 5)\n")
+    return _edit_body(blob, "\n8|02143\n", "\n24|01243\n")
 
 
 def _header_names_other_version(blob: bytes) -> bytes:
-    return _edit_body(blob, "burnside-lattice v2 k=5\n", "burnside-lattice v20 k=5\n")
+    return _edit_body(blob, "burnside-lattice v3 k=5\n", "burnside-lattice v30 k=5\n")
 
 
-# containment rows the writer never writes
-def _add_pair(blob: bytes, li: int, hi: int) -> bytes:
-    return _edit_body(blob, "\nn:\n", f"\nn:\n{li} {hi} 1\n")
+# containment rows the writer never writes, ahead of its first row (4 11)
+def _add_pair(blob: bytes, li: int, hi: int, n: int = 1) -> bytes:
+    return _edit_body(blob, "\nn:\n", f"\nn:\n{li} {hi} {n}\n")
 
 
 def _pair_names_no_class(blob: bytes) -> bytes:
@@ -425,37 +445,82 @@ def _pair_names_no_class(blob: bytes) -> bytes:
 
 
 def _order_does_not_divide(blob: bytes) -> bytes:
-    return _add_pair(blob, 3, 2)      # |Z3| = 3 does not divide |Z2| = 2
+    return _add_pair(blob, 4, 3)      # |D2| = 4 does not divide |Z3| = 3
 
 
 def _orders_equal(blob: bytes) -> bytes:
-    return _add_pair(blob, 1, 2)      # D1 and Z2, both of order 2
+    return _add_pair(blob, 4, 5)      # D2 and V4, both of order 4
 
 
 def _diagonal_row_added(blob: bytes) -> bytes:
     return _add_pair(blob, 5, 5)      # n(H,H) = 1 is derived, never written
 
 
+# the rows _derived_rows gives, stated with their true values: the trivial
+# class's n(Z1, D1) = 120/|N(D1)|, a row of the cyclic D1, and n(D2, S5) = 1
+def _trivial_row_stated(blob: bytes) -> bytes:
+    return _add_pair(blob, 0, 1, 10)
+
+
+def _cyclic_row_stated(blob: bytes) -> bytes:
+    return _add_pair(blob, 1, 4, 3)
+
+
+def _full_group_row_stated(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n4 16 1\n", "\n4 16 1\n4 18 1\n")
+
+
+# edits of trivial-class rows that a file stating them used to pass: each
+# is now a stated derived row
+def _trivial_row_lowered(blob: bytes) -> bytes:
+    return _add_pair(blob, 0, 1, 9)
+
+
+def _trivial_row_doubled(blob: bytes) -> bytes:
+    return _add_pair(blob, 0, 1, 20)
+
+
+def _trivial_row_into_v4_doubled(blob: bytes) -> bytes:
+    return _add_pair(blob, 0, 5, 10)
+
+
+# a stated row raised by 1 that the reader cannot tell from a true one:
+# the exact solve fails on it, and the failure rebuilds the file
+def _stated_row_raised(blob: bytes) -> bytes:
+    return _edit_body(blob, "\n4 11 1\n", "\n4 11 2\n")
+
+
 # the writer writes each pair once, in strictly increasing (L, H) order
 def _pair_repeated(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n0 1 10\n", "\n0 1 10\n0 1 10\n")
+    return _edit_body(blob, "\n4 11 1\n", "\n4 11 1\n4 11 1\n")
 
 
 def _pair_repeated_with_other_value(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n0 1 10\n", "\n0 1 10\n0 1 11\n")
+    return _edit_body(blob, "\n4 11 1\n", "\n4 11 1\n4 11 2\n")
 
 
 def _pairs_swapped(blob: bytes) -> bytes:
-    return _edit_body(blob, "\n0 1 10\n0 2 15\n", "\n0 2 15\n0 1 10\n")
+    return _edit_body(blob, "\n4 11 1\n4 13 2\n", "\n4 13 2\n4 11 1\n")
 
 
-def _v1_bytes(lattice) -> bytes:
+def _generator_fields(blob: bytes) -> list[str]:
+    """The generators field of each class line of a v3 file."""
+    lines = _body(blob).split("\n")
+    return [line.split("|")[1] for line in lines[1:lines.index("n:")]]
+
+
+# the k = 4 generators in the 1-based cycle notation of the v1 and v2 files
+_K4_CYCLE_GENERATORS = ["", "(3 4)", "(1 2)(3 4)", "(2 3 4)", "(3 4),(1 2)",
+                        "(1 2)(3 4),(1 3)(2 4)", "(1 2)(3 4),(1 3 2 4)", "(3 4),(2 3)",
+                        "(3 4),(1 2),(1 3)(2 4)", "(2 3 4),(1 2)(3 4)", "(3 4),(2 3),(1 2)"]
+
+
+def _v1_bytes(lattice, generators: list[str]) -> bytes:
     """The burnside-lattice v1 text of a lattice: per class its index, order,
     |N(H)|, generators and label, then a leq: row and an n: row for every
     pair of the n table, n(H,H) = 1 included."""
     lines = [f"burnside-lattice v1 k={lattice.k}"]
-    for c in lattice.classes:
-        gens = ",".join(map(perm_to_cycles, c.generators))
+    for c, gens in zip(lattice.classes, generators, strict=True):
         lines.append(f"{c.index}|{c.order}|{c.normalizer_order}|generators={gens}|{c.label}")
     pairs = sorted(lattice.n_table)
     lines += ["leq:", *(f"{li} {hi}" for li, hi in pairs)]
@@ -463,19 +528,33 @@ def _v1_bytes(lattice) -> bytes:
     return _with_checksum("\n".join(lines) + "\n")
 
 
-# a class without its n(H,H) = 1 row: a v2 file holds no such row and the
+def _v2_bytes(lattice, generators: list[str]) -> bytes:
+    """The burnside-lattice v2 text of a lattice: per class |N(H)| and its
+    generators, then one row per proper containment L < H."""
+    lines = [f"burnside-lattice v2 k={lattice.k}"]
+    lines += [f"{c.normalizer_order}|{gens}"
+              for c, gens in zip(lattice.classes, generators, strict=True)]
+    lines += ["n:", *(f"{li} {hi} {n}" for (li, hi), n in sorted(lattice.n_table.items())
+                      if li != hi)]
+    return _with_checksum("\n".join(lines) + "\n")
+
+
+# a class without its n(H,H) = 1 row: a v3 file holds no such row and the
 # reader supplies every one, and a v1 file that drops one is refused by its
 # version like every v1 file
 def _diagonal_dropped(blob: bytes) -> bytes:
-    v1 = _v1_bytes(load_lattice(blob))
+    v1 = _v1_bytes(load_lattice(blob), _generator_fields(blob))
     return _edit_body(_edit_body(v1, "\n5 5\n", "\n"), "\n5 5 1\n", "\n")
 
 
 @pytest.mark.parametrize("corrupt", [_truncated, _flipped_byte, _non_ascii,
                                      _header_without_equals, _non_numeric_order,
                                      _header_names_other_width,
-                                     _generator_repeats_a_point, _normalizer_order_zero,
-                                     _normalizer_order_not_a_multiple, _n_value_zero,
+                                     _generator_repeats_a_point, _generator_too_short,
+                                     _generator_not_a_digit, _normalizer_order_zero,
+                                     _normalizer_order_not_a_multiple,
+                                     _cyclic_normalizer_order_halved,
+                                     _cyclic_normalizer_order_doubled, _n_value_zero,
                                      _class_generates_a_conjugate, _class_lines_swapped,
                                      _class_line_repeated,
                                      _class_line_repeated_with_other_normalizer,
@@ -483,7 +562,11 @@ def _diagonal_dropped(blob: bytes) -> bytes:
                                      _pair_names_no_class, _order_does_not_divide,
                                      _orders_equal, _diagonal_dropped, _diagonal_row_added,
                                      _no_class_lines, _full_class_dropped, _pair_repeated,
-                                     _pair_repeated_with_other_value, _pairs_swapped])
+                                     _pair_repeated_with_other_value, _pairs_swapped,
+                                     _trivial_row_stated, _cyclic_row_stated,
+                                     _full_group_row_stated, _trivial_row_lowered,
+                                     _trivial_row_doubled, _trivial_row_into_v4_doubled,
+                                     _stated_row_raised])
 def test_corrupted_cache_is_rebuilt(corrupt, capsys, tmp_path):
     cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
                               "invariants", "--k", "5", "--output", "json")
@@ -511,7 +594,7 @@ def test_conjugate_class_lines_swapped_k6_is_rebuilt(capsys, tmp_path):
     path = tmp_path / "lattice_k6.txt"
     good = path.read_bytes()
     lines = _body(good).split("\n")
-    v4, v4_prime = lines.index("48|(3 4)(5 6),(3 5)(4 6)"), lines.index("48|(3 4)(5 6),(1 2)(5 6)")
+    v4, v4_prime = lines.index("48|013254,014523"), lines.index("48|013254,102354")
     lines[v4], lines[v4_prime] = lines[v4_prime], lines[v4]
     path.write_bytes(_with_checksum("\n".join(lines)))
     assert main(["--cache-dir", str(tmp_path), "invariants", "--k", "6",
@@ -523,25 +606,85 @@ def test_conjugate_class_lines_swapped_k6_is_rebuilt(capsys, tmp_path):
     assert path.read_bytes() == good
 
 
-def test_v1_cache_is_rebuilt(capsys, tmp_path):
+def _assert_earlier_version_rebuilt(capsys, tmp_path, version, digest: str) -> None:
     cold_code, cold = run_cli(capsys, "--cache-dir", str(tmp_path),
-                              "invariants", "--k", "5", "--output", "json")
+                              "invariants", "--k", "4", "--output", "json")
     assert cold_code == 0
-    path = tmp_path / "lattice_k5.txt"
+    path = tmp_path / "lattice_k4.txt"
     good = path.read_bytes()
-    v1 = _v1_bytes(load_lattice(good))
-    # the bytes the v1 writer wrote for k = 5
-    assert hashlib.sha256(v1).hexdigest() == (
-        "2c8b53510af41b6e0bb78e57608e82b226dae9e23443c586d5b33cccd3cfba6e")
-    path.write_bytes(v1)
-    assert main(["--cache-dir", str(tmp_path), "invariants", "--k", "5",
+    earlier = version(load_lattice(good), _K4_CYCLE_GENERATORS)
+    # the bytes the earlier writer wrote for k = 4
+    assert hashlib.sha256(earlier).hexdigest() == digest
+    path.write_bytes(earlier)
+    assert main(["--cache-dir", str(tmp_path), "invariants", "--k", "4",
                  "--output", "json"]) == 0
     captured = capsys.readouterr()
     assert captured.out == cold
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(
-        "cache: rebuilt lattice_k5.txt (unsupported lattice cache version")
+        "cache: rebuilt lattice_k4.txt (unsupported lattice cache version")
     assert path.read_bytes() == good
+
+
+def test_v1_cache_is_rebuilt(capsys, tmp_path):
+    _assert_earlier_version_rebuilt(
+        capsys, tmp_path, _v1_bytes,
+        "e70202459551ae7095727ed09c09485304bd00c808b44893b767cf2a107596a3")
+
+
+def test_v2_cache_is_rebuilt(capsys, tmp_path):
+    # the digest the v2 format's serialized-lattice test pinned at k = 4
+    _assert_earlier_version_rebuilt(
+        capsys, tmp_path, _v2_bytes,
+        "5f4ee4197bdc80c85a21327fefecbed01c2ea641e3fe2a60330eb3768586925d")
+
+
+def test_failed_solve_rebuilds_a_lattice_read_from_the_cache_once(capsys, tmp_path, monkeypatch):
+    def fail(lattice, marks):
+        raise ConsistencyError("non-integer coefficient at class Z1: 1/2")
+
+    monkeypatch.setattr(degrees, "solve_from_marks", fail)
+    argv = ["--cache-dir", str(tmp_path), "invariants", "--k", "4"]
+    # on a lattice just built, a failed solve is an engine defect
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-integer coefficient at class Z1: 1/2\n"
+    # on one read from the file it blames the file: one rebuild, one retry
+    good = (tmp_path / "lattice_k4.txt").read_bytes()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("cache: rebuilt lattice_k4.txt (non-integer coefficient at class Z1: 1/2)\n"
+                            "error: non-integer coefficient at class Z1: 1/2\n")
+    assert (tmp_path / "lattice_k4.txt").read_bytes() == good
+
+
+def test_two_concurrent_cold_runs_share_one_cache(tmp_path):
+    # each writer renames its own per-process temp file into place, so two
+    # cold runs racing on one directory both print the reference report and
+    # leave one whole file
+    want = (Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+            / "invariants_k_5.json").read_bytes()
+    src = str(Path(symbreak.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "symbreak.cli", "--cache-dir", "cache",
+            "invariants", "--k", "5", "--output", "json"]
+    for _ in range(3):
+        procs = [subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE) for _ in range(2)]
+        try:
+            results = [proc.communicate(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert [proc.returncode for proc in procs] == [0, 0], results
+        assert results == [(want, b""), (want, b"")]
+        cache = tmp_path / "cache"
+        assert [p.name for p in cache.iterdir()] == ["lattice_k5.txt"]
+        assert load_lattice((cache / "lattice_k5.txt").read_bytes()).k == 5
+        (cache / "lattice_k5.txt").unlink()
+
 
 def _lattice_path_is_a_directory(tmp_path, monkeypatch):
     (tmp_path / "lattice_k4.txt").mkdir()
