@@ -162,15 +162,14 @@ def _render_text(report: dict, stream) -> None:
             print(f"         {fmt(chk['detail'])}", file=stream)
 
 
-def emit(report: dict, output: str, stream=None) -> None:
+def emit(report: dict, output: str) -> None:
     """Write the report whole, or nothing if a value in it is not finite."""
-    stream = stream or sys.stdout
     if output == "json":
-        stream.write(dumps(report))
+        sys.stdout.write(dumps(report))
     else:
         text = io.StringIO()
         _render_text(report, text)
-        stream.write(text.getvalue())
+        sys.stdout.write(text.getvalue())
 
 
 def _report(command: str, config: dict, results: dict, checks: list[dict],
@@ -324,6 +323,9 @@ def validate_args(args) -> None:
             if points > MAX_ALPHA_GRID_POINTS:
                 raise CapacityError(
                     f"--alpha-grid POINTS is capped at {MAX_ALPHA_GRID_POINTS}, got {points:g}")
+            if not all(map(math.isfinite, _alpha_list(args))):
+                raise DomainError(f"--alpha-grid {values[0]!r} to {values[1]!r} has points "
+                                  "beyond the float range")
     if args.command == "verify":
         for flag, value, least in (("--mc-trials", args.mc_trials, 1),
                                    ("--mc-samples", args.mc_samples, 2),

@@ -3,8 +3,8 @@ coefficients, the seven eigenvalue families, the critical set and the root
 scan that checks it.
 
 With a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi the block operator has
-exactly seven eigenvalue families (spectrum's module docstring gives their
-multiplicities and isotypic labels):
+exactly seven eigenvalue families, each one copy of an isotypic component
+of R^{k^2} under the diagonal action of S_k:
 
     wedge          b - c
     sym0           b + c
@@ -12,7 +12,11 @@ multiplicities and isotypic labels):
     W_plus/minus   (ak + 2b +- sqrt(a^2k^2 + 4c(c-2a))) / 2
     span_IJ_+-     (2b + k(a+c) +- sqrt(k^2(a-c)^2 + 4c(2a-c)(k-1))) / 2
 
-family_values_at writes them once, for one float leak value.  Every
+family_values_at writes them once, for one float leak value.  This module
+is the one statement of the isotypic structure: components(k) gives the
+four components and their dimensions, FAMILY_COMPONENTS each family's
+component and CRITICAL_FAMILIES the families that vanish at each critical
+value; every other module reads them.  Every
 square is written as a product: Python's float power calls libm pow, which
 can differ from numpy's elementwise square in the last bit, and a product
 is one correctly rounded multiplication on a float and on an array alike,
@@ -49,6 +53,24 @@ MAX_DENSE_K = 64
 
 FORMULA_IDS = ("wedge", "sym0", "W_bminus_c", "W_plus", "W_minus",
                "span_IJ_plus", "span_IJ_minus")
+
+# each family's component, an index into components(k), in FORMULA_IDS order
+FAMILY_COMPONENTS = (0, 1, 2, 2, 2, 3, 3)
+
+# the families that vanish at 0, at alpha_std and at alpha_triv, in the
+# order `critical` prints their components
+CRITICAL_FAMILIES = ((1, 0, 2), (4,), (6,))
+
+
+def components(k: int) -> tuple[tuple[Partition, int], ...]:
+    """The four components as (partition, irreducible dimension): hook,
+    two-row, standard, trivial.  The dimensions are stated, not computed."""
+    if k < 4:
+        raise DomainError("k >= 4 required (the uniform decomposition starts there)")
+    return (((k - 2, 1, 1), (k - 1) * (k - 2) // 2),
+            ((k - 2, 2), k * (k - 3) // 2),
+            ((k - 1, 1), k - 1),
+            ((k,), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +168,14 @@ def critical_set(k: int) -> CriticalSet:
     if not math.isfinite(last):
         raise DomainError(f"k={k} overflows the W radicand: 2k^2 in alpha_triv "
                           "is not a finite float")
-    at_zero, at_mid, at_last = (family_values_at(k, alpha) for alpha in (0.0, mid, last))
+    at = [family_values_at(k, alpha) for alpha in (0.0, mid, last)]
+    comps = components(k)
     crit = CriticalSet(
         k=k,
         values=(0.0, mid, last),
-        labels=(
-            ((k - 2, 2), (k - 2, 1, 1), (k - 1, 1)),
-            ((k - 1, 1),),
-            ((k,),),
-        ),
-        residuals=(max(abs(v) for v in at_zero[:3]), abs(at_mid[4]), abs(at_last[6])),
-        trivial_zero_at_origin=at_zero[6] == 0.0,
+        labels=tuple(tuple(comps[FAMILY_COMPONENTS[f]][0] for f in fams) for fams in CRITICAL_FAMILIES),
+        residuals=tuple(max(abs(row[f]) for f in fams) for row, fams in zip(at, CRITICAL_FAMILIES)),
+        trivial_zero_at_origin=all(at[0][f] == 0.0 for f in CRITICAL_FAMILIES[2]),
     )
     # the values decide the order; equal values fall through to the distances
     d_std, d_triv = _asymptote_distances(k)

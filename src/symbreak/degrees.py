@@ -18,12 +18,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .burnside import MAX_LATTICE_K, BurnsideElement, SubgroupLattice, solve_from_marks
-from .closed_forms import critical_set
+from .closed_forms import components, critical_set
 from .errors import CapacityError, ConsistencyError, DomainError
 from .report import check
 from .symrep import (
     Partition,
-    closed_form_partition,
     fixed_dim_from_counts,
     hook_dimension,
     irreducible_character,
@@ -179,7 +178,7 @@ class BifurcationInvariant(NamedTuple):
 def all_invariants(
     k: int, lattice: SubgroupLattice
 ) -> tuple[dict[Partition, BasicDegree], list[BifurcationInvariant]]:
-    """Basic degrees (hook, two-row, standard, top) and the invariant at each
+    """Basic degrees of the components(k), in that order, and the invariant at each
     critical value: one pass over the critical chain multiplies mark vectors,
     deg_below telescopes, and each reported element is one solve_from_marks."""
     if k < 4:
@@ -188,10 +187,7 @@ def all_invariants(
         raise CapacityError(f"exact ring arithmetic capped at k={MAX_LATTICE_K}")
     if lattice.k != k:
         raise DomainError("lattice was built for a different k")
-    degrees: dict[Partition, BasicDegree] = {}
-    for shape in ("hook", "two-row", "standard", "top"):
-        eta = closed_form_partition(shape, k)
-        degrees[eta] = basic_degree(eta, lattice)
+    degrees = {eta: basic_degree(eta, lattice) for eta, _ in components(k)}
     crit = critical_set(k)
     below, degree_below = [1] * len(lattice.classes), BurnsideElement.one(lattice)
     invariants = []

@@ -2,25 +2,13 @@
 isotypic eigenbasis, the critical set of leaky parameters, and the matcher
 against dense numerical eigensolves.
 
-With a = 1/2 - alpha/4, b = alpha/4, c = alpha/2pi (closed_forms.abc_terms)
-the block operator has exactly seven eigenvalue families:
-
-    wedge          b - c                            mult (k-1)(k-2)/2
-    sym0           b + c                            mult k(k-3)/2
-    W_bminus_c     b - c                            mult k-1
-    W_plus/minus   (ak + 2b +- sqrt(a^2k^2 + 4c(c-2a))) / 2      mult k-1
-    span_IJ_+-     (2b + k(a+c) +- sqrt(k^2(a-c)^2
-                                  + 4c(2a-c)(k-1))) / 2          mult 1
-
-labeled by the isotypic components: wedge by the hook partition (k-2,1,1),
-sym0 by the two-row partition (k-2,2), the three W families by the standard
-partition (k-1,1), the span{I, J} pair by the trivial partition (k).  The
-wedge family and W_bminus_c share the value b - c, which is why displays
-often merge them into one line of multiplicity k(k-1)/2.
-
-The seven formulas, the (a, b, c) coefficients, the critical set, the root
-scan and the dense cap MAX_DENSE_K live in closed_forms, which needs no
-numpy; import them from there.
+The seven eigenvalue families, the (a, b, c) coefficients, the isotypic
+table (components, FAMILY_COMPONENTS), the critical set, the root scan and
+the dense cap MAX_DENSE_K live in closed_forms, which needs no numpy;
+import them from there.  analytic_spectrum labels each family by its
+component and gives it that component's dimension as its multiplicity.
+The wedge family and W_bminus_c share the value b - c, which is why
+displays often merge them into one line of multiplicity k(k-1)/2.
 
 numerical_spectrum_match checks the table against a dense eigensolve of the
 Hessian and labels each eigenvalue cluster by closed-form isotypic
@@ -64,7 +52,7 @@ with T = 0, D = |y0|^2, S = 2|sigma|^2/(k-2), M = 0 for w != 0, where every
 mean over the rows vanishes, and T = |sigma|^2/(k-1), D = S = 0,
 M = |y0|^2 for w = 0, where d and sigma are constant.  A cluster's label
 is its top summed score; scores within 1e-9 * multiplicity of the top tie,
-and a tie goes to the first label in FORMULA_IDS order: hook, two-row,
+and a tie goes to the first label in components(k) order: hook, two-row,
 standard, trivial.  isotypic_basis stays the explicit basis for verify and
 the tests.
 """
@@ -76,7 +64,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .closed_forms import FORMULA_IDS, MAX_DENSE_K, abc_terms, family_values_at
+from .closed_forms import (FAMILY_COMPONENTS, FORMULA_IDS, MAX_DENSE_K, abc_terms, components,
+                           family_values_at)
 from .closed_forms import root_scan  # noqa: F401  perfbench/tracer.py finds the span here
 from .errors import CapacityError, ConsistencyError, DomainError
 from .hessian import check_block_pair, minimum_blocks
@@ -100,11 +89,9 @@ class SpectrumEntry(NamedTuple):
 def analytic_spectrum(k: int, alpha: float) -> list[SpectrumEntry]:
     """All seven eigenvalue families; multiplicities sum to k^2."""
     values = family_values_at(k, alpha)
-    hook, two_row, std, triv = (k - 2, 1, 1), (k - 2, 2), (k - 1, 1), (k,)
-    shapes = [((k - 1) * (k - 2) // 2, hook), (k * (k - 3) // 2, two_row),
-              (k - 1, std), (k - 1, std), (k - 1, std), (1, triv), (1, triv)]
-    entries = [SpectrumEntry(v, m, lab, fid)
-               for v, (m, lab), fid in zip(values, shapes, FORMULA_IDS)]
+    comps = components(k)
+    entries = [SpectrumEntry(v, comps[c][1], comps[c][0], fid)
+               for v, c, fid in zip(values, FAMILY_COMPONENTS, FORMULA_IDS)]
     if sum(e.multiplicity for e in entries) != k * k:
         raise ConsistencyError("multiplicity accounting broken")
     return entries
@@ -269,7 +256,6 @@ def _frequency_scores(vecs: np.ndarray) -> np.ndarray:
 def numerical_spectrum_match(
     k: int,
     alpha: float,
-    tolerance: float | None = None,
     perturbation: float | None = None,
 ) -> SpectrumMatchReport:
     """Dense eigensolve of the minimum Hessian against the analytic table,
@@ -311,7 +297,7 @@ def numerical_spectrum_match(
     to M in the 2-norm is at most the coupling, and by Weyl's inequality
     so is that of every eigenvalue.  A matched deviation passes only
     when deviation + coupling <= max(tolerance, k^2 eps scale), tolerance
-    being TOLERANCES["spectrum_match"] at the call unless given, and the
+    being TOLERANCES["spectrum_match"] at the call, and the
     second term the eigensolver's backward error at large leak values (it
     stays below 8e-11 for k <= 64, |alpha| <= 3.5).  The coupling is 0
     exactly for the blocks of hessian_at_minimum; blocks that break the
@@ -341,7 +327,7 @@ def numerical_spectrum_match(
     over its columns.
     The dominant label is the top score.  Labels within 1e-9 * multiplicity
     of the top score count as tied, and a tie goes to the first in
-    FORMULA_IDS order: hook, two-row, standard, trivial.  So the k = 4
+    components(k) order: hook, two-row, standard, trivial.  So the k = 4
     b - c cluster (3 hook + 3 standard dimensions) is (2,1,1), and the
     k = 6, alpha = 0 zero cluster (10 hook + 10 standard) is (4,1,1).
     """
@@ -376,7 +362,7 @@ def numerical_spectrum_match(
     roots = np.exp(-2j * math.pi * (np.outer(steps, steps) % k) / k)   # e^(-2 pi i w s/k)
     block_vals, block_vecs = np.linalg.eigh(np.tensordot(roots, h, axes=1))
     scores = _frequency_scores(block_vecs)
-    labels = (f"({k - 2},1,1)", f"({k - 2},2)", f"({k - 1},1)", f"({k})")
+    labels = [f"({','.join(map(str, eta))})" for eta, _ in components(k)]
     order = np.argsort(block_vals, axis=None, kind="stable")   # flat index w*k + j
     evals = block_vals.ravel()[order]
     scale = max(1.0, float(np.abs(evals).max()))
@@ -405,8 +391,7 @@ def numerical_spectrum_match(
             deviation=dev, dominant_label=dominant,
         ))
     floor = k * k * float(np.finfo(float).eps) * scale
-    if tolerance is None:
-        tolerance = TOLERANCES["spectrum_match"]
+    tolerance = TOLERANCES["spectrum_match"]
     ok = shape_ok and mults_ok and max_dev + coupling <= max(tolerance, floor)
     msg = "" if ok else (
         f"cluster shape {[m for _, m in numeric]} vs analytic {[m for _, m in analytic]}, "

@@ -10,9 +10,10 @@ of the character of the smaller partition on the remaining cycles; the
 empty partition on no cycles has value 1.  All values are exact integers;
 multiplicities are integer divisions asserted exact, and only
 inner_product builds a Fraction, importing fractions when it is called.
-Everything downstream (closed two-row/hook forms, the isotypic
-decomposition of R^{k^2} under the diagonal action, fixed-space
-dimensions) is checked against this one primitive.
+Everything downstream (the closed-form characters of the four components
+of R^{k^2} that closed_forms.components names, its isotypic decomposition
+under the diagonal action, fixed-space dimensions) is checked against this
+one primitive.
 """
 
 from __future__ import annotations
@@ -131,41 +132,31 @@ def frobenius_character(eta, ctype) -> int:
 # closed forms, dimensions
 # ---------------------------------------------------------------------------
 
-_CLOSED_FORM_SHAPES = ("top", "standard", "two-row", "hook")
+def closed_form_character(eta, ctype) -> int:
+    """The closed-form character of a component of R^{k^2}
+    (closed_forms.components), k >= 4, keyed by its partition, on the
+    class of cycle type ctype:
 
+    (k)          -> 1
+    (k-1,1)      -> i1 - 1
+    (k-2,2)      -> (i1-1)(i1-2)/2 + i2 - 1
+    (k-2,1,1)    -> (i1-1)(i1-2)/2 - i2
 
-def closed_form_character(which: str, ctype) -> int:
-    """The four closed-form characters, by shape of the labeling partition:
-
-    top       eta=(k)        -> 1
-    standard  eta=(k-1,1)    -> i1 - 1
-    two-row   eta=(k-2,2)    -> (i1-1)(i1-2)/2 + i2 - 1
-    hook      eta=(k-2,1,1)  -> (i1-1)(i1-2)/2 - i2
+    Any other partition, or a width below 4, raises DomainError.
     """
+    eta = validate_partition(eta)
     ctype = validate_partition(ctype)
+    k = sum(eta)
+    if k != sum(ctype):
+        raise DomainError(f"partition sizes differ: {eta} vs {ctype}")
     counts = cycle_counts(ctype)
     i1, i2 = counts.get(1, 0), counts.get(2, 0)
-    if which == "top":
-        return 1
-    if which == "standard":
-        return i1 - 1
-    if which == "two-row":
-        val2 = (i1 - 1) * (i1 - 2) // 2 + i2 - 1
-        return val2
-    if which == "hook":
-        return (i1 - 1) * (i1 - 2) // 2 - i2
-    raise DomainError(f"unknown closed form {which!r}; expected one of {_CLOSED_FORM_SHAPES}")
-
-
-def closed_form_partition(which: str, k: int) -> Partition:
-    if k < 4:
-        raise DomainError("two-row/hook closed forms need k >= 4")
-    return {
-        "top": (k,),
-        "standard": (k - 1, 1),
-        "two-row": (k - 2, 2),
-        "hook": (k - 2, 1, 1),
-    }[which]
+    pairs = (i1 - 1) * (i1 - 2) // 2
+    forms = {(k,): 1, (k - 1, 1): i1 - 1, (k - 2, 2): pairs + i2 - 1, (k - 2, 1, 1): pairs - i2}
+    if k < 4 or eta not in forms:
+        raise DomainError(f"no closed-form character for {eta}: the four components "
+                          "of R^{k^2} have one, for k >= 4")
+    return forms[eta]
 
 
 def hook_dimension(eta) -> int:
@@ -228,8 +219,8 @@ def diag_square_character(k: int) -> ClassFunction:
 
 
 def decompose_diag_square(k: int) -> dict[Partition, int]:
-    """Isotypic multiplicities of R^{k^2}; {top:2, standard:3, two-row:1, hook:1}
-    for every k >= 4, but computed from inner products, never hard-coded."""
+    """Isotypic multiplicities of R^{k^2}, computed from inner products,
+    never hard-coded; verify checks them against closed_forms' table."""
     if k < 4:
         raise DomainError("the uniform decomposition needs k >= 4")
     mults = decompose_class_function(diag_square_character(k), k)

@@ -23,7 +23,7 @@ from . import landscape as ls
 from . import hessian as hs
 from . import spectrum as sp
 from . import symrep as sr
-from .closed_forms import abc_terms, critical_set, root_scan
+from .closed_forms import FAMILY_COMPONENTS, abc_terms, components, critical_set, root_scan
 from .degrees import invariants_payload
 from .errors import ConsistencyError
 from .report import TOLERANCES, check
@@ -326,16 +326,16 @@ def run_verify(lattice_for: Callable[[int], bb.SubgroupLattice], *, ks: list[int
 
     closed_ok = True
     for k in range(4, 9):
-        for shape in ("top", "standard", "two-row", "hook"):
-            eta = sr.closed_form_partition(shape, k)
+        for eta, _ in components(k):
             for ct in sr.sorted_cycle_types(k):
-                if sr.closed_form_character(shape, ct) != sr.frobenius_character(eta, ct):
+                if sr.closed_form_character(eta, ct) != sr.frobenius_character(eta, ct):
                     closed_ok = False
     checks.append(check("closed_form_characters_vs_frobenius", closed_ok))
 
+    # the characters against the family table: each family is one copy of its component
     decomp_ok = all(
-        sr.decompose_diag_square(k) == {
-            (k,): 2, (k - 1, 1): 3, (k - 2, 2): 1, (k - 2, 1, 1): 1}
+        sr.decompose_diag_square(k)
+        == collections.Counter(components(k)[c][0] for c in FAMILY_COMPONENTS)
         for k in range(4, 11)
     )
     checks.append(check("isotypic_decomposition_law", decomp_ok))

@@ -33,6 +33,7 @@ from symbreak.landscape import (
     kernel_mc,
 )
 from symbreak.hessian import assemble_dense, finite_diff_hessian, hessian_published
+from symbreak.report import TOLERANCES
 from symbreak.spectrum import numerical_spectrum_match, spectrum_symbolic_check_k5
 from symbreak.symrep import character_table
 
@@ -78,11 +79,12 @@ def test_criterion_2_decomposition():
 
 
 def test_criterion_3_spectrum_sweep():
+    assert TOLERANCES["spectrum_match"] == 1e-10
     worst = 0.0
     mults_ok = True
     for k in range(4, 9):
         for alpha in np.linspace(0.0, 3.5, 11):
-            rep = numerical_spectrum_match(k, float(alpha), tolerance=1e-10)
+            rep = numerical_spectrum_match(k, float(alpha))
             worst = max(worst, rep.max_deviation)
             mults_ok &= rep.ok and rep.multiplicities_agree
     symbolic = spectrum_symbolic_check_k5()
@@ -267,8 +269,9 @@ def test_criterion_8_oracle_suite():
 
 
 def test_criterion_9_negative_control():
-    rep = numerical_spectrum_match(5, 1.0, tolerance=1e-10, perturbation=1e-3)
-    clean = numerical_spectrum_match(5, 1.0, tolerance=1e-10)
+    assert TOLERANCES["spectrum_match"] == 1e-10
+    rep = numerical_spectrum_match(5, 1.0, perturbation=1e-3)
+    clean = numerical_spectrum_match(5, 1.0)
     _criterion(
         9,
         "a Hessian entry perturbed by 1e-3 fails the spectrum check that the "

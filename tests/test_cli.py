@@ -163,6 +163,17 @@ def test_bad_arguments_exit2_with_one_line(argv, names, capsys, tmp_path):
     assert captured.err.count("\n") == 1 and names in captured.err
 
 
+@pytest.mark.parametrize("grid", [("-1e308", "1e308", "2"), ("-8e307", "8e307", "4")])
+def test_alpha_grid_beyond_the_float_range_exit2(grid, capsys, tmp_path):
+    # stop - start, or a step of the grid, overflows: the grid would hold a
+    # nan or inf point that the user never gave
+    assert main(["--cache-dir", str(tmp_path), "spectrum", "--k", "4", "--alpha-grid", *grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --alpha-grid {float(grid[0])!r} to {float(grid[1])!r} "
+                            "has points beyond the float range\n")
+
+
 def test_negative_leak_values_in_any_float_form(capsys, monkeypatch, tmp_path):
     # argparse alone reads -1e-3 and -1. as unknown options
     spectrum = ["--cache-dir", str(tmp_path), "spectrum", "--k", "4", "--output", "json"]

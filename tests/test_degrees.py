@@ -19,7 +19,6 @@ from symbreak.errors import CapacityError, DomainError
 from symbreak.golden import _candidates, _display_targets, compare_k5, infer_name_map, load_golden
 from symbreak.spectrum import analytic_spectrum
 from symbreak.symrep import (
-    closed_form_partition,
     fixed_space_dim,
     irreducible_character,
     partitions_of,
@@ -211,8 +210,7 @@ def test_invariant_structure(fixture, request):
     # is the reference for the mark-vector pass of all_invariants
     lattice = request.getfixturevalue(fixture)
     k = lattice.k
-    hook, two, std, top = (closed_form_partition(s, k)
-                           for s in ("hook", "two-row", "standard", "top"))
+    hook, two, std, top = (k - 2, 1, 1), (k - 2, 2), (k - 1, 1), (k,)
     degrees, invariants = all_invariants(k, lattice)
     assert list(degrees) == [hook, two, std, top]
     assert len(invariants) == 3

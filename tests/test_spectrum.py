@@ -287,6 +287,16 @@ def test_nonzero_members_zero_exactly_their_family(k):
     assert abs(fam["span_IJ_minus"][0]) > margin
 
 
+@pytest.mark.parametrize("k", [*range(4, 65), 10**6])
+def test_critical_labels_and_residuals_read_from_the_family_table(k):
+    # the literal labels and index picks that CRITICAL_FAMILIES replaced
+    crit = critical_set(k)
+    assert crit.labels == (((k - 2, 2), (k - 2, 1, 1), (k - 1, 1)), ((k - 1, 1),), ((k,),))
+    at_zero, at_mid, at_last = (family_values_at(k, alpha) for alpha in crit.values)
+    want = (max(abs(v) for v in at_zero[:3]), abs(at_mid[4]), abs(at_last[6]))
+    assert [r.hex() for r in crit.residuals] == [r.hex() for r in want]
+
+
 def test_trivial_zero_at_origin_is_read_from_span_ij_minus(monkeypatch):
     assert all(critical_set(k).trivial_zero_at_origin for k in range(4, 65))
     original = closed_forms.family_values_at

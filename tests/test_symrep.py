@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import class_by_label, permutation_matrix
 from symbreak.burnside import cycle_type
+from symbreak.closed_forms import FAMILY_COMPONENTS, components
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import compare_character_table
 from symbreak.symrep import (
     character_table,
     class_size,
     closed_form_character,
-    closed_form_partition,
     conjugate_partition,
     cycle_counts,
     decompose_class_function,
@@ -80,7 +80,7 @@ def test_standard_character_counts_fixed_points():
 def test_two_row_character_on_five_cycle():
     # (3,2) on the 5-cycle class: (i1-1)(i1-2)/2 + i2 - 1 = 1 - 0 - 1 = 0
     assert frobenius_character((3, 2), (5,)) == 0
-    assert closed_form_character("two-row", (5,)) == 0
+    assert closed_form_character((3, 2), (5,)) == 0
 
 
 def test_identity_value_equals_hook_dimension():
@@ -92,17 +92,43 @@ def test_identity_value_equals_hook_dimension():
 
 @pytest.mark.parametrize("k", range(4, 9))
 def test_closed_forms_match_frobenius(k):
-    for shape in ("top", "standard", "two-row", "hook"):
-        eta = closed_form_partition(shape, k)
+    for eta in [(k,), (k - 1, 1), (k - 2, 2), (k - 2, 1, 1)]:
         for ct in sorted_cycle_types(k):
-            assert closed_form_character(shape, ct) == frobenius_character(eta, ct)
+            assert closed_form_character(eta, ct) == frobenius_character(eta, ct)
 
 
 def test_closed_form_dimensions():
     for k in range(4, 10):
         ident = tuple([1] * k)
-        assert closed_form_character("two-row", ident) == k * (k - 3) // 2
-        assert closed_form_character("hook", ident) == (k - 1) * (k - 2) // 2
+        assert closed_form_character((k - 2, 2), ident) == k * (k - 3) // 2
+        assert closed_form_character((k - 2, 1, 1), ident) == (k - 1) * (k - 2) // 2
+
+
+@pytest.mark.parametrize("eta, ctype", [
+    ((2, 2, 1), (1, 1, 1, 1, 1)),    # a partition of 5 that labels no component
+    ((2, 1), (1, 1, 1)),              # k = 3: below the uniform decomposition
+    ((3,), (1, 1, 1)),
+    ((3, 1), (1, 1, 1, 1, 1)),        # sizes differ
+])
+def test_closed_form_character_refuses_other_partitions(eta, ctype):
+    with pytest.raises(DomainError):
+        closed_form_character(eta, ctype)
+
+
+@pytest.mark.parametrize("k", range(4, 65))
+def test_component_dimensions_are_stated_right(k):
+    # the stated dimensions equal the hook-length formula and the closed
+    # forms they replaced, and with FAMILY_COMPONENTS they sum to k^2
+    comps = components(k)
+    assert [eta for eta, _ in comps] == [(k - 2, 1, 1), (k - 2, 2), (k - 1, 1), (k,)]
+    assert [dim for _, dim in comps] == [hook_dimension(eta) for eta, _ in comps]
+    assert [dim for _, dim in comps] == [(k - 1) * (k - 2) // 2, k * (k - 3) // 2, k - 1, 1]
+    assert sum(comps[c][1] for c in FAMILY_COMPONENTS) == k * k
+
+
+def test_components_refuse_narrow_widths():
+    with pytest.raises(DomainError):
+        components(3)
 
 
 def test_hook_dimensions_examples():
