@@ -46,9 +46,10 @@ if TYPE_CHECKING:
 
 TWO_PI = 2.0 * math.pi
 
-# the dense oracle stops here.  Its memory grows as k^3, since it builds
-# the Hessian one block row at a time; the cap stays until wider widths
-# are timed and measured
+# the dense oracle stops here.  Its memory grows as k^3, about five k^3
+# floats at its peak, since it builds the Hessian one block row at a time
+# and solves a few shift frequencies per eigh call; the cap stays until
+# wider widths are timed and measured
 MAX_DENSE_K = 64
 
 FORMULA_IDS = ("wedge", "sym0", "W_bminus_c", "W_plus", "W_minus",

@@ -13,8 +13,9 @@ displays often merge them into one line of multiplicity k(k-1)/2.
 numerical_spectrum_match checks the table against a dense eigensolve of the
 Hessian and labels each eigenvalue cluster by closed-form isotypic
 projections, with no basis.  The cyclic neuron shift g(i, a) = (i+1, a+1)
-mod k commutes with the Hessian, so the eigensolve is one eigh call on k
-Hermitian k x k blocks, built from slabs read straight from the Hessian
+mod k commutes with the Hessian, so the eigensolve is k Hermitian k x k
+blocks, one per shift frequency, solved FREQUENCY_CHUNK at a time by a
+stacked eigh call.  They are built from slabs read straight from the Hessian
 blocks, one block row at a time, after the dense assembly's asymmetry guard
 on that row and its block column; neither the k^2 x k^2 matrix nor the k^4
 block array is formed, so the oracle's memory is O(k^3).  The coupling,
@@ -191,6 +192,7 @@ def w_block_matrix(k: int, alpha: float) -> np.ndarray:
 
 CLUSTER_GAP_FACTOR = 1e-8
 LABEL_TIE_FACTOR = 1e-9
+FREQUENCY_CHUNK = 8            # frequencies per eigh call
 
 
 class ClusterMatch(NamedTuple):
@@ -219,18 +221,20 @@ def _cluster(values: np.ndarray, gap: float) -> list[tuple[float, int]]:
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
-def _frequency_scores(vecs: np.ndarray) -> np.ndarray:
+def _frequency_scores(vecs: np.ndarray, first: int = 0) -> np.ndarray:
     """Squared projections of block eigenvectors onto the four isotypic
-    components, shape (4, k*m), rows hook, two-row, standard, trivial:
-    column j of block w is vecs[w, :, j] (vecs has shape (k, k, m)), at
-    flat index w*m + j.  The per-frequency forms of the module docstring,
-    O(k) per column, scored one frequency w at a time on the (k, m) slice
-    vecs[w], so the temporaries are O(k m).
+    components, shape (4, n*m), rows hook, two-row, standard, trivial:
+    vecs has shape (n, k, m) and holds the blocks of the n frequencies
+    from first on, so column j of block w = first + i is vecs[i, :, j], at
+    flat index i*m + j.  The per-frequency forms of the module docstring,
+    O(k) per column, scored one frequency at a time on the (k, m) slice
+    vecs[i], so the temporaries are O(k m).
     """
-    k, _, m = vecs.shape
+    n, k, m = vecs.shape
     steps = np.arange(k)
-    scores = np.empty((4, k, m))
-    for w, y in enumerate(vecs):
+    scores = np.empty((4, n, m))
+    for i, y in enumerate(vecs):
+        w = first + i
         e = np.exp(2j * math.pi * (steps * w % k) / k)             # e[d] = e^(2 pi i w d/k)
         shifted = y * e[:, None]                                   # e_d y[d]
         y0 = y[0]
@@ -244,7 +248,7 @@ def _frequency_scores(vecs: np.ndarray) -> np.ndarray:
         triv_off = np.where(mean, sigma_sq / (k - 1), 0.0)
         std_off = np.where(mean, 0.0, 2.0 * sigma_sq / (k - 2))
         std_diag = np.where(mean, 0.0, diag_sq)
-        scores[:, w] = (
+        scores[:, i] = (
             0.5 * (total - cross) - std_anti,
             0.5 * (total + cross) - diag_sq - triv_off - std_off,
             std_diag + std_anti + std_off,
@@ -279,14 +283,22 @@ def numerical_spectrum_match(
     of hessian.check_symmetry, from the diagonal block on, so every pair
     of blocks is compared once and a bad entry raises ConsistencyError
     before the eigensolve), gathers slab t, adds its part of the coupling
-    and drops both.  No k^4 array is allocated: the temporaries are a few
-    k^3 arrays, and the eigensolve's complex (k, k, k) stack is the peak.
+    and drops both.  No k^4 array is allocated: at most five k^3 arrays
+    of 8-byte entries are alive at once, in the loop (h_s, the slab of row
+    t - 1, block row t, and block column t with the guard's difference of
+    the two), and after it at most three (h_s and the real and imaginary
+    parts of its transform).
     H is block-circulant in t: x_{t,s} = x_{0,s}.  The representative slabs
     h_s = x_{0,s}, symmetrized once as h_s <- (h_s + h_{-s}^T)/2 and
     transformed over s, B_w = sum_s h_s e^(-2 pi i w s/k), are k Hermitian
-    blocks, and one stacked eigh call solves them all: the eigenvalues of
-    B_w are those of the block-circulant matrix M built from the
-    symmetrized h_s, with eigenvectors
+    blocks.  The transform is one real product, of the real and the
+    imaginary parts of the roots stacked, which gives the real and
+    imaginary parts of B_w, and h_s is dropped after it.  A stacked eigh
+    call then solves FREQUENCY_CHUNK blocks at a time, and only their
+    eigenvalues and scores are kept: a stacked eigh solves each block on
+    its own, so the chunks give the bits of one call on all k.  The
+    eigenvalues of B_w are those of the block-circulant matrix M built
+    from the symmetrized h_s, with eigenvectors
     x[(t, t+d)] = y[d] e^(-2 pi i w t/k)/sqrt(k).  What the split leaves
     out is measured on the raw slabs, one position t at a time:
 
@@ -323,8 +335,8 @@ def numerical_spectrum_match(
     the Hermitian form x^H P x, its real part's score plus its imaginary
     part's.  They commute with the shift, so x is never formed.  The
     scores of all k^2 block eigenvectors are one (4, k^2) array, computed
-    one frequency at a time in O(k^3), and a cluster's scores are the sums
-    over its columns.
+    chunk by chunk, one frequency at a time, in O(k^3), and a cluster's
+    scores are the sums over its columns.
     The dominant label is the top score.  Labels within 1e-9 * multiplicity
     of the top score count as tied, and a tie goes to the first in
     components(k) order: hook, two-row, standard, trivial.  So the k = 4
@@ -357,11 +369,21 @@ def numerical_spectrum_match(
         else:
             slab -= h
             coupling_sq += float(np.vdot(slab, slab))
+    del slab
     coupling = math.sqrt(coupling_sq)
-    h = 0.5 * (h + h[-steps % k].transpose(0, 2, 1))
+    h = h + h[-steps % k].transpose(0, 2, 1)        # h_s <- (h_s + h_{-s}^T)/2, C-ordered,
+    h *= 0.5                                        # so tensordot reshapes it without a copy
     roots = np.exp(-2j * math.pi * (np.outer(steps, steps) % k) / k)   # e^(-2 pi i w s/k)
-    block_vals, block_vecs = np.linalg.eigh(np.tensordot(roots, h, axes=1))
-    scores = _frequency_scores(block_vecs)
+    parts = np.tensordot(np.concatenate([roots.real, roots.imag]), h, axes=1)
+    re, im = parts.reshape(2, k, k, k)              # B_w's real and imaginary parts
+    del h
+    block_vals = np.empty((k, k))
+    scores = np.empty((4, k, k))
+    for w0 in range(0, k, FREQUENCY_CHUNK):
+        w1 = w0 + FREQUENCY_CHUNK
+        block_vals[w0:w1], vecs = np.linalg.eigh(re[w0:w1] + 1j * im[w0:w1])
+        scores[:, w0:w1] = _frequency_scores(vecs, w0).reshape(4, -1, k)
+    scores = scores.reshape(4, -1)
     labels = [f"({','.join(map(str, eta))})" for eta, _ in components(k)]
     order = np.argsort(block_vals, axis=None, kind="stable")   # flat index w*k + j
     evals = block_vals.ravel()[order]

@@ -582,30 +582,29 @@ def _unfolded_scores(y, w, k):
 @pytest.mark.parametrize("k", range(4, 13))
 def test_frequency_scores_match_unfolded_reference(k, rng, monkeypatch):
     # random unit complex columns in every block w, w = 0 included, and the
-    # matcher's own block eigenvectors at 0, 1, 3.5 and both nonzero
-    # critical values
+    # matcher's own chunks of block eigenvectors, each with its first
+    # frequency, at 0, 1, 3.5 and both nonzero critical values
     random = rng.standard_normal((k, k, 3)) + 1j * rng.standard_normal((k, k, 3))
-    stacks = [random / np.linalg.norm(random, axis=1, keepdims=True)]
-    eigh = np.linalg.eigh
+    stacks = [(random / np.linalg.norm(random, axis=1, keepdims=True), 0)]
+    scored = spectrum._frequency_scores
 
-    def kept(matrix):
-        vals, vecs = eigh(matrix)
-        stacks.append(vecs)
-        return vals, vecs
+    def kept(vecs, first):
+        stacks.append((vecs, first))
+        return scored(vecs, first)
 
-    monkeypatch.setattr(np.linalg, "eigh", kept)
+    monkeypatch.setattr(spectrum, "_frequency_scores", kept)
     _, mid, last = critical_set(k).values
     for alpha in (0.0, 1.0, 3.5, mid, last):
         assert numerical_spectrum_match(k, alpha).ok
-    assert len(stacks) == 6
-    for vecs in stacks:
-        got = _frequency_scores(vecs)
-        m = vecs.shape[2]
-        assert got.shape == (4, k * m)
-        for w in range(k):
+    assert len(stacks) == 1 + 5 * -(-k // spectrum.FREQUENCY_CHUNK)
+    for vecs, first in stacks:
+        got = _frequency_scores(vecs, first)
+        n, _, m = vecs.shape
+        assert got.shape == (4, n * m)
+        for i in range(n):
             for j in range(m):
-                want = _unfolded_scores(vecs[w, :, j], w, k)
-                assert np.abs(got[:, w * m + j] - want).max() <= 1e-13, (w, j)
+                want = _unfolded_scores(vecs[i, :, j], first + i, k)
+                assert np.abs(got[:, i * m + j] - want).max() <= 1e-13, (first + i, j)
 
 
 def _vectorized_frequency_scores(vecs):
@@ -855,9 +854,13 @@ def test_match_guard_covers_every_block_pair(monkeypatch):
 
 def test_match_peak_is_cubic():
     # the blocks are built one block row and column at a time, so no
-    # allocation holds k^4 entries: the slabs, the guard's pair and the
-    # eigensolve are O(k^3), about three complex (k, k, k) arrays, and no
-    # k^2 x k^2 matrix is assembled
+    # allocation holds k^4 entries and no k^2 x k^2 matrix is assembled.
+    # The peak is about five real (k, k, k) arrays, in the loop: h, the
+    # slab of row t - 1, block row t, block column t and the guard's
+    # difference of the two.  After the loop at most h and the real and
+    # imaginary parts of its transform are alive, and the eigensolve takes
+    # 8 frequencies at a time; a complex transform and one stacked eigh of
+    # all k blocks peaked at 6.1.
     k = 48
     assert not hasattr(spectrum, "assemble_dense")
     assert not hasattr(spectrum, "hessian_at_minimum")
@@ -867,11 +870,15 @@ def test_match_peak_is_cubic():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 16 * k ** 3
+    assert peak < 5.5 * 8 * k ** 3
 
 
-@pytest.mark.parametrize("k", [4, 5, 8, 9])
+EIGH_CHUNKS = {4: [4], 5: [5], 8: [8], 9: [8, 1], 16: [8, 8], 17: [8, 8, 1]}
+
+
+@pytest.mark.parametrize("k", EIGH_CHUNKS)
 def test_one_stacked_eigensolve_per_match(k, monkeypatch):
+    # one stacked eigh per chunk of FREQUENCY_CHUNK = 8 frequencies
     shapes = []
     eigh = np.linalg.eigh
 
@@ -881,4 +888,58 @@ def test_one_stacked_eigensolve_per_match(k, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert numerical_spectrum_match(k, 1.3).ok
-    assert shapes == [(k, k, k)]
+    assert shapes == [(n, k, k) for n in EIGH_CHUNKS[k]]
+
+
+def _stacked_solve_reference(h):
+    """The matcher's former transform and solve, kept as the bit-for-bit
+    reference for the real product and the chunks: h cast to complex in
+    one tensordot, one stacked eigh of all k blocks, and _frequency_scores
+    on the whole stack.  Block eigenvalues (k, k) and scores (4, k^2)."""
+    k = h.shape[0]
+    steps = np.arange(k)
+    roots = np.exp(-2j * math.pi * (np.outer(steps, steps) % k) / k)
+    vals, vecs = np.linalg.eigh(np.tensordot(roots, h, axes=1))
+    return vals, _frequency_scores(vecs)
+
+
+def _assert_chunks_match_stacked_reference(monkeypatch, k, alpha, perturbation=None):
+    seen, vals, scores = [], [], []
+    tensordot, eigh, scored = np.tensordot, np.linalg.eigh, spectrum._frequency_scores
+
+    def kept_h(a, b, axes):
+        seen.append(b)                              # the matcher's symmetrised h
+        return tensordot(a, b, axes)
+
+    def kept_vals(matrix):
+        out = eigh(matrix)
+        vals.append(out[0])
+        return out
+
+    def kept_scores(vecs, first):
+        scores.append(scored(vecs, first))
+        return scores[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "tensordot", kept_h)
+        patch.setattr(np.linalg, "eigh", kept_vals)
+        patch.setattr(spectrum, "_frequency_scores", kept_scores)
+        rep = numerical_spectrum_match(k, alpha, perturbation)
+    assert rep.ok is (perturbation is None), (k, alpha, rep.message)
+    assert len(seen) == 1
+    want_vals, want_scores = _stacked_solve_reference(seen[0])
+    got_vals, got_scores = np.concatenate(vals), np.concatenate(scores, axis=1)
+    assert np.array_equal(got_vals.view(np.int64), want_vals.view(np.int64)), (k, alpha)
+    assert np.array_equal(got_scores.view(np.int64), want_scores.view(np.int64)), (k, alpha)
+
+
+@pytest.mark.parametrize("k", [*range(4, 17), pytest.param(48, marks=pytest.mark.slow),
+                               pytest.param(64, marks=pytest.mark.slow)])
+def test_chunked_real_transform_equals_stacked_complex_solve(k, monkeypatch):
+    # the real tensordot's two halves are the real and imaginary parts of
+    # the complex one, and a stacked eigh solves each block on its own, so the chunks
+    # give the block eigenvalues and scores of one stacked solve bit for bit,
+    # on the negative control's perturbed Hessian too
+    for alpha in critical_set(k).values + (1.0, 3.5):
+        _assert_chunks_match_stacked_reference(monkeypatch, k, alpha)
+    _assert_chunks_match_stacked_reference(monkeypatch, k, 1.0, perturbation=1e-3)
