@@ -25,19 +25,19 @@ mapped back by the descending recursion
 with every division asserted exact.  Direct orbit counting on G/H x G/K
 (orbit_count_product) is the independent oracle for products.
 
-Permutations are tuples of images on {0, ..., k-1}; subgroups are frozensets
-of such tuples.  compose(p, q) maps q's images through p with map, half the
-cost of a generator expression; closure calls it about 8,500 times on a
-warm k = 6 read.  SubgroupClass is a plain immutable class and
-SubgroupLattice a named tuple: the package imports no dataclasses, whose
-import and per-class code generation a warm `invariants` process would pay
-on every start (README, Start-up).  Everything here is exact integer
-arithmetic.  Only lattice construction uses numpy, for its index-space
-multiplication and inverse tables (_GroupTables, build_lattice), from which
-conjugation is read as two gathers, and imports it there: a warm read
-(load_lattice) and the ring arithmetic run without it.  build_lattice closes all joins of one class
-with the cyclic subgroups at once, as one breadth-first search over the
-right cosets of the class representative (_GroupTables.close_indices), and
+Permutations are tuples of images on {0, ..., k-1}; subgroups are
+frozensets of such tuples.  compose(p, q) maps q's images through p with
+map, half the cost of a generator expression; closure calls it about 8,500
+times on a warm k = 6 read.  SubgroupClass and SubgroupLattice are named
+tuples: the package imports no dataclasses, whose import and per-class code
+generation a warm `invariants` process would pay on every start (README,
+Start-up).  Everything here is exact integer arithmetic.  Only lattice
+construction uses numpy, for its index-space multiplication and inverse
+tables (_GroupTables, build_lattice), from which conjugation is read as two
+gathers, and imports it there: a warm read (load_lattice) and the ring
+arithmetic run without it.  build_lattice closes all joins of one class with
+the cyclic subgroups at once, as one breadth-first search over the right
+cosets of the class representative (_GroupTables.close_indices), and
 classifies each join by one lookup of its packed bit mask over the k!
 indices in a registry that holds every conjugate of every class found.
 """
@@ -52,6 +52,7 @@ from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from .errors import CapacityError, ConsistencyError, DomainError
+from .symrep import centralizer_order
 
 Perm = tuple[int, ...]
 
@@ -124,38 +125,20 @@ def closure(generators: list[Perm], k: int) -> frozenset[Perm]:
 # lattice data model
 # ---------------------------------------------------------------------------
 
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """One conjugacy class of subgroups, carried by a chosen representative.
 
     cycle_type_counts holds the number of elements of each cycle type in the
     representative, counted once, by build_lattice or load_lattice (no cache
-    bytes).  Immutable and hashable: equality and the hash read the index,
-    order, normalizer order, label and generators, never the representative
-    or the counts derived from it."""
+    bytes)."""
 
-    def __init__(self, index: int, order: int, normalizer_order: int, label: str,
-                 generators: tuple[Perm, ...], representative: frozenset[Perm],
-                 cycle_type_counts: dict[tuple[int, ...], int]):
-        self.__dict__.update(index=index, order=order, normalizer_order=normalizer_order,
-                             label=label, generators=generators, representative=representative,
-                             cycle_type_counts=cycle_type_counts)
-
-    def _key(self) -> tuple:
-        return self.index, self.order, self.normalizer_order, self.label, self.generators
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    index: int
+    order: int
+    normalizer_order: int
+    label: str
+    generators: tuple[Perm, ...]
+    representative: frozenset[Perm]
+    cycle_type_counts: dict[tuple[int, ...], int]
 
     @property
     def weyl_order(self) -> int:
@@ -673,11 +656,12 @@ def _derived_rows(classes: list[SubgroupClass]) -> dict[tuple[int, int], int]:
     """n(L, H) wherever the class lines fix it, zeros included: n(H, H) =
     n(L, S_k) = 1, and n(<g>, H) = z c(H)/|N(H)| (a mark at a cyclic subgroup
     is a value of the permutation character), g of the cycle type t with
-    lcm(t) = |<g>|, z = prod i^m_i m_i! and c(H) the count of type t in H.  A
-    wrong |N(H)| raises ConsistencyError: an inexact division, n(H,H) or n(L,S_k) != 1."""
+    lcm(t) = |<g>|, z = symrep.centralizer_order(t) and c(H) the count of
+    type t in H.  A wrong |N(H)| raises ConsistencyError: an inexact
+    division, n(H,H) or n(L,S_k) != 1."""
     rows: dict[tuple[int, int], int] = {}
     for low, t in ((c, t) for c in classes for t in c.cycle_type_counts if math.lcm(*t) == c.order):
-        z = math.prod(i ** m * math.factorial(m) for i, m in collections.Counter(t).items())
+        z = centralizer_order(t)
         for high in classes:
             rows[low.index, high.index], inexact = divmod(
                 z * high.cycle_type_counts.get(t, 0), high.normalizer_order)

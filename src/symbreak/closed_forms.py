@@ -12,15 +12,16 @@ of R^{k^2} under the diagonal action of S_k:
     W_plus/minus   (ak + 2b +- sqrt(a^2k^2 + 4c(c-2a))) / 2
     span_IJ_+-     (2b + k(a+c) +- sqrt(k^2(a-c)^2 + 4c(2a-c)(k-1))) / 2
 
-family_values_at writes them once, for one float leak value.  This module
-is the one statement of the isotypic structure: components(k) gives the
-four components and their dimensions, FAMILY_COMPONENTS each family's
-component and CRITICAL_FAMILIES the families that vanish at each critical
-value; every other module reads them.  Every
-square is written as a product: Python's float power calls libm pow, which
-can differ from numpy's elementwise square in the last bit, and a product
-is one correctly rounded multiplication on a float and on an array alike,
-so the tests' array copy of these formulas rounds as they do.
+family_terms writes them once, over any number type, and family_values_at
+takes their float roots at one leak value.  This module is the one
+statement of the isotypic structure: components(k) gives the four
+components and their dimensions, FAMILY_COMPONENTS each family's component
+and CRITICAL_FAMILIES the families that vanish at each critical value;
+every other module reads them.  Every square is written as a product:
+Python's float power calls libm pow, which can differ from numpy's
+elementwise square in the last bit, and a product is one correctly rounded
+multiplication on a float and on an array alike, so the tests' array copy
+of these formulas rounds as they do.
 
 critical_set is the one owner of the critical set {0, alpha_std,
 alpha_triv}: its labels, its residuals and its ordering
@@ -84,6 +85,15 @@ def abc_terms(alpha):
     return 0.5 - alpha / 4.0, alpha / 4.0, alpha / TWO_PI
 
 
+def family_terms(kf, a, b, c):
+    """The six terms of the table at width kf: b - c, b + c, then the linear
+    part and radicand of the W and of the span_IJ pair.  Integer literals
+    only, so it runs on floats and on fractions.Fraction alike."""
+    w_rad = a * a * kf * kf + 4 * c * (c - 2 * a)
+    ij_rad = kf * kf * ((a - c) * (a - c)) + 4 * c * (2 * a - c) * (kf - 1)
+    return b - c, b + c, a * kf + 2 * b, w_rad, 2 * b + kf * (a + c), ij_rad
+
+
 def family_values_at(k: int, alpha: float) -> tuple[float, ...]:
     """The seven families at one leak value, in FORMULA_IDS order."""
     alpha = float(alpha)
@@ -97,13 +107,9 @@ def family_values_at(k: int, alpha: float) -> tuple[float, ...]:
             raise ConsistencyError(f"negative discriminant {r!r} in the {name} family")
         return math.sqrt(r)
 
-    kf = float(k)
-    a, b, c = abc_terms(alpha)
-    s1 = root(a * a * kf * kf + 4.0 * c * (c - 2.0 * a), "W")
-    s2 = root(kf * kf * ((a - c) * (a - c)) + 4.0 * c * (2.0 * a - c) * (kf - 1), "span_IJ")
-    w_lin = a * kf + 2 * b
-    ij_lin = 2 * b + kf * (a + c)
-    return (b - c, b + c, b - c,
+    bmc, bpc, w_lin, w_rad, ij_lin, ij_rad = family_terms(float(k), *abc_terms(alpha))
+    s1, s2 = root(w_rad, "W"), root(ij_rad, "span_IJ")
+    return (bmc, bpc, bmc,
             0.5 * (w_lin + s1), 0.5 * (w_lin - s1),
             0.5 * (ij_lin + s2), 0.5 * (ij_lin - s2))
 

@@ -39,13 +39,11 @@ if TYPE_CHECKING:
 # basic degrees
 # ---------------------------------------------------------------------------
 
-class BasicDegree:
-    def __init__(self, element: BurnsideElement, fixed_dims: dict[int, int], marks: list[int],
-                 maximal_types: list[int] | None = None):
-        self.element = element
-        self.fixed_dims = fixed_dims            # class index -> dim V^K
-        self.marks = marks                      # class index -> (-1)^{dim V^K}
-        self.maximal_types = [] if maximal_types is None else maximal_types
+class BasicDegree(NamedTuple):
+    element: BurnsideElement
+    fixed_dims: dict[int, int]          # class index -> dim V^K
+    marks: list[int]                    # class index -> (-1)^{dim V^K}
+    maximal_types: list[int]
 
     def labels(self) -> dict[str, int]:
         lat = self.element.lattice

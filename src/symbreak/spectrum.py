@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .closed_forms import (FAMILY_COMPONENTS, FORMULA_IDS, MAX_DENSE_K, abc_terms, components,
-                           family_values_at)
+                           family_terms, family_values_at)
 from .closed_forms import root_scan  # noqa: F401  perfbench/tracer.py finds the span here
 from .errors import CapacityError, ConsistencyError, DomainError
 from .hessian import check_block_pair, minimum_blocks
@@ -430,33 +430,19 @@ def numerical_spectrum_match(
 # exact check of the printed k = 5 display
 # ---------------------------------------------------------------------------
 
-# Each line of the printed k = 5 display as (general side, printed side),
-# pi denominators cleared.  A general side is the general table's line at
-# width k in A = 4a = 2 - alpha, B = 4b = alpha and C = 2 pi c = alpha; a
-# printed side reads alpha and pi.  At k = 5 both are integer polynomials of
-# degree <= 2 in alpha and in pi.
+# The printed k = 5 display, term by term in family_terms' order, each an
+# integer (numerator, denominator) pair in alpha and pi.  A pair's
+# eigenvalues are (linear +- sqrt(radicand)) / 2, so its linear part is the
+# display's numerator over 4pi and its radicand rho^2 / 16 pi^2.
 K5_DISPLAY_IDENTITIES = {
-    # 4 pi (b -+ c) against 4 pi (alpha/4 -+ alpha/2pi)
-    "bminusc": (lambda k, A, B, C, pi: pi * B - 2 * C,
-                lambda al, pi: pi * al - 2 * al),
-    "bplusc": (lambda k, A, B, C, pi: pi * B + 2 * C,
-               lambda al, pi: pi * al + 2 * al),
-    # W family: 4 (ak + 2b) against 10 - 3 alpha
-    "W_linear": (lambda k, A, B, C, pi: k * A + 2 * B,
-                 lambda al, pi: 10 - 3 * al),
-    # 16 pi^2 (a^2 k^2 + 4c^2 - 8ca) against rho1^2
-    "W_radicand": (lambda k, A, B, C, pi: k * k * (pi * A) ** 2 + 16 * C * C
-                   - 16 * C * pi * A,
-                   lambda al, pi: 25 * pi * pi * (al - 2) ** 2 + 16 * pi * al * (al - 2)
-                   + 16 * al * al),
-    # span family: 4 pi (2b + k(a + c)) against pi (10 - 3 alpha) + 10 alpha
-    "span_linear": (lambda k, A, B, C, pi: 2 * pi * B + k * (pi * A + 2 * C),
-                    lambda al, pi: pi * (10 - 3 * al) + 10 * al),
-    # 16 pi^2 (k^2 (a - c)^2 + 4c (2a - c)(k - 1)) against rho2^2
-    "span_radicand": (lambda k, A, B, C, pi: k * k * (pi * A - 2 * C) ** 2
-                      + 8 * (k - 1) * C * (2 * pi * A - 2 * C),
-                      lambda al, pi: 25 * pi * pi * (al - 2) ** 2 + 36 * pi * al * (al - 2)
-                      + 36 * al * al),
+    "bminusc": lambda al, pi: (pi * al - 2 * al, 4 * pi),
+    "bplusc": lambda al, pi: (pi * al + 2 * al, 4 * pi),
+    "W_linear": lambda al, pi: (10 - 3 * al, 4),
+    "W_radicand": lambda al, pi: (25 * pi * pi * (al - 2) ** 2 + 16 * pi * al * (al - 2)
+                                  + 16 * al * al, 16 * pi * pi),
+    "span_linear": lambda al, pi: (pi * (10 - 3 * al) + 10 * al, 4 * pi),
+    "span_radicand": lambda al, pi: (25 * pi * pi * (al - 2) ** 2 + 36 * pi * al * (al - 2)
+                                     + 36 * al * al, 16 * pi * pi),
 }
 
 
@@ -471,19 +457,24 @@ def spectrum_symbolic_check_k5() -> dict[str, bool]:
     rho1^2 = 25 pi^2 (alpha-2)^2 + 16 pi alpha (alpha-2) + 16 alpha^2 and
     rho2^2 with 36 in place of 16, plus the printed multiplicities.
 
-    Each entry of K5_DISPLAY_IDENTITIES is compared in Python integers at
-    every (alpha, pi) in {0, 1, 2}^2.  The difference of its two sides has
-    degree at most 2 in alpha and in pi, and such a polynomial that vanishes
-    on a grid of 3 points per variable is zero: at each grid pi it is a
-    quadratic in alpha with 3 roots, so each of its alpha-coefficients, a
-    quadratic in pi, has 3 roots too.  So the grid decides each identity.
+    Each of the six terms of closed_forms.family_terms, the table itself,
+    is evaluated in exact rationals at a = (2 - alpha)/4, b = alpha/4,
+    c = alpha/2pi and compared with its entry of K5_DISPLAY_IDENTITIES at
+    every (alpha, pi) in {0, 1, 2} x {1, 2, 3} (pi = 0 would divide).  Both
+    sides times 16 pi^2 have degree at most 2 in alpha and in pi, and such a
+    polynomial that vanishes on a grid of 3 points per variable is zero: at
+    each grid pi it is a quadratic in alpha with 3 roots, so each of its
+    alpha-coefficients, a quadratic in pi, has 3 roots too.  So the grid
+    decides each identity.
     """
-    k, grid = 5, range(3)
-    checks = {
-        name: all(general(k, 2 - al, al, al, pi) == printed(al, pi)
-                  for al in grid for pi in grid)
-        for name, (general, printed) in K5_DISPLAY_IDENTITIES.items()
-    }
+    from fractions import Fraction  # here only: it loads decimal, which start-up skips
+
+    k, grid = 5, [(al, pi) for al in range(3) for pi in range(1, 4)]
+    general = [family_terms(k, Fraction(2 - al, 4), Fraction(al, 4), Fraction(al, 2 * pi))
+               for al, pi in grid]
+    checks = {name: all(terms[i] * den == num for terms, (num, den)
+                        in zip(general, (printed(al, pi) for al, pi in grid)))
+              for i, (name, printed) in enumerate(K5_DISPLAY_IDENTITIES.items())}
     mults = sorted(m for _, m in merged_view(analytic_spectrum(k, 1.0)))
     checks["multiplicities"] = mults == [1, 1, 4, 4, 5, 10]
     return checks

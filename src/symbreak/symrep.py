@@ -68,19 +68,18 @@ def conjugate_partition(eta: Partition) -> Partition:
 
 def cycle_counts(ctype: Partition) -> dict[int, int]:
     """Cycle type as a map length -> count (i_j)."""
-    counts: dict[int, int] = {}
-    for c in ctype:
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+    return Counter(ctype)
+
+
+def centralizer_order(ctype: Partition) -> int:
+    """z = prod_j j^{i_j} i_j!, the order of the centralizer of a
+    permutation of this cycle type (any order of the lengths)."""
+    return math.prod(j**ij * math.factorial(ij) for j, ij in cycle_counts(ctype).items())
 
 
 def class_size(ctype: Partition) -> int:
-    """|C_i| = n! / prod_j j^{i_j} i_j!"""
-    n = sum(ctype)
-    denom = 1
-    for j, ij in cycle_counts(ctype).items():
-        denom *= j**ij * math.factorial(ij)
-    return math.factorial(n) // denom
+    """|C_i| = n! / z, z the centralizer order"""
+    return math.factorial(sum(ctype)) // centralizer_order(ctype)
 
 
 def moved_points(ctype: Partition) -> int:

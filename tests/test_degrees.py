@@ -62,15 +62,16 @@ def test_unit_coefficient_at_full_group(lattice5):
         assert bd.element.coeffs.get(lattice5.full_index, 0) == want
 
 
-def test_basic_degree_default_maximal_types_is_fresh(lattice4):
-    one = BurnsideElement.one(lattice4)
-    a = BasicDegree(one, {}, [])
-    b = BasicDegree(one, {}, [])
-    assert a.maximal_types == [] and a.maximal_types is not b.maximal_types
-    a.maximal_types.append(lattice4.full_index)
-    assert b.maximal_types == []
-    given = [0]
-    assert BasicDegree(one, {}, [], given).maximal_types is given
+def test_basic_degree_is_frozen_and_equal_after_round_trip(lattice5):
+    bd = basic_degree((4, 1), lattice5)
+    for name in ("element", "maximal_types", "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(bd, name, None)
+    again = basic_degree((4, 1), load_lattice(serialize_lattice(lattice5)))
+    assert again == bd and again is not bd
+    assert again.labels() == bd.labels()
+    assert bd._replace(maximal_types=[]) != bd
+    assert BasicDegree(*bd) == bd
 
 
 def test_standard_degree_matches_reference(lattice5):

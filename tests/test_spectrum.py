@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -121,23 +123,100 @@ def test_symbolic_display_check():
 
 # the printed side of each k = 5 identity with one coefficient changed
 _MISPRINTED_K5 = {
-    "bminusc": lambda al, pi: pi * al - 3 * al,
-    "bplusc": lambda al, pi: pi * al + al,
-    "W_linear": lambda al, pi: 10 - 2 * al,
-    "W_radicand": lambda al, pi: 25 * pi * pi * (al - 2) ** 2 + 17 * pi * al * (al - 2)
-    + 16 * al * al,
-    "span_linear": lambda al, pi: pi * (10 - 3 * al) + 9 * al,
-    "span_radicand": lambda al, pi: 25 * pi * pi * (al - 2) ** 2 + 32 * pi * al * (al - 2)
-    + 36 * al * al,
+    "bminusc": lambda al, pi: (pi * al - 3 * al, 4 * pi),
+    "bplusc": lambda al, pi: (pi * al + al, 4 * pi),
+    "W_linear": lambda al, pi: (10 - 2 * al, 4),
+    "W_radicand": lambda al, pi: (25 * pi * pi * (al - 2) ** 2 + 17 * pi * al * (al - 2)
+                                  + 16 * al * al, 16 * pi * pi),
+    "span_linear": lambda al, pi: (pi * (10 - 3 * al) + 9 * al, 4 * pi),
+    "span_radicand": lambda al, pi: (25 * pi * pi * (al - 2) ** 2 + 32 * pi * al * (al - 2)
+                                     + 36 * al * al, 16 * pi * pi),
 }
 
 
 @pytest.mark.parametrize("name", list(_MISPRINTED_K5))
 def test_symbolic_display_check_catches_one_misprint(name, monkeypatch):
-    general, _ = spectrum.K5_DISPLAY_IDENTITIES[name]
-    monkeypatch.setitem(spectrum.K5_DISPLAY_IDENTITIES, name, (general, _MISPRINTED_K5[name]))
+    monkeypatch.setitem(spectrum.K5_DISPLAY_IDENTITIES, name, _MISPRINTED_K5[name])
     checks = spectrum_symbolic_check_k5()
     assert [key for key, ok in checks.items() if not ok] == [name]
+
+
+# one changed coefficient in the source of family_terms, per term
+_CHANGED_COEFFICIENT = {
+    "bminusc": ("return b - c,", "return b - 2 * c,"),
+    "bplusc": (" b + c, a", " b + 2 * c, a"),
+    "W_linear": ("a * kf + 2 * b", "a * kf + 3 * b"),
+    "W_radicand": ("c - 2 * a", "c - 3 * a"),
+    "span_linear": ("kf * (a + c)", "kf * (a + 2 * c)"),
+    "span_radicand": ("(kf - 1)", "(kf - 2)"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHANGED_COEFFICIENT))
+def test_symbolic_display_check_reads_the_family_table(name, monkeypatch):
+    # the exact check evaluates closed_forms.family_terms itself, so one
+    # changed coefficient in the table fails exactly its own display line
+    old, new = _CHANGED_COEFFICIENT[name]
+    source = textwrap.dedent(inspect.getsource(closed_forms.family_terms))
+    assert source.count(old) == 1
+    namespace = dict(vars(closed_forms))
+    exec(source.replace(old, new), namespace)
+    assert spectrum.family_terms is closed_forms.family_terms
+    monkeypatch.setattr(spectrum, "family_terms", namespace["family_terms"])
+    checks = spectrum_symbolic_check_k5()
+    assert [key for key, ok in checks.items() if not ok] == [name]
+
+
+def _scalar_families(k, alpha):
+    # family_values_at as it was before family_terms, kept as the scalar
+    # reference: the same float operations, the W radicand checked first
+    alpha = float(alpha)
+    if k < 4:
+        raise DomainError("k >= 4 required (the uniform decomposition starts there)")
+
+    def root(r, name):
+        if not math.isfinite(r):
+            raise DomainError(f"alpha={alpha!r} at k={k} overflows the {name} radicand")
+        if r < 0.0:
+            raise ConsistencyError(f"negative discriminant {r!r} in the {name} family")
+        return math.sqrt(r)
+
+    kf = float(k)
+    a, b, c = 0.5 - alpha / 4.0, alpha / 4.0, alpha / TWO_PI
+    s1 = root(a * a * kf * kf + 4.0 * c * (c - 2.0 * a), "W")
+    s2 = root(kf * kf * ((a - c) * (a - c)) + 4.0 * c * (2.0 * a - c) * (kf - 1), "span_IJ")
+    w_lin = a * kf + 2 * b
+    ij_lin = 2 * b + kf * (a + c)
+    return (b - c, b + c, b - c,
+            0.5 * (w_lin + s1), 0.5 * (w_lin - s1),
+            0.5 * (ij_lin + s2), 0.5 * (ij_lin - s2))
+
+
+def _hex_or_error(f, k, alpha):
+    try:
+        return [v.hex() for v in f(k, alpha)]
+    except (DomainError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+_PROBE_WIDTHS = [4, 5, 6, 7, 8, 13, 48, 64, 100, 10**6, 10**12, 2**53 + 1, 10**16, 10**17,
+                 10**100, 10**153, 10**154, 10**300]
+_PROBE_LEAKS = [0.0, -0.0, 1.0, 3.5, -1e-3, 2.4499999999999997, 2.2539, 3e153, -3e153,
+                1e308, -1e308, 1e-300, 5e-324, float(2**60)]
+
+
+def test_family_values_equal_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(39)
+    leaks = _PROBE_LEAKS + rng.uniform(-10.0, 10.0, 200).tolist() + (
+        rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-300.0, 300.0, 200)).tolist()
+    errors = 0
+    for k in _PROBE_WIDTHS:
+        for alpha in leaks:
+            want = _hex_or_error(_scalar_families, k, alpha)
+            assert _hex_or_error(family_values_at, k, alpha) == want, (k, alpha)
+            errors += isinstance(want, tuple)
+    # the grid reaches both radicands' overflow and negative discriminants
+    assert 0 < errors < len(_PROBE_WIDTHS) * len(leaks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import class_by_label, permutation_matrix
-from symbreak.burnside import cycle_type
+from symbreak.burnside import compose, cycle_type
 from symbreak.closed_forms import FAMILY_COMPONENTS, components
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import compare_character_table
 from symbreak.symrep import (
+    centralizer_order,
     character_table,
     class_size,
     closed_form_character,
@@ -52,6 +54,21 @@ def test_partition_enumeration_and_class_sizes(n):
     assert parts[-1] == tuple([1] * n)
     assert len(set(parts)) == len(parts)
     assert sum(class_size(c) for c in parts) == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_centralizer_order_counts_commuting_permutations(n):
+    # z = prod j^{i_j} i_j! against a brute-force centralizer of one
+    # permutation of each cycle type, in either order of its lengths
+    perms = list(itertools.permutations(range(n)))
+    first = {}
+    for g in perms:
+        first.setdefault(cycle_type(g), g)
+    assert len(first) == len(partitions_of(n))
+    for ctype, g in first.items():
+        commuting = sum(compose(p, g) == compose(g, p) for p in perms)
+        assert centralizer_order(ctype) == centralizer_order(ctype[::-1]) == commuting
+        assert class_size(ctype) * commuting == math.factorial(n)
 
 
 def test_conjugate_partition_involution():
