@@ -9,8 +9,9 @@ the index from its place in that order, the representative as the closure
 of the generators and the order as its size, the Weyl order |N(H)|/|H|, the
 number of conjugates k!/|N(H)|, the containment order, which is the key set
 of the n table ((L) <= (H) iff n(L, H) > 0), the rows of _derived_rows, and
-each class's cycle-type counts, which those rows and the fixed-space
-dimensions of every irreducible read (counted once per class, in memory).
+each class's cycle-type counts (symrep.cycle_type, which owns S_k's class
+data), which those rows, the fixed-space dimensions of every irreducible
+and golden's candidate filters read (counted once per class, in memory).
 The builder and the cache reader both make their classes with
 _class_records, which demands the class order (class_key) strictly and names
 each class (class_name); the labels key the reported expansions.
@@ -52,7 +53,7 @@ from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from .errors import CapacityError, ConsistencyError, DomainError
-from .symrep import centralizer_order
+from .symrep import centralizer_order, cycle_type
 
 Perm = tuple[int, ...]
 
@@ -77,26 +78,6 @@ def invert(p: Perm) -> Perm:
     for i, x in enumerate(p):
         inv[x] = i
     return tuple(inv)
-
-
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Cycle lengths, weakly decreasing, including fixed points."""
-    seen = [False] * len(p)
-    lens = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        n, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            n += 1
-        lens.append(n)
-    return tuple(sorted(lens, reverse=True))
-
-
-def perm_order(p: Perm) -> int:
-    return math.lcm(*cycle_type(p))
 
 
 def closure(generators: list[Perm], k: int) -> frozenset[Perm]:

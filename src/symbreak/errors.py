@@ -13,8 +13,8 @@ class DomainError(ValueError):
 
 class CapacityError(RuntimeError):
     """Request exceeds a declared capacity: exact ring arithmetic on
-    subgroup lattices above k=6, exact characters above n=12,
-    character_table above k=8, int16 group tables above k=7, the dense
+    subgroup lattices above k=6, exact characters and the character
+    table above n=12, int16 group tables above k=7, the dense
     eigenanalysis above k=64, or an --alpha-grid of more than 10,000
     points."""
 

@@ -5,7 +5,8 @@ The reference expansions name subgroup classes with conventional symbols
 isomorphism types: S_5 has two order-2 classes, two Klein classes, and two
 order-6 nonabelian classes.  The correspondence between those symbols and
 the lattice classes is therefore inferred, not assumed: candidate classes
-are filtered by order and structure, and one product search runs over the
+are filtered by order and structure (cyclic and even read off each class's
+cycle-type counts, never its label), and one product search runs over the
 candidate lists, labels sorted by name and then stably by candidate count.
 It scores each injective assignment by the number of reference expansions
 it reproduces as exact coefficient multisets; the first assignment, in that
@@ -16,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from importlib import resources
 
-from .burnside import (BurnsideElement, SubgroupClass, SubgroupLattice, compose, cycle_type,
-                       perm_order)
+from .burnside import BurnsideElement, SubgroupClass, SubgroupLattice, compose
 from .degrees import BasicDegree, BifurcationInvariant
 from .symrep import character_table, decompose_diag_square, diag_square_character
 
@@ -34,7 +35,8 @@ def load_golden() -> dict:
 # ---------------------------------------------------------------------------
 
 def _is_cyclic(cls: SubgroupClass) -> bool:
-    return any(perm_order(p) == cls.order for p in cls.representative)
+    # some element's order, the lcm of its cycle lengths, is |H|
+    return any(math.lcm(*t) == cls.order for t in cls.cycle_type_counts)
 
 
 def _is_abelian(cls: SubgroupClass) -> bool:
@@ -59,9 +61,8 @@ def _candidates(label: str, order: int, lattice: SubgroupLattice) -> list[int]:
             if _is_abelian(cls):
                 continue
         elif label.startswith("A"):
-            if cls.order not in (12, 60) or not all(
-                sum(c - 1 for c in cycle_type(p)) % 2 == 0 for p in cls.representative
-            ):
+            # alternating: every element even, k minus its number of cycles
+            if cls.order not in (12, 60) or any((sum(t) - len(t)) % 2 for t in cls.cycle_type_counts):
                 continue
         out.append(cls.index)
     return out

@@ -7,13 +7,14 @@ and remove the cycles of the class one at a time.  Removing an m-cycle
 moves one bead b down to a free place b - m, with sign (-1)^(beads
 strictly between), and the character is the signed sum over every such move
 of the character of the smaller partition on the remaining cycles; the
-empty partition on no cycles has value 1.  All values are exact integers;
-multiplicities are integer divisions asserted exact, and only
-inner_product builds a Fraction, importing fractions when it is called.
+empty partition on no cycles has value 1.  All values are exact integers.
+This module owns S_k's class data (a permutation's cycle_type, its counts,
+centralizer order and class size) and the one character table, whose rows
+are irreducible_character rows and whose integer dot products with a
+class-size-weighted function are the multiplicities, asserted exact.
 Everything downstream (the closed-form characters of the four components
 of R^{k^2} that closed_forms.components names, its isotypic decomposition
-under the diagonal action, fixed-space dimensions) is checked against this
-one primitive.
+under the diagonal action, fixed-space dimensions) is checked against it.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import CapacityError, ConsistencyError, DomainError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 Partition = tuple[int, ...]
 
@@ -64,6 +62,23 @@ def partitions_of(n: int) -> list[Partition]:
 def conjugate_partition(eta: Partition) -> Partition:
     eta = validate_partition(eta)
     return tuple(sum(1 for p in eta if p > j) for j in range(eta[0]))
+
+
+def cycle_type(perm: tuple[int, ...]) -> Partition:
+    """Cycle lengths of a permutation (its images on 0..k-1), weakly
+    decreasing, including fixed points."""
+    seen = [False] * len(perm)
+    lens = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        n, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            n += 1
+        lens.append(n)
+    return tuple(sorted(lens, reverse=True))
 
 
 def cycle_counts(ctype: Partition) -> dict[int, int]:
@@ -171,7 +186,7 @@ def hook_dimension(eta) -> int:
 
 
 # ---------------------------------------------------------------------------
-# class functions on S_k and inner products
+# class functions on S_k and their decomposition
 # ---------------------------------------------------------------------------
 
 ClassFunction = dict[Partition, int]
@@ -182,27 +197,19 @@ def irreducible_character(eta: Partition) -> ClassFunction:
     return {c: frobenius_character(eta, c) for c in sorted_cycle_types(sum(eta))}
 
 
-def _weighted_sum(f: ClassFunction, g: ClassFunction, n: int) -> int:
-    """n! <f, g>: the class-size-weighted sum, an exact integer."""
-    return sum(class_size(c) * f[c] * g[c] for c in sorted_cycle_types(n))
-
-
-def inner_product(f: ClassFunction, g: ClassFunction, n: int) -> Fraction:
-    # imported here: fractions loads decimal, and no command needs it
-    from fractions import Fraction
-
-    return Fraction(_weighted_sum(f, g, n), math.factorial(n))
-
-
 def decompose_class_function(f: ClassFunction, n: int) -> dict[Partition, int]:
-    """Multiplicities of each irreducible in f; asserts integrality."""
+    """Multiplicities of each irreducible in f: each character_table(n) row
+    dotted with the class-size-weighted f, over n!, asserted exact."""
+    table = character_table(n)
     n_fact = math.factorial(n)
+    weighted = [size * f[c] for size, c in zip(table.class_sizes, table.cycle_types)]
     out: dict[Partition, int] = {}
-    for eta in partitions_of(n):
-        chi = irreducible_character(eta)
-        m, rem = divmod(_weighted_sum(f, chi, n), n_fact)
+    for eta, row in zip(table.partitions, table.values):
+        dot = sum(w * x for w, x in zip(weighted, row))
+        m, rem = divmod(dot, n_fact)
         if rem:
-            raise ConsistencyError(f"non-integral multiplicity {inner_product(f, chi, n)} at {eta}")
+            g = math.gcd(dot, n_fact)
+            raise ConsistencyError(f"non-integral multiplicity {dot // g}/{n_fact // g} at {eta}")
         if m:
             out[eta] = m
     return out
@@ -240,36 +247,43 @@ class CharacterTable(NamedTuple):
     class_sizes: list[int]
     values: list[list[int]]              # values[row][col]
 
-    def row(self, eta: Partition) -> list[int]:
-        return self.values[self.partitions.index(validate_partition(eta))]
-
     def character(self, eta: Partition) -> ClassFunction:
-        r = self.row(eta)
-        return {c: r[i] for i, c in enumerate(self.cycle_types)}
+        row = self.values[self.partitions.index(validate_partition(eta))]
+        return dict(zip(self.cycle_types, row))
 
     def check_orthogonality(self) -> None:
+        """Rows: sum_c |c| chi(c) psi(c) = n! [chi = psi]; columns:
+        sum_chi chi(c) chi(d) = n!/|c| [c = d], the centralizer order."""
         n_fact = math.factorial(self.k)
         for a, ra in enumerate(self.values):
             for b, rb in enumerate(self.values):
                 dot = sum(sz * x * y for sz, x, y in zip(self.class_sizes, ra, rb))
-                want = n_fact if a == b else 0
-                if dot != want:
+                if dot != (n_fact if a == b else 0):
                     raise ConsistencyError(
                         f"row orthogonality fails at {self.partitions[a]},{self.partitions[b]}"
+                    )
+        columns = list(zip(*self.values))
+        for a, ca in enumerate(columns):
+            for b, cb in enumerate(columns):
+                dot = sum(x * y for x, y in zip(ca, cb))
+                if dot != (n_fact // self.class_sizes[a] if a == b else 0):
+                    raise ConsistencyError(
+                        f"column orthogonality fails at {self.cycle_types[a]},{self.cycle_types[b]}"
                     )
 
 
 @lru_cache(maxsize=None)
 def character_table(k: int) -> CharacterTable:
-    """Full integer character table of S_k, 2 <= k <= 8."""
-    if not 2 <= k <= 8:
-        raise CapacityError("character_table supports 2 <= k <= 8")
+    """The integer character table of S_k, 2 <= k <= MAX_FROBENIUS_N: one
+    irreducible_character row per partition."""
+    if not 2 <= k <= MAX_FROBENIUS_N:
+        raise CapacityError(f"character_table supports 2 <= k <= {MAX_FROBENIUS_N}")
     parts = partitions_of(k)
     ctypes = sorted_cycle_types(k)
     sizes = [class_size(c) for c in ctypes]
     if sum(sizes) != math.factorial(k):
         raise ConsistencyError("class sizes do not sum to k!")
-    values = [[frobenius_character(eta, c) for c in ctypes] for eta in parts]
+    values = [list(irreducible_character(eta).values()) for eta in parts]
     return CharacterTable(k=k, partitions=parts, cycle_types=ctypes,
                           class_sizes=sizes, values=values)
 
@@ -287,8 +301,6 @@ def fixed_space_dim(chi: ClassFunction, subgroup_elements) -> int:
     tests' reference for degrees.fixed_dims_for, which reads the counts
     each lattice class keeps, and as a span the benchmark tracer names.
     """
-    from .burnside import cycle_type
-
     return fixed_dim_from_counts(chi, Counter(map(cycle_type, subgroup_elements)))
 
 

@@ -19,7 +19,6 @@ from symbreak.burnside import (
     class_name,
     closure,
     compose,
-    cycle_type,
     enumerate_all_subgroups,
     identity_perm,
     invert,
@@ -30,6 +29,7 @@ from symbreak.burnside import (
 from symbreak import burnside
 from symbreak.degrees import basic_degree
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
+from symbreak.symrep import cycle_type
 
 
 # ---------------------------------------------------------------------------

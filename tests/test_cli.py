@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_admissible
+from conftest import class_by_label, random_admissible
 import symbreak
 from symbreak import cli, degrees, landscape, symrep, verify
 from symbreak.errors import ConsistencyError
-from symbreak.burnside import load_lattice, serialize_lattice
+from symbreak.burnside import _derived_rows, load_lattice, serialize_lattice
 from symbreak.closed_forms import critical_set
 from symbreak.cli import main
 from symbreak.landscape import (
@@ -939,6 +939,39 @@ def test_isotypic_gate_reads_the_table(lattice4, lattice5, monkeypatch):
     record = isotypic_check()
     assert not record["passed"]
     assert 0.0 <= record["detail"]["max_residual"] <= 1e-10
+
+
+def _raised_row(lattice, key):
+    """The lattice with the stated row n(L, H) at key raised by 1."""
+    return lattice._replace(n_table={**lattice.n_table, key: lattice.n_table[key] + 1})
+
+
+def test_mark_homomorphism_passes_on_clean_lattices(lattice4, lattice5):
+    assert verify.mark_homomorphism_failure([lattice4, lattice5]) is None
+
+
+def test_mark_homomorphism_negative_control(lattice4, lattice5):
+    # n(V4, A4) = 1 raised to 2 leaves every exact solve exact, so multiply
+    # and the invariants pass it; the orbit-counted products do not
+    v4, a4 = class_by_label(lattice5, "V4").index, class_by_label(lattice5, "A4").index
+    corrupt = _raised_row(lattice5, (v4, a4))
+    assert verify.mark_homomorphism_failure([lattice4, corrupt]) is not None
+    _, checks = verify.run_verify({4: lattice4, 5: corrupt}.get, ks=[4], seed=1, mc_trials=2,
+                                  mc_samples=100, fd_points=1, perturb_hessian=None)
+    (record,) = [c for c in checks if c["name"] == "burnside_mark_homomorphism"]
+    assert not record["passed"]
+    assert record["detail"]["first_failure"] == verify.mark_homomorphism_failure([corrupt])
+
+
+@pytest.mark.parametrize("fixture, stated", [("lattice4", 3), ("lattice5", 16)])
+def test_mark_homomorphism_fails_on_every_stated_row_raised(fixture, stated, request):
+    # the rows a cache file states, which _derived_rows does not give
+    lattice = request.getfixturevalue(fixture)
+    derived = _derived_rows(lattice.classes)
+    rows = [key for key in lattice.n_table if key not in derived]
+    assert len(rows) == stated
+    for key in rows:
+        assert verify.mark_homomorphism_failure([_raised_row(lattice, key)]) is not None, key
 
 
 @pytest.mark.parametrize("widths, ks", [([], [4, 5]), (["--k", "6"], [6]),

@@ -1,8 +1,9 @@
 import itertools
+import sys
 
 import pytest
 
-from symbreak import burnside, golden as golden_module
+from symbreak import golden as golden_module, symrep
 from symbreak.burnside import BurnsideElement, load_lattice, serialize_lattice
 from symbreak.closed_forms import critical_set
 from symbreak.degrees import (
@@ -353,17 +354,23 @@ def test_readme_quick_start():
 
 @pytest.mark.parametrize("fixture", ["lattice4", "lattice5", "lattice6"])
 def test_cycle_types_counted_once_per_class(fixture, request, monkeypatch):
-    # a warm cache read, whose conjugacy check reads the counts, and then
-    # the invariants: each element is counted once in all
+    # a warm cache read, whose conjugacy check reads the counts, then the
+    # invariants and the whole report, golden comparison included at k = 5:
+    # each element is counted once in all, sum |H| calls
     blob = serialize_lattice(request.getfixturevalue(fixture))
     calls = []
-    original = burnside.cycle_type
-    monkeypatch.setattr(burnside, "cycle_type", lambda p: calls.append(p) or original(p))
+    original = symrep.cycle_type
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symbreak") and getattr(module, "cycle_type", None) is original:
+            monkeypatch.setattr(module, "cycle_type", lambda p: calls.append(p) or original(p))
     lattice = load_lattice(blob)
+    elements = sum(c.order for c in lattice.classes)
     all_invariants(lattice.k, lattice)
-    assert len(calls) == sum(c.order for c in lattice.classes)
+    assert len(calls) == elements
     all_invariants(lattice.k, lattice)
-    assert len(calls) == sum(c.order for c in lattice.classes)
+    assert len(calls) == elements
+    invariants_payload(lattice.k, lambda k: lattice)
+    assert len(calls) == elements
     monkeypatch.undo()
     # the counts give the per-element averages for every irreducible
     for eta in partitions_of(lattice.k):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import class_by_label, permutation_matrix
-from symbreak.burnside import compose, cycle_type
+from symbreak.burnside import compose
 from symbreak.closed_forms import FAMILY_COMPONENTS, components
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.golden import compare_character_table
@@ -18,13 +20,13 @@ from symbreak.symrep import (
     closed_form_character,
     conjugate_partition,
     cycle_counts,
+    cycle_type,
     decompose_class_function,
     decompose_diag_square,
     diag_square_character,
     fixed_space_dim,
     frobenius_character,
     hook_dimension,
-    inner_product,
     irreducible_character,
     partitions_of,
     sorted_cycle_types,
@@ -266,9 +268,42 @@ def test_character_table_k4_degrees():
     assert sorted(row[0] for row in table.values) == [1, 1, 2, 3, 3]
 
 
+@pytest.mark.parametrize("n", range(9, 13))
+def test_character_table_up_to_the_frobenius_cap(n):
+    # one table to MAX_FROBENIUS_N = 12: its rows are the irreducible
+    # characters, and it satisfies both orthogonality relations
+    table = character_table(n)
+    assert table.partitions == partitions_of(n)
+    for eta, row in zip(table.partitions, table.values):
+        assert dict(zip(table.cycle_types, row)) == irreducible_character(eta) == table.character(eta)
+    table.check_orthogonality()
+    for ci, ct in enumerate(table.cycle_types):
+        assert sum(row[ci] ** 2 for row in table.values) == centralizer_order(ct)
+
+
+@pytest.mark.parametrize("corrupt, relation", [("value", "row"), ("class_size", "row"),
+                                               ("missing_row", "column")])
+def test_check_orthogonality_refuses_a_corrupt_table(corrupt, relation):
+    # a table short of one irreducible keeps its rows orthonormal, and only
+    # the column relation sees it
+    table = character_table(5)
+    values = [list(row) for row in table.values]
+    sizes = list(table.class_sizes)
+    if corrupt == "value":
+        values[1][2] += 1
+    elif corrupt == "class_size":
+        sizes[3] += 1
+    else:
+        values.pop()
+    with pytest.raises(ConsistencyError, match=f"{relation} orthogonality fails"):
+        table._replace(values=values, class_sizes=sizes).check_orthogonality()
+
+
 def test_character_table_capacity():
     with pytest.raises(CapacityError):
-        character_table(9)
+        character_table(13)
+    with pytest.raises(CapacityError):
+        character_table(1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +336,38 @@ def test_sym_wedge_decompositions(k):
     assert decompose_class_function(wedge, k) == {(k - 2, 1, 1): 1}
     ident = tuple([1] * k)
     assert sym[ident] + wedge[ident] == (k - 1) ** 2
+
+
+_NON_CHARACTER = """
+import sys
+from symbreak.errors import ConsistencyError
+from symbreak.symrep import decompose_class_function, sorted_cycle_types
+# the indicator of the identity class: each multiplicity is dim / 5!
+f = {c: int(c == (1, 1, 1, 1, 1)) for c in sorted_cycle_types(5)}
+try:
+    decompose_class_function(f, 5)
+except ConsistencyError as exc:
+    print(exc)
+print("fractions" in sys.modules)
+"""
+
+
+def test_decompose_class_function_refuses_a_non_character():
+    # the reduced integer quotient names the first bad row, and no Fraction
+    # is built for it
+    proc = subprocess.run([sys.executable, "-c", _NON_CHARACTER], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "non-integral multiplicity 1/120 at (5,)\nFalse\n"
+
+
+def test_fixed_space_dim_loads_no_burnside():
+    # symrep owns cycle types: burnside imports symrep, never the reverse
+    code = ("import sys; import symbreak.symrep as sr;"
+            "chi = sr.irreducible_character((3, 1));"
+            "assert sr.fixed_space_dim(chi, [(0, 1, 2, 3), (1, 0, 2, 3)]) == 2;"
+            "print('symbreak.burnside' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("k", range(4, 11))
@@ -372,13 +439,6 @@ def test_fixed_space_rejects_non_integer_average(lattice5):
     d1 = class_by_label(lattice5, "D1")
     with pytest.raises(ConsistencyError):
         fixed_space_dim(chi, d1.representative)
-
-
-def test_inner_product_orthonormality():
-    a = irreducible_character((3, 2))
-    b = irreducible_character((4, 1))
-    assert inner_product(a, a, 5) == 1
-    assert inner_product(a, b, 5) == 0
 
 
 def test_cycle_type_helper_consistency(lattice5):
