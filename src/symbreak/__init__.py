@@ -14,7 +14,7 @@ import importlib
 _EXPORTS = {
     "BurnsideElement": "burnside",
     "SubgroupLattice": "burnside",
-    "build_lattice": "burnside",
+    "build_lattice": "subgroups",
     "critical_set": "closed_forms",
     "all_invariants": "degrees",
     "basic_degree": "degrees",
@@ -43,7 +43,8 @@ _EXPORTS = {
     "hook_dimension": "symrep",
 }
 _SUBMODULES = {"burnside", "cli", "closed_forms", "degrees", "errors", "golden",
-               "hessian", "landscape", "report", "spectrum", "symrep", "verify"}
+               "hessian", "landscape", "report", "spectrum", "subgroups", "symrep",
+               "verify"}
 
 __all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"

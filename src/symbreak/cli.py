@@ -91,9 +91,10 @@ def get_lattice(k: int, cache_dir: Path) -> tuple[SubgroupLattice, bool]:
 def write_lattice(k: int, cache_dir: Path, reason: str | None) -> SubgroupLattice:
     """Build the lattice and write lattice_k<k>.txt atomically; print why if rebuilt."""
     from . import burnside as bb
+    from . import subgroups
 
     path = cache_dir / f"lattice_k{k}.txt"
-    lattice = bb.build_lattice(k)
+    lattice = subgroups.build_lattice(k)
     # a per-process temp file plus os.replace: a concurrent reader sees the
     # old file or the whole new one, never a partial write
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

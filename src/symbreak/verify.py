@@ -21,6 +21,7 @@ from . import burnside as bb
 from . import landscape as ls
 from . import hessian as hs
 from . import spectrum as sp
+from . import subgroups
 from . import symrep as sr
 from .closed_forms import FAMILY_COMPONENTS, abc_terms, components, critical_set, root_scan
 from .degrees import invariants_payload
@@ -115,7 +116,7 @@ def _count_hits(hit, trials, workers: int) -> int:
 
 def mark_homomorphism_failure(lattices: Iterable[bb.SubgroupLattice]) -> tuple[int, str, str] | None:
     """The first (k, H, K) whose orbit-counted product (H)(K)
-    (burnside.orbit_count_product, which reads only the representatives)
+    (subgroups.orbit_count_product, which reads only the representatives)
     does not have the pointwise product of the generators' marks as its
     marks, else None.  multiply solves its product back from those marks,
     so only this oracle sees a wrong n(L, H) row.  The sample is every pair
@@ -129,7 +130,7 @@ def mark_homomorphism_failure(lattices: Iterable[bb.SubgroupLattice]) -> tuple[i
         for h, q in pairs:
             x = bb.BurnsideElement.generator(lattice, h).mark_vector()
             y = bb.BurnsideElement.generator(lattice, q).mark_vector()
-            counted = bb.BurnsideElement(lattice, bb.orbit_count_product(lattice, h, q))
+            counted = bb.BurnsideElement(lattice, subgroups.orbit_count_product(lattice, h, q))
             if counted.mark_vector() != [a * b for a, b in zip(x, y)]:
                 return lattice.k, lattice.classes[h].label, lattice.classes[q].label
     return None

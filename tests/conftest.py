@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symbreak.burnside import build_lattice
+from symbreak.subgroups import build_lattice
 
 
 @pytest.fixture(scope="session")

@@ -13,13 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import random_admissible
-from symbreak.burnside import (
-    BurnsideElement,
-    compose,
-    enumerate_all_subgroups,
-    invert,
-    orbit_count_product,
-)
+from symbreak.burnside import BurnsideElement, compose
+from symbreak.subgroups import enumerate_all_subgroups, invert, orbit_count_product
 from symbreak.cli import main
 from symbreak.closed_forms import critical_set
 from symbreak.degrees import all_invariants

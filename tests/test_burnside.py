@@ -13,20 +13,23 @@ from conftest import class_by_label
 from symbreak.burnside import (
     BurnsideElement,
     SubgroupLattice,
-    _GroupTables,
-    build_lattice,
     class_key,
     class_name,
     closure,
     compose,
-    enumerate_all_subgroups,
     identity_perm,
-    invert,
     load_lattice,
-    orbit_count_product,
     serialize_lattice,
+    solve_from_marks,
 )
-from symbreak import burnside
+from symbreak import burnside, subgroups
+from symbreak.subgroups import (
+    _GroupTables,
+    build_lattice,
+    enumerate_all_subgroups,
+    invert,
+    orbit_count_product,
+)
 from symbreak.degrees import basic_degree
 from symbreak.errors import CapacityError, ConsistencyError, DomainError
 from symbreak.symrep import cycle_type
@@ -140,6 +143,18 @@ def test_lattice_rejects_bad_k():
         build_lattice(1)
     with pytest.raises(DomainError):
         build_lattice(7)
+
+
+def test_burnside_forwards_only_the_tracer_names():
+    # the builder lives in subgroups, which a warm read never imports;
+    # burnside forwards the two names the outside benchmark tracer wraps
+    # through it, and no other
+    assert burnside.build_lattice is subgroups.build_lattice
+    assert burnside._GroupTables is subgroups._GroupTables
+    for name in ("orbit_count_product", "enumerate_all_subgroups", "invert", "_all_perms",
+                 "_minimal_gens"):
+        with pytest.raises(AttributeError):
+            getattr(burnside, name)
 
 
 def test_exhaustive_enumeration_oracle_k4(lattice4):
@@ -281,6 +296,35 @@ def test_products_of_sums_equal_orbit_counting(lattice5):
                 for li, n in count(hi, ki).items():
                     want[li] = want.get(li, 0) + ch * ck * n
         assert (x * y).coeffs == {li: c for li, c in want.items() if c}
+
+
+# the all-ones marks of (S_k) with class L's mark raised by 1 are the marks
+# of no element: the descending recursion names the first class, in
+# decreasing order, whose division is inexact
+_RAISED_MARK_REFUSALS = {
+    4: {"Z1": "Z1: 1/24", "D1": "D1: 1/2", "Z2": "Z2: 1/4", "Z3": "Z3: 1/2", "D2": "D2: 1/2",
+        "V4": "V4: 1/6", "Z4": "Z4: 1/2", "S3": "Z3: -1/2", "D4": "D2: -1/2", "A4": "A4: 1/2",
+        "S4": "A4: -1/2"},
+    5: {"Z1": "Z1: 1/120", "D1": "D1: 1/6", "Z2": "Z2: 1/4", "Z3": "Z3: 1/4", "D2": "D2: 1/2",
+        "V4": "V4: 1/6", "Z4": "Z4: 1/2", "Z5": "Z5: 1/4", "S3": "S3: 1/2", "Z6": "Z6: 1/2",
+        "D3": "D3: 1/2", "D4": "D2: -1/2", "D5": "D5: 1/2", "D6": "S3: -1/2", "A4": "A4: 1/2",
+        "F20": "D5: -1/2", "S4": "A4: -1/2", "A5": "A5: 1/2", "S5": "A5: -1/2"},
+}
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_solve_refuses_one_raised_mark(k, request):
+    lattice = request.getfixturevalue(f"lattice{k}")
+    ones = BurnsideElement.one(lattice).mark_vector()
+    assert ones == [1] * len(lattice.classes)
+    assert [c.label for c in lattice.classes] == list(_RAISED_MARK_REFUSALS[k])
+    for cls in lattice.classes:
+        marks = list(ones)
+        marks[cls.index] += 1
+        with pytest.raises(ConsistencyError) as refused:
+            solve_from_marks(lattice, marks)
+        assert str(refused.value) == (
+            "non-integer coefficient at class " + _RAISED_MARK_REFUSALS[k][cls.label])
 
 
 def test_finite_group_collapse(lattice5):
@@ -555,7 +599,7 @@ def test_group_tables_refuse_int16_overflow(monkeypatch):
     def listed(k):
         raise AssertionError("permutations listed")
 
-    monkeypatch.setattr(burnside, "_all_perms", listed)
+    monkeypatch.setattr(subgroups, "_all_perms", listed)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="k=8"):

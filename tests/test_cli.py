@@ -1179,6 +1179,7 @@ for k in (4, 5, 6, 7, 8):
         assert "numpy" not in sys.modules, (k, output)
         lean = [m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules]
         assert not lean, (k, output, lean)
+assert "symbreak.subgroups" not in sys.modules
 from symbreak import BurnsideElement, build_lattice, critical_set
 assert critical_set(5).values[1] > 2.0 and "numpy" not in sys.modules
 import symbreak
