@@ -11,7 +11,8 @@ number of conjugates k!/|N(H)|, the containment order, which is the key set
 of the n table ((L) <= (H) iff n(L, H) > 0), the rows of _derived_rows, and
 each class's cycle-type counts (symrep.cycle_type, which owns S_k's class
 data), which those rows, the fixed-space dimensions of every irreducible
-and golden's candidate filters read (counted once per class, in memory).
+and golden's candidate filters read (counted once per class, in memory;
+the reader types each distinct permutation once).
 The builder and the cache reader both make their classes with
 _class_records, which demands the class order (class_key) strictly and names
 each class (class_name); the labels key the reported expansions.
@@ -23,15 +24,21 @@ mapped back by the descending recursion
 
     n_L = (m_L - sum_{(Lt)>(L)} n(L,Lt) n_Lt |W(Lt)|) / |W(L)|
 
-with every division asserted exact.
+with every division asserted exact.  The lattice holds its table of marks,
+made once with it (SubgroupLattice.mark_columns and mark_rows): mark_vector
+sums the columns of an element's classes, and the recursion subtracts each
+class's row.
 
 Permutations are tuples of images on {0, ..., k-1}; subgroups are
 frozensets of such tuples.  compose(p, q) maps q's images through p with
-map, half the cost of a generator expression; closure calls it about 8,500
-times on a warm k = 6 read.  SubgroupClass and SubgroupLattice are named
-tuples: the package imports no dataclasses, whose import and per-class code
-generation a warm `invariants` process would pay on every start (README,
-Start-up).  Everything here is exact integer arithmetic without numpy.  The
+map, half the cost of a generator expression.  closure grows a group coset
+by coset (Dimino), so a warm k = 6 read calls compose 611 times, once per
+coset and generator, and forms each coset's products with one itemgetter,
+where the former orbit search called compose about 8,500 times.
+SubgroupClass is a named tuple, and SubgroupLattice a named tuple that also
+carries its table of marks: the package imports no dataclasses, whose
+import and per-class code generation a warm `invariants` process would pay
+on every start (README, Start-up).  Everything here is exact integer arithmetic without numpy.  The
 lattice builder and the brute-force oracles live in subgroups, which this
 module does not import when it loads, so a warm read (load_lattice) and the
 ring arithmetic neither compile nor run them.
@@ -43,6 +50,7 @@ import collections
 import math
 import zlib
 from collections.abc import Iterable
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
@@ -79,24 +87,33 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 
 def closure(generators: list[Perm], k: int) -> frozenset[Perm]:
-    """Subgroup generated by the given permutations (orbit algorithm).
+    """Subgroup generated by the given permutations (Dimino's algorithm;
+    Butler, Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
 
-    Stays apart from subgroups._GroupTables.close_indices: it needs no
-    group tables, which spares load_lattice the k!^2 table on a warm read."""
-    ident = identity_perm(k)
-    elems = {ident}
-    frontier = [ident]
-    gens = [g for g in generators if g != ident]
-    while frontier:
-        nxt = []
-        for h in frontier:
+    The group grows one generator s at a time, from H to <H, s>, by whole
+    right cosets Hx of H, starting from Hs: a coset Hx times a generator g is
+    the coset H(xg), so one product xg and one membership test per coset and
+    generator find every coset, and each new coset is the |H| products h*x,
+    one itemgetter over x's images.  A generator already in the group is
+    skipped.  Stays apart from subgroups._GroupTables.close_indices: it
+    needs no group tables, which spares load_lattice the k!^2 table on a
+    warm read."""
+    members = {identity_perm(k)}
+    gens: list[Perm] = []
+    for s in generators:
+        if s in members:
+            continue
+        gens.append(s)
+        subgroup = tuple(members)   # H, the group before s
+        members.update(map(itemgetter(*s), subgroup))
+        reps = [s]
+        for x in reps:   # grows while it is read
             for g in gens:
-                x = compose(g, h)
-                if x not in elems:
-                    elems.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return frozenset(elems)
+                y = compose(x, g)
+                if y not in members:
+                    members.update(map(itemgetter(*y), subgroup))
+                    reps.append(y)
+    return frozenset(members)
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +146,39 @@ class SubgroupClass(NamedTuple):
         return math.factorial(k) // self.normalizer_order
 
 
-class SubgroupLattice(NamedTuple):
-    """All subgroup classes of S_k with the n(L,H) table."""
-
+class _LatticeFields(NamedTuple):
     k: int
     classes: list[SubgroupClass]
     # n_table[(i, j)] = n(L_i, H_j), zero entries omitted, so (i, j) is a key
     # iff some conjugate of class i is contained in class j
     n_table: dict[tuple[int, int], int]
+
+
+class SubgroupLattice(_LatticeFields):
+    """All subgroup classes of S_k with the n(L,H) table, and the table of
+    marks, read from them once when the lattice is made (by build_lattice,
+    load_lattice or _replace): mark_columns[H] lists (L, mark_L(H)) for every
+    L with n(L, H) > 0, which mark_vector sums, and mark_rows[L] lists
+    (H, mark_L(H)) for every H strictly above L, which solve_from_marks
+    subtracts.  Equality compares k, classes and n_table alone; n_table is
+    not changed after the lattice is made."""
+
+    def __new__(cls, k: int, classes: list[SubgroupClass],
+                n_table: dict[tuple[int, int], int]) -> "SubgroupLattice":
+        self = super().__new__(cls, k, classes, n_table)
+        self.mark_columns = [[] for _ in classes]
+        self.mark_rows = [[] for _ in classes]
+        for (li, hi), n in n_table.items():
+            m = n * classes[hi].weyl_order
+            self.mark_columns[hi].append((li, m))
+            if li != hi:
+                self.mark_rows[li].append((hi, m))
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "SubgroupLattice":
+        # the named tuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def full_index(self) -> int:
@@ -150,8 +192,7 @@ class SubgroupLattice(NamedTuple):
         return self.n(li, hi) * self.classes[hi].weyl_order
 
     def strictly_above(self, li: int) -> list[int]:
-        return [j for j in range(len(self.classes))
-                if j != li and (li, j) in self.n_table]
+        return sorted(hi for hi, _ in self.mark_rows[li])
 
     def total_subgroups(self) -> int:
         return sum(c.n_conjugates for c in self.classes)
@@ -295,12 +336,13 @@ class BurnsideElement:
 
     # -- marks ---------------------------------------------------------------
     def mark_vector(self) -> list[int]:
-        """mark_L(a) for every class L; the injective ring homomorphism."""
-        lat = self.lattice
-        n = len(lat.classes)
-        out = [0] * n
-        for li in range(n):
-            out[li] = sum(c * lat.mark(li, hi) for hi, c in self.coeffs.items())
+        """mark_L(a) for every class L; the injective ring homomorphism,
+        summed over the table of marks' columns of a's classes."""
+        columns = self.lattice.mark_columns
+        out = [0] * len(columns)
+        for hi, c in self.coeffs.items():
+            for li, m in columns[hi]:
+                out[li] += c * m
         return out
 
     def pretty(self) -> str:
@@ -332,17 +374,10 @@ def solve_from_marks(lattice: SubgroupLattice, marks: list[int]) -> BurnsideElem
     do not come from an actual element and raises ConsistencyError.
     """
     classes = lattice.classes
-    weyl = [c.weyl_order for c in classes]
-    # per class L, (H, mark_L(H)) for every class H strictly above it, in
-    # one pass over the n table
-    above: list[list[tuple[int, int]]] = [[] for _ in classes]
-    for (li, hi), n in lattice.n_table.items():
-        if li != hi:
-            above[li].append((hi, n * weyl[hi]))
     coeffs: dict[int, int] = {}
     for li in sorted(range(len(classes)), key=lambda i: -classes[i].order):
-        acc = marks[li] - sum(coeffs.get(hi, 0) * m for hi, m in above[li])
-        w = weyl[li]
+        acc = marks[li] - sum(coeffs.get(hi, 0) * m for hi, m in lattice.mark_rows[li])
+        w = classes[li].weyl_order
         if acc % w:
             raise ConsistencyError(
                 f"non-integer coefficient at class {classes[li].label}: {acc}/{w}"
@@ -441,6 +476,7 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
         raise ConsistencyError(f"lattice cache width k={k} is out of range")
 
     split = lines.index("n:")
+    types: dict[Perm, tuple[int, ...]] = {}   # each distinct permutation typed once
     rows = []
     for line in lines[:split]:
         nrm, gens_text = line.split("|")
@@ -448,7 +484,9 @@ def _parse_lattice_body(header: str, lines: list[str]) -> SubgroupLattice:
         if any(sorted(g) != list(range(k)) for g in gens):
             raise ConsistencyError(f"generators are not permutations of {k} points: {line!r}")
         rep = closure(list(gens), k)
-        rows.append((class_key(int(nrm), gens, map(cycle_type, rep)), gens, rep))
+        new = rep.difference(types)
+        types.update(zip(new, map(cycle_type, new)))
+        rows.append((class_key(int(nrm), gens, map(types.__getitem__, rep)), gens, rep))
     classes = _class_records(k, rows)
     # serialize_lattice writes each row once, in strictly increasing (L, H)
     # order, with n(L, H) > 0, |L| properly dividing |H|, and not derived

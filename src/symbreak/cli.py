@@ -259,7 +259,7 @@ def cmd_critical(args) -> tuple[dict, int]:
          "passed": max(crit.residuals) / scale <= TOLERANCES["critical_residual"],
          "detail": {"max_residual": max(crit.residuals),
                     "max_scaled_residual": max(crit.residuals) / scale}},
-        check("ordering_chain", True),
+        check("ordering_chain", crit.ordered),
     ]
     return _report("critical", {"k": args.k, "tolerance": TOLERANCES["critical_residual"]},
                    results, checks)

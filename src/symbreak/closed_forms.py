@@ -133,6 +133,15 @@ class CriticalSet(NamedTuple):
         """Every positive critical value exceeds 1, the engineering regime's edge."""
         return self.values[1] > 1.0
 
+    @property
+    def ordered(self) -> bool:
+        """0 = values[0] < values[1] < values[2]; where the two nonzero
+        values round to the same float (both 2.0 from k ~ 1e17 on), their
+        closed-form distances from the asymptote 2 decide."""
+        zero, mid, last = self.values
+        d_std, d_triv = _asymptote_distances(self.k)
+        return zero == 0.0 < mid and (mid, d_std) < (last, d_triv)
+
 
 def critical_alpha_standard(k: int) -> float:
     """Root of the W_minus family: (8 pi + 2 k pi^2) / (4 + (k-1) pi^2 + 4 pi)."""
@@ -162,12 +171,11 @@ def _asymptote_distances(k: int) -> tuple[float, float]:
 
 def critical_set(k: int) -> CriticalSet:
     """0 = alpha_(k-2,2) = alpha_(k-2,1,1) = alpha^1_(k-1,1)
-    < alpha^2_(k-1,1) < alpha^1_(k); a violated chain is an invariant
-    failure (ConsistencyError).  Where alpha_std and alpha_triv round to the
-    same float (both are 2.0 from k ~ 1e17 on), the upper link is judged on
-    their closed-form distances from the asymptote 2, which stay apart.
-    From k ~ 9.5e153 on, 2k^2 in alpha_triv is not a finite float, and the
-    width is refused (DomainError)."""
+    < alpha^2_(k-1,1) < alpha^1_(k); a violated chain (CriticalSet.ordered,
+    which orders values that round alike by their distances from the
+    asymptote 2) is an invariant failure (ConsistencyError).  From
+    k ~ 9.5e153 on, 2k^2 in alpha_triv is not a finite float, and the width
+    is refused (DomainError)."""
     if k < 4:
         raise DomainError("k >= 4 required")
     mid = critical_alpha_standard(k)
@@ -184,9 +192,7 @@ def critical_set(k: int) -> CriticalSet:
         residuals=tuple(max(abs(row[f]) for f in fams) for row, fams in zip(at, CRITICAL_FAMILIES)),
         trivial_zero_at_origin=all(at[0][f] == 0.0 for f in CRITICAL_FAMILIES[2]),
     )
-    # the values decide the order; equal values fall through to the distances
-    d_std, d_triv = _asymptote_distances(k)
-    if not (0.0 < mid and (mid, d_std) < (last, d_triv)):
+    if not crit.ordered:
         raise ConsistencyError(f"critical ordering violated at k={k}: {crit.values}")
     return crit
 

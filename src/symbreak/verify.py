@@ -257,12 +257,12 @@ def run_verify(lattice_for: Callable[[int], bb.SubgroupLattice], *, ks: list[int
     ))
 
     # -- critical set residuals, ordering, nonnegativity --------------------
-    # critical_set raises ConsistencyError on a violated ordering
     worst_res = 0.0
-    subcritical_ok = True
+    ordering_ok = subcritical_ok = True
     for k in range(4, 17):
         crit = critical_set(k)
         worst_res = max(worst_res, max(crit.residuals))
+        ordering_ok &= crit.ordered
         subcritical_ok &= crit.subcritical_regime
     scan = {k: root_scan(k) for k in ks if k <= 16}
     no_negative_roots = all(
@@ -275,8 +275,8 @@ def run_verify(lattice_for: Callable[[int], bb.SubgroupLattice], *, ks: list[int
     )
     checks.append(check(
         "critical_set", worst_res <= TOLERANCES["critical_residual"]
-        and subcritical_ok and no_negative_roots and nonzero_root_counts_ok,
-        detail={"max_residual": worst_res, "ordering_ok": True,
+        and ordering_ok and subcritical_ok and no_negative_roots and nonzero_root_counts_ok,
+        detail={"max_residual": worst_res, "ordering_ok": ordering_ok,
                 "subcritical_ok": subcritical_ok,
                 "no_negative_roots": no_negative_roots},
     ))

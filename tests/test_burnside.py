@@ -298,6 +298,40 @@ def test_products_of_sums_equal_orbit_counting(lattice5):
         assert (x * y).coeffs == {li: c for li, c in want.items() if c}
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mark_vector_equals_the_table_of_marks(data, lattice4, lattice5, lattice6):
+    # the per-lattice columns against the definition, sum_H c_H n(L, H) |W(H)|
+    # for every L, read pair by pair from lattice.mark; the solve inverts it
+    lattice = data.draw(st.sampled_from([lattice4, lattice5, lattice6]), label="lattice")
+    n = len(lattice.classes)
+    coeffs = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(-5, 5), max_size=8),
+                       label="coeffs")
+    x = BurnsideElement(lattice, coeffs)
+    want = [sum(c * lattice.mark(li, hi) for hi, c in coeffs.items()) for li in range(n)]
+    assert x.mark_vector() == want
+    assert solve_from_marks(lattice, want) == x
+
+
+def test_table_of_marks_is_made_with_the_lattice(lattice5):
+    # every nonzero mark once, in its column and, off the diagonal, its row;
+    # a lattice with a changed n table, made directly or by _replace, has
+    # its own table
+    cols = {(li, hi): m for hi, col in enumerate(lattice5.mark_columns) for li, m in col}
+    rows = {(li, hi): m for li, row in enumerate(lattice5.mark_rows) for hi, m in row}
+    assert cols == {key: lattice5.mark(*key) for key in lattice5.n_table}
+    assert rows == {(li, hi): m for (li, hi), m in cols.items() if li != hi}
+    assert sum(map(len, lattice5.mark_columns)) == len(lattice5.n_table)
+    v4, a4 = class_by_label(lattice5, "V4").index, class_by_label(lattice5, "A4").index
+    n_table = {**lattice5.n_table, (v4, a4): lattice5.n(v4, a4) + 1}
+    for raised in (SubgroupLattice(5, lattice5.classes, n_table),
+                   lattice5._replace(n_table=n_table)):
+        assert type(raised) is SubgroupLattice and raised != lattice5
+        assert (v4, raised.mark(v4, a4)) in raised.mark_columns[a4]
+        assert (a4, raised.mark(v4, a4)) in raised.mark_rows[v4]
+        assert BurnsideElement.generator(raised, a4).mark_vector()[v4] == raised.mark(v4, a4)
+
+
 # the all-ones marks of (S_k) with class L's mark raised by 1 are the marks
 # of no element: the descending recursion names the first class, in
 # decreasing order, whose division is inexact
@@ -648,8 +682,8 @@ def _close(tables, gens, base):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_close_indices_matches_closure(data):
-    # the coset-by-coset closure against the independent tuple-space orbit
-    # algorithm, grown from the identity and from a closed prefix
+    # the coset-by-coset closure against the independent tuple-space
+    # closure, grown from the identity and from a closed prefix
     k = data.draw(st.integers(4, 6), label="k")
     tables = _tables(k)
     gens = data.draw(st.lists(st.integers(0, len(tables.perms) - 1),
@@ -668,7 +702,7 @@ def _index(k):
 
 
 def _oracle(k, gens):
-    """<gens> by the tuple-space orbit algorithm, as an index set."""
+    """<gens> by the tuple-space closure, as an index set."""
     tables = _tables(k)
     return frozenset(_index(k)[p] for p in closure([tables.perms[g] for g in gens], k))
 
@@ -748,6 +782,48 @@ def test_every_join_matches_per_join_reference(k, monkeypatch):
         for extra, key in zip(extras, keys, strict=True):
             want = _extend_per_join(tables, base, gens + [extra])
             assert tables.members(key).tolist() == want.tolist()
+
+
+def _orbit_closure(generators, k):
+    """The orbit search closure made before it grew by cosets: every element
+    found times every generator, one layer at a time.  Kept here as its
+    reference."""
+    ident = identity_perm(k)
+    elems = {ident}
+    frontier = [ident]
+    gens = [g for g in generators if g != ident]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                x = compose(g, h)
+                if x not in elems:
+                    elems.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return frozenset(elems)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_closure_matches_orbit_search(data):
+    # random generator lists, with one generator the group already holds
+    # (the identity included) put in among them
+    k = data.draw(st.integers(2, 7), label="k")
+    gens = data.draw(st.lists(st.permutations(range(k)).map(tuple), max_size=4), label="gens")
+    want = _orbit_closure(gens, k)
+    inside = data.draw(st.sampled_from(sorted(want)), label="inside")
+    gens.insert(data.draw(st.integers(0, len(gens)), label="at"), inside)
+    assert closure(gens, k) == want
+
+
+@pytest.mark.parametrize("fixture", ["lattice4", "lattice5", "lattice6"])
+def test_closure_of_cached_generators_is_the_builders_representative(fixture, request):
+    lattice = request.getfixturevalue(fixture)
+    again = load_lattice(serialize_lattice(lattice))
+    for cached, built in zip(again.classes, lattice.classes, strict=True):
+        assert cached.generators == built.generators
+        assert closure(list(cached.generators), lattice.k) == built.representative
 
 
 def test_closure_helper():

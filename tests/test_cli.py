@@ -248,6 +248,18 @@ def test_critical_huge_k_asymptote(capsys, tmp_path):
     assert max(rep["results"]["asymptote_distance"]) <= 1e-4
 
 
+def test_critical_ordering_chain_reads_the_values(capsys, tmp_path, monkeypatch):
+    # the check judges the values critical_set returns: a chain out of order
+    # fails it, and the report with it
+    real = cli.critical_set
+    monkeypatch.setattr(cli, "critical_set",
+                        lambda k: real(k)._replace(values=(0.0, 3.0, 2.5)))
+    code, rep = run_json(capsys, "--cache-dir", str(tmp_path), "critical", "--k", "5")
+    (record,) = [c for c in rep["checks"] if c["name"] == "ordering_chain"]
+    assert code == 1 and not record["passed"]
+    assert rep["results"]["ordering_chain"] == [0.0, 3.0, 2.5]
+
+
 @pytest.mark.parametrize("exponent", [17, 18, 30, 100, 153])
 def test_critical_ordering_holds_where_values_round_to_two(exponent, capsys, tmp_path):
     # both nonzero critical values print as 2.0; the chain is judged on
@@ -922,6 +934,24 @@ def test_run_verify_matches_serial_trial_loop(lattice4, lattice5):
 
     assert detail["mc_kernel_3sigma"]["pass_fraction"] == hits / mc_trials
     assert detail["gradient_exact_vs_fd"]["worst_relative_error"] == worst_rel
+
+
+def test_verify_critical_set_ordering_reads_the_values(lattice4, lattice5, monkeypatch):
+    # ordering_ok is judged on the values critical_set returns at k = 4..16
+    def critical_check():
+        _, checks = verify.run_verify({4: lattice4, 5: lattice5}.get, ks=[4], seed=1,
+                                      mc_trials=2, mc_samples=100, fd_points=1,
+                                      perturb_hessian=None)
+        (record,) = [c for c in checks if c["name"] == "critical_set"]
+        return record
+
+    record = critical_check()
+    assert record["passed"] and record["detail"]["ordering_ok"] is True
+    real = verify.critical_set
+    monkeypatch.setattr(verify, "critical_set", lambda k: real(k)._replace(
+        values=(0.0, *reversed(real(k).values[1:]))) if k == 11 else real(k))
+    record = critical_check()
+    assert not record["passed"] and record["detail"]["ordering_ok"] is False
 
 
 def test_isotypic_gate_reads_the_table(lattice4, lattice5, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 
 import pytest
@@ -356,7 +357,8 @@ def test_readme_quick_start():
 def test_cycle_types_counted_once_per_class(fixture, request, monkeypatch):
     # a warm cache read, whose conjugacy check reads the counts, then the
     # invariants and the whole report, golden comparison included at k = 5:
-    # each element is counted once in all, sum |H| calls
+    # each distinct permutation of the representatives is typed once in all,
+    # one call per element of their union, not sum |H|
     blob = serialize_lattice(request.getfixturevalue(fixture))
     calls = []
     original = symrep.cycle_type
@@ -364,7 +366,9 @@ def test_cycle_types_counted_once_per_class(fixture, request, monkeypatch):
         if name.startswith("symbreak") and getattr(module, "cycle_type", None) is original:
             monkeypatch.setattr(module, "cycle_type", lambda p: calls.append(p) or original(p))
     lattice = load_lattice(blob)
-    elements = sum(c.order for c in lattice.classes)
+    elements = len(frozenset().union(*(c.representative for c in lattice.classes)))
+    assert elements == math.factorial(lattice.k) < sum(c.order for c in lattice.classes)
+    assert len(set(calls)) == len(calls)
     all_invariants(lattice.k, lattice)
     assert len(calls) == elements
     all_invariants(lattice.k, lattice)
